@@ -31,9 +31,6 @@ from .gradedring import (
     RingSystem,
     SignRuleError,
     any_integral_lift,
-    apply_map,
-    build_ring,
-    cup,
     divide_by,
     integral_lifts,
     pontryagin_square,
@@ -58,7 +55,6 @@ from .obstruct import (
     integral_sw,
     obstruction_denominator,
     rank6_second_obstruction,
-    search_vanishing_lifts,
     survey_candidates,
     theorem1_obstruction,
     theorem2_class,
@@ -83,15 +79,15 @@ __all__ = [
     "CoefficientMap", "ConfluenceError", "DegreeError", "Generator",
     "GradedRing", "LiftSearch", "NoIntegralLift", "RewriteRule",
     "RingElement", "RingError", "RingPresentation", "RingSystem",
-    "SignRuleError", "any_integral_lift", "apply_map", "build_ring", "cup",
-    "divide_by", "integral_lifts", "pontryagin_square", "sq1_derivation",
+    "SignRuleError", "any_integral_lift", "divide_by", "integral_lifts",
+    "pontryagin_square", "sq1_derivation",
     "BudgetExceeded", "BundleData", "ChernCandidate", "DataValidationError",
     "DivisibilityViolation", "NoSolution", "ObstructionReport", "Pairing",
     "SearchOutcome", "Verdict", "WuCheck", "acs_verdict",
     "construct_w4m_lift", "first_obstruction", "homotopy_group",
     "integral_sw", "obstruction_denominator", "rank6_second_obstruction",
-    "search_vanishing_lifts", "survey_candidates", "theorem1_obstruction",
-    "theorem2_class", "validate_wu_formula", "wu_dim4_obstruction",
+    "survey_candidates", "theorem1_obstruction", "theorem2_class",
+    "validate_wu_formula", "wu_dim4_obstruction",
     "SpaceFile", "SpaceFileError", "dump_space_file", "load_space_file",
     "parse_space_file",
     "exit_code", "render_json", "render_text", "report_doc",

@@ -7,8 +7,9 @@
 
 `check` exits 0 when no obstruction test fired, 2 when some obstruction
 is provably nonzero, 3 when the only blockers are inconclusive tests, and
-1 on input or usage errors.  `corpus` exits nonzero when any bundled (or
-supplied) case disagrees with its recorded expectations.
+1 on input or usage errors and on candidate searches larger than the cap.
+`corpus` exits nonzero when any bundled (or supplied) case disagrees with
+its recorded expectations.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from .gradedring import RingError, integral_lifts
 from .obstruct import (
+    BudgetExceeded,
     DataValidationError,
     acs_verdict,
     homotopy_group,
@@ -37,7 +39,7 @@ from .spacefile import SpaceFile, SpaceFileError, load_space_file, \
     space_file_from_text
 
 _LOAD_ERRORS = (SpaceFileError, DataValidationError, RingError, OSError,
-                ValueError)
+                ValueError, BudgetExceeded)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,13 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _load(path: str) -> SpaceFile:
-    return load_space_file(path)
-
-
 def cmd_check(args) -> int:
     try:
-        sf = _load(args.space)
+        sf = load_space_file(args.space)
         report = acs_verdict(sf.bundle, bound=args.bound)
     except _LOAD_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -72,7 +70,7 @@ def cmd_lifts(args) -> int:
         return 1
     i = int(name[1:])
     try:
-        sf = _load(args.space)
+        sf = load_space_file(args.space)
         data = sf.bundle
         if i > data.cutoff:
             print("error: degree %d exceeds the ring cutoff %d"
@@ -146,7 +144,8 @@ def _check_case(sf: SpaceFile):
             problems.append("final note %r lacks %r"
                             % (note, exp["final_note_contains"]))
     if "vanishing_candidates" in exp:
-        actual = [candidate_doc(c) for c in report.vanishing_candidates]
+        vanishing = report.search.vanishing if report.search else ()
+        actual = [candidate_doc(c) for c in vanishing]
         if actual != exp["vanishing_candidates"]:
             problems.append("vanishing_candidates: expected %r, got %r"
                             % (exp["vanishing_candidates"], actual))

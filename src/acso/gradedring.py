@@ -527,13 +527,6 @@ class RingElement:
         return "<%s in degree %d>" % (self, self.degree)
 
 
-def parse_monomial(ring: GradedRing, text: str) -> tuple[int, ...]:
-    try:
-        return parse_exponents(ring.names, text)
-    except ValueError as exc:
-        raise RingError(str(exc)) from None
-
-
 class CoefficientMap:
     """Additive degree-shifting map between rings, one matrix per degree.
 
@@ -854,18 +847,6 @@ def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:
         raise NoIntegralLift(
             "no integral lift in degree %d" % u.degree)
     return system.rho4(lift * lift)
-
-
-def build_ring(presentation: RingPresentation) -> GradedRing:
-    return GradedRing(presentation)
-
-
-def cup(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
-
-
-def apply_map(m: CoefficientMap, x: RingElement) -> RingElement:
-    return m(x)
 
 
 def sq1_derivation(ring: GradedRing,

@@ -401,6 +401,36 @@ def validate_candidate(data: BundleData, cand: ChernCandidate) -> None:
                 "rho2(c%d) != w%d, discrepancy %s" % (i, 2 * i, diff))
 
 
+def chern_square_sum(data: BundleData, cand: ChernCandidate,
+                     j: int) -> RingElement:
+    """Massey's degree-4j class
+
+        q_j = sum_{i=0}^{2j} (-1)^i c_i c_{2j-i} - (-1)^j p_j.
+
+    Chern classes have even degree, so c_i c_{2j-i} = c_{2j-i} c_i and the
+    sum folds to (-1)^j (c_j^2 - p_j) + 2 sum_{i<j} (-1)^i c_i c_{2j-i},
+    whose i = 0 term is c_{2j} itself.
+    """
+    q = cand.chern(data, j) * cand.chern(data, j) - data.p_class(j)
+    if j % 2:
+        q = -q
+    twice = cand.chern(data, 2 * j)
+    for i in range(1, j):
+        term = cand.chern(data, i) * cand.chern(data, 2 * j - i)
+        twice = twice - term if i % 2 else twice + term
+    return q + 2 * twice
+
+
+def _final_class(data: BundleData, cand: ChernCandidate, k: int):
+    # the top-degree class q_k = 4o and the solutions of 4x = q_k
+    validate_candidate(data, cand)
+    q = chern_square_sum(data, cand, k)
+    if not data.rings.rho4(q).is_zero:
+        raise DivisibilityViolation("q = %s is not divisible by 4 (rho4(q) = %s)"
+                                    % (q, data.rings.rho4(q)))
+    return q, divide_by(4, q)
+
+
 def theorem2_class(data: BundleData, cand: ChernCandidate):
     """Massey Theorem II class for rank 4k:
 
@@ -412,33 +442,7 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
     if data.rank % 4:
         raise ValueError("Theorem II applies to ranks divisible by 4, got %d"
                          % data.rank)
-    k = data.rank // 4
-    validate_candidate(data, cand)
-    q = data.rings.integral.zero(4 * k)
-    for i in range(2 * k + 1):
-        term = cand.chern(data, i) * cand.chern(data, 2 * k - i)
-        q = q + term if i % 2 == 0 else q - term
-    pk = data.p_class(k)
-    q = q - pk if k % 2 == 0 else q + pk
-    if not data.rings.rho4(q).is_zero:
-        raise DivisibilityViolation("q = %s is not divisible by 4 (rho4(q) = %s)"
-                                    % (q, data.rings.rho4(q)))
-    return q, divide_by(4, q)
-
-
-def _rank6_q(data: BundleData, cand: ChernCandidate):
-    # q = -2 c1 c3 + c2^2 - p2 with c3 pinned to the Euler class
-    if data.rank != 6:
-        raise ValueError("this criterion applies to rank 6, got %d" % data.rank)
-    if 8 > data.cutoff:
-        raise DegreeError("degree 8 exceeds cutoff %d" % data.cutoff)
-    validate_candidate(data, cand)
-    c1, c2 = cand.classes
-    q = c2 * c2 - 2 * (c1 * data.euler) - data.p_class(2)
-    if not data.rings.rho4(q).is_zero:
-        raise DivisibilityViolation("q = %s is not divisible by 4 (rho4(q) = %s)"
-                                    % (q, data.rings.rho4(q)))
-    return q, divide_by(4, q)
+    return _final_class(data, cand, data.rank // 4)
 
 
 def _divisibility_verdict(data: BundleData, q: RingElement,
@@ -471,7 +475,11 @@ def wu_dim4_obstruction(data: BundleData, c1: RingElement) -> Verdict:
 
 def rank6_second_obstruction(data: BundleData, cand: ChernCandidate) -> Verdict:
     """Rank-6, degree-8 criterion: -2 c1 c3 + c2^2 - p2 = 4 * o, c3 = e."""
-    q, sols = _rank6_q(data, cand)
+    if data.rank != 6:
+        raise ValueError("this criterion applies to rank 6, got %d" % data.rank)
+    if 8 > data.cutoff:
+        raise DegreeError("degree 8 exceeds cutoff %d" % data.cutoff)
+    q, sols = _final_class(data, cand, 2)
     return _divisibility_verdict(data, q, sols, _final_rule(6))
 
 
@@ -504,6 +512,15 @@ class SearchOutcome:
         return len(self.records)
 
 
+def _final_index(rank: int) -> Optional[int]:
+    # the k of the top-degree class q_k, which lives in degree 4k
+    if rank == 6:
+        return 2
+    if rank % 4 == 0:
+        return rank // 4
+    return None
+
+
 def _final_rule(rank: int) -> str:
     if rank == 4:
         return "Wu's dimension-4 criterion (p1 - c1^2 + 2e = 4o)"
@@ -520,14 +537,12 @@ def survey_candidates(data: BundleData, bound: int = 10,
     intermediate identities (-1)^j p_j = sum_{i<=2j} (-1)^i c_i c_{2j-i}
     for every j below the final index before the top-degree class is
     evaluated.  Deterministic: candidates come out in lexicographic order
-    of their coefficient vectors.
+    of their coefficient vectors.  Raises BudgetExceeded, before testing
+    any candidate, when there are more than `cap` of them.
     """
     rank = data.rank
-    if rank == 6:
-        k_final = 2
-    elif rank % 4 == 0:
-        k_final = rank // 4
-    else:
+    k_final = _final_index(rank)
+    if k_final is None:
         raise ValueError("no top-degree criterion for rank %d" % rank)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -547,30 +562,16 @@ def survey_candidates(data: BundleData, bound: int = 10,
                    for i in range(1, n)
                    for o in rings.integral.orders(2 * i))
 
-    enumerated = 0
+    enumerated = math.prod(len(lifts) for lifts in lift_sets)
+    if enumerated > cap:
+        raise BudgetExceeded("candidate enumeration exceeded the cap %d" % cap)
     records = []
     for combo in itertools.product(*lift_sets):
-        enumerated += 1
-        if enumerated > cap:
-            raise BudgetExceeded("candidate enumeration exceeded the cap %d" % cap)
         cand = ChernCandidate(combo)
-        ok = True
-        for j in range(1, k_final):
-            acc = rings.integral.zero(4 * j)
-            for i in range(2 * j + 1):
-                term = cand.chern(data, i) * cand.chern(data, 2 * j - i)
-                acc = acc + term if i % 2 == 0 else acc - term
-            pj = data.p_class(j)
-            want = pj if j % 2 == 0 else -pj
-            if acc != want:
-                ok = False
-                break
-        if not ok:
+        if any(not chern_square_sum(data, cand, j).is_zero
+               for j in range(1, k_final)):
             continue
-        if rank == 6:
-            q, sols = _rank6_q(data, cand)
-        else:
-            q, sols = theorem2_class(data, cand)
+        q, sols = _final_class(data, cand, k_final)
         verdict = _divisibility_verdict(data, q, sols, rule)
         records.append(CandidateRecord(cand, q, verdict, data.pair(q)))
 
@@ -579,12 +580,6 @@ def survey_candidates(data: BundleData, bound: int = 10,
     return SearchOutcome(bound=bound, rule=rule, enumerated=enumerated,
                          records=tuple(records), vanishing=vanishing,
                          complete=complete)
-
-
-def search_vanishing_lifts(data: BundleData, bound: int = 10,
-                           cap: int = 10 ** 6):
-    """Chern candidates within `bound` whose top-degree obstruction vanishes."""
-    return survey_candidates(data, bound, cap).vanishing
 
 
 def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
@@ -731,13 +726,10 @@ class ObstructionReport:
     rank: int
     base_dimension: Optional[int]
     first: Verdict
-    ehresmann_w7: Optional[Verdict]
     theorem1: tuple
     final: Optional[Verdict]
     final_rule: Optional[str]
     search: Optional[SearchOutcome]
-    searched_candidates: int
-    vanishing_candidates: tuple
     sole_obstruction: bool
     wu_checks: tuple
     gaps: tuple
@@ -782,9 +774,8 @@ def acs_verdict(data: BundleData, bound: int = 10,
                  else Verdict("Zero", note="degree 3 beyond the ring cutoff"))
         notes.append("oriented rank-2 bundles are complex line bundles")
         return ObstructionReport(
-            rank=rank, base_dimension=dim, first=first, ehresmann_w7=None,
+            rank=rank, base_dimension=dim, first=first,
             theorem1=(), final=None, final_rule=None, search=None,
-            searched_candidates=0, vanishing_candidates=(),
             sole_obstruction=False, wu_checks=data.wu_checks, gaps=(),
             notes=tuple(notes), status="clear", existence="admits")
 
@@ -801,19 +792,13 @@ def acs_verdict(data: BundleData, bound: int = 10,
                         % (degree, cutoff))
         k += 1
     theorem1 = tuple(theorem1)
-    ehresmann_w7 = dict(theorem1).get(1)
 
-    if rank == 4 or rank % 4 == 0:
-        final_degree = rank
-    elif rank == 6:
-        final_degree = 8
-    else:
-        final_degree = None
-
+    k_final = _final_index(rank)
     final = None
     final_rule = None
     search = None
-    if final_degree is not None:
+    if k_final is not None:
+        final_degree = 4 * k_final
         if dim is not None and final_degree > dim:
             notes.append("final degree %d exceeds the base dimension %d; "
                          "nothing to check there" % (final_degree, dim))
@@ -877,9 +862,7 @@ def acs_verdict(data: BundleData, bound: int = 10,
                 break
 
     return ObstructionReport(
-        rank=rank, base_dimension=dim, first=first, ehresmann_w7=ehresmann_w7,
+        rank=rank, base_dimension=dim, first=first,
         theorem1=theorem1, final=final, final_rule=final_rule, search=search,
-        searched_candidates=search.enumerated if search else 0,
-        vanishing_candidates=search.vanishing if search else (),
         sole_obstruction=sole, wu_checks=data.wu_checks, gaps=tuple(gaps),
         notes=tuple(notes), status=status, existence=existence)

@@ -82,7 +82,7 @@ def report_doc(report: ObstructionReport, name: str = "") -> dict:
         "wu": [{"m": c.m, "status": c.status, "note": c.note}
                for c in report.wu_checks],
         "first": verdict_doc(report.first),
-        "ehresmann_w7": verdict_doc(report.ehresmann_w7),
+        "ehresmann_w7": verdict_doc(dict(report.theorem1).get(1)),
         "theorem1": [{"k": k, "degree": 4 * k + 3, **verdict_doc(v)}
                      for k, v in report.theorem1],
         "final": verdict_doc(report.final),

@@ -97,6 +97,32 @@ def test_check_inconclusive_exits_three(tmp_path, capsys):
     assert "inconclusive" in out
 
 
+def test_check_candidate_cap_is_an_error(tmp_path, capsys):
+    # T(CP^1 x CP^3): three two-dimensional lift pieces give 121^3 candidates
+    # at the default bound, past the cap of 10^6, before any is tested
+    doc = {
+        "schema_version": 1,
+        "name": "t_cp1xcp3",
+        "rings": {"shared": {
+            "cutoff": 8,
+            "generators": [{"name": "a", "degree": 2},
+                           {"name": "b", "degree": 2}],
+            "relations": [{"lhs": "a^2", "rhs": {}},
+                          {"lhs": "b^4", "rhs": {}}],
+        }},
+        "bundle": {"rank": 8, "base_dimension": 8, "w": {},
+                   "p": {"1": {"b^2": "4"}}, "euler": {"a*b^3": "8"},
+                   "pairing": {"degree": 8, "values": {"a*b^3": "1"}}},
+    }
+    path = tmp_path / "t_cp1xcp3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: candidate enumeration exceeded the cap")
+    assert "Traceback" not in err
+
+
 # -- lifts ---------------------------------------------------------------
 
 

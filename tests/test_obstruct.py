@@ -28,13 +28,13 @@ from acso.obstruct import (
     Verdict,
     acs_verdict,
     canonical_witness,
+    chern_square_sum,
     construct_w4m_lift,
     first_obstruction,
     homotopy_group,
     integral_sw,
     obstruction_denominator,
     rank6_second_obstruction,
-    search_vanishing_lifts,
     survey_candidates,
     theorem1_obstruction,
     theorem2_class,
@@ -248,7 +248,6 @@ def test_survey_on_complex_projective_plane(cp2):
     assert coeffs == [-9, -7, -5, -3, -1, 1, 3, 5, 7, 9]
     vanishing = [c.classes[0].coeffs[0] for c in outcome.vanishing]
     assert vanishing == [-3, 3]
-    assert search_vanishing_lifts(cp2, bound=10) == outcome.vanishing
     pairings = {rec.candidate.classes[0].coeffs[0]: rec.pairing
                 for rec in outcome.records}
     for c, value in pairings.items():
@@ -300,6 +299,34 @@ def test_candidate_sign_flip_preserves_verdict(cp2, hp2):
             if data.rank == 4:
                 again = wu_dim4_obstruction(data, flipped.classes[0])
                 assert again.status == rec.verdict.status
+
+
+def naive_chern_square_sum(data, cand, j):
+    # the (2j+1)-term alternating sum exactly as Massey writes it
+    q = data.rings.integral.zero(4 * j)
+    for i in range(2 * j + 1):
+        term = cand.chern(data, i) * cand.chern(data, 2 * j - i)
+        q = q + term if i % 2 == 0 else q - term
+    pj = data.p_class(j)
+    return q - pj if j % 2 == 0 else q + pj
+
+
+def test_chern_square_sum_matches_naive_sum(cp2, hp2, two_sphere_six_sphere):
+    rng = random.Random(31)
+    for data in (cp2, hp2, two_sphere_six_sphere):
+        ring = data.rings.integral
+        k = 2 if data.rank == 6 else data.rank // 4
+        cands = [r.candidate for r in survey_candidates(data, bound=4).records]
+        assert cands
+        for _ in range(20):
+            cands.append(ChernCandidate(tuple(
+                ring.element(2 * i, [rng.randint(-5, 5)
+                                     for _ in ring.basis(2 * i)])
+                for i in range(1, data.rank // 2))))
+        for cand in cands:
+            for j in range(1, k + 1):
+                assert chern_square_sum(data, cand, j) == \
+                    naive_chern_square_sum(data, cand, j)
 
 
 def test_lift_perturbation_changes_q_by_multiples_of_four(cp2, hp2):
@@ -461,8 +488,7 @@ def test_pipeline_undetected_torsion_component(hp2):
     assert report.final.status == "Zero"
     assert "Z/2 component" in report.final.note
     assert any("Z/2 component" in g for g in report.gaps)
-    assert report.ehresmann_w7 is not None
-    assert report.ehresmann_w7.status == "Zero"
+    assert dict(report.theorem1)[1].status == "Zero"
 
 
 def test_pipeline_first_obstruction_blocks_everything(s1xwu):
