@@ -7,7 +7,8 @@
 
 `check` exits 0 when no obstruction test fired, 2 when some obstruction
 is provably nonzero, 3 when the only blockers are inconclusive tests, and
-1 on input or usage errors and on candidate searches larger than the cap.
+1 on input or usage errors, on candidate searches larger than the cap,
+and on data that passed validation yet breaks Massey's divisibility by 4.
 `corpus` exits nonzero when any bundled (or supplied) case disagrees with
 its recorded expectations.
 """
@@ -23,6 +24,7 @@ from .gradedring import RingError, integral_lifts
 from .obstruct import (
     BudgetExceeded,
     DataValidationError,
+    DivisibilityViolation,
     acs_verdict,
     homotopy_group,
     integral_sw,
@@ -39,7 +41,7 @@ from .spacefile import SpaceFile, SpaceFileError, load_space_file, \
     space_file_from_text
 
 _LOAD_ERRORS = (SpaceFileError, DataValidationError, RingError, OSError,
-                ValueError, BudgetExceeded)
+                ValueError, BudgetExceeded, DivisibilityViolation)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -7,12 +7,18 @@ are enumerated once; products are computed through confluent rewriting
 with Koszul signs, so odd-degree generators anticommute the way graded
 commutativity demands.
 
+Monomials are enumerated generator by generator under the degree
+budget, so construction scales with the truncated monomial set rather
+than with the box of all exponent tuples.
+
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
 rho4, theta2, rho24, the Bockstein beta, and Sq^1) and checks the
-compatibilities between them, e.g. theta2(rho2(z)) = rho4(2z).  The
-operations at the bottom of the module (divide_by, integral lifts,
-Pontryagin squares) are what the obstruction evaluator consumes.
+compatibilities between them, e.g. theta2(rho2(z)) = rho4(2z).  For a
+torsion-free presentation the reductions are derived from the integral
+ring, which is built once.  The operations at the bottom of the module
+(divide_by, integral lifts, Pontryagin squares) are what the
+obstruction evaluator consumes.
 """
 
 from __future__ import annotations
@@ -165,14 +171,7 @@ class GradedRing:
     """
 
     def __init__(self, presentation: RingPresentation):
-        self.presentation = presentation
-        self.cutoff = presentation.cutoff
-        self.modulus = presentation.modulus
-        self.generators = presentation.generators
-        self.names = presentation.names
-        self._degrees = tuple(g.degree for g in self.generators)
-        self._gen_orders = tuple(g.order for g in self.generators)
-        self._odd = tuple(d % 2 for d in self._degrees)
+        self._set_presentation(presentation)
         self._nf_cache: dict = {}
         self._nf_active: set = set()
         self._enumerate_monomials()
@@ -181,6 +180,16 @@ class GradedRing:
         self._check_table()
 
     # -- presentation machinery -------------------------------------------
+
+    def _set_presentation(self, presentation: RingPresentation):
+        self.presentation = presentation
+        self.cutoff = presentation.cutoff
+        self.modulus = presentation.modulus
+        self.generators = presentation.generators
+        self.names = presentation.names
+        self._degrees = tuple(g.degree for g in self.generators)
+        self._gen_orders = tuple(g.order for g in self.generators)
+        self._odd = tuple(d % 2 for d in self._degrees)
 
     def _exp_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self._degrees))
@@ -193,12 +202,17 @@ class GradedRing:
         return g
 
     def _enumerate_monomials(self):
-        ranges = [range(self.cutoff // d + 1) for d in self._degrees]
+        # extend exponent prefixes one generator at a time, each carrying
+        # its degree, so only tuples inside the cutoff are ever built;
+        # reducible monomials stay, since _check_confluence walks them
+        prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for step in self._degrees:
+            prefixes = [(exps + (e,), d + e * step)
+                        for exps, d in prefixes
+                        for e in range((self.cutoff - d) // step + 1)]
         by_degree: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
-        for exps in itertools.product(*ranges):
-            d = self._exp_degree(exps)
-            if d <= self.cutoff:
-                by_degree[d].append(exps)
+        for exps, d in prefixes:
+            by_degree[d].append(exps)
         for d in by_degree:
             by_degree[d].sort()
         self._monomials = {d: tuple(v) for d, v in by_degree.items()}
@@ -323,6 +337,30 @@ class GradedRing:
                             "product of %s and %s violates additive orders"
                             % (format_exponents(self.names, self._basis[d1][i]),
                                format_exponents(self.names, self._basis[d2][j])))
+
+    def _reduction(self, modulus: int) -> "GradedRing":
+        """The mod-`modulus` ring of this torsion-free integral ring.
+
+        It is built without rewriting.  Rewriting never reduces a
+        coefficient and only _vector does, so every normal form mod m is
+        the integral one reduced: monomials, basis, index and normal forms
+        are shared, every order is m and each table vector is reduced.
+        The checks that passed over Z therefore hold mod m.
+        """
+        # attributes are set one by one, as in __init__: copying __dict__
+        # would give both rings slower attribute access on the hot path
+        ring = object.__new__(GradedRing)
+        ring._set_presentation(replace(self.presentation, modulus=modulus))
+        ring._nf_cache = self._nf_cache
+        ring._nf_active = set()
+        ring._monomials = self._monomials
+        ring._basis = self._basis
+        ring._orders = {d: (modulus,) * len(basis)
+                        for d, basis in self._basis.items()}
+        ring._index = self._index
+        ring._table = {key: tuple([c % modulus for c in vec])
+                       for key, vec in self._table.items()}
+        return ring
 
     # -- public API --------------------------------------------------------
 
@@ -720,17 +758,21 @@ class RingSystem:
     def with_reduction_defaults(cls, presentation: RingPresentation) -> "RingSystem":
         """System for a torsion-free integral ring: reductions are literal.
 
-        The mod-2 and mod-4 rings reuse the presentation with the modulus
-        swapped, all reduction maps are (scaled) identities on monomials,
-        and the Bockstein vanishes, as it must without 2-torsion.
+        Only the integral ring is built from the presentation.  The mod-2
+        and mod-4 rings are reduced from it: they share its monomials,
+        basis and normal forms, their product tables are its table mod 2
+        and mod 4, and they compare equal to rings built from the
+        presentation with the modulus swapped.  All reduction maps are
+        (scaled) identities on monomials, and the Bockstein vanishes, as
+        it must without 2-torsion.
         """
         if presentation.modulus != 0:
             raise RingError("expected an integral presentation")
         if any(g.order for g in presentation.generators):
             raise RingError("defaults require a torsion-free presentation")
         integral = GradedRing(presentation)
-        mod2 = GradedRing(replace(presentation, modulus=2))
-        mod4 = GradedRing(replace(presentation, modulus=4))
+        mod2 = integral._reduction(2)
+        mod4 = integral._reduction(4)
         rho2 = CoefficientMap.scaled_identity("rho2", integral, mod2)
         rho4 = CoefficientMap.scaled_identity("rho4", integral, mod4)
         theta2 = CoefficientMap.scaled_identity("theta2", mod2, mod4, 2)

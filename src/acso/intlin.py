@@ -101,16 +101,18 @@ class IntMatrix:
             raise ValueError("inner dimensions differ")
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other._e[k * other.cols + j]
-                               for k in range(self.cols)))
+            # add up rows of `other` for the nonzero entries of row i only
+            acc = [0] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    acc = [x + a * b for x, b in zip(acc, other.row(k))]
+            out.extend(acc)
         return IntMatrix(self.rows, other.cols, out)
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length differs from column count")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
+        return tuple(sum(a * b for a, b in zip(self.row(i), v))
                      for i in range(self.rows))
 
     def determinant(self) -> int:

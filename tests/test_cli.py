@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from acso.cli import main
+from acso.obstruct import DivisibilityViolation
 
 from conftest import CORPUS_DIR, DATA_DIR
 
@@ -121,6 +122,17 @@ def test_check_candidate_cap_is_an_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: candidate enumeration exceeded the cap")
     assert "Traceback" not in err
+
+
+def test_check_divisibility_violation_is_an_error(monkeypatch, capsys):
+    def violate(*args, **kwargs):
+        raise DivisibilityViolation("q = 2*a^2 is not divisible by 4")
+
+    monkeypatch.setattr("acso.cli.acs_verdict", violate)
+    code, out, err = run(capsys, "check", str(CORPUS_DIR / "cp2.json"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: q = 2*a^2 is not divisible by 4"]
 
 
 # -- lifts ---------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Graded ring layer: presentations, products, coefficient maps, lifts."""
 
+import itertools
+import json
+import math
+from dataclasses import replace
+
 import pytest
 
 from acso.gradedring import (
@@ -20,6 +25,8 @@ from acso.gradedring import (
     pontryagin_square,
     sq1_derivation,
 )
+
+from conftest import CORPUS_DIR
 
 
 def truncated_polynomial(name: str, degree: int, power: int, cutoff: int,
@@ -82,6 +89,112 @@ def test_corpus_rings_are_associative(corpus):
         rings = sf.bundle.rings
         for ring in (rings.integral, rings.mod2, rings.mod4):
             ring.check_associativity()
+
+
+# -- enumeration and derived reductions ---------------------------------------
+
+
+class BoxScanRing(GradedRing):
+    """Reference ring: scans the whole exponent box for the monomials."""
+
+    def _enumerate_monomials(self):
+        ranges = [range(self.cutoff // d + 1) for d in self._degrees]
+        by_degree = {d: [] for d in range(self.cutoff + 1)}
+        for exps in itertools.product(*ranges):
+            d = self._exp_degree(exps)
+            if d <= self.cutoff:
+                by_degree[d].append(exps)
+        self._monomials = {d: tuple(sorted(v)) for d, v in by_degree.items()}
+        self._basis = {}
+        self._orders = {}
+        self._index = {}
+        for d, mons in self._monomials.items():
+            basis = tuple(m for m in mons
+                          if self._first_rule(m) is None and self._order_of(m) != 1)
+            self._basis[d] = basis
+            self._orders[d] = tuple(self._order_of(m) for m in basis)
+            self._index[d] = {m: i for i, m in enumerate(basis)}
+
+
+def truncated_product(prefix, degree, caps, cutoff):
+    """Z[x_1..x_n]/(x_i^(cap_i + 1)) with every |x_i| = degree."""
+    n = len(caps)
+    return RingPresentation(
+        modulus=0, cutoff=cutoff,
+        generators=tuple(Generator("%s%d" % (prefix, i + 1), degree)
+                         for i in range(n)),
+        rules=tuple(RewriteRule(tuple(cap + 1 if j == i else 0
+                                      for j in range(n)), ())
+                    for i, cap in enumerate(caps)))
+
+
+FAMILY_PRESENTATIONS = {
+    "T^5": truncated_product("t", 1, [1] * 5, 6),
+    "T^6": truncated_product("t", 1, [1] * 6, 6),
+    "(S^2)^4": truncated_product("x", 2, [1] * 4, 8),
+    "CP^2xCP^2xCP^2": truncated_product("a", 2, [2, 2, 2], 12),
+    "CP^1xCP^2": truncated_product("a", 2, [1, 2], 6),
+}
+
+
+def shared_presentations(corpus):
+    out = dict(FAMILY_PRESENTATIONS)
+    for name, sf in corpus.items():
+        doc = json.loads((CORPUS_DIR / ("%s.json" % name)).read_text())
+        if "shared" in doc["rings"]:
+            out[name] = sf.bundle.rings.integral.presentation
+    return out
+
+
+def assert_same_enumeration(ring, ref):
+    assert ring._monomials == ref._monomials
+    assert ring._basis == ref._basis
+    assert ring._orders == ref._orders
+    assert ring._table == ref._table
+
+
+def test_enumeration_matches_box_scan(corpus):
+    for sf in corpus.values():
+        rings = sf.bundle.rings
+        for ring in (rings.integral, rings.mod2, rings.mod4):
+            assert_same_enumeration(ring, BoxScanRing(ring.presentation))
+    for pres in FAMILY_PRESENTATIONS.values():
+        system = RingSystem.with_reduction_defaults(pres)
+        for ring in (system.integral, system.mod2, system.mod4):
+            assert_same_enumeration(ring, BoxScanRing(ring.presentation))
+
+
+def test_torus_basis_sizes_are_binomial():
+    system = RingSystem.with_reduction_defaults(
+        truncated_product("t", 1, [1] * 7, 7))
+    for ring in (system.integral, system.mod2, system.mod4):
+        assert [len(ring.basis(d)) for d in range(8)] == \
+            [math.comb(7, d) for d in range(8)]
+
+
+def test_derived_reductions_equal_rings_built_from_scratch(corpus):
+    for name, pres in shared_presentations(corpus).items():
+        system = RingSystem.with_reduction_defaults(pres)
+        for derived in (system.mod2, system.mod4):
+            m = derived.modulus
+            scratch = GradedRing(replace(pres, modulus=m))
+            assert derived == scratch and hash(derived) == hash(scratch), name
+            assert vars(derived).keys() == vars(scratch).keys()
+            cutoff = pres.cutoff
+            for d in range(cutoff + 1):
+                assert derived.basis(d) == scratch.basis(d)
+                assert derived.orders(d) == scratch.orders(d) == \
+                    (m,) * len(scratch.basis(d))
+            for d1 in range(cutoff + 1):
+                for d2 in range(cutoff + 1 - d1):
+                    for i in range(len(scratch.basis(d1))):
+                        for j in range(len(scratch.basis(d2))):
+                            assert derived.product_vector(d1, i, d2, j) == \
+                                scratch.product_vector(d1, i, d2, j), (name, m)
+            for mons in scratch._monomials.values():
+                for exps in mons:
+                    assert derived.monomial(exps).coeffs == \
+                        scratch.monomial(exps).coeffs, (name, m, exps)
 
 
 # -- products ---------------------------------------------------------------
@@ -157,6 +270,8 @@ def test_inconsistent_overlap_detected():
                RewriteRule((2, 1), ((1, (0, 3)),))))
     with pytest.raises(ConfluenceError):
         GradedRing(pres)
+    with pytest.raises(ConfluenceError):
+        RingSystem.with_reduction_defaults(pres)
 
 
 # -- element construction ----------------------------------------------------

@@ -81,6 +81,34 @@ def test_matmul_and_vector():
         A.mul_vector([1, 2, 3])
 
 
+def naive_matmul(A, B):
+    return [[sum(A[i, k] * B[k, j] for k in range(A.cols))
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+def sparse_matrix(rng, rows, cols):
+    # about 70% zeros, like the scaled identities and map matrices of rings
+    return IntMatrix(rows, cols, [0 if rng.random() < 0.7 else rng.randint(-9, 9)
+                                  for _ in range(rows * cols)])
+
+
+def test_matmul_and_vector_match_naive_products():
+    rng = random.Random(4242)
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(200)]
+    for m, n, p in shapes:
+        A = sparse_matrix(rng, m, n)
+        B = sparse_matrix(rng, n, p)
+        C = A @ B
+        assert (C.rows, C.cols) == (m, p)
+        assert [list(r) for r in C.to_rows()] == naive_matmul(A, B)
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        assert list(A.mul_vector(v)) == [sum(A[i, k] * v[k] for k in range(n))
+                                         for i in range(m)]
+    with pytest.raises(ValueError):
+        IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
+
+
 def test_hstack():
     A = IntMatrix.from_rows([[1], [2]])
     B = IntMatrix.from_rows([[3], [4]])
