@@ -265,15 +265,19 @@ class GradedRing:
         else:
             self._nf_active.add(exps)
             try:
-                acc: dict = {}
-                for coeff, mon in self._apply_rule(exps, rule):
-                    for m2, c2 in self._normal_form(mon).items():
-                        acc[m2] = acc.get(m2, 0) + coeff * c2
+                acc = self._rewrite(exps, rule)
             finally:
                 self._nf_active.discard(exps)
             result = {m: c for m, c in acc.items() if c}
         self._nf_cache[exps] = result
         return result
+
+    def _rewrite(self, exps, rule) -> dict:
+        acc: dict = {}
+        for coeff, mon in self._apply_rule(exps, rule):
+            for m2, c2 in self._normal_form(mon).items():
+                acc[m2] = acc.get(m2, 0) + coeff * c2
+        return acc
 
     def _vector(self, degree: int, combo: Mapping) -> tuple[int, ...]:
         coeffs = [0] * len(self._basis[degree])
@@ -286,19 +290,18 @@ class GradedRing:
         return tuple(_norm_coeff(c, o) for c, o in zip(coeffs, self._orders[degree]))
 
     def _check_confluence(self):
+        # _normal_form rewrote with the first applicable rule; compare the rest
         for d, mons in self._monomials.items():
             for exps in mons:
-                canonical = None
+                first = self._first_rule(exps)
+                if first is None:
+                    continue
+                canonical = self._vector(d, self._normal_form(exps))
                 for rule in self.presentation.rules:
-                    if not all(l <= e for l, e in zip(rule.lhs, exps)):
+                    if rule is first or not all(
+                            l <= e for l, e in zip(rule.lhs, exps)):
                         continue
-                    if canonical is None:
-                        canonical = self._vector(d, self._normal_form(exps))
-                    acc: dict = {}
-                    for coeff, mon in self._apply_rule(exps, rule):
-                        for m2, c2 in self._normal_form(mon).items():
-                            acc[m2] = acc.get(m2, 0) + coeff * c2
-                    if self._vector(d, acc) != canonical:
+                    if self._vector(d, self._rewrite(exps, rule)) != canonical:
                         raise ConfluenceError(
                             "rules disagree on %s"
                             % format_exponents(self.names, exps))
@@ -670,6 +673,17 @@ class CoefficientMap:
         return "CoefficientMap(%s, shift=%d)" % (self.name, self.shift)
 
 
+# (map name, source ring, target ring, degree shift) of every RingSystem map
+MAP_SIGNATURES = (
+    ("rho2", "integral", "mod2", 0),
+    ("rho4", "integral", "mod4", 0),
+    ("theta2", "mod2", "mod4", 0),
+    ("rho24", "mod4", "mod2", 0),
+    ("beta", "mod2", "integral", 1),
+    ("sq1", "mod2", "mod2", 1),
+)
+
+
 class RingSystem:
     """Integral, mod-2, and mod-4 rings tied together by coefficient maps.
 
@@ -704,14 +718,10 @@ class RingSystem:
             raise RingError("ring moduli must be 0, 2, 4")
         if not (self.integral.cutoff == self.mod2.cutoff == self.mod4.cutoff):
             raise RingError("rings must share a cutoff")
-        for m, src, tgt, shift in (
-                (self.rho2, self.integral, self.mod2, 0),
-                (self.rho4, self.integral, self.mod4, 0),
-                (self.theta2, self.mod2, self.mod4, 0),
-                (self.rho24, self.mod4, self.mod2, 0),
-                (self.beta, self.mod2, self.integral, 1),
-                (self.sq1, self.mod2, self.mod2, 1)):
-            if m.source != src or m.target != tgt or m.shift != shift:
+        for name, src, tgt, shift in MAP_SIGNATURES:
+            m = getattr(self, name)
+            if (m.source != getattr(self, src) or m.target != getattr(self, tgt)
+                    or m.shift != shift):
                 raise RingError("map %s has the wrong signature" % m.name)
         cutoff = self.integral.cutoff
         for d in range(cutoff + 1):
@@ -825,56 +835,51 @@ def divide_by(n: int, y: RingElement) -> tuple[RingElement, ...]:
                  for combo in itertools.product(*axes))
 
 
-def _lift_axes(system: RingSystem, degree: int, bound: int):
-    axes = []
-    for o in system.integral.orders(degree):
-        if o == 0:
-            axes.append(range(-bound, bound + 1))
-        else:
-            axes.append(range(o))
-    return axes
-
-
-def _lift_system(system: RingSystem, u: RingElement) -> Optional[tuple[int, ...]]:
+def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElement]:
+    """One integral x with rho2(x) = u, or None when provably none exists."""
+    if u.ring != system.mod2:
+        raise RingError("lift source must be the mod-2 ring")
     # solve rho2(x) = u as an integer system: M x + diag(orders) t = u
     M = system.rho2.matrix(u.degree)
     A = M.hstack(system.mod2.relation_matrix(u.degree))
     solved = solve_integer_linear(A, u.coeffs)
     if solved is None:
         return None
-    particular, _ = solved
-    return particular[:M.cols]
-
-
-def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElement]:
-    """One integral x with rho2(x) = u, or None when provably none exists."""
-    if u.ring != system.mod2:
-        raise RingError("lift source must be the mod-2 ring")
-    coeffs = _lift_system(system, u)
-    if coeffs is None:
-        return None
-    return system.integral.element(u.degree, coeffs)
+    return system.integral.element(u.degree, solved[0][:M.cols])
 
 
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
     """All lifts of u with free coefficients in [-bound, bound].
 
     Torsion coordinates range over their full residue system regardless
-    of the bound.  no_lift_proven is True exactly when the underlying
-    congruences are unsolvable, which no bound can repair.
+    of the bound, and lifts come out in coefficient-lexicographic order.
+    no_lift_proven is True exactly when the underlying congruences are
+    unsolvable, which no bound can repair.
+
+    Every order in the mod-2 ring is 2, so rho2(x + 2y) = rho2(x), and
+    whether x lifts u depends only on its free coefficients mod 2 and its
+    torsion coefficients.  One point per such parity class is tested, and
+    each class that lifts u is spread over the bound.
     """
-    if u.ring != system.mod2:
-        raise RingError("lift source must be the mod-2 ring")
     if bound < 0:
         raise ValueError("negative bound")
-    if _lift_system(system, u) is None:
+    if any_integral_lift(system, u) is None:
         return LiftSearch(lifts=(), no_lift_proven=True)
+    orders = system.integral.orders(u.degree)
+    classes = [range(min(2, 2 * bound + 1)) if o == 0 else range(o)
+               for o in orders]
     found = []
-    for combo in itertools.product(*_lift_axes(system, u.degree, bound)):
-        x = system.integral.element(u.degree, combo)
-        if system.rho2(x) == u:
-            found.append(x)
-    return LiftSearch(lifts=tuple(found), no_lift_proven=False)
+    for rep in itertools.product(*classes):
+        x = system.integral.element(u.degree, rep)
+        if system.rho2(x) != u:
+            continue
+        axes = [range(-bound + (bound + r) % 2, bound + 1, 2) if o == 0 else (r,)
+                for r, o in zip(rep, orders)]
+        found.extend(itertools.product(*axes))
+    found.sort()
+    return LiftSearch(lifts=tuple(system.integral.element(u.degree, c)
+                                  for c in found),
+                      no_lift_proven=False)
 
 
 def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:

@@ -138,8 +138,7 @@ class BundleData:
                  p: Mapping[int, RingElement],
                  euler: RingElement,
                  pairing: Optional[Pairing] = None,
-                 base_dimension: Optional[int] = None,
-                 validate: bool = True) -> None:
+                 base_dimension: Optional[int] = None) -> None:
         self.rank = int(rank)
         self.rings = rings
         self.w = {int(i): wi for i, wi in w.items() if not wi.is_zero}
@@ -148,8 +147,7 @@ class BundleData:
         self.pairing = pairing
         self.base_dimension = None if base_dimension is None else int(base_dimension)
         self.wu_checks: tuple = ()
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- accessors ---------------------------------------------------
 
@@ -421,14 +419,13 @@ def chern_square_sum(data: BundleData, cand: ChernCandidate,
     return q + 2 * twice
 
 
-def _final_class(data: BundleData, cand: ChernCandidate, k: int):
-    # the top-degree class q_k = 4o and the solutions of 4x = q_k
-    validate_candidate(data, cand)
+def _top_class(data: BundleData, cand: ChernCandidate, k: int) -> RingElement:
+    # the top-degree class q_k = 4o of a candidate known to be valid
     q = chern_square_sum(data, cand, k)
     if not data.rings.rho4(q).is_zero:
         raise DivisibilityViolation("q = %s is not divisible by 4 (rho4(q) = %s)"
                                     % (q, data.rings.rho4(q)))
-    return q, divide_by(4, q)
+    return q
 
 
 def theorem2_class(data: BundleData, cand: ChernCandidate):
@@ -442,15 +439,16 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
     if data.rank % 4:
         raise ValueError("Theorem II applies to ranks divisible by 4, got %d"
                          % data.rank)
-    return _final_class(data, cand, data.rank // 4)
+    validate_candidate(data, cand)
+    q = _top_class(data, cand, data.rank // 4)
+    return q, divide_by(4, q)
 
 
-def _divisibility_verdict(data: BundleData, q: RingElement,
-                          solutions: Sequence[RingElement],
-                          rule: str) -> Verdict:
+def _divisibility_verdict(data: BundleData, q: RingElement, rule: str) -> Verdict:
     paired = data.pair(q)
     tail = "" if paired is None else "; q pairs to %d" % paired
     if not q.is_zero:
+        solutions = divide_by(4, q)
         rep = solutions[0] if solutions else q
         return Verdict("NonZero", witness=canonical_witness(rep), denominator=4,
                        note="%s: 4o = q is nonzero, so o != 0%s" % (rule, tail))
@@ -468,9 +466,7 @@ def wu_dim4_obstruction(data: BundleData, c1: RingElement) -> Verdict:
     """Rank-4 criterion: p_1 - c_1^2 + 2e = 4 * o for a lift c_1 of w_2."""
     if data.rank != 4:
         raise ValueError("this criterion applies to rank 4, got %d" % data.rank)
-    cand = ChernCandidate((c1,))
-    q, sols = theorem2_class(data, cand)
-    return _divisibility_verdict(data, q, sols, _final_rule(4))
+    return _candidate_verdict(data, ChernCandidate((c1,)))
 
 
 def rank6_second_obstruction(data: BundleData, cand: ChernCandidate) -> Verdict:
@@ -479,8 +475,13 @@ def rank6_second_obstruction(data: BundleData, cand: ChernCandidate) -> Verdict:
         raise ValueError("this criterion applies to rank 6, got %d" % data.rank)
     if 8 > data.cutoff:
         raise DegreeError("degree 8 exceeds cutoff %d" % data.cutoff)
-    q, sols = _final_class(data, cand, 2)
-    return _divisibility_verdict(data, q, sols, _final_rule(6))
+    return _candidate_verdict(data, cand)
+
+
+def _candidate_verdict(data: BundleData, cand: ChernCandidate) -> Verdict:
+    validate_candidate(data, cand)
+    k, rule = _final_criterion(data.rank)
+    return _divisibility_verdict(data, _top_class(data, cand, k), rule)
 
 
 # -- candidate enumeration ---------------------------------------------
@@ -502,51 +503,53 @@ class SearchOutcome:
     rule: str
     enumerated: int = 0
     records: tuple = ()
-    vanishing: tuple = ()
     no_lift_degree: Optional[int] = None
     complete: bool = False
-    note: str = ""
 
     @property
     def admissible(self) -> int:
         return len(self.records)
 
+    @property
+    def vanishing(self) -> tuple:
+        return tuple(r.candidate for r in self.records
+                     if r.verdict.status == "Zero")
 
-def _final_index(rank: int) -> Optional[int]:
-    # the k of the top-degree class q_k, which lives in degree 4k
+
+# a candidate search larger than this raises BudgetExceeded before it starts
+CANDIDATE_CAP = 10 ** 6
+
+
+def _final_criterion(rank: int) -> Optional[tuple[int, str]]:
+    # (k, rule) for the top-degree class q_k, which lives in degree 4k
+    if rank == 4:
+        return 1, "Wu's dimension-4 criterion (p1 - c1^2 + 2e = 4o)"
     if rank == 6:
-        return 2
+        return 2, "rank-6 degree-8 criterion (c2^2 - 2 c1 e - p2 = 4o)"
     if rank % 4 == 0:
-        return rank // 4
+        return rank // 4, "Massey Theorem II (rank %d, k=%d)" % (rank, rank // 4)
     return None
 
 
-def _final_rule(rank: int) -> str:
-    if rank == 4:
-        return "Wu's dimension-4 criterion (p1 - c1^2 + 2e = 4o)"
-    if rank == 6:
-        return "rank-6 degree-8 criterion (c2^2 - 2 c1 e - p2 = 4o)"
-    return "Massey Theorem II (rank %d, k=%d)" % (rank, rank // 4)
-
-
-def survey_candidates(data: BundleData, bound: int = 10,
-                      cap: int = 10 ** 6) -> SearchOutcome:
+def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     """Enumerate Chern candidates within `bound` and test each one.
 
     Lifts are enumerated degree by degree; combinations must satisfy the
     intermediate identities (-1)^j p_j = sum_{i<=2j} (-1)^i c_i c_{2j-i}
     for every j below the final index before the top-degree class is
-    evaluated.  Deterministic: candidates come out in lexicographic order
-    of their coefficient vectors.  Raises BudgetExceeded, before testing
-    any candidate, when there are more than `cap` of them.
+    evaluated.  Every candidate is built from integral lifts of the w
+    classes, so it is valid by construction and is not checked again.
+    Deterministic: candidates come out in lexicographic order of their
+    coefficient vectors.  Raises BudgetExceeded, before testing any
+    candidate, when there are more than CANDIDATE_CAP of them.
     """
     rank = data.rank
-    k_final = _final_index(rank)
-    if k_final is None:
+    final = _final_criterion(rank)
+    if final is None:
         raise ValueError("no top-degree criterion for rank %d" % rank)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    rule = _final_rule(rank)
+    k_final, rule = final
     n = rank // 2
     rings = data.rings
 
@@ -555,31 +558,27 @@ def survey_candidates(data: BundleData, bound: int = 10,
         found = integral_lifts(rings, data.w_class(2 * i), bound)
         if found.no_lift_proven:
             return SearchOutcome(bound=bound, rule=rule, no_lift_degree=2 * i,
-                                 complete=True,
-                                 note="w%d admits no integral lift" % (2 * i))
+                                 complete=True)
         lift_sets.append(found.lifts)
     complete = all(o != 0
                    for i in range(1, n)
                    for o in rings.integral.orders(2 * i))
 
     enumerated = math.prod(len(lifts) for lifts in lift_sets)
-    if enumerated > cap:
-        raise BudgetExceeded("candidate enumeration exceeded the cap %d" % cap)
+    if enumerated > CANDIDATE_CAP:
+        raise BudgetExceeded("candidate enumeration exceeded the cap %d"
+                             % CANDIDATE_CAP)
     records = []
     for combo in itertools.product(*lift_sets):
         cand = ChernCandidate(combo)
         if any(not chern_square_sum(data, cand, j).is_zero
                for j in range(1, k_final)):
             continue
-        q, sols = _final_class(data, cand, k_final)
-        verdict = _divisibility_verdict(data, q, sols, rule)
+        q = _top_class(data, cand, k_final)
+        verdict = _divisibility_verdict(data, q, rule)
         records.append(CandidateRecord(cand, q, verdict, data.pair(q)))
-
-    vanishing = tuple(r.candidate for r in records
-                      if r.verdict.status == "Zero")
     return SearchOutcome(bound=bound, rule=rule, enumerated=enumerated,
-                         records=tuple(records), vanishing=vanishing,
-                         complete=complete)
+                         records=tuple(records), complete=complete)
 
 
 def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
@@ -754,8 +753,7 @@ def _aggregate_status(verdicts: Iterable[Verdict]) -> str:
     return "clear"
 
 
-def acs_verdict(data: BundleData, bound: int = 10,
-                cap: int = 10 ** 6) -> ObstructionReport:
+def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
     """Run every obstruction criterion the rank admits and assemble a report.
 
     `status` summarizes the tests that ran; `existence` additionally
@@ -793,12 +791,12 @@ def acs_verdict(data: BundleData, bound: int = 10,
         k += 1
     theorem1 = tuple(theorem1)
 
-    k_final = _final_index(rank)
+    criterion = _final_criterion(rank)
     final = None
     final_rule = None
     search = None
-    if k_final is not None:
-        final_degree = 4 * k_final
+    if criterion is not None:
+        final_degree = 4 * criterion[0]
         if dim is not None and final_degree > dim:
             notes.append("final degree %d exceeds the base dimension %d; "
                          "nothing to check there" % (final_degree, dim))
@@ -806,7 +804,7 @@ def acs_verdict(data: BundleData, bound: int = 10,
             gaps.append("final degree %d lies beyond the ring cutoff %d"
                         % (final_degree, cutoff))
         else:
-            search = survey_candidates(data, bound, cap)
+            search = survey_candidates(data, bound)
             final_rule = search.rule
             final = _aggregate_final(data, search)
 

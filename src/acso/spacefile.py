@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .gradedring import (
+    MAP_SIGNATURES,
     CoefficientMap,
     Generator,
     GradedRing,
@@ -46,15 +47,6 @@ _PAIRING_KEYS = {"degree", "values"}
 _EXPECTATION_KEYS = {"status", "existence", "exit_code", "first", "final",
                      "final_note_contains", "vanishing_candidates",
                      "wu_pairings", "euler_pairing"}
-# (name, source ring, target ring, degree shift)
-_MAP_SIGNATURES = (
-    ("rho2", "integral", "mod2", 0),
-    ("rho4", "integral", "mod4", 0),
-    ("theta2", "mod2", "mod4", 0),
-    ("rho24", "mod4", "mod2", 0),
-    ("beta", "mod2", "integral", 1),
-    ("sq1", "mod2", "mod2", 1),
-)
 
 
 def _require_dict(obj, what: str) -> dict:
@@ -160,9 +152,9 @@ def _ring_system(doc: dict) -> RingSystem:
     except RingError as exc:
         raise SpaceFileError(str(exc)) from None
     maps_doc = _require_dict(doc.get("maps"), "'maps'")
-    _check_keys(maps_doc, [s[0] for s in _MAP_SIGNATURES], "'maps'")
+    _check_keys(maps_doc, [s[0] for s in MAP_SIGNATURES], "'maps'")
     maps = {}
-    for name, src_key, tgt_key, shift in _MAP_SIGNATURES:
+    for name, src_key, tgt_key, shift in MAP_SIGNATURES:
         if name not in maps_doc:
             if name == "sq1":
                 continue
@@ -309,7 +301,7 @@ def _pres_doc(ring: GradedRing) -> dict:
 
 def _maps_doc(rings: RingSystem) -> dict:
     out = {}
-    for name, _, _, _ in _MAP_SIGNATURES:
+    for name, _, _, _ in MAP_SIGNATURES:
         m: CoefficientMap = getattr(rings, name)
         degrees = {}
         for d in sorted(m.matrices):

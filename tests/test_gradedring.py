@@ -25,6 +25,7 @@ from acso.gradedring import (
     pontryagin_square,
     sq1_derivation,
 )
+from acso.intlin import IntMatrix, solve_integer_linear
 
 from conftest import CORPUS_DIR
 
@@ -425,6 +426,89 @@ def test_integral_lifts_enumeration(proj_plane_system):
     assert [x.coeffs for x in search.lifts] == [(-5,), (-3,), (-1,), (1,), (3,), (5,)]
     zeros = integral_lifts(sys, sys.mod2.zero(2), bound=2)
     assert [x.coeffs for x in zeros.lifts] == [(-2,), (0,), (2,)]
+
+
+def box_scan_lifts(system, u, bound):
+    # the reference: test every point of [-bound, bound]^free x prod range(o),
+    # and prove "no lift" by solving M x + diag(orders) t = u over Z
+    M = system.rho2.matrix(u.degree)
+    A = M.hstack(system.mod2.relation_matrix(u.degree))
+    if solve_integer_linear(A, u.coeffs) is None:
+        return (), True
+    axes = [range(-bound, bound + 1) if o == 0 else range(o)
+            for o in system.integral.orders(u.degree)]
+    elements = (system.integral.element(u.degree, combo)
+                for combo in itertools.product(*axes))
+    return tuple(x for x in elements if system.rho2(x) == u), False
+
+
+def assert_lifts_match_box_scan(system, u, bounds):
+    for bound in bounds:
+        found = integral_lifts(system, u, bound)
+        lifts, proven = box_scan_lifts(system, u, bound)
+        assert found.lifts == lifts and found.no_lift_proven == proven, \
+            (u, bound)
+        assert all(system.rho2(x) == u for x in found.lifts)
+    # every class that lifts has a lift with free coefficients in {0, 1}
+    assert found.no_lift_proven == (box_scan_lifts(system, u, 1)[0] == ())
+
+
+def free_and_z4_system():
+    """H^2 = Z a + Z/4 t, with the mod-2 class y of H^1 and beta(y) = 2t.
+
+    Two parity classes of degree 2 lift each mod-2 class, (a, 0) and
+    (a, 2) for instance, and the free coordinate a comes first in the
+    basis, so the classes interleave in lexicographic order.
+    """
+    def ring(modulus, names, first_order=0):
+        y = (Generator(names[0], 1),) if names[0] else ()
+        gens = y + (Generator(names[1], 2, first_order), Generator(names[2], 2))
+        rules = (RewriteRule((2, 0, 0), ()),) if y else ()
+        return GradedRing(RingPresentation(modulus, 2, gens, rules))
+
+    integral = ring(0, (None, "t", "a"), first_order=4)
+    mod2 = ring(2, ("y", "tb", "ab"))
+    mod4 = ring(4, ("y4", "t4", "a4"))
+    assert integral.basis_strings(2) == ("a", "t")
+    one = IntMatrix.from_rows([[1]])
+    two = IntMatrix.from_rows([[2]])
+    ident = IntMatrix.from_rows([[1, 0], [0, 1]])
+    return RingSystem(
+        integral, mod2, mod4,
+        rho2=CoefficientMap("rho2", integral, mod2, 0, {0: one, 2: ident}),
+        rho4=CoefficientMap("rho4", integral, mod4, 0, {0: one, 2: ident}),
+        theta2=CoefficientMap("theta2", mod2, mod4, 0,
+                              {0: two, 1: two,
+                               2: IntMatrix.from_rows([[2, 0], [0, 2]])}),
+        rho24=CoefficientMap("rho24", mod4, mod2, 0,
+                             {0: one, 1: one, 2: ident}),
+        beta=CoefficientMap("beta", mod2, integral, 1,
+                            {1: IntMatrix.from_rows([[0], [2]])}))
+
+
+def test_lifts_match_box_scan(corpus):
+    for sf in corpus.values():
+        data = sf.bundle
+        mod2 = data.rings.mod2
+        for d in range(data.cutoff + 1):
+            classes = [data.w_class(d)] + list(mod2._basis_elements(d))
+            for u in classes:
+                assert_lifts_match_box_scan(data.rings, u, range(4))
+    s1xwu = corpus["s1xwu"].bundle
+    assert integral_lifts(s1xwu.rings, s1xwu.w_class(2), 3).no_lift_proven
+    assert any(o for o in s1xwu.rings.integral.orders(3))
+    system = RingSystem.with_reduction_defaults(FAMILY_PRESENTATIONS["(S^2)^4"])
+    classes = [system.mod2.zero(4), sum(system.mod2._basis_elements(4),
+                                        system.mod2.zero(4))]
+    classes += list(system.mod2._basis_elements(4))
+    for u in classes:
+        assert_lifts_match_box_scan(system, u, range(2))
+    system = free_and_z4_system()
+    for d in (1, 2):
+        n = len(system.mod2.basis(d))
+        for coeffs in itertools.product(range(2), repeat=n):
+            assert_lifts_match_box_scan(system, system.mod2.element(d, coeffs),
+                                        range(4))
 
 
 def test_lift_failure_is_proven(s1xwu):

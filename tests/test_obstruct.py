@@ -17,6 +17,7 @@ from acso.gradedring import (
     any_integral_lift,
     divide_by,
 )
+from acso import obstruct
 from acso.intlin import AbelianGroupDescriptor
 from acso.obstruct import (
     BudgetExceeded,
@@ -280,12 +281,34 @@ def test_survey_stops_at_missing_lift(s1xwu):
     assert outcome.no_lift_degree == 2
     assert outcome.records == ()
     assert outcome.complete  # a proven missing lift settles the search
-    assert "no integral lift" in outcome.note
 
 
-def test_survey_budget(cp2):
-    with pytest.raises(BudgetExceeded):
-        survey_candidates(cp2, bound=10, cap=5)
+def test_survey_budget(cp2, monkeypatch):
+    monkeypatch.setattr(obstruct, "CANDIDATE_CAP", 5)
+    with pytest.raises(BudgetExceeded, match="exceeded the cap 5"):
+        survey_candidates(cp2, bound=10)
+
+
+def test_survey_records_match_public_criteria(corpus, two_sphere_six_sphere):
+    # the survey skips candidate validation; the public functions do not
+    cases = [sf.bundle for sf in corpus.values()] + [two_sphere_six_sphere]
+    checked = 0
+    for data in cases:
+        for rec in survey_candidates(data, bound=3).records:
+            validate_candidate(data, rec.candidate)
+            if data.rank % 4 == 0:
+                q, _ = theorem2_class(data, rec.candidate)
+                assert q == rec.q
+            if data.rank == 4:
+                v = wu_dim4_obstruction(data, rec.candidate.classes[0])
+            elif data.rank == 6:
+                v = rank6_second_obstruction(data, rec.candidate)
+            else:
+                continue
+            assert (v.status, v.witness, v.note) == \
+                (rec.verdict.status, rec.verdict.witness, rec.verdict.note)
+            checked += 1
+    assert checked >= 10
 
 
 def test_candidate_sign_flip_preserves_verdict(cp2, hp2):
@@ -403,16 +426,17 @@ def test_construct_lift_validates_input(cp2):
         construct_w4m_lift(cp2, 3, tuple(ring.zero(2 * j) for j in range(1, 6)))
 
 
-def test_construct_lift_no_solution_on_inconsistent_data():
+def test_construct_lift_no_solution_on_inconsistent_data(monkeypatch):
     # w4 = 0 but p1 = 2b contradicts Wu's formula; with validation off the
     # second solve has no target and must say so
+    monkeypatch.setattr(BundleData, "_validate", lambda self: None)
     pres = RingPresentation(
         modulus=0, cutoff=8,
         generators=(Generator("b", 4),), rules=(RewriteRule((2,), ()),))
     sys = RingSystem.with_reduction_defaults(pres)
     b = sys.integral.from_terms(4, {"b": 1})
     data = BundleData(rank=8, rings=sys, w={}, p={1: 2 * b},
-                      euler=sys.integral.zero(8), validate=False)
+                      euler=sys.integral.zero(8))
     with pytest.raises(NoSolution):
         construct_w4m_lift(data, 1, (sys.integral.zero(2),))
 
