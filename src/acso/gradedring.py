@@ -444,7 +444,8 @@ class GradedRing:
             yield RingElement(self, d, coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, GradedRing) and self.presentation == other.presentation
+        return self is other or (isinstance(other, GradedRing)
+                                 and self.presentation == other.presentation)
 
     def __hash__(self):
         return hash(self.presentation)

@@ -22,9 +22,9 @@ what was proven, what failed, and what stayed out of reach.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .gradedring import (
@@ -32,11 +32,12 @@ from .gradedring import (
     NoIntegralLift,
     RingElement,
     RingSystem,
+    any_integral_lift,
     divide_by,
     integral_lifts,
     pontryagin_square,
 )
-from .intlin import AbelianGroupDescriptor, solve_integer_linear
+from .intlin import AbelianGroupDescriptor, IntMatrix, solve_integer_linear
 
 
 class DataValidationError(Exception):
@@ -48,7 +49,7 @@ class DivisibilityViolation(Exception):
 
 
 class BudgetExceeded(Exception):
-    """Candidate enumeration grew past the configured cap."""
+    """A candidate search is predicted to build more than CANDIDATE_CAP."""
 
 
 class NoSolution(Exception):
@@ -516,7 +517,8 @@ class SearchOutcome:
                      if r.verdict.status == "Zero")
 
 
-# a candidate search larger than this raises BudgetExceeded before it starts
+# a candidate search predicted to build more candidates than this raises
+# BudgetExceeded before it starts
 CANDIDATE_CAP = 10 ** 6
 
 
@@ -532,16 +534,25 @@ def _final_criterion(rank: int) -> Optional[tuple[int, str]]:
 
 
 def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
-    """Enumerate Chern candidates within `bound` and test each one.
+    """Find the Chern candidates within `bound` and test each one.
 
-    Lifts are enumerated degree by degree; combinations must satisfy the
-    intermediate identities (-1)^j p_j = sum_{i<=2j} (-1)^i c_i c_{2j-i}
-    for every j below the final index before the top-degree class is
-    evaluated.  Every candidate is built from integral lifts of the w
-    classes, so it is valid by construction and is not checked again.
-    Deterministic: candidates come out in lexicographic order of their
-    coefficient vectors.  Raises BudgetExceeded, before testing any
-    candidate, when there are more than CANDIDATE_CAP of them.
+    Candidates are built depth-first in index order.  An odd-index class
+    c_i ranges over the integral lifts of w_2i whose free coefficients lie
+    in [-bound, bound].  An even-index class c_2j is solved, not
+    enumerated: Massey's intermediate identity q_j = 0 (j below the final
+    index) contains it only as 2 c_2j, so c_2j runs over the solutions of
+    2 c_2j = -r, r being q_j with c_2j set to zero, that are lifts of
+    w_4j within the bound.  Every candidate built thus reduces to w and
+    satisfies the intermediate identities by construction, and only its
+    top-degree class is evaluated.  Deterministic: candidates come out in
+    lexicographic order of their coefficient vectors.
+
+    `enumerated` is the size of the product of the lift sets, which is
+    reported but never iterated.  The work is predicted before the search
+    starts: the product of the odd-index lift-set sizes times, for each
+    solved class, the 2^e solutions that 2x = y can have when its piece
+    has e torsion coordinates of even order.  BudgetExceeded is raised
+    when the prediction exceeds CANDIDATE_CAP.
     """
     rank = data.rank
     final = _final_criterion(rank)
@@ -564,21 +575,93 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
                    for i in range(1, n)
                    for o in rings.integral.orders(2 * i))
 
-    enumerated = math.prod(len(lifts) for lifts in lift_sets)
-    if enumerated > CANDIDATE_CAP:
+    predicted = 1
+    for i, lifts in enumerate(lift_sets, start=1):
+        if i % 2:
+            predicted *= len(lifts)
+        else:
+            predicted *= 2 ** sum(1 for o in rings.integral.orders(2 * i)
+                                  if o and o % 2 == 0)
+    if predicted > CANDIDATE_CAP:
         raise BudgetExceeded("candidate enumeration exceeded the cap %d"
                              % CANDIDATE_CAP)
     records = []
-    for combo in itertools.product(*lift_sets):
-        cand = ChernCandidate(combo)
-        if any(not chern_square_sum(data, cand, j).is_zero
-               for j in range(1, k_final)):
-            continue
+    for cand in _admissible_candidates(data, lift_sets):
         q = _top_class(data, cand, k_final)
         verdict = _divisibility_verdict(data, q, rule)
         records.append(CandidateRecord(cand, q, verdict, data.pair(q)))
-    return SearchOutcome(bound=bound, rule=rule, enumerated=enumerated,
+    return SearchOutcome(bound=bound, rule=rule,
+                         enumerated=math.prod(len(lifts) for lifts in lift_sets),
                          records=tuple(records), complete=complete)
+
+
+def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple]):
+    # every even index 2j below n = rank/2 has j below the final index, so
+    # identity j fixes c_2j; it reads only c_1..c_2j, so the prefix with
+    # c_2j = 0 gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the
+    # bound and the lexicographic order of divide_by's solutions.
+    integral = data.rings.integral
+    members = {i: {x.coeffs for x in lift_sets[i - 1]}
+               for i in range(2, len(lift_sets) + 1, 2)}
+
+    def extend(prefix):
+        i = len(prefix) + 1
+        if i > len(lift_sets):
+            yield ChernCandidate(prefix)
+            return
+        if i % 2:
+            choices = lift_sets[i - 1]
+        else:
+            partial = ChernCandidate(prefix + (integral.zero(2 * i),))
+            r = chern_square_sum(data, partial, i // 2)
+            choices = [x for x in divide_by(2, -r) if x.coeffs in members[i]]
+        for x in choices:
+            yield from extend(prefix + (x,))
+
+    return extend(())
+
+
+def _definite_form_certificate(data: BundleData, bound: int) -> Optional[str]:
+    """Why no rank-4 candidate outside `bound` can vanish, or None.
+
+    A vanishing q = p1 - c1^2 + 2e pairs to zero, so Q(c1) = t with
+    Q(x) = <x^2> on the free part of H^2 and t = <p1 + 2e>: c1 is
+    characteristic and c1^2 = 2 chi + 3 sigma (Hirzebruch-Hopf, Wu).  When
+    Q is definite by Sylvester's criterion, signs flipped so that it is
+    positive, every solution has x_i^2 <= t (Q^-1)_ii, and none exists when
+    t < 0.  The certificate holds when that radius is within the bound.
+    """
+    if data.rank != 4 or data.pairing is None or data.pairing.degree != 4:
+        return None
+    ring = data.rings.integral
+    orders = ring.orders(2)
+    gens = [ring.element(2, [int(j == i) for j in range(len(orders))])
+            for i, o in enumerate(orders) if o == 0]
+    rows = [[data.pair(x * y) for y in gens] for x in gens]
+    t = data.pair(data.p_class(1) + 2 * data.euler)
+
+    def minor(keep, sign):
+        return IntMatrix.from_rows([[sign * rows[i][j] for j in keep]
+                                    for i in keep]).determinant()
+
+    m = len(gens)
+    for sign, kind in ((1, "positive"), (-1, "negative")):
+        if all(minor(range(k), sign) > 0 for k in range(1, m + 1)):
+            break
+    else:
+        return None
+    if sign * t < 0:
+        return ("<c1^2> is %s definite and never equals <p1 + 2e> = %d"
+                % (kind, t))
+    det = minor(range(m), sign)
+    radius = 0
+    for i in range(m):
+        inverse_ii = Fraction(minor([j for j in range(m) if j != i], sign), det)
+        radius = max(radius, math.isqrt(math.floor(sign * t * inverse_ii)))
+    if radius > bound:
+        return None
+    return ("<c1^2> is %s definite, so <c1^2> = <p1 + 2e> = %d bounds the "
+            "coefficients of a vanishing c1 by %d" % (kind, t, radius))
 
 
 def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
@@ -591,29 +674,44 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
                        denominator=4,
                        note="%s: w%d admits no integral lift, so no reduction "
                             "reaches this degree" % (rule, i2))
-    if not outcome.records:
-        return Verdict("Inconclusive", denominator=4,
-                       note="%s: no admissible candidates within bound %d"
-                            % (rule, outcome.bound))
     statuses = [r.verdict.status for r in outcome.records]
     if "Zero" in statuses:
         count = statuses.count("Zero")
         return Verdict("Zero", denominator=4,
                        note="%s: obstruction vanishes for %d of %d candidates"
                             % (rule, count, len(statuses)))
-    if all(s == "NonZero" for s in statuses):
-        scope = ("every candidate" if outcome.complete
-                 else "every candidate within bound %d" % outcome.bound)
+    if "Inconclusive" in statuses:
+        return Verdict("Inconclusive", denominator=4,
+                       note="%s: no vanishing candidate, but some verdicts are "
+                            "inconclusive (%d tested)" % (rule, len(statuses)))
+    # every candidate within the bound, if there is any, is NonZero
+    certificate = None if outcome.complete else \
+        _definite_form_certificate(data, outcome.bound)
+    if not statuses and certificate is None:
+        return Verdict("Inconclusive", denominator=4,
+                       note="%s: no admissible candidates within bound %d"
+                            % (rule, outcome.bound))
+    if not outcome.complete and certificate is None:
+        return Verdict("Inconclusive", denominator=4,
+                       note="%s: nonzero obstruction for every candidate within "
+                            "bound %d (%d tested), but candidates outside it "
+                            "are not ruled out"
+                            % (rule, outcome.bound, len(statuses)))
+    if statuses:
         witness = outcome.records[0].verdict.witness
-        note = ("%s: nonzero obstruction for %s (%d tested)"
-                % (rule, scope, len(statuses)))
-        pairings = {r.pairing for r in outcome.records}
-        if len(pairings) == 1 and None not in pairings:
-            note += "; q pairs to %d" % outcome.records[0].pairing
-        return Verdict("NonZero", witness=witness, denominator=4, note=note)
-    return Verdict("Inconclusive", denominator=4,
-                   note="%s: no vanishing candidate, but some verdicts are "
-                        "inconclusive (%d tested)" % (rule, len(statuses)))
+    else:
+        # only the rank-4 certificate gets here: no c1 lies within the
+        # bound, so none vanishes, and the q of any lift is a witness
+        lift = any_integral_lift(data.rings, data.w_class(2))
+        q = _top_class(data, ChernCandidate((lift,)), 1)
+        witness = _divisibility_verdict(data, q, rule).witness
+    note = ("%s: nonzero obstruction for every candidate (%d tested%s)"
+            % (rule, len(statuses),
+               "" if certificate is None else "; " + certificate))
+    pairings = {r.pairing for r in outcome.records}
+    if len(pairings) == 1 and None not in pairings:
+        note += "; q pairs to %d" % outcome.records[0].pairing
+    return Verdict("NonZero", witness=witness, denominator=4, note=note)
 
 
 # -- the degree-4m lift construction ------------------------------------

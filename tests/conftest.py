@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -6,6 +7,7 @@ from acso.spacefile import load_space_file
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "acso" / "corpus"
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 # filled by the acceptance module; echoed after the run so the verdict
 # lines survive output capture
@@ -43,3 +45,18 @@ def hp2(corpus):
 @pytest.fixture(scope="session")
 def s1xwu(corpus):
     return corpus["s1xwu"].bundle
+
+
+@pytest.fixture(scope="session")
+def families():
+    """`bench/families.py`: bundles over products of CP^n from closed forms.
+
+    It stays the benchmark's independent oracle, so it is imported from
+    `bench/` as it is, not copied into acso.
+    """
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import families as module
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module

@@ -99,8 +99,9 @@ def test_check_inconclusive_exits_three(tmp_path, capsys):
 
 
 def test_check_candidate_cap_is_an_error(tmp_path, capsys):
-    # T(CP^1 x CP^3): three two-dimensional lift pieces give 121^3 candidates
-    # at the default bound, past the cap of 10^6, before any is tested
+    # T(CP^1 x CP^3): c2 is solved, so the work is predicted from the
+    # lifts of w2 and w6, 41^2 each at --bound 40; 1681^2 is past the cap
+    # of 10^6, and the search stops before any candidate is built
     doc = {
         "schema_version": 1,
         "name": "t_cp1xcp3",
@@ -117,11 +118,59 @@ def test_check_candidate_cap_is_an_error(tmp_path, capsys):
     }
     path = tmp_path / "t_cp1xcp3.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "check", str(path))
+    code, out, err = run(capsys, "check", str(path), "--bound", "40")
     assert code == 1
     assert out == ""
     assert err.startswith("error: candidate enumeration exceeded the cap")
     assert "Traceback" not in err
+
+
+def test_check_bounded_search_is_not_proof(families, tmp_path, capsys):
+    # complex manifolds whose own Chern classes lie outside the bound: every
+    # candidate within it is nonzero, which proves nothing beyond it
+    for name, ns, bound in (("t_cp1xcp3", [1, 3], 3), ("t_cp6", [6], 6)):
+        doc = families.space_doc(name, families.tangent_cp_product(ns))
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", str(path), "--bound", str(bound))
+        assert code == 3, name
+        assert "existence: undetermined" in out
+        assert "every candidate within bound %d" % bound in out
+
+
+def test_check_s2xs2_indefinite_form(tmp_path, capsys):
+    # T(S^2 x S^2): c1 = 2a + 2b lies outside bound 1, where c1 = 0 is the
+    # only candidate (q = 8ab); <c1^2> = 2xy is indefinite, so no certificate
+    doc = {
+        "schema_version": 1,
+        "name": "t_s2xs2",
+        "rings": {"shared": {
+            "cutoff": 4,
+            "generators": [{"name": "a", "degree": 2},
+                           {"name": "b", "degree": 2}],
+            "relations": [{"lhs": "a^2", "rhs": {}}, {"lhs": "b^2", "rhs": {}}],
+        }},
+        "bundle": {"rank": 4, "base_dimension": 4, "w": {}, "p": {},
+                   "euler": {"a*b": "4"},
+                   "pairing": {"degree": 4, "values": {"a*b": "1"}}},
+    }
+    path = tmp_path / "t_s2xs2.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", str(path), "--bound", "1")
+    assert code == 3
+    assert "status: inconclusive" in out
+    code, out, _ = run(capsys, "check", str(path), "--bound", "2")
+    assert code == 0
+    assert "vanishing candidate: c1 = 2*b + 2*a" in out
+
+
+def test_check_cp2bar_excluded_at_every_bound(capsys):
+    for bound in ("0", "1", "10"):
+        code, out, _ = run(capsys, "check", str(CORPUS_DIR / "cp2bar.json"),
+                           "--bound", bound)
+        assert code == 2, bound
+        assert "existence: excluded" in out
+        assert "negative definite" in out
 
 
 def test_check_divisibility_violation_is_an_error(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Obstruction layer: torsion classes, divisibility criteria, the pipeline."""
 
+import itertools
 import math
 import random
 
@@ -16,9 +17,11 @@ from acso.gradedring import (
     RingSystem,
     any_integral_lift,
     divide_by,
+    integral_lifts,
 )
 from acso import obstruct
 from acso.intlin import AbelianGroupDescriptor
+from acso.spacefile import space_file_from_doc
 from acso.obstruct import (
     BudgetExceeded,
     BundleData,
@@ -84,6 +87,39 @@ def two_sphere_six_sphere():
     e = sys.integral.from_terms(6, {"v": 2})
     return BundleData(rank=6, rings=sys, w={}, p={}, euler=e,
                       pairing=Pairing(8, (1,)), base_dimension=8)
+
+
+def z2_in_degree_four_bundle(p1):
+    """Rank-6 data whose degree-4 piece is Z + Z/2, so that c2 is solved
+    from 2 c2 = y with two solutions, of which only the one with rho2 = w4
+    is a lift.
+
+    Integral ring: a in degree 2, t of order 2 in degree 4, a^5 = at =
+    t^2 = 0; w2 = a, w4 = t, p1 = p1 * a^2 with p1 = 1 mod 4 (Wu's formula
+    at m = 1), and e = p2 = 0.
+    """
+    def ring(modulus, t_order):
+        return GradedRing(RingPresentation(
+            modulus=modulus, cutoff=8,
+            generators=(Generator("a", 2), Generator("t", 4, order=t_order)),
+            rules=(RewriteRule((5, 0), ()), RewriteRule((1, 1), ()),
+                   RewriteRule((0, 2), ()))))
+
+    integral, mod2, mod4 = ring(0, 2), ring(2, 0), ring(4, 2)
+    sys = RingSystem(
+        integral, mod2, mod4,
+        rho2=CoefficientMap.scaled_identity("rho2", integral, mod2),
+        rho4=CoefficientMap.scaled_identity("rho4", integral, mod4),
+        theta2=CoefficientMap.scaled_identity("theta2", mod2, mod4, 2),
+        rho24=CoefficientMap.scaled_identity("rho24", mod4, mod2),
+        beta=CoefficientMap("beta", mod2, integral, 1))
+    return BundleData(
+        rank=6, rings=sys,
+        w={2: sys.mod2.from_terms(2, {"a": 1}),
+           4: sys.mod2.from_terms(4, {"t": 1})},
+        p={1: sys.integral.from_terms(4, {"a^2": p1})},
+        euler=sys.integral.zero(6), pairing=Pairing(8, (1,)),
+        base_dimension=8)
 
 
 # -- torsion classes ----------------------------------------------------------
@@ -311,6 +347,75 @@ def test_survey_records_match_public_criteria(corpus, two_sphere_six_sphere):
     assert checked >= 10
 
 
+def full_product_survey(data, bound):
+    """The survey as a plain enumeration, kept as the reference.
+
+    Every element of the product of the lift sets is built, and the
+    intermediate identities are checked on whole candidates through the
+    naive (2j+1)-term sum.  Returns what `SearchOutcome` reports.
+    """
+    k_final, rule = obstruct._final_criterion(data.rank)
+    lift_sets = []
+    for i in range(1, data.rank // 2):
+        found = integral_lifts(data.rings, data.w_class(2 * i), bound)
+        if found.no_lift_proven:
+            return (), 0, True, 2 * i
+        lift_sets.append(found.lifts)
+    complete = all(o != 0 for i in range(1, data.rank // 2)
+                   for o in data.rings.integral.orders(2 * i))
+    records = []
+    for combo in itertools.product(*lift_sets):
+        cand = ChernCandidate(combo)
+        if any(not naive_chern_square_sum(data, cand, j).is_zero
+               for j in range(1, k_final)):
+            continue
+        q = naive_chern_square_sum(data, cand, k_final)
+        verdict = obstruct._divisibility_verdict(data, q, rule)
+        records.append((cand, q, verdict, data.pair(q)))
+    return (tuple(records), math.prod(len(lifts) for lifts in lift_sets),
+            complete, None)
+
+
+def test_survey_matches_full_product_reference(corpus, two_sphere_six_sphere,
+                                                families):
+    F = families
+    base = F.cp_product([2, 2])
+    generated = [F.tangent_cp_product(ns) for ns in ([6], [2, 2], [1, 3])]
+    generated += [F.line_sum(base, vectors) for vectors in (
+        [(1, 0), (0, 1), (1, 1)],
+        [(1, 1), (1, -1), (2, 1)],
+        [(1, 0), (0, 1), (1, -1), (0, 2)])]
+    cases = [sf.bundle for sf in corpus.values()] + [
+        two_sphere_six_sphere,
+        z2_in_degree_four_bundle(1), z2_in_degree_four_bundle(-3)]
+    cases += [space_file_from_doc(F.space_doc("family", b)).bundle
+              for b in generated]
+    solved = 0
+    for data in cases:
+        for bound in range(4):
+            outcome = survey_candidates(data, bound)
+            records = tuple((r.candidate, r.q, r.verdict, r.pairing)
+                            for r in outcome.records)
+            assert (records, outcome.enumerated, outcome.complete,
+                    outcome.no_lift_degree) == full_product_survey(data, bound)
+            solved += data.rank >= 6 and bool(records)
+    assert solved >= 20
+
+
+def test_survey_solves_torsion_even_classes():
+    # 2 c2 = (x^2 - p1) a^2 has two solutions, t-coordinate 0 and 1; only
+    # the second lifts w4 = t, and c2 = (x^2 - p1)/2 a^2 must lie in the bound
+    for p1, bound, c2_a2 in ((1, 1, 0), (-3, 2, 2), (-3, 1, None)):
+        data = z2_in_degree_four_bundle(p1)
+        ring = data.rings.integral
+        expected = [] if c2_a2 is None else [
+            (ring.from_terms(2, {"a": x}),
+             ring.from_terms(4, {"t": 1, "a^2": c2_a2}))
+            for x in (-1, 1)]
+        outcome = survey_candidates(data, bound)
+        assert [r.candidate.classes for r in outcome.records] == expected
+
+
 def test_candidate_sign_flip_preserves_verdict(cp2, hp2):
     for data in (cp2, hp2):
         for rec in survey_candidates(data, bound=6).records:
@@ -366,6 +471,74 @@ def test_lift_perturbation_changes_q_by_multiples_of_four(cp2, hp2):
                     classes.append(c + data.rings.integral.element(c.degree, shift))
                 q1, _ = theorem2_class(data, ChernCandidate(tuple(classes)))
                 assert divide_by(4, q1 - q0), "delta q must be divisible by 4"
+
+
+def form_bundle(alpha, beta, s, t):
+    """Rank-4 data over H^2 = Z{a, b}, H^4 = Z{ab}: a^2 = alpha ab,
+    b^2 = beta ab and <ab> = s, so <c1^2> = s (alpha x^2 + 2xy + beta y^2)
+    for c1 = xa + yb.  w2 = 0, e = 0 and p1 = s t ab, so <p1 + 2e> = t,
+    which Wu's formula makes a multiple of 4."""
+    pres = RingPresentation(
+        modulus=0, cutoff=4,
+        generators=(Generator("a", 2), Generator("b", 2)),
+        rules=(RewriteRule((2, 0), ((alpha, (1, 1)),)),
+               RewriteRule((0, 2), ((beta, (1, 1)),))))
+    sys = RingSystem.with_reduction_defaults(pres)
+    return BundleData(rank=4, rings=sys, w={},
+                      p={1: sys.integral.from_terms(4, {"a*b": s * t})},
+                      euler=sys.integral.zero(4), pairing=Pairing(4, (s,)),
+                      base_dimension=4)
+
+
+def test_definite_form_certificate_bounds_every_solution():
+    forms = {(2, 2, 1): True, (1, 3, 1): True, (2, 2, -1): True,
+             (3, 1, -1): True, (0, 0, 1): False, (1, 1, 1): False}
+    for (alpha, beta, s), definite in forms.items():
+        for t in (-8, -4, 0, 4, 8, 12, 20):
+            data = form_bundle(alpha, beta, s, t)
+            solutions = [(x, y) for x in range(-15, 16) for y in range(-15, 16)
+                         if s * (alpha * x * x + 2 * x * y + beta * y * y) == t]
+            holds = [obstruct._definite_form_certificate(data, bound) is not None
+                     for bound in range(7)]
+            assert holds[-1] == definite
+            for bound, held in enumerate(holds):
+                if held:
+                    assert all(max(abs(x), abs(y)) <= bound
+                               for x, y in solutions)
+                    assert all(holds[bound:])
+
+
+def test_bounded_search_claims_nothing_without_a_certificate(cp2):
+    # rank 4 over CP^2 with w2 = a, p1 = 3a^2, e = a^2: Wu's formula holds,
+    # but a vanishing c1 would need c1^2 = p1 + 2e = 5a^2, so none exists
+    ring = cp2.rings.integral
+    data = BundleData(rank=4, rings=cp2.rings, w=dict(cp2.w),
+                      p={1: ring.from_terms(4, {"a^2": 3})},
+                      euler=ring.from_terms(4, {"a^2": 1}),
+                      pairing=cp2.pairing, base_dimension=4)
+    final = {bound: acs_verdict(data, bound).final for bound in (0, 1, 2, 5)}
+    assert final[0].status == "Inconclusive"
+    assert "no admissible candidates within bound 0" in final[0].note
+    assert final[1].status == "Inconclusive"
+    assert "within bound 1 (2 tested), but candidates outside" in final[1].note
+    for bound in (2, 5):
+        assert final[bound].status == "NonZero"
+        assert "positive definite" in final[bound].note
+        assert "coefficients of a vanishing c1 by 2" in final[bound].note
+
+
+def test_negative_definite_form_excludes_at_every_bound(cp2bar):
+    for bound in (0, 1, 10):
+        report = acs_verdict(cp2bar, bound)
+        assert (report.status, report.existence) == ("obstructed", "excluded")
+        assert "negative definite" in report.final.note
+    # bound 0 holds no odd c1, so the witness comes from any_integral_lift
+    report = acs_verdict(cp2bar, 0)
+    assert report.search.records == ()
+    lift = any_integral_lift(cp2bar.rings, cp2bar.w_class(2))
+    q, quarters = theorem2_class(cp2bar, ChernCandidate((lift,)))
+    assert not q.is_zero
+    assert report.final.witness == canonical_witness(quarters[0])
 
 
 # -- lift construction ---------------------------------------------------------------
