@@ -7,9 +7,13 @@ are enumerated once; products are computed through confluent rewriting
 with Koszul signs, so odd-degree generators anticommute the way graded
 commutativity demands.
 
-Monomials are enumerated generator by generator under the degree
-budget, so construction scales with the truncated monomial set rather
-than with the box of all exponent tuples.
+Only basis monomials are enumerated: an exponent prefix stops growing as
+soon as a rule divides it.  Confluence is checked only on the multiples
+of rules with a right-hand side, since every other reducible monomial
+rewrites to 0, and each exponent sum gets one normal form however many
+pairs of basis monomials multiply to it.  So construction scales with
+the basis and its product table rather than with the truncated set of
+all exponent tuples.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
@@ -50,6 +54,20 @@ class SignRuleError(RingError):
 
 class NoIntegralLift(RingError):
     """A mod-2 class has no integral preimage."""
+
+
+class TableTooLarge(RingError):
+    """A product table would hold more than TABLE_CAP entries."""
+
+
+class TooManyLifts(RingError):
+    """A lift search would return more than LIFT_CAP lifts."""
+
+
+# the largest product table a ring may hold; T^10 (616,666 entries) fits
+TABLE_CAP = 10 ** 6
+# the most lifts integral_lifts returns; each becomes a RingElement
+LIFT_CAP = 10 ** 6
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -163,11 +181,11 @@ def _norm_coeff(c: int, order: int) -> int:
 class GradedRing:
     """Graded-commutative ring truncated above a degree cutoff.
 
-    Construction enumerates monomial bases, verifies that the rewrite
-    rules are confluent inside the truncation, materializes the product
-    table, and checks it against graded commutativity and the additive
-    orders.  A presentation that survives construction is safe to
-    compute in.
+    Construction enumerates monomial bases, refuses a product table
+    larger than TABLE_CAP, verifies that the rewrite rules are confluent
+    inside the truncation, materializes the product table, and checks it
+    against graded commutativity and the additive orders.  A
+    presentation that survives construction is safe to compute in.
     """
 
     def __init__(self, presentation: RingPresentation):
@@ -175,6 +193,7 @@ class GradedRing:
         self._nf_cache: dict = {}
         self._nf_active: set = set()
         self._enumerate_monomials()
+        self._check_table_size()
         self._check_confluence()
         self._build_table()
         self._check_table()
@@ -203,28 +222,50 @@ class GradedRing:
 
     def _enumerate_monomials(self):
         # extend exponent prefixes one generator at a time, each carrying
-        # its degree, so only tuples inside the cutoff are ever built;
-        # reducible monomials stay, since _check_confluence walks them
-        prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        for step in self._degrees:
-            prefixes = [(exps + (e,), d + e * step)
-                        for exps, d in prefixes
-                        for e in range((self.cutoff - d) // step + 1)]
-        by_degree: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
-        for exps, d in prefixes:
-            by_degree[d].append(exps)
-        for d in by_degree:
-            by_degree[d].sort()
-        self._monomials = {d: tuple(v) for d, v in by_degree.items()}
-        self._basis = {}
-        self._orders = {}
-        self._index = {}
-        for d, mons in self._monomials.items():
-            basis = tuple(m for m in mons
-                          if self._first_rule(m) is None and self._order_of(m) != 1)
-            self._basis[d] = basis
-            self._orders[d] = tuple(self._order_of(m) for m in basis)
-            self._index[d] = {m: i for i, m in enumerate(basis)}
+        # its degree and additive order.  A rule whose last nonzero
+        # exponent belongs to generator k divides a tuple exactly when it
+        # divides the tuple's prefix through k.  Raising that exponent
+        # keeps the rule dividing, and an order of 1 stays 1, so a prefix
+        # stops growing at the first exponent that makes it reducible or
+        # zero: only basis monomials are built, in lexicographic order
+        ending: list[list] = [[] for _ in self._degrees]
+        for rule in self.presentation.rules:
+            last = max(k for k, l in enumerate(rule.lhs) if l)
+            ending[last].append(rule.lhs[:last + 1])
+        prefixes: list = [((), 0, self.modulus)]
+        for step, gen_order, lhss in zip(self._degrees, self._gen_orders,
+                                         ending):
+            grown = []
+            for exps, d, order in prefixes:
+                grown.append((exps + (0,), d, order))
+                order = math.gcd(order, gen_order)
+                if order == 1:
+                    continue
+                for e in range(1, (self.cutoff - d) // step + 1):
+                    ext = exps + (e,)
+                    if any(all(l <= x for l, x in zip(lhs, ext))
+                           for lhs in lhss):
+                        break
+                    grown.append((ext, d + e * step, order))
+            prefixes = grown
+        basis: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
+        orders: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
+        for exps, d, order in prefixes:
+            basis[d].append(exps)
+            orders[d].append(order)
+        self._basis = {d: tuple(v) for d, v in basis.items()}
+        self._orders = {d: tuple(v) for d, v in orders.items()}
+        self._index = {d: {m: i for i, m in enumerate(b)}
+                       for d, b in self._basis.items()}
+
+    def _check_table_size(self):
+        sizes = [len(self._basis[d]) for d in range(self.cutoff + 1)]
+        entries = sum(n1 * n2 for d1, n1 in enumerate(sizes)
+                      for n2 in sizes[:self.cutoff + 1 - d1])
+        if entries > TABLE_CAP:
+            raise TableTooLarge(
+                "product table of %d entries exceeds the cap %d"
+                % (entries, TABLE_CAP))
 
     def _first_rule(self, exps) -> Optional[RewriteRule]:
         for rule in self.presentation.rules:
@@ -241,6 +282,21 @@ class GradedRing:
                     if a[i] and self._odd[i]:
                         s += a[i] * bj
         return -1 if s & 1 else 1
+
+    def _parity_masks(self, degree: int) -> list[tuple[int, int]]:
+        # per basis monomial b: the bits i of odd generators with b_i odd,
+        # and the bits i where an odd number of those bits lie below i, so
+        # that _koszul(a, b) = (-1)^popcount(odd(a) & below(b))
+        out = []
+        for exps in self._basis[degree]:
+            odd = below = 0
+            for i, (e, o) in enumerate(zip(exps, self._odd)):
+                if odd.bit_count() & 1:
+                    below |= 1 << i
+                if e & o:
+                    odd |= 1 << i
+            out.append((odd, below))
+        return out
 
     def _apply_rule(self, exps, rule):
         rem = tuple(e - l for e, l in zip(exps, rule.lhs))
@@ -280,75 +336,109 @@ class GradedRing:
         return acc
 
     def _vector(self, degree: int, combo: Mapping) -> tuple[int, ...]:
-        coeffs = [0] * len(self._basis[degree])
+        orders = self._orders[degree]
+        coeffs = [0] * len(orders)
         index = self._index[degree]
         for mon, c in combo.items():
             if mon in index:
                 coeffs[index[mon]] += c
             elif self._order_of(mon) != 1:
                 raise RingError("normal form left the basis in degree %d" % degree)
-        return tuple(_norm_coeff(c, o) for c, o in zip(coeffs, self._orders[degree]))
+        if not any(orders):
+            return tuple(coeffs)
+        return tuple(_norm_coeff(c, o) for c, o in zip(coeffs, orders))
+
+    def _all_monomials(self, budget: int) -> list[tuple[int, ...]]:
+        # every exponent tuple of degree <= budget, in lexicographic order
+        prefixes: list = [((), 0)]
+        for step in self._degrees:
+            prefixes = [(exps + (e,), d + e * step)
+                        for exps, d in prefixes
+                        for e in range((budget - d) // step + 1)]
+        return [exps for exps, _ in prefixes]
 
     def _check_confluence(self):
-        # _normal_form rewrote with the first applicable rule; compare the rest
-        for d, mons in self._monomials.items():
-            for exps in mons:
-                first = self._first_rule(exps)
-                if first is None:
+        # a monomial that no rule with a right-hand side divides rewrites
+        # to 0 by every applicable rule, so nothing there can recurse,
+        # disagree or leave the basis; the multiples s*lhs of the others
+        # are compared in order of degree, then exponents
+        multiples = set()
+        for rule in self.presentation.rules:
+            if rule.rhs:
+                budget = self.cutoff - self._exp_degree(rule.lhs)
+                multiples.update(tuple(l + s for l, s in zip(rule.lhs, rest))
+                                 for rest in self._all_monomials(budget))
+        for d, exps in sorted((self._exp_degree(m), m) for m in multiples):
+            # _normal_form rewrote with the first applicable rule; compare the rest
+            first = self._first_rule(exps)
+            canonical = self._vector(d, self._normal_form(exps))
+            for rule in self.presentation.rules:
+                if rule is first or not all(
+                        l <= e for l, e in zip(rule.lhs, exps)):
                     continue
-                canonical = self._vector(d, self._normal_form(exps))
-                for rule in self.presentation.rules:
-                    if rule is first or not all(
-                            l <= e for l, e in zip(rule.lhs, exps)):
-                        continue
-                    if self._vector(d, self._rewrite(exps, rule)) != canonical:
-                        raise ConfluenceError(
-                            "rules disagree on %s"
-                            % format_exponents(self.names, exps))
+                if self._vector(d, self._rewrite(exps, rule)) != canonical:
+                    raise ConfluenceError(
+                        "rules disagree on %s"
+                        % format_exponents(self.names, exps))
 
     def _build_table(self):
-        self._table = {}
+        # every pair of basis monomials with the same exponent sum shares
+        # one normal form, up to the Koszul sign
+        masks = {d: self._parity_masks(d) for d in self._basis}
+        by_sum: dict = {}
+        self._table = table = {}
         for d1 in range(self.cutoff + 1):
+            b1, m1 = self._basis[d1], masks[d1]
             for d2 in range(self.cutoff + 1 - d1):
-                b1, b2 = self._basis[d1], self._basis[d2]
+                b2, m2 = self._basis[d2], masks[d2]
+                orders = self._orders[d1 + d2]
                 for i, a in enumerate(b1):
+                    odd = m1[i][0]
                     for j, b in enumerate(b2):
-                        sign = self._koszul(a, b)
-                        prod = tuple(x + y for x, y in zip(a, b))
-                        nf = self._normal_form(prod)
-                        vec = self._vector(
-                            d1 + d2, {m: sign * c for m, c in nf.items()})
-                        self._table[(d1, i, d2, j)] = vec
+                        prod = tuple([x + y for x, y in zip(a, b)])
+                        signed = by_sum.get(prod)
+                        if signed is None:
+                            vec = self._vector(d1 + d2, self._normal_form(prod))
+                            neg = tuple([_norm_coeff(-c, o)
+                                         for c, o in zip(vec, orders)]) \
+                                if any(vec) else vec
+                            signed = by_sum[prod] = (vec, neg)
+                        table[(d1, i, d2, j)] = \
+                            signed[(odd & m2[j][1]).bit_count() & 1]
 
     def _check_table(self):
+        # by the Koszul identity k(a,b) k(b,a) = (-1)^(d1 d2 + D), D the sum
+        # of a_i b_i over odd generators, ab and ba share a normal form and
+        # their signs differ by (-1)^(d1 d2) unless D is odd.  So graded
+        # commutativity, v12 = (-1)^(d1 d2) v21, fails only where D is odd
+        # and 2 v12 != 0.  Zero vectors pass both tests.
+        masks = {d: self._parity_masks(d) for d in self._basis}
         for (d1, i, d2, j), v12 in self._table.items():
-            d = d1 + d2
-            orders = self._orders[d]
-            v21 = self._table[(d2, j, d1, i)]
-            sign = -1 if (d1 * d2) % 2 else 1
-            flipped = tuple(_norm_coeff(sign * c, o) for c, o in zip(v21, orders))
-            if v12 != flipped:
+            if not any(v12):
+                continue
+            orders = self._orders[d1 + d2]
+            if (masks[d1][i][0] & masks[d2][j][0]).bit_count() & 1 and any(
+                    _norm_coeff(2 * c, o) for c, o in zip(v12, orders)):
                 raise SignRuleError(
                     "product of %s and %s breaks graded commutativity"
                     % (format_exponents(self.names, self._basis[d1][i]),
                        format_exponents(self.names, self._basis[d2][j])))
             o_left = self._orders[d1][i]
-            if o_left:
-                for c, o in zip(v12, orders):
-                    if _norm_coeff(o_left * c, o):
-                        raise RingError(
-                            "product of %s and %s violates additive orders"
-                            % (format_exponents(self.names, self._basis[d1][i]),
-                               format_exponents(self.names, self._basis[d2][j])))
+            if o_left and any(_norm_coeff(o_left * c, o)
+                              for c, o in zip(v12, orders)):
+                raise RingError(
+                    "product of %s and %s violates additive orders"
+                    % (format_exponents(self.names, self._basis[d1][i]),
+                       format_exponents(self.names, self._basis[d2][j])))
 
     def _reduction(self, modulus: int) -> "GradedRing":
         """The mod-`modulus` ring of this torsion-free integral ring.
 
         It is built without rewriting.  Rewriting never reduces a
         coefficient and only _vector does, so every normal form mod m is
-        the integral one reduced: monomials, basis, index and normal forms
-        are shared, every order is m and each table vector is reduced.
-        The checks that passed over Z therefore hold mod m.
+        the integral one reduced: basis, index and normal forms are
+        shared, every order is m and each distinct table vector is
+        reduced once.  The checks that passed over Z therefore hold mod m.
         """
         # attributes are set one by one, as in __init__: copying __dict__
         # would give both rings slower attribute access on the hot path
@@ -356,13 +446,17 @@ class GradedRing:
         ring._set_presentation(replace(self.presentation, modulus=modulus))
         ring._nf_cache = self._nf_cache
         ring._nf_active = set()
-        ring._monomials = self._monomials
         ring._basis = self._basis
         ring._orders = {d: (modulus,) * len(basis)
                         for d, basis in self._basis.items()}
         ring._index = self._index
-        ring._table = {key: tuple([c % modulus for c in vec])
-                       for key, vec in self._table.items()}
+        reduced: dict = {}
+        ring._table = table = {}
+        for key, vec in self._table.items():
+            r = reduced.get(vec)
+            if r is None:
+                r = reduced[vec] = tuple([c % modulus for c in vec])
+            table[key] = r
         return ring
 
     # -- public API --------------------------------------------------------
@@ -598,10 +692,10 @@ class CoefficientMap:
                 raise RingError(
                     "map %s: matrix in degree %d should be %dx%d, got %dx%d"
                     % (name, d, rows, cols, M.rows, M.cols))
-            t_orders = target.orders(td)
             norm = IntMatrix(rows, cols,
-                             [_norm_coeff(M[i, j], t_orders[i])
-                              for i in range(rows) for j in range(cols)])
+                             [_norm_coeff(x, o)
+                              for i, o in enumerate(target.orders(td))
+                              for x in M.row(i)])
             self._check_orders(d, norm)
             self.matrices[d] = norm
         if given:
@@ -611,15 +705,14 @@ class CoefficientMap:
 
     def _check_orders(self, d: int, M: IntMatrix):
         s_orders = self.source.orders(d)
-        t_orders = self.target.orders(d + self.shift)
-        for j, o in enumerate(s_orders):
-            if not o:
-                continue
-            for i, ot in enumerate(t_orders):
-                if _norm_coeff(o * M[i, j], ot):
-                    raise RingError(
-                        "map %s does not respect additive orders in degree %d"
-                        % (self.name, d))
+        if not any(s_orders):
+            return
+        for i, ot in enumerate(self.target.orders(d + self.shift)):
+            if any(_norm_coeff(o * x, ot)
+                   for o, x in zip(s_orders, M.row(i)) if o):
+                raise RingError(
+                    "map %s does not respect additive orders in degree %d"
+                    % (self.name, d))
 
     def defined(self, degree: int) -> bool:
         return degree in self.matrices
@@ -750,17 +843,17 @@ class RingSystem:
 
     @staticmethod
     def _scale(M: IntMatrix, k: int) -> IntMatrix:
-        return IntMatrix(M.rows, M.cols, [k * M[i, j]
+        return IntMatrix(M.rows, M.cols, [k * x
                                           for i in range(M.rows)
-                                          for j in range(M.cols)])
+                                          for x in M.row(i)])
 
     def _expect(self, degree: int, ring: GradedRing,
                 left: IntMatrix, right: IntMatrix, law: str):
         orders = ring.orders(degree)
 
         def norm(M):
-            return tuple(_norm_coeff(M[i, j], orders[i])
-                         for i in range(M.rows) for j in range(M.cols))
+            return tuple(_norm_coeff(x, orders[i])
+                         for i in range(M.rows) for x in M.row(i))
 
         if left.rows != right.rows or left.cols != right.cols or norm(left) != norm(right):
             raise RingError("identity %s fails in degree %d" % (law, degree))
@@ -770,8 +863,8 @@ class RingSystem:
         """System for a torsion-free integral ring: reductions are literal.
 
         Only the integral ring is built from the presentation.  The mod-2
-        and mod-4 rings are reduced from it: they share its monomials,
-        basis and normal forms, their product tables are its table mod 2
+        and mod-4 rings are reduced from it: they share its basis, index
+        and normal forms, their product tables are its table mod 2
         and mod 4, and they compare equal to rings built from the
         presentation with the modulus swapped.  All reduction maps are
         (scaled) identities on monomials, and the Bockstein vanishes, as
@@ -860,7 +953,9 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
     Every order in the mod-2 ring is 2, so rho2(x + 2y) = rho2(x), and
     whether x lifts u depends only on its free coefficients mod 2 and its
     torsion coefficients.  One point per such parity class is tested, and
-    each class that lifts u is spread over the bound.
+    each class that lifts u is spread over the bound.  The number of
+    lifts is known before any is built, and TooManyLifts is raised when
+    it exceeds LIFT_CAP.
     """
     if bound < 0:
         raise ValueError("negative bound")
@@ -869,14 +964,18 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
     orders = system.integral.orders(u.degree)
     classes = [range(min(2, 2 * bound + 1)) if o == 0 else range(o)
                for o in orders]
-    found = []
+    spreads = []
     for rep in itertools.product(*classes):
         x = system.integral.element(u.degree, rep)
-        if system.rho2(x) != u:
-            continue
-        axes = [range(-bound + (bound + r) % 2, bound + 1, 2) if o == 0 else (r,)
-                for r, o in zip(rep, orders)]
-        found.extend(itertools.product(*axes))
+        if system.rho2(x) == u:
+            spreads.append([range(-bound + (bound + r) % 2, bound + 1, 2)
+                            if o == 0 else (r,)
+                            for r, o in zip(rep, orders)])
+    count = sum(math.prod(len(axis) for axis in axes) for axes in spreads)
+    if count > LIFT_CAP:
+        raise TooManyLifts("%d lifts in degree %d exceed the cap %d"
+                           % (count, u.degree, LIFT_CAP))
+    found = [c for axes in spreads for c in itertools.product(*axes)]
     found.sort()
     return LiftSearch(lifts=tuple(system.integral.element(u.degree, c)
                                   for c in found),

@@ -55,6 +55,18 @@ def _require_dict(obj, what: str) -> dict:
     return obj
 
 
+def _require_list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise SpaceFileError("%s must be a list" % what)
+    return obj
+
+
+def _required(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise SpaceFileError("%s is missing %r" % (what, key))
+    return obj[key]
+
+
 def _check_keys(obj: dict, allowed, what: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -83,23 +95,26 @@ def _terms(obj, what: str) -> dict:
 def _presentation(section, modulus: int, what: str) -> RingPresentation:
     section = _require_dict(section, what)
     _check_keys(section, _RING_KEYS, what)
-    if "cutoff" not in section or "generators" not in section:
-        raise SpaceFileError("%s needs 'cutoff' and 'generators'" % what)
-    cutoff = _int(section["cutoff"], what + ".cutoff")
+    cutoff = _int(_required(section, "cutoff", what), what + ".cutoff")
     gens = []
-    for g in section["generators"]:
+    for g in _require_list(_required(section, "generators", what),
+                           what + ".generators"):
         g = _require_dict(g, what + ".generators[]")
         _check_keys(g, _GEN_KEYS, what + ".generators[]")
-        gens.append(Generator(str(g["name"]),
-                              _int(g["degree"], "generator degree"),
+        gens.append(Generator(str(_required(g, "name", what + ".generators[]")),
+                              _int(_required(g, "degree",
+                                             what + ".generators[]"),
+                                   "generator degree"),
                               _int(g.get("order", 0), "generator order")))
     names = [g.name for g in gens]
     rules = []
-    for rel in section.get("relations", ()):
+    for rel in _require_list(section.get("relations", []),
+                             what + ".relations"):
         rel = _require_dict(rel, what + ".relations[]")
         _check_keys(rel, _REL_KEYS, what + ".relations[]")
+        lhs_text = str(_required(rel, "lhs", what + ".relations[]"))
         try:
-            lhs = parse_exponents(names, str(rel["lhs"]))
+            lhs = parse_exponents(names, lhs_text)
             rhs = tuple((c, parse_exponents(names, mon))
                         for mon, c in sorted(_terms(rel.get("rhs"),
                                                     what + ".rhs").items()))
@@ -139,16 +154,14 @@ def _ring_system(doc: dict) -> RingSystem:
             return RingSystem.with_reduction_defaults(pres)
         except RingError as exc:
             raise SpaceFileError(str(exc)) from None
-    if set(rings) != {"integral", "mod2", "mod4"}:
-        raise SpaceFileError("'rings' needs either 'shared' or all of "
-                             "'integral', 'mod2', 'mod4'")
+    moduli = {"integral": 0, "mod2": 2, "mod4": 4}
+    _check_keys(rings, moduli, "'rings'")
+    sections = {label: _required(rings, label, "'rings' without 'shared'")
+                for label in moduli}
     try:
-        built = {
-            "integral": GradedRing(_presentation(rings["integral"], 0,
-                                                 "rings.integral")),
-            "mod2": GradedRing(_presentation(rings["mod2"], 2, "rings.mod2")),
-            "mod4": GradedRing(_presentation(rings["mod4"], 4, "rings.mod4")),
-        }
+        built = {label: GradedRing(_presentation(sections[label], modulus,
+                                                 "rings." + label))
+                 for label, modulus in moduli.items()}
     except RingError as exc:
         raise SpaceFileError(str(exc)) from None
     maps_doc = _require_dict(doc.get("maps"), "'maps'")
@@ -192,9 +205,7 @@ def _element(ring: GradedRing, degree: int, obj, what: str):
 def _bundle(doc: dict, rings: RingSystem) -> BundleData:
     b = _require_dict(doc.get("bundle"), "'bundle'")
     _check_keys(b, _BUNDLE_KEYS, "'bundle'")
-    if "rank" not in b or "euler" not in b:
-        raise SpaceFileError("'bundle' needs 'rank' and 'euler'")
-    rank = _int(b["rank"], "bundle.rank")
+    rank = _int(_required(b, "rank", "'bundle'"), "bundle.rank")
     dim = (None if b.get("base_dimension") is None
            else _int(b["base_dimension"], "bundle.base_dimension"))
     w = {}
@@ -205,7 +216,8 @@ def _bundle(doc: dict, rings: RingSystem) -> BundleData:
     for key, terms in _require_dict(b.get("p", {}), "bundle.p").items():
         k = _int(key, "bundle.p index")
         p[k] = _element(rings.integral, 4 * k, terms, "bundle.p[%d]" % k)
-    euler = _element(rings.integral, rank, b["euler"], "bundle.euler")
+    euler = _element(rings.integral, rank, _required(b, "euler", "'bundle'"),
+                     "bundle.euler")
     pairing = None
     if b.get("pairing") is not None:
         pd = _require_dict(b["pairing"], "bundle.pairing")

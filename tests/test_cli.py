@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 
 import pytest
 
@@ -125,6 +126,78 @@ def test_check_candidate_cap_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _drop(doc, path):
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    del doc[key]
+
+
+@pytest.mark.parametrize("corpus_file, path", [
+    ("cp2", ("rings", "shared", "generators", 0, "name")),
+    ("cp2", ("rings", "shared", "generators", 0, "degree")),
+    ("cp2", ("rings", "shared", "relations", 0, "lhs")),
+    ("cp2", ("rings", "shared", "cutoff")),
+    ("cp2", ("rings", "shared", "generators")),
+    ("cp2", ("bundle", "rank")),
+    ("cp2", ("bundle", "euler")),
+    ("s1xwu", ("rings", "integral")),
+    ("s1xwu", ("rings", "mod2")),
+    ("s1xwu", ("rings", "mod4")),
+])
+def test_check_missing_key_is_one_error_line(corpus_file, path, tmp_path,
+                                             capsys):
+    doc = json.loads((CORPUS_DIR / ("%s.json" % corpus_file)).read_text())
+    _drop(doc, path)
+    space = tmp_path / "missing.json"
+    space.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(space))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is missing %r" % path[-1] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["generators", "relations"])
+def test_check_non_list_section_is_one_error_line(key, tmp_path, capsys):
+    doc = json.loads((CORPUS_DIR / "cp2.json").read_text())
+    doc["rings"]["shared"][key] = 5
+    space = tmp_path / "not_a_list.json"
+    space.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(space))
+    assert code == 1
+    assert out == ""
+    assert err == "error: rings.shared.%s must be a list\n" % key
+
+
+def test_check_oversized_product_table_is_refused_at_once(tmp_path, capsys):
+    # T^12 has 4,096 basis monomials, and its product table would hold
+    # about 9.6M entries: refused from the basis sizes alone
+    n = 12
+    doc = {
+        "schema_version": 1,
+        "name": "t12",
+        "rings": {"shared": {
+            "cutoff": n,
+            "generators": [{"name": "t%d" % i, "degree": 1}
+                           for i in range(1, n + 1)],
+            "relations": [{"lhs": "t%d^2" % i, "rhs": {}}
+                          for i in range(1, n + 1)],
+        }},
+        "bundle": {"rank": 2, "w": {}, "p": {}, "euler": {}},
+    }
+    path = tmp_path / "t12.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: product table of ")
+    assert err.endswith(" entries exceeds the cap 1000000\n")
+
+
 def test_check_bounded_search_is_not_proof(families, tmp_path, capsys):
     # complex manifolds whose own Chern classes lie outside the bound: every
     # candidate within it is nonzero, which proves nothing beyond it
@@ -227,6 +300,29 @@ def test_lifts_rejects_degree_beyond_cutoff(capsys):
                        "--class", "w10")
     assert code == 1
     assert "cutoff" in err
+
+
+def test_lifts_count_is_capped_before_expansion(families, tmp_path, capsys):
+    # even line bundles over (S^2)^4: w4 = 0, and every lift has six free
+    # degree-4 coordinates of one parity, so --bound B gives (B + 1)^6
+    # lifts when B is even
+    even = [[2 if j == i else 0 for j in range(4)] for i in range(4)]
+    doc = families.space_doc(
+        "s2x4_even", families.line_sum(families.sphere_product(4), even))
+    path = tmp_path / "s2x4_even.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "lifts", str(path), "--class", "w4",
+                       "--bound", "6")
+    assert code == 0
+    assert len(out.splitlines()) == 7 ** 6
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lifts", str(path), "--class", "w4",
+                         "--bound", "10")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == "error: %d lifts in degree 4 exceed the cap 1000000\n" \
+        % 11 ** 6
 
 
 # -- table ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Graded ring layer: presentations, products, coefficient maps, lifts."""
 
+import collections
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,8 +21,11 @@ from acso.gradedring import (
     RingPresentation,
     RingSystem,
     SignRuleError,
+    TableTooLarge,
+    _norm_coeff,
     any_integral_lift,
     divide_by,
+    format_exponents,
     integral_lifts,
     pontryagin_square,
     sq1_derivation,
@@ -95,16 +100,27 @@ def test_corpus_rings_are_associative(corpus):
 # -- enumeration and derived reductions ---------------------------------------
 
 
-class BoxScanRing(GradedRing):
-    """Reference ring: scans the whole exponent box for the monomials."""
+class ReferenceRing(GradedRing):
+    """Reference ring: enumerates every monomial inside the cutoff.
+
+    Confluence is compared on every reducible monomial, every ordered
+    pair of basis monomials gets its own normal form and Koszul sign, and
+    graded commutativity is tested on every pair.  The ring under test
+    must agree with it on basis, orders and table, or fail the same way.
+    """
 
     def _enumerate_monomials(self):
-        ranges = [range(self.cutoff // d + 1) for d in self._degrees]
+        prefixes = [((), 0)]
+        for step in self._degrees:
+            prefixes = [(exps + (e,), d + e * step)
+                        for exps, d in prefixes
+                        for e in range((self.cutoff - d) // step + 1)]
         by_degree = {d: [] for d in range(self.cutoff + 1)}
-        for exps in itertools.product(*ranges):
-            d = self._exp_degree(exps)
-            if d <= self.cutoff:
-                by_degree[d].append(exps)
+        for exps, d in prefixes:
+            by_degree[d].append(exps)
+        self._set_monomials(by_degree)
+
+    def _set_monomials(self, by_degree):
         self._monomials = {d: tuple(sorted(v)) for d, v in by_degree.items()}
         self._basis = {}
         self._orders = {}
@@ -115,6 +131,80 @@ class BoxScanRing(GradedRing):
             self._basis[d] = basis
             self._orders[d] = tuple(self._order_of(m) for m in basis)
             self._index[d] = {m: i for i, m in enumerate(basis)}
+
+    def _vector(self, degree, combo):
+        coeffs = [0] * len(self._basis[degree])
+        index = self._index[degree]
+        for mon, c in combo.items():
+            if mon in index:
+                coeffs[index[mon]] += c
+            elif self._order_of(mon) != 1:
+                raise RingError("normal form left the basis in degree %d" % degree)
+        return tuple(_norm_coeff(c, o) for c, o in zip(coeffs, self._orders[degree]))
+
+    def _check_confluence(self):
+        for d, mons in self._monomials.items():
+            for exps in mons:
+                first = self._first_rule(exps)
+                if first is None:
+                    continue
+                canonical = self._vector(d, self._normal_form(exps))
+                for rule in self.presentation.rules:
+                    if rule is first or not all(
+                            l <= e for l, e in zip(rule.lhs, exps)):
+                        continue
+                    if self._vector(d, self._rewrite(exps, rule)) != canonical:
+                        raise ConfluenceError(
+                            "rules disagree on %s"
+                            % format_exponents(self.names, exps))
+
+    def _build_table(self):
+        self._table = {}
+        for d1 in range(self.cutoff + 1):
+            for d2 in range(self.cutoff + 1 - d1):
+                b1, b2 = self._basis[d1], self._basis[d2]
+                for i, a in enumerate(b1):
+                    for j, b in enumerate(b2):
+                        sign = self._koszul(a, b)
+                        prod = tuple(x + y for x, y in zip(a, b))
+                        nf = self._normal_form(prod)
+                        vec = self._vector(
+                            d1 + d2, {m: sign * c for m, c in nf.items()})
+                        self._table[(d1, i, d2, j)] = vec
+
+    def _check_table(self):
+        for (d1, i, d2, j), v12 in self._table.items():
+            d = d1 + d2
+            orders = self._orders[d]
+            v21 = self._table[(d2, j, d1, i)]
+            sign = -1 if (d1 * d2) % 2 else 1
+            flipped = tuple(_norm_coeff(sign * c, o) for c, o in zip(v21, orders))
+            if v12 != flipped:
+                raise SignRuleError(
+                    "product of %s and %s breaks graded commutativity"
+                    % (format_exponents(self.names, self._basis[d1][i]),
+                       format_exponents(self.names, self._basis[d2][j])))
+            o_left = self._orders[d1][i]
+            if o_left:
+                for c, o in zip(v12, orders):
+                    if _norm_coeff(o_left * c, o):
+                        raise RingError(
+                            "product of %s and %s violates additive orders"
+                            % (format_exponents(self.names, self._basis[d1][i]),
+                               format_exponents(self.names, self._basis[d2][j])))
+
+
+class BoxScanRing(ReferenceRing):
+    """Reference ring that scans the whole exponent box for the monomials."""
+
+    def _enumerate_monomials(self):
+        ranges = [range(self.cutoff // d + 1) for d in self._degrees]
+        by_degree = {d: [] for d in range(self.cutoff + 1)}
+        for exps in itertools.product(*ranges):
+            d = self._exp_degree(exps)
+            if d <= self.cutoff:
+                by_degree[d].append(exps)
+        self._set_monomials(by_degree)
 
 
 def truncated_product(prefix, degree, caps, cutoff):
@@ -147,8 +237,16 @@ def shared_presentations(corpus):
     return out
 
 
+def outcome(ring_class, pres):
+    """Basis, orders and table of a ring, or its construction error."""
+    try:
+        ring = ring_class(pres)
+    except RingError as exc:
+        return type(exc), str(exc)
+    return ring._basis, ring._orders, ring._table
+
+
 def assert_same_enumeration(ring, ref):
-    assert ring._monomials == ref._monomials
     assert ring._basis == ref._basis
     assert ring._orders == ref._orders
     assert ring._table == ref._table
@@ -163,6 +261,77 @@ def test_enumeration_matches_box_scan(corpus):
         system = RingSystem.with_reduction_defaults(pres)
         for ring in (system.integral, system.mod2, system.mod4):
             assert_same_enumeration(ring, BoxScanRing(ring.presentation))
+    torus = truncated_product("t", 1, [1] * 7, 7)
+    system = RingSystem.with_reduction_defaults(torus)
+    for ring in (system.integral, system.mod2, system.mod4):
+        assert_same_enumeration(ring, ReferenceRing(ring.presentation))
+
+
+def hand_fixtures(corpus):
+    """Presentations that fail construction, each in its own way, and the
+    mod-4 ring of s1xwu, whose rule has a right-hand side."""
+    two = (Generator("a", 2), Generator("b", 2))
+    yield RingPresentation(  # a rewrite cycle
+        0, 4, two, (RewriteRule((2, 0), ((1, (0, 2)),)),
+                    RewriteRule((0, 2), ((1, (2, 0)),))))
+    yield RingPresentation(  # an inconsistent overlap
+        0, 6, two, (RewriteRule((2, 0), ()),
+                    RewriteRule((2, 1), ((1, (0, 3)),))))
+    yield RingPresentation(0, 2, (Generator("t", 1),))  # an odd square
+    mod4 = corpus["s1xwu"].bundle.rings.mod4.presentation
+    assert any(rule.rhs for rule in mod4.rules)
+    yield mod4
+
+
+def test_construction_matches_reference_on_fixtures(corpus):
+    kinds = set()
+    for pres in hand_fixtures(corpus):
+        got = outcome(GradedRing, pres)
+        assert got == outcome(ReferenceRing, pres), pres
+        kinds.add(got[0] if isinstance(got[0], type) else "ring")
+    assert kinds == {ConfluenceError, SignRuleError, "ring"}
+
+
+def random_presentation(rng):
+    """1-3 generators of degree 1-3, orders {0, 2, 3, 4}, moduli
+    {0, 2, 4}, and up to three rules with random same-degree right-hand
+    sides (a right-hand side may hold its own left-hand side)."""
+    n = rng.randint(1, 3)
+    gens = tuple(Generator("g%d" % k, rng.randint(1, 3),
+                           rng.choice((0, 2, 3, 4))) for k in range(n))
+    degrees = [g.degree for g in gens]
+    rules = []
+    for _ in range(rng.randint(0, 3)):
+        lhs = (0,) * n
+        while not any(lhs):
+            lhs = tuple(rng.randint(0, 2) for _ in range(n))
+        d = sum(e * g for e, g in zip(lhs, degrees))
+        same = [m for m in itertools.product(range(d + 1), repeat=n)
+                if sum(e * g for e, g in zip(m, degrees)) == d]
+        terms = rng.sample(same, rng.randint(0, min(2, len(same))))
+        rules.append(RewriteRule(lhs, tuple((rng.choice((-2, -1, 1, 2)), m)
+                                            for m in terms)))
+    return RingPresentation(rng.choice((0, 2, 4)), rng.randint(0, 6),
+                            gens, tuple(rules))
+
+
+def test_construction_matches_reference_on_random_presentations():
+    rng = random.Random(2024)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        pres = random_presentation(rng)
+        got = outcome(GradedRing, pres)
+        assert got == outcome(ReferenceRing, pres), pres
+        kinds[got[0] if isinstance(got[0], type) else "ring"] += 1
+    # the draw reaches every outcome
+    assert set(kinds) == {"ring", SignRuleError, ConfluenceError, RingError}, \
+        kinds
+
+
+def test_product_table_cap():
+    # T^11 has 2,048 basis monomials and a table of 2,449,868 entries
+    with pytest.raises(TableTooLarge, match="2449868 entries exceeds the cap"):
+        GradedRing(truncated_product("t", 1, [1] * 11, 11))
 
 
 def test_torus_basis_sizes_are_binomial():
@@ -192,7 +361,7 @@ def test_derived_reductions_equal_rings_built_from_scratch(corpus):
                         for j in range(len(scratch.basis(d2))):
                             assert derived.product_vector(d1, i, d2, j) == \
                                 scratch.product_vector(d1, i, d2, j), (name, m)
-            for mons in scratch._monomials.values():
+            for mons in BoxScanRing(pres)._monomials.values():
                 for exps in mons:
                     assert derived.monomial(exps).coeffs == \
                         scratch.monomial(exps).coeffs, (name, m, exps)
