@@ -57,7 +57,7 @@ class NoIntegralLift(RingError):
 
 
 class TableTooLarge(RingError):
-    """A product table would hold more than TABLE_CAP entries."""
+    """A product table would hold or visit more than TABLE_CAP entries."""
 
 
 class TooManyLifts(RingError):
@@ -68,6 +68,11 @@ class TooManyLifts(RingError):
 TABLE_CAP = 10 ** 6
 # the most lifts integral_lifts returns; each becomes a RingElement
 LIFT_CAP = 10 ** 6
+
+
+def _table_too_large(entries: int) -> TableTooLarge:
+    return TableTooLarge("product table of at least %d entries exceeds the "
+                         "cap %d" % (entries, TABLE_CAP))
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -181,19 +186,22 @@ def _norm_coeff(c: int, order: int) -> int:
 class GradedRing:
     """Graded-commutative ring truncated above a degree cutoff.
 
-    Construction enumerates monomial bases, refuses a product table
-    larger than TABLE_CAP, verifies that the rewrite rules are confluent
-    inside the truncation, materializes the product table, and checks it
-    against graded commutativity and the additive orders.  A
-    presentation that survives construction is safe to compute in.
+    Construction refuses a cutoff with more than TABLE_CAP degree pairs,
+    enumerates monomial bases while counting the product table of the
+    monomials found so far against TABLE_CAP, verifies that the rewrite
+    rules are confluent inside the truncation, materializes the product
+    table, and checks it against graded commutativity and the additive
+    orders.  A presentation that survives construction is safe to compute
+    in.
     """
 
     def __init__(self, presentation: RingPresentation):
         self._set_presentation(presentation)
+        self._basis_names: dict = {}
         self._nf_cache: dict = {}
         self._nf_active: set = set()
+        self._check_cutoff()
         self._enumerate_monomials()
-        self._check_table_size()
         self._check_confluence()
         self._build_table()
         self._check_table()
@@ -220,6 +228,15 @@ class GradedRing:
                 g = math.gcd(g, o)
         return g
 
+    def _check_cutoff(self):
+        # _build_table visits every degree pair (d1, d2) with d1 + d2 <=
+        # cutoff, so the cutoff alone bounds the work before any monomial
+        pairs = (self.cutoff + 1) * (self.cutoff + 2) // 2
+        if pairs > TABLE_CAP:
+            raise TableTooLarge(
+                "cutoff %d gives %d degree pairs, more than the cap %d"
+                % (self.cutoff, pairs, TABLE_CAP))
+
     def _enumerate_monomials(self):
         # extend exponent prefixes one generator at a time, each carrying
         # its degree and additive order.  A rule whose last nonzero
@@ -227,7 +244,10 @@ class GradedRing:
         # divides the tuple's prefix through k.  Raising that exponent
         # keeps the rule dividing, and an order of 1 stays 1, so a prefix
         # stops growing at the first exponent that makes it reducible or
-        # zero: only basis monomials are built, in lexicographic order
+        # zero: only basis monomials are built, in lexicographic order.
+        # Each prefix padded with zeros is a distinct basis monomial m, so
+        # the products of the prefixes are part of the table, which holds
+        # 1*m for every m: an oversized table shows before the basis is done
         ending: list[list] = [[] for _ in self._degrees]
         for rule in self.presentation.rules:
             last = max(k for k, l in enumerate(rule.lhs) if l)
@@ -247,6 +267,9 @@ class GradedRing:
                            for lhs in lhss):
                         break
                     grown.append((ext, d + e * step, order))
+                if len(grown) > TABLE_CAP:
+                    raise _table_too_large(len(grown))
+            self._check_table_size(grown)
             prefixes = grown
         basis: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
         orders: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
@@ -258,14 +281,16 @@ class GradedRing:
         self._index = {d: {m: i for i, m in enumerate(b)}
                        for d, b in self._basis.items()}
 
-    def _check_table_size(self):
-        sizes = [len(self._basis[d]) for d in range(self.cutoff + 1)]
-        entries = sum(n1 * n2 for d1, n1 in enumerate(sizes)
-                      for n2 in sizes[:self.cutoff + 1 - d1])
+    def _check_table_size(self, monomials):
+        # the table entries among (exps, degree, order) basis monomials
+        sizes = [0] * (self.cutoff + 1)
+        for _, d, _ in monomials:
+            sizes[d] += 1
+        # below[k]: the number of those monomials of degree <= k
+        below = list(itertools.accumulate(sizes))
+        entries = sum(n * below[self.cutoff - d] for d, n in enumerate(sizes))
         if entries > TABLE_CAP:
-            raise TableTooLarge(
-                "product table of %d entries exceeds the cap %d"
-                % (entries, TABLE_CAP))
+            raise _table_too_large(entries)
 
     def _first_rule(self, exps) -> Optional[RewriteRule]:
         for rule in self.presentation.rules:
@@ -421,15 +446,13 @@ class GradedRing:
                     _norm_coeff(2 * c, o) for c, o in zip(v12, orders)):
                 raise SignRuleError(
                     "product of %s and %s breaks graded commutativity"
-                    % (format_exponents(self.names, self._basis[d1][i]),
-                       format_exponents(self.names, self._basis[d2][j])))
+                    % (self.basis_strings(d1)[i], self.basis_strings(d2)[j]))
             o_left = self._orders[d1][i]
             if o_left and any(_norm_coeff(o_left * c, o)
                               for c, o in zip(v12, orders)):
                 raise RingError(
                     "product of %s and %s violates additive orders"
-                    % (format_exponents(self.names, self._basis[d1][i]),
-                       format_exponents(self.names, self._basis[d2][j])))
+                    % (self.basis_strings(d1)[i], self.basis_strings(d2)[j]))
 
     def _reduction(self, modulus: int) -> "GradedRing":
         """The mod-`modulus` ring of this torsion-free integral ring.
@@ -450,6 +473,7 @@ class GradedRing:
         ring._orders = {d: (modulus,) * len(basis)
                         for d, basis in self._basis.items()}
         ring._index = self._index
+        ring._basis_names = self._basis_names
         reduced: dict = {}
         ring._table = table = {}
         for key, vec in self._table.items():
@@ -470,7 +494,15 @@ class GradedRing:
         return self._orders[degree]
 
     def basis_strings(self, degree: int) -> tuple[str, ...]:
-        return tuple(format_exponents(self.names, m) for m in self.basis(degree))
+        """Names of the degree-d basis monomials, computed once per degree.
+
+        The derived mod-m rings share them with their integral ring.
+        """
+        names = self._basis_names.get(degree)
+        if names is None:
+            names = self._basis_names[degree] = tuple(
+                format_exponents(self.names, m) for m in self.basis(degree))
+        return names
 
     def relation_matrix(self, degree: int) -> IntMatrix:
         """Diagonal matrix of additive orders of the degree-d basis."""
@@ -632,18 +664,21 @@ class RingElement:
 
     def terms(self) -> dict[str, int]:
         """Nonzero coefficients keyed by monomial string."""
-        names = self.ring.names
-        basis = self.ring.basis(self.degree)
-        return {format_exponents(names, m): c
-                for m, c in zip(basis, self.coeffs) if c}
+        return {mon: c for mon, c in
+                zip(self.ring.basis_strings(self.degree), self.coeffs) if c}
+
+    def term_strings(self) -> dict[str, str]:
+        """Nonzero coefficients as decimal strings, sorted by monomial.
+
+        This is the form in which reports and space files store an element.
+        """
+        return {mon: str(c) for mon, c in sorted(self.terms().items())}
 
     def __str__(self):
         parts = []
-        names = self.ring.names
-        for mon, c in zip(self.ring.basis(self.degree), self.coeffs):
+        for text, c in zip(self.ring.basis_strings(self.degree), self.coeffs):
             if not c:
                 continue
-            text = format_exponents(names, mon)
             if text == "1":
                 parts.append("%d" % c)
             elif c == 1:

@@ -915,7 +915,10 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
     if dim is None:
         gaps.append("base dimension not given; degrees assessed only up to "
                     "the cutoff %d" % cutoff)
-    for q in range(4, horizon + 1):
+    # every degree above the cutoff is a gap (rank <= cutoff puts it above
+    # 2n), reported once for the whole range so that a large base
+    # dimension costs nothing
+    for q in range(4, min(horizon, cutoff) + 1):
         if rank == 6 and q in (7, 8):
             continue  # pi_6 of the fiber vanishes; degree 8 is the final test
         if q <= 2 * n:
@@ -940,6 +943,14 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
             if _piece_trivial(data, q):
                 continue
             gaps.append("degree %d lies above the top covered degree" % q)
+    above = cutoff + 1
+    while rank == 6 and above in (7, 8):
+        above += 1
+    if above == horizon:
+        gaps.append("degree %d lies above the top covered degree" % above)
+    elif above < horizon:
+        gaps.append("degrees %d to %d lie above the top covered degree"
+                    % (above, horizon))
 
     verdicts = [first] + [v for _, v in theorem1] + ([final] if final else [])
     status = _aggregate_status(verdicts)

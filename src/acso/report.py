@@ -3,6 +3,15 @@
 The JSON form is byte-deterministic (sorted keys, fixed indentation,
 coefficients as decimal strings); the text form is a compact summary that
 names the classical result behind every row.
+
+render_json prints report_doc(...) byte for byte as
+json.dumps(doc, indent=2, sort_keys=True) + "\n" would.  It does not call
+json.dumps, because CPython encodes with indentation in pure Python
+through one generator per container; a small recursive writer over the
+types report_doc emits (dicts with str keys, lists, str, int, bool and
+None) is about twice as fast.  Strings are escaped by the same
+encode_basestring_ascii that json.dumps uses, and any other type raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ def exit_code(report: ObstructionReport) -> int:
 
 def element_doc(x) -> dict:
     return {"degree": x.degree,
-            "terms": {mon: str(c) for mon, c in sorted(x.terms().items())},
+            "terms": x.term_strings(),
             "text": str(x)}
 
 
@@ -43,7 +52,7 @@ def verdict_doc(v: Optional[Verdict]) -> Optional[dict]:
 
 
 def candidate_doc(cand: ChernCandidate) -> dict:
-    return {"c%d" % i: {mon: str(c) for mon, c in sorted(ci.terms().items())}
+    return {"c%d" % i: ci.term_strings()
             for i, ci in enumerate(cand.classes, start=1)}
 
 
@@ -93,8 +102,54 @@ def report_doc(report: ObstructionReport, name: str = "") -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(o, indent: str, out: list) -> None:
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError("report keys must be str, not %s"
+                                % type(key).__name__)
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(o[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(o, list):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError("a report holds no %s" % type(o).__name__)
+
+
 def render_json(report: ObstructionReport, name: str = "") -> str:
-    return json.dumps(report_doc(report, name), indent=2, sort_keys=True) + "\n"
+    out: list = []
+    _write_json(report_doc(report, name), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _verdict_line(label: str, v: Verdict) -> str:

@@ -291,10 +291,6 @@ def parse_space_file(path) -> BundleData:
 # -- serialization ------------------------------------------------------
 
 
-def _terms_doc(x) -> dict:
-    return {mon: str(c) for mon, c in sorted(x.terms().items())}
-
-
 def _pres_doc(ring: GradedRing) -> dict:
     pres = ring.presentation
     names = list(pres.names)
@@ -332,9 +328,9 @@ def serialize_space_file(sf: SpaceFile) -> dict:
     rings = data.rings
     bundle = {
         "rank": data.rank,
-        "w": {str(i): _terms_doc(wi) for i, wi in sorted(data.w.items())},
-        "p": {str(k): _terms_doc(pk) for k, pk in sorted(data.p.items())},
-        "euler": _terms_doc(data.euler),
+        "w": {str(i): wi.term_strings() for i, wi in sorted(data.w.items())},
+        "p": {str(k): pk.term_strings() for k, pk in sorted(data.p.items())},
+        "euler": data.euler.term_strings(),
     }
     if data.base_dimension is not None:
         bundle["base_dimension"] = data.base_dimension

@@ -198,6 +198,65 @@ def test_check_oversized_product_table_is_refused_at_once(tmp_path, capsys):
     assert err.endswith(" entries exceeds the cap 1000000\n")
 
 
+def _free_degree_two(cutoff):
+    return {
+        "schema_version": 1,
+        "name": "abc",
+        "rings": {"shared": {
+            "cutoff": cutoff,
+            "generators": [{"name": n, "degree": 2} for n in "abc"],
+            "relations": [],
+        }},
+        "bundle": {"rank": 2, "w": {}, "p": {}, "euler": {}},
+    }
+
+
+def _cp2_cutoff(cutoff):
+    doc = json.loads((CORPUS_DIR / "cp2.json").read_text())
+    doc["rings"]["shared"]["cutoff"] = cutoff
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    # 10^4 and 10^30: refused from the cutoff, before any allocation
+    (_cp2_cutoff(10 ** 4), "error: cutoff 10000 gives 50015001 degree pairs, "
+                           "more than the cap 1000000\n"),
+    (_cp2_cutoff(10 ** 30), "error: cutoff %d gives %d degree pairs, more "
+                            "than the cap 1000000\n"
+     % (10 ** 30, (10 ** 30 + 1) * (10 ** 30 + 2) // 2)),
+    # three free degree-2 generators: the monomials in the first two alone
+    # already give a table over the cap
+    (_free_degree_two(400), "error: product table of at least 70058751 "
+                            "entries exceeds the cap 1000000\n"),
+    (_free_degree_two(800), "error: product table of at least 1093567501 "
+                            "entries exceeds the cap 1000000\n"),
+], ids=["cp2_cutoff_1e4", "cp2_cutoff_1e30", "free_cutoff_400",
+        "free_cutoff_800"])
+def test_check_oversized_ring_is_refused_before_enumeration(
+        doc, message, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", message)
+
+
+def test_check_huge_base_dimension_is_one_gap(tmp_path, capsys):
+    doc = json.loads((CORPUS_DIR / "s4.json").read_text())
+    cutoff = doc["rings"]["shared"]["cutoff"]
+    doc["bundle"]["base_dimension"] = 10 ** 30
+    path = tmp_path / "s4_huge_dim.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["gaps"] == [
+        "degrees %d to %d lie above the top covered degree"
+        % (cutoff + 1, 10 ** 30)]
+
+
 def test_check_bounded_search_is_not_proof(families, tmp_path, capsys):
     # complex manifolds whose own Chern classes lie outside the bound: every
     # candidate within it is nonzero, which proves nothing beyond it

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from acso import gradedring
 from acso.gradedring import (
     CoefficientMap,
     ConfluenceError,
@@ -332,6 +333,31 @@ def test_product_table_cap():
     # T^11 has 2,048 basis monomials and a table of 2,449,868 entries
     with pytest.raises(TableTooLarge, match="2449868 entries exceeds the cap"):
         GradedRing(truncated_product("t", 1, [1] * 11, 11))
+
+
+def test_enumeration_stops_at_the_cap(monkeypatch):
+    # twenty generators of degree 7 and x of degree 1, cutoff 12: the unit
+    # and the g_i give a table of 41 entries, then x grows them to 133 basis
+    # monomials; the enumeration stops at the first count over the cap
+    monkeypatch.setattr(gradedring, "TABLE_CAP", 100)
+    gens = tuple(Generator("g%d" % i, 7) for i in range(20))
+    pres = RingPresentation(0, 12, gens + (Generator("x", 1),))
+    with pytest.raises(TableTooLarge,
+                       match="at least 103 entries exceeds the cap 100"):
+        GradedRing(pres)
+    with pytest.raises(TableTooLarge, match="cutoff 13 gives 105 degree pairs"):
+        GradedRing(replace(pres, cutoff=13))
+
+
+def test_basis_names_are_shared_with_derived_rings():
+    system = RingSystem.with_reduction_defaults(
+        truncated_product("t", 1, [1] * 4, 4))
+    for d in range(5):
+        names = system.integral.basis_strings(d)
+        assert names == tuple(format_exponents(system.integral.names, m)
+                              for m in system.integral.basis(d))
+        assert system.mod2.basis_strings(d) is names
+        assert system.mod4.basis_strings(d) is names
 
 
 def test_torus_basis_sizes_are_binomial():

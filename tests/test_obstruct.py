@@ -1,6 +1,7 @@
 """Obstruction layer: torsion classes, divisibility criteria, the pipeline."""
 
 import itertools
+import json
 import math
 import random
 
@@ -45,6 +46,8 @@ from acso.obstruct import (
     validate_candidate,
     wu_dim4_obstruction,
 )
+
+from conftest import CORPUS_DIR
 
 
 def torsion_top_system(cutoff=12, degree=11):
@@ -728,3 +731,24 @@ def test_pipeline_rank_two_is_immediate():
     report = acs_verdict(data)
     assert report.status == "clear"
     assert report.existence == "admits"
+
+
+def test_pipeline_degrees_above_the_cutoff_are_one_gap():
+    # T S^6 with its ring cut at 6: degree 7 has no obstruction (pi_6 of the
+    # fiber vanishes) and degree 8 is the final test, so the gap for the
+    # degrees above the cutoff starts at 9 and names one degree or a range
+    doc = json.loads((CORPUS_DIR / "s6.json").read_text())
+    doc["rings"]["shared"]["cutoff"] = 6
+    final = "final degree 8 lies beyond the ring cutoff 6"
+    expected = {
+        7: [],
+        8: [final],
+        9: [final, "degree 9 lies above the top covered degree"],
+        10: [final, "degrees 9 to 10 lie above the top covered degree"],
+        10 ** 30: [final, "degrees 9 to %d lie above the top covered degree"
+                   % 10 ** 30],
+    }
+    for dim, gaps in expected.items():
+        doc["bundle"]["base_dimension"] = dim
+        data = space_file_from_doc(doc).bundle
+        assert list(acs_verdict(data).gaps) == gaps, dim
