@@ -17,12 +17,12 @@ all exponent tuples.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
-rho4, theta2, rho24, the Bockstein beta, and Sq^1) and checks the
-compatibilities between them, e.g. theta2(rho2(z)) = rho4(2z).  For a
-torsion-free presentation the reductions are derived from the integral
-ring, which is built once.  The operations at the bottom of the module
-(divide_by, integral lifts, Pontryagin squares) are what the
-obstruction evaluator consumes.
+rho4, theta2, rho24, the Bockstein beta, and Sq^1), stored as sparse
+columns, and checks the compatibilities between them, e.g.
+theta2(rho2(z)) = rho4(2z).  For a torsion-free presentation the
+reductions are derived from the integral ring, which is built once.  The
+operations at the bottom of the module (divide_by, integral lifts,
+Pontryagin squares) are what the obstruction evaluator consumes.
 """
 
 from __future__ import annotations
@@ -698,22 +698,57 @@ class RingElement:
         return "<%s in degree %d>" % (self, self.degree)
 
 
-class CoefficientMap:
-    """Additive degree-shifting map between rings, one matrix per degree.
+# a map in one degree: per source basis monomial, {target row: coefficient}
+Columns = Sequence[Mapping[int, int]]
 
-    The matrix in source degree d has one column per source basis
-    monomial and one row per target basis monomial in degree d + shift.
-    Degrees whose image would exceed the target cutoff are undefined.
+
+def _normalised(column: Mapping[int, int], orders: Sequence[int]) -> dict:
+    """The nonzero entries of a column, each reduced by its row's order."""
+    out = {}
+    for i, c in column.items():
+        o = orders[i]
+        if o:
+            c %= o
+        if c:
+            out[i] = c
+    return out
+
+
+def _combine(columns: Columns, coeffs: Mapping[int, int]) -> dict:
+    """The sum of c * columns[k] over the entries (k, c) of coeffs."""
+    acc: dict = {}
+    for k, c in coeffs.items():
+        for i, x in columns[k].items():
+            acc[i] = acc.get(i, 0) + c * x
+    return acc
+
+
+class CoefficientMap:
+    """Additive degree-shifting map between rings, stored as sparse columns.
+
+    In source degree d the map has one column per source basis monomial.
+    A column is a dict {row: coefficient} over the target basis monomials
+    in degree d + shift, and it holds only the coefficients that are
+    nonzero once reduced by the additive order of their row.  Degrees
+    whose image would exceed the target cutoff are undefined.
+
+    The constructor takes, per degree, either an IntMatrix of that shape
+    or a sequence of column mappings.  Either is normalised here, and the
+    map must send each source monomial of finite order o to a target
+    element killed by o.  Building, applying, composing and comparing maps
+    costs time linear in the nonzero entries; `matrix` writes a degree out
+    as a dense IntMatrix for the callers that solve linear systems.
     """
 
     def __init__(self, name: str, source: GradedRing, target: GradedRing,
-                 shift: int, matrices: Mapping[int, IntMatrix] | None = None):
+                 shift: int,
+                 matrices: Mapping[int, IntMatrix | Columns] | None = None):
         self.name = name
         self.source = source
         self.target = target
         self.shift = shift
         given = dict(matrices or {})
-        self.matrices: dict[int, IntMatrix] = {}
+        self.columns: dict[int, tuple[dict, ...]] = {}
         for d in range(source.cutoff + 1):
             td = d + shift
             if not 0 <= td <= target.cutoff:
@@ -722,47 +757,64 @@ class CoefficientMap:
             cols = len(source.basis(d))
             M = given.pop(d, None)
             if M is None:
-                M = IntMatrix.zero(rows, cols)
-            if M.rows != rows or M.cols != cols:
+                self.columns[d] = tuple({} for _ in range(cols))
+                continue
+            if isinstance(M, IntMatrix):
+                if M.rows != rows or M.cols != cols:
+                    raise RingError(
+                        "map %s: matrix in degree %d should be %dx%d, got %dx%d"
+                        % (name, d, rows, cols, M.rows, M.cols))
+                M = [dict(enumerate(M.column(j))) for j in range(cols)]
+            elif len(M) != cols or any(not 0 <= i < rows
+                                       for col in M for i in col):
                 raise RingError(
-                    "map %s: matrix in degree %d should be %dx%d, got %dx%d"
-                    % (name, d, rows, cols, M.rows, M.cols))
-            norm = IntMatrix(rows, cols,
-                             [_norm_coeff(x, o)
-                              for i, o in enumerate(target.orders(td))
-                              for x in M.row(i)])
-            self._check_orders(d, norm)
-            self.matrices[d] = norm
+                    "map %s: columns in degree %d should be %d over %d rows"
+                    % (name, d, cols, rows))
+            t_orders = target.orders(td)
+            columns = tuple(_normalised(col, t_orders) for col in M)
+            self._check_orders(d, columns, t_orders)
+            self.columns[d] = columns
         if given:
             raise RingError(
                 "map %s: matrices supplied for undefined degrees %s"
                 % (name, sorted(given)))
 
-    def _check_orders(self, d: int, M: IntMatrix):
-        s_orders = self.source.orders(d)
-        if not any(s_orders):
-            return
-        for i, ot in enumerate(self.target.orders(d + self.shift)):
-            if any(_norm_coeff(o * x, ot)
-                   for o, x in zip(s_orders, M.row(i)) if o):
+    def _check_orders(self, d: int, columns, t_orders):
+        for o, col in zip(self.source.orders(d), columns):
+            if o and any(_norm_coeff(o * x, t_orders[i])
+                         for i, x in col.items()):
                 raise RingError(
                     "map %s does not respect additive orders in degree %d"
                     % (self.name, d))
 
-    def defined(self, degree: int) -> bool:
-        return degree in self.matrices
-
-    def matrix(self, degree: int) -> IntMatrix:
-        if degree not in self.matrices:
+    def _columns(self, degree: int) -> tuple[dict, ...]:
+        columns = self.columns.get(degree)
+        if columns is None:
             raise DegreeError(
                 "map %s undefined in degree %d" % (self.name, degree))
-        return self.matrices[degree]
+        return columns
+
+    def matrix(self, degree: int) -> IntMatrix:
+        """The map in one source degree as a dense matrix, built on demand."""
+        columns = self._columns(degree)
+        rows, cols = len(self.target.basis(degree + self.shift)), len(columns)
+        entries = [0] * (rows * cols)
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                entries[i * cols + j] = x
+        return IntMatrix(rows, cols, entries)
 
     def __call__(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
             raise RingError("map %s applied outside its source ring" % self.name)
-        M = self.matrix(x.degree)
-        return self.target.element(x.degree + self.shift, M.mul_vector(x.coeffs))
+        columns = self._columns(x.degree)
+        td = x.degree + self.shift
+        out = [0] * len(self.target.basis(td))
+        for c, col in zip(x.coeffs, columns):
+            if c:
+                for i, v in col.items():
+                    out[i] += c * v
+        return self.target.element(td, out)
 
     @classmethod
     def compose(cls, name: str, outer: "CoefficientMap",
@@ -770,33 +822,29 @@ class CoefficientMap:
         if outer.source != inner.target:
             raise RingError("composition mismatch: %s after %s"
                             % (outer.name, inner.name))
-        mats = {}
-        for d, M in inner.matrices.items():
-            mid = d + inner.shift
-            if outer.defined(mid):
-                mats[d] = outer.matrix(mid) @ M
+        cols = {}
+        for d, columns in inner.columns.items():
+            mid = outer.columns.get(d + inner.shift)
+            if mid is not None:
+                cols[d] = [_combine(mid, col) for col in columns]
         return cls(name, inner.source, outer.target,
-                   inner.shift + outer.shift, mats)
+                   inner.shift + outer.shift, cols)
 
     @classmethod
     def scaled_identity(cls, name: str, source: GradedRing, target: GradedRing,
                         scale: int = 1) -> "CoefficientMap":
-        mats = {}
-        for d in range(source.cutoff + 1):
-            if d > target.cutoff:
-                break
+        cols = {}
+        for d in range(min(source.cutoff, target.cutoff) + 1):
             if source.basis(d) != target.basis(d):
                 raise RingError(
                     "rings do not share a monomial basis in degree %d" % d)
-            n = len(source.basis(d))
-            mats[d] = IntMatrix(n, n, [scale if i == j else 0
-                                       for i in range(n) for j in range(n)])
-        return cls(name, source, target, 0, mats)
+            cols[d] = [{j: scale} for j in range(len(source.basis(d)))]
+        return cls(name, source, target, 0, cols)
 
     def __eq__(self, other):
         return (isinstance(other, CoefficientMap) and self.name == other.name
                 and self.source == other.source and self.target == other.target
-                and self.shift == other.shift and self.matrices == other.matrices)
+                and self.shift == other.shift and self.columns == other.columns)
 
     def __repr__(self):
         return "CoefficientMap(%s, shift=%d)" % (self.name, self.shift)
@@ -823,7 +871,12 @@ class RingSystem:
         2 beta = 0                          beta . rho2 = 0
         rho2 . beta = sq1
 
-    degree by degree on every basis monomial.
+    degree by degree on every basis monomial, in that order.  Each law is
+    checked column by column: both sides of it, applied to one source
+    monomial, are composed from sparse columns, reduced by the target
+    orders and compared, so the check costs time linear in the nonzero
+    coefficients.  Every law is checked for the derived systems of
+    with_reduction_defaults too, where all of them hold by construction.
     """
 
     def __init__(self, integral: GradedRing, mod2: GradedRing, mod4: GradedRing,
@@ -852,46 +905,39 @@ class RingSystem:
             if (m.source != getattr(self, src) or m.target != getattr(self, tgt)
                     or m.shift != shift):
                 raise RingError("map %s has the wrong signature" % m.name)
-        cutoff = self.integral.cutoff
-        for d in range(cutoff + 1):
-            self._expect(d, self.mod4,
-                         self.theta2.matrix(d) @ self.rho2.matrix(d),
-                         self._scale(self.rho4.matrix(d), 2),
-                         "theta2 . rho2 = rho4 . 2")
-            self._expect(d, self.mod2,
-                         self.rho24.matrix(d) @ self.rho4.matrix(d),
-                         self.rho2.matrix(d),
-                         "rho24 . rho4 = rho2")
-            if self.beta.defined(d):
-                B = self.beta.matrix(d)
-                self._expect(d + 1, self.integral, self._scale(B, 2),
-                             IntMatrix.zero(B.rows, B.cols), "2 beta = 0")
-                self._expect(d + 1, self.mod2,
-                             self.rho2.matrix(d + 1) @ B,
-                             self.sq1.matrix(d),
-                             "rho2 . beta = sq1")
-                if d + 1 <= cutoff:
-                    self._expect(d + 1, self.integral,
-                                 B @ self.rho2.matrix(d),
-                                 IntMatrix.zero(B.rows, self.rho2.matrix(d).cols),
-                                 "beta . rho2 = 0")
+        rho2, rho4 = self.rho2.columns, self.rho4.columns
+        theta2, rho24 = self.theta2.columns, self.rho24.columns
+        beta, sq1 = self.beta.columns, self.sq1.columns
+        for d in range(self.integral.cutoff + 1):
+            self._expect(d, "theta2 . rho2 = rho4 . 2",
+                         ((_combine(theta2[d], r),
+                           {i: 2 * c for i, c in s.items()})
+                          for r, s in zip(rho2[d], rho4[d])),
+                         self.mod4.orders(d))
+            self._expect(d, "rho24 . rho4 = rho2",
+                         ((_combine(rho24[d], r), s)
+                          for r, s in zip(rho4[d], rho2[d])),
+                         self.mod2.orders(d))
+            if d not in beta:
+                continue
+            up = self.integral.orders(d + 1)
+            self._expect(d + 1, "2 beta = 0",
+                         (({i: 2 * c for i, c in b.items()}, {})
+                          for b in beta[d]), up)
+            self._expect(d + 1, "rho2 . beta = sq1",
+                         ((_combine(rho2[d + 1], b), s)
+                          for b, s in zip(beta[d], sq1[d])),
+                         self.mod2.orders(d + 1))
+            self._expect(d + 1, "beta . rho2 = 0",
+                         ((_combine(beta[d], r), {}) for r in rho2[d]), up)
 
     @staticmethod
-    def _scale(M: IntMatrix, k: int) -> IntMatrix:
-        return IntMatrix(M.rows, M.cols, [k * x
-                                          for i in range(M.rows)
-                                          for x in M.row(i)])
-
-    def _expect(self, degree: int, ring: GradedRing,
-                left: IntMatrix, right: IntMatrix, law: str):
-        orders = ring.orders(degree)
-
-        def norm(M):
-            return tuple(_norm_coeff(x, orders[i])
-                         for i in range(M.rows) for x in M.row(i))
-
-        if left.rows != right.rows or left.cols != right.cols or norm(left) != norm(right):
-            raise RingError("identity %s fails in degree %d" % (law, degree))
+    def _expect(degree: int, law: str, pairs, orders) -> None:
+        # pairs: (left, right) columns, one per source basis monomial
+        for left, right in pairs:
+            if _normalised(left, orders) != _normalised(right, orders):
+                raise RingError("identity %s fails in degree %d"
+                                % (law, degree))
 
     @classmethod
     def with_reduction_defaults(cls, presentation: RingPresentation) -> "RingSystem":
@@ -977,6 +1023,44 @@ def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElemen
     return system.integral.element(u.degree, solved[0][:M.cols])
 
 
+def _solve_mod2(columns: Columns, u: Sequence[int], variables: Sequence[int]):
+    """Parities p with sum_k p_k columns[variables[k]] = u over F2.
+
+    Bit k of p is the parity of coordinate variables[k].  Returns None
+    when there is no solution, else a particular solution and a basis of
+    the kernel, as bit masks, from Gauss-Jordan elimination on the rows.
+    """
+    rows = [0] * len(u)
+    for k, j in enumerate(variables):
+        for i, x in columns[j].items():
+            if x & 1:
+                rows[i] |= 1 << k
+    pivots: dict = {}  # pivot bit -> (row mask, right side), fully reduced
+    for mask, b in zip(rows, u):
+        b &= 1
+        for bit, (pm, pb) in pivots.items():
+            if mask & bit:
+                mask ^= pm
+                b ^= pb
+        if not mask:
+            if b:
+                return None
+            continue
+        bit = mask & -mask
+        for q, (pm, pb) in pivots.items():
+            if pm & bit:
+                pivots[q] = (pm ^ mask, pb ^ b)
+        pivots[bit] = (mask, b)
+    particular = sum(bit for bit, (_, b) in pivots.items() if b)
+    kernel = []
+    for k in range(len(variables)):
+        free = 1 << k
+        if free not in pivots:
+            kernel.append(free | sum(bit for bit, (pm, _) in pivots.items()
+                                     if pm & free))
+    return particular, kernel
+
+
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
     """All lifts of u with free coefficients in [-bound, bound].
 
@@ -985,31 +1069,54 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
     no_lift_proven is True exactly when the underlying congruences are
     unsolvable, which no bound can repair.
 
-    Every order in the mod-2 ring is 2, so rho2(x + 2y) = rho2(x), and
-    whether x lifts u depends only on its free coefficients mod 2 and its
-    torsion coefficients.  One point per such parity class is tested, and
-    each class that lifts u is spread over the bound.  The number of
-    lifts is known before any is built, and TooManyLifts is raised when
-    it exceeds LIFT_CAP.
+    Every order in the mod-2 ring is 2, so whether x lifts u depends only
+    on the parities of x's free and even-order coordinates; rho2 kills
+    the coordinates of odd order.  Those parities p solve the system
+    rho2(p) = u over F2, whose solutions are a particular one plus the
+    kernel.  At bound 0 the free parities are fixed to 0.  Each solution
+    is spread over the bound, one or more lifts each, and the running
+    count is checked against LIFT_CAP before any lift is built:
+    TooManyLifts is raised as soon as it exceeds the cap.
     """
     if bound < 0:
         raise ValueError("negative bound")
-    if any_integral_lift(system, u) is None:
-        return LiftSearch(lifts=(), no_lift_proven=True)
+    if u.ring != system.mod2:
+        raise RingError("lift source must be the mod-2 ring")
+    columns = system.rho2.columns[u.degree]
     orders = system.integral.orders(u.degree)
-    classes = [range(min(2, 2 * bound + 1)) if o == 0 else range(o)
-               for o in orders]
+    seen = [j for j, o in enumerate(orders) if o % 2 == 0]
+    if _solve_mod2(columns, u.coeffs, seen) is None:
+        return LiftSearch(lifts=(), no_lift_proven=True)
+    if bound == 0:
+        seen = [j for j in seen if orders[j]]
+    solved = _solve_mod2(columns, u.coeffs, seen)
+    if solved is None:
+        return LiftSearch(lifts=(), no_lift_proven=False)
+    # the values of each coordinate with parity 0 and with parity 1; a
+    # coordinate outside `seen` takes the first, whatever its parity
+    values = [(range(o),) * 2 if o % 2 else
+              (range(0, o, 2), range(1, o, 2)) if o else
+              (range(-bound + bound % 2, bound + 1, 2),
+               range(-bound + (bound + 1) % 2, bound + 1, 2))
+              for o in orders]
+    bit_of = dict(zip(seen, range(len(seen))))
+    positions = [bit_of.get(j) for j in range(len(orders))]
+    particular, kernel = solved
     spreads = []
-    for rep in itertools.product(*classes):
-        x = system.integral.element(u.degree, rep)
-        if system.rho2(x) == u:
-            spreads.append([range(-bound + (bound + r) % 2, bound + 1, 2)
-                            if o == 0 else (r,)
-                            for r, o in zip(rep, orders)])
-    count = sum(math.prod(len(axis) for axis in axes) for axes in spreads)
-    if count > LIFT_CAP:
-        raise TooManyLifts("%d lifts in degree %d exceed the cap %d"
-                           % (count, u.degree, LIFT_CAP))
+    count = 0
+    p = particular
+    total = 1 << len(kernel)
+    for step in range(total):
+        if step:  # Gray code: one kernel vector changes per step
+            p ^= kernel[(step & -step).bit_length() - 1]
+        axes = [pair[0] if k is None else pair[p >> k & 1]
+                for pair, k in zip(values, positions)]
+        count += math.prod(len(axis) for axis in axes)
+        if count > LIFT_CAP:
+            raise TooManyLifts("%s%d lifts in degree %d exceed the cap %d"
+                               % ("" if step == total - 1 else "at least ",
+                                  count, u.degree, LIFT_CAP))
+        spreads.append(axes)
     found = [c for axes in spreads for c in itertools.product(*axes)]
     found.sort()
     return LiftSearch(lifts=tuple(system.integral.element(u.degree, c)
@@ -1051,12 +1158,10 @@ def sq1_derivation(ring: GradedRing,
             if img.ring != ring or img.degree != g.degree + 1:
                 raise RingError("image of %s must live one degree up" % g.name)
         gen_image.append(img)
-    mats = {}
+    cols = {}
     for d in range(ring.cutoff):
-        basis = ring.basis(d)
-        rows = len(ring.basis(d + 1))
-        cols = []
-        for exps in basis:
+        cols[d] = columns = []
+        for exps in ring.basis(d):
             acc = ring.zero(d + 1)
             for i, e in enumerate(exps):
                 if not e or e % 2 == 0:
@@ -1067,7 +1172,5 @@ def sq1_derivation(ring: GradedRing,
                 rest = list(exps)
                 rest[i] -= 1
                 acc = acc + ring.monomial(rest) * img
-            cols.append(acc.coeffs)
-        entries = [cols[j][i] for i in range(rows) for j in range(len(basis))]
-        mats[d] = IntMatrix(rows, len(basis), entries)
-    return CoefficientMap("sq1", ring, ring, 1, mats)
+            columns.append({i: c for i, c in enumerate(acc.coeffs) if c})
+    return CoefficientMap("sq1", ring, ring, 1, cols)

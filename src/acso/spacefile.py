@@ -312,12 +312,15 @@ def _maps_doc(rings: RingSystem) -> dict:
     for name, _, _, _ in MAP_SIGNATURES:
         m: CoefficientMap = getattr(rings, name)
         degrees = {}
-        for d in sorted(m.matrices):
-            M = m.matrices[d]
-            if all(M[i, j] == 0 for i in range(M.rows) for j in range(M.cols)):
+        for d, columns in sorted(m.columns.items()):
+            if not any(columns):
                 continue
-            degrees[str(d)] = [[str(M[i, j]) for j in range(M.cols)]
-                               for i in range(M.rows)]
+            rows = [["0"] * len(columns)
+                    for _ in m.target.basis(d + m.shift)]
+            for j, col in enumerate(columns):
+                for i, x in col.items():
+                    rows[i][j] = str(x)
+            degrees[str(d)] = rows
         out[name] = degrees
     return out
 

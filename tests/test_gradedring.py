@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -23,6 +25,7 @@ from acso.gradedring import (
     RingSystem,
     SignRuleError,
     TableTooLarge,
+    TooManyLifts,
     _norm_coeff,
     any_integral_lift,
     divide_by,
@@ -549,6 +552,361 @@ def test_compose_shifts_add(proj_plane_system):
     assert both.shift == 0
 
 
+# -- sparse maps against the dense reference ------------------------------------
+
+
+class DenseMap:
+    """Reference map: one dense IntMatrix per degree, normalised row by row.
+
+    It is the construction the sparse columns of CoefficientMap replaced,
+    and every map under test must agree with it or fail the same way.
+    """
+
+    def __init__(self, name, source, target, shift, matrices=None):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.shift = shift
+        given = dict(matrices or {})
+        self.matrices = {}
+        for d in range(source.cutoff + 1):
+            td = d + shift
+            if not 0 <= td <= target.cutoff:
+                continue
+            rows = len(target.basis(td))
+            cols = len(source.basis(d))
+            M = given.pop(d, None)
+            if M is None:
+                M = IntMatrix.zero(rows, cols)
+            if M.rows != rows or M.cols != cols:
+                raise RingError(
+                    "map %s: matrix in degree %d should be %dx%d, got %dx%d"
+                    % (name, d, rows, cols, M.rows, M.cols))
+            norm = IntMatrix(rows, cols,
+                             [_norm_coeff(x, o)
+                              for i, o in enumerate(target.orders(td))
+                              for x in M.row(i)])
+            s_orders = source.orders(d)
+            for i, ot in enumerate(target.orders(td)):
+                if any(_norm_coeff(o * x, ot)
+                       for o, x in zip(s_orders, norm.row(i)) if o):
+                    raise RingError(
+                        "map %s does not respect additive orders in degree %d"
+                        % (name, d))
+            self.matrices[d] = norm
+        if given:
+            raise RingError(
+                "map %s: matrices supplied for undefined degrees %s"
+                % (name, sorted(given)))
+
+    @classmethod
+    def compose(cls, name, outer, inner):
+        mats = {d: outer.matrices[d + inner.shift] @ M
+                for d, M in inner.matrices.items()
+                if d + inner.shift in outer.matrices}
+        return cls(name, inner.source, outer.target,
+                   inner.shift + outer.shift, mats)
+
+    @classmethod
+    def scaled_identity(cls, name, source, target, scale=1):
+        mats = {}
+        for d in range(min(source.cutoff, target.cutoff) + 1):
+            n = len(source.basis(d))
+            mats[d] = IntMatrix(n, n, [scale if i == j else 0
+                                       for i in range(n) for j in range(n)])
+        return cls(name, source, target, 0, mats)
+
+
+class DenseSystem:
+    """Reference RingSystem: every law checked by dense products."""
+
+    def __init__(self, integral, mod2, mod4, rho2, rho4, theta2, rho24,
+                 beta, sq1=None):
+        self.integral, self.mod2, self.mod4 = integral, mod2, mod4
+        self.rho2, self.rho4, self.theta2 = rho2, rho4, theta2
+        self.rho24, self.beta = rho24, beta
+        self.sq1 = sq1 if sq1 is not None else DenseMap.compose(
+            "sq1", rho2, beta)
+        self.validate()
+
+    def validate(self):
+        for d in range(self.integral.cutoff + 1):
+            self.expect(d, self.mod4,
+                        self.theta2.matrices[d] @ self.rho2.matrices[d],
+                        self.scale(self.rho4.matrices[d], 2),
+                        "theta2 . rho2 = rho4 . 2")
+            self.expect(d, self.mod2,
+                        self.rho24.matrices[d] @ self.rho4.matrices[d],
+                        self.rho2.matrices[d], "rho24 . rho4 = rho2")
+            if d in self.beta.matrices:
+                B = self.beta.matrices[d]
+                self.expect(d + 1, self.integral, self.scale(B, 2),
+                            IntMatrix.zero(B.rows, B.cols), "2 beta = 0")
+                self.expect(d + 1, self.mod2,
+                            self.rho2.matrices[d + 1] @ B,
+                            self.sq1.matrices[d], "rho2 . beta = sq1")
+                R = self.rho2.matrices[d]
+                self.expect(d + 1, self.integral, B @ R,
+                            IntMatrix.zero(B.rows, R.cols), "beta . rho2 = 0")
+
+    @staticmethod
+    def scale(M, k):
+        return IntMatrix(M.rows, M.cols, [k * M[i, j] for i in range(M.rows)
+                                          for j in range(M.cols)])
+
+    @staticmethod
+    def expect(degree, ring, left, right, law):
+        orders = ring.orders(degree)
+
+        def norm(M):
+            return tuple(_norm_coeff(M[i, j], orders[i])
+                         for i in range(M.rows) for j in range(M.cols))
+
+        if norm(left) != norm(right):
+            raise RingError("identity %s fails in degree %d" % (law, degree))
+
+
+def system_outcome(map_class, system_class, rings, mats):
+    """The system the map matrices give, or the error that refuses them.
+
+    rings maps "integral", "mod2", "mod4" to rings; mats maps each map
+    name to its {degree: IntMatrix}, and sq1 may be left out.
+    """
+    try:
+        maps = {name: map_class(name, rings[src], rings[tgt], shift,
+                                mats[name])
+                for name, src, tgt, shift in gradedring.MAP_SIGNATURES
+                if name in mats}
+        return system_class(rings["integral"], rings["mod2"], rings["mod4"],
+                            **maps)
+    except RingError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_system(rings, mats, rng):
+    got = system_outcome(CoefficientMap, RingSystem, rings, mats)
+    ref = system_outcome(DenseMap, DenseSystem, rings, mats)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return ref[1]
+    assert isinstance(got, RingSystem), got
+    for name, _, _, shift in gradedring.MAP_SIGNATURES:
+        m, dense = getattr(got, name), getattr(ref, name)
+        assert set(m.columns) == set(dense.matrices), name
+        for d, M in dense.matrices.items():
+            assert m.matrix(d) == M, (name, d)
+            n = len(m.source.basis(d))
+            for _ in range(3):
+                x = m.source.element(d, [rng.randint(-5, 5) for _ in range(n)])
+                assert m(x) == m.target.element(d + shift, M.mul_vector(x.coeffs))
+    return "accepted"
+
+
+def system_rings(system):
+    return {"integral": system.integral, "mod2": system.mod2,
+            "mod4": system.mod4}
+
+
+def system_matrices(system):
+    return {name: {d: getattr(system, name).matrix(d)
+                   for d in getattr(system, name).columns}
+            for name, _, _, _ in gradedring.MAP_SIGNATURES}
+
+
+def shared_matrices(rings):
+    """Dense scaled identities of a shared-ring system; beta is zero."""
+    mats = {name: DenseMap.scaled_identity(
+                name, rings[src], rings[tgt],
+                2 if name == "theta2" else 1).matrices
+            for name, src, tgt, _ in gradedring.MAP_SIGNATURES[:4]}
+    mats["beta"] = {}
+    return mats
+
+
+def torsion_rings():
+    """H^1 = Z x, H^2 = Z a + Z/4 t + Z/3 s, with x^2 = 0 and cutoff 2.
+
+    The mod-2 and mod-4 rings have y and a, t one degree up each; s has
+    no reduction, since 3 is a unit mod 2 and mod 4.
+    """
+    def ring(modulus, names, orders):
+        gens = tuple(Generator(n, deg, o) for n, deg, o in
+                     zip(names, (1, 2, 2, 2), orders) if n)
+        rule = RewriteRule((2,) + (0,) * (len(gens) - 1), ())
+        return GradedRing(RingPresentation(modulus, 2, gens, (rule,)))
+
+    rings = {"integral": ring(0, ("x", "s", "t", "a"), (0, 3, 4, 0)),
+             "mod2": ring(2, ("y", None, "tb", "ab"), (0, 0, 0, 0)),
+             "mod4": ring(4, ("y4", None, "t4", "a4"), (0, 0, 0, 0))}
+    assert rings["integral"].basis_strings(2) == ("a", "t", "s")
+    assert rings["mod2"].basis_strings(2) == ("ab", "tb")
+    return rings
+
+
+def torsion_matrices(**changes):
+    """Maps that satisfy every law on torsion_rings(), with changes."""
+    one, two = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[2]])
+    mats = {
+        "rho2": {0: one, 1: one,
+                 2: IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])},
+        "rho4": {0: one, 1: one,
+                 2: IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])},
+        "theta2": {0: two, 1: two,
+                   2: IntMatrix.from_rows([[2, 0], [0, 2]])},
+        "rho24": {0: one, 1: one, 2: IntMatrix.from_rows([[1, 0], [0, 1]])},
+        "beta": {},
+    }
+    for name, degrees in changes.items():
+        mats[name] = {**mats.get(name, {}), **degrees}
+    return mats
+
+
+MAP_FIXTURES = [
+    # a -> 0 under rho4, so theta2(rho2(a)) = 2 a4 but rho4(2a) = 0
+    ({"rho4": {2: IntMatrix.from_rows([[0, 0, 0], [0, 1, 0]])}},
+     "identity theta2 . rho2 = rho4 . 2 fails in degree 2"),
+    ({"rho24": {2: IntMatrix.from_rows([[0, 0], [0, 1]])}},
+     "identity rho24 . rho4 = rho2 fails in degree 2"),
+    ({"sq1": {1: IntMatrix.from_rows([[1], [0]])}},
+     "identity rho2 . beta = sq1 fails in degree 2"),
+    # beta(y) = 2t is killed by 2, but beta(rho2(x)) = 2t
+    ({"beta": {1: IntMatrix.from_rows([[0], [2], [0]])}},
+     "identity beta . rho2 = 0 fails in degree 2"),
+    ({"theta2": {2: IntMatrix.from_rows([[1, 0], [0, 1]])}},
+     "map theta2 does not respect additive orders in degree 2"),
+    ({"rho2": {2: IntMatrix.from_rows([[1, 0]])}},
+     "map rho2: matrix in degree 2 should be 2x3, got 1x2"),
+    ({"beta": {3: IntMatrix.zero(0, 0)}},
+     "map beta: matrices supplied for undefined degrees [3]"),
+]
+
+
+def test_map_fixtures_fail_with_their_message():
+    rng = random.Random(1)
+    rings = torsion_rings()
+    assert assert_same_system(rings, torsion_matrices(), rng) == "accepted"
+    for changes, message in MAP_FIXTURES:
+        assert assert_same_system(rings, torsion_matrices(**changes),
+                                  rng) == message
+    # columns, the form the library itself builds, are checked as well
+    for columns in ([{0: 1}], [{0: 1}, {2: 1}, {}]):
+        with pytest.raises(RingError, match=r"^map rho2: columns in degree 2 "
+                           r"should be 3 over 2 rows$"):
+            CoefficientMap("rho2", rings["integral"], rings["mod2"], 0,
+                           {2: columns})
+
+
+def test_twice_beta_law_is_checked():
+    # the order check already refuses a beta that 2 does not kill, since
+    # every mod-2 basis monomial has order 2, so the law is broken here
+    # after construction
+    rings = torsion_rings()
+    mats = torsion_matrices()
+    system = system_outcome(CoefficientMap, RingSystem, rings, mats)
+    ref = system_outcome(DenseMap, DenseSystem, rings, mats)
+    system.beta.columns[1] = ({1: 1},)
+    ref.beta.matrices[1] = IntMatrix.from_rows([[0], [1], [0]])
+    for s in (system, ref):
+        with pytest.raises(RingError,
+                           match=r"^identity 2 beta = 0 fails in degree 2$"):
+            s.validate()
+
+
+def test_maps_match_dense_reference(corpus):
+    rng = random.Random(5)
+    shared = [RingSystem.with_reduction_defaults(pres)
+              for pres in FAMILY_PRESENTATIONS.values()]
+    for name, sf in corpus.items():
+        doc = json.loads((CORPUS_DIR / ("%s.json" % name)).read_text())
+        system = sf.bundle.rings
+        if "shared" in doc["rings"]:
+            shared.append(system)
+            continue
+        mats = {m: {int(d): IntMatrix.from_rows(
+                    [[int(x) for x in row] for row in rows])
+                    for d, rows in degrees.items()}
+                for m, degrees in doc["maps"].items()}
+        rings = system_rings(system)
+        assert assert_same_system(rings, mats, rng) == "accepted", name
+        assert system_outcome(CoefficientMap, RingSystem, rings, mats) \
+            == system
+    for system in shared:
+        rings = system_rings(system)
+        mats = shared_matrices(rings)
+        assert assert_same_system(rings, mats, rng) == "accepted"
+        assert system_outcome(CoefficientMap, RingSystem, rings, mats) \
+            == system
+
+
+def random_matrices(rng, rings, base):
+    """Perturb the law-abiding matrices base: keep a map, move one entry,
+    redraw it, zero a degree, or give a degree a wrong shape or none."""
+    mats = {}
+    for name, src, _, _ in gradedring.MAP_SIGNATURES:
+        degrees = dict(base[name])
+        roll = rng.random()
+        if name == "sq1" and roll < 0.3:
+            continue
+        if roll < 0.5:
+            pass
+        elif roll < 0.75 and degrees:
+            d = rng.choice(sorted(degrees))
+            M = degrees[d]
+            if M.rows and M.cols:
+                i, j = rng.randrange(M.rows), rng.randrange(M.cols)
+                rows = [list(r) for r in M.to_rows()]
+                rows[i][j] += rng.choice((-4, -2, -1, 1, 2, 3, 4))
+                degrees[d] = IntMatrix.from_rows(rows)
+        elif roll < 0.9:
+            degrees = {d: IntMatrix(M.rows, M.cols,
+                                    [rng.choice((0, 0, 0, 1, -1, 2))
+                                     for _ in range(M.rows * M.cols)])
+                       for d, M in degrees.items()}
+        elif roll < 0.95 and degrees:
+            del degrees[rng.choice(sorted(degrees))]
+        elif roll < 0.98 and degrees:
+            d = rng.choice(sorted(degrees))
+            M = degrees[d]
+            degrees[d] = IntMatrix.zero(M.rows + 1, M.cols)
+        else:
+            degrees[rings[src].cutoff + 1] = IntMatrix.zero(1, 1)
+        mats[name] = degrees
+    return mats
+
+
+def test_maps_match_dense_reference_on_random_systems(corpus):
+    rng = random.Random(2025)
+    systems = [
+        system_outcome(CoefficientMap, RingSystem, torsion_rings(),
+                       torsion_matrices()),
+        corpus["s1xwu"].bundle.rings,
+        free_and_z4_system(),
+        RingSystem.with_reduction_defaults(truncated_polynomial("a", 2, 3, 8)),
+        RingSystem.with_reduction_defaults(
+            truncated_product("t", 1, [1] * 3, 3)),
+    ]
+    pools = [(system_rings(s), system_matrices(s)) for s in systems]
+    kinds = collections.Counter()
+    for _ in range(1200):
+        rings, base = rng.choice(pools)
+        outcome = assert_same_system(rings, random_matrices(rng, rings, base),
+                                     rng)
+        kind = re.sub(r"( fails)? in degree.*| for undefined.*", "", outcome)
+        kinds[kind] += 1
+    # most draws break a law, and every way to fail is reached
+    assert kinds["accepted"] < 600, kinds
+    assert set(kinds) >= {
+        "accepted",
+        "identity theta2 . rho2 = rho4 . 2",
+        "identity rho24 . rho4 = rho2",
+        "identity rho2 . beta = sq1",
+        "identity beta . rho2 = 0",
+    }, kinds
+    assert any(k.endswith("additive orders") for k in kinds), kinds
+    assert any(k.endswith(": matrix") for k in kinds), kinds
+    assert any(k.endswith(": matrices supplied") for k in kinds), kinds
+
+
 # -- derivations ---------------------------------------------------------------
 
 
@@ -704,6 +1062,146 @@ def test_lifts_match_box_scan(corpus):
         for coeffs in itertools.product(range(2), repeat=n):
             assert_lifts_match_box_scan(system, system.mod2.element(d, coeffs),
                                         range(4))
+
+
+
+def class_test_lifts(system, u, bound):
+    # the reference: test one point per parity class of the free
+    # coordinates and per torsion value, and spread each class that lifts
+    # over the bound; "no lift" is proven by solving over Z
+    if any_integral_lift(system, u) is None:
+        return (), True
+    orders = system.integral.orders(u.degree)
+    classes = [range(min(2, 2 * bound + 1)) if o == 0 else range(o)
+               for o in orders]
+    found = []
+    for rep in itertools.product(*classes):
+        x = system.integral.element(u.degree, rep)
+        if system.rho2(x) == u:
+            found.extend(itertools.product(
+                *[range(-bound + (bound + r) % 2, bound + 1, 2)
+                  if o == 0 else (r,) for r, o in zip(rep, orders)]))
+    found.sort()
+    return tuple(system.integral.element(u.degree, c) for c in found), False
+
+
+def assert_lifts_match_class_test(system, u, bounds):
+    for bound in bounds:
+        found = integral_lifts(system, u, bound)
+        assert (found.lifts, found.no_lift_proven) == \
+            class_test_lifts(system, u, bound), (u, bound)
+
+
+def every_class(ring, d):
+    return [ring.element(d, c)
+            for c in itertools.product(range(2), repeat=len(ring.basis(d)))]
+
+
+def test_lifts_match_class_test(corpus):
+    for sf in corpus.values():
+        data = sf.bundle
+        for d in range(data.cutoff + 1):
+            classes = [data.w_class(d)] + list(data.rings.mod2._basis_elements(d))
+            for u in classes:
+                assert_lifts_match_class_test(data.rings, u, range(5))
+    torsion = system_outcome(CoefficientMap, RingSystem, torsion_rings(),
+                             torsion_matrices())
+    # beta(y) = 2t leaves the laws intact once rho2 kills x
+    kernel = system_outcome(
+        CoefficientMap, RingSystem, torsion_rings(),
+        torsion_matrices(rho2={1: IntMatrix.from_rows([[0]])},
+                         rho4={1: IntMatrix.from_rows([[2]])},
+                         beta={1: IntMatrix.from_rows([[0], [2], [0]])}))
+    assert isinstance(kernel, RingSystem)
+    for system in (torsion, kernel, free_and_z4_system()):
+        for d in (1, 2):
+            for u in every_class(system.mod2, d):
+                assert_lifts_match_class_test(system, u, range(4))
+    for pres in (FAMILY_PRESENTATIONS["(S^2)^4"],
+                 FAMILY_PRESENTATIONS["CP^1xCP^2"],
+                 truncated_product("t", 1, [1] * 4, 4)):
+        system = RingSystem.with_reduction_defaults(pres)
+        for d in range(system.integral.cutoff + 1):
+            basis = list(system.mod2._basis_elements(d))
+            for u in [system.mod2.zero(d), sum(basis, system.mod2.zero(d))] \
+                    + basis[:3]:
+                assert_lifts_match_class_test(system, u, range(3))
+
+
+def test_lifts_solve_parities_without_testing_classes():
+    # H^3(T^6) has 20 free coordinates and rho2 is the identity mod 2, so
+    # each class has one parity solution: 2^20 parity classes are not tested
+    system = RingSystem.with_reduction_defaults(FAMILY_PRESENTATIONS["T^6"])
+    basis = list(system.mod2._basis_elements(3))
+    assert len(basis) == 20
+    start = time.perf_counter()
+    zero = integral_lifts(system, system.mod2.zero(3), 1)
+    single = integral_lifts(system, basis[4], 1)
+    assert time.perf_counter() - start < 1
+    assert zero.lifts == (system.integral.zero(3),)
+    assert [x.coeffs[4] for x in single.lifts] == [-1, 1]
+    assert all(system.rho2(x) == basis[4] for x in single.lifts)
+    assert not zero.no_lift_proven and not single.no_lift_proven
+
+
+def free_system(n, rho2_rows):
+    """H^2 free of rank n over Z and of rank len(rho2_rows) mod 2 and 4.
+
+    rho2 and rho4 send the integral basis through the rows rho2_rows,
+    theta2 doubles and rho24 reduces, so every law holds.
+    """
+    def ring(modulus, prefix, count):
+        return GradedRing(RingPresentation(
+            modulus, 2, tuple(Generator("%s%d" % (prefix, i), 2)
+                              for i in range(count))))
+
+    integral = ring(0, "a", n)
+    mod2, mod4 = ring(2, "b", len(rho2_rows)), ring(4, "c", len(rho2_rows))
+    one = IntMatrix.from_rows([[1]])
+    rows = {0: one, 2: IntMatrix.from_rows(rho2_rows)}
+    return RingSystem(
+        integral, mod2, mod4,
+        rho2=CoefficientMap("rho2", integral, mod2, 0, rows),
+        rho4=CoefficientMap("rho4", integral, mod4, 0, rows),
+        theta2=CoefficientMap.scaled_identity("theta2", mod2, mod4, 2),
+        rho24=CoefficientMap.scaled_identity("rho24", mod4, mod2),
+        beta=CoefficientMap("beta", mod2, integral, 1))
+
+
+def test_lifts_match_class_test_when_rho2_mixes_coordinates():
+    # rows a+b and b+c: the elimination must reduce the first row by the
+    # second, and (1, 1, 1) spans the kernel
+    system = free_system(3, [[1, 1, 0], [0, 1, 1]])
+    for u in every_class(system.mod2, 2):
+        assert_lifts_match_class_test(system, u, range(4))
+
+
+def test_lifts_at_bound_zero_fix_free_parities():
+    # rho2 kills 21 of 22 free coordinates; at bound 0 they are fixed to 0
+    # rather than solved for, which would visit 2^21 parity solutions
+    system = free_system(22, [[1] + [0] * 21])
+    start = time.perf_counter()
+    found = integral_lifts(system, system.mod2.zero(2), 0)
+    assert time.perf_counter() - start < 1
+    assert found.lifts == (system.integral.zero(2),)
+
+
+def test_lift_cap_counts_parity_solutions(monkeypatch):
+    # rho2 kills two of the three free coordinates, so every class has
+    # four parity solutions; those of 0 give 1, 2, 4 and 2 lifts at
+    # bound 1, in the order they are visited
+    system = free_system(3, [[1, 0, 0]])
+    u = system.mod2.zero(2)
+    assert len(integral_lifts(system, u, 1).lifts) == 9
+    assert_lifts_match_class_test(system, u, range(4))
+    monkeypatch.setattr(gradedring, "LIFT_CAP", 8)
+    with pytest.raises(TooManyLifts,
+                       match=r"^9 lifts in degree 2 exceed the cap 8$"):
+        integral_lifts(system, u, 1)
+    monkeypatch.setattr(gradedring, "LIFT_CAP", 2)
+    with pytest.raises(TooManyLifts,
+                       match=r"^at least 3 lifts in degree 2 exceed the cap 2$"):
+        integral_lifts(system, u, 1)
 
 
 def test_lift_failure_is_proven(s1xwu):
