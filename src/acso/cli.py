@@ -110,17 +110,16 @@ def cmd_table(args) -> int:
 
 
 def _corpus_sources(directory):
+    """(name, file) of every space file in name order; files are read later."""
     if directory is not None:
         root = Path(directory)
         if not root.is_dir():
             raise OSError("not a directory: %s" % root)
-        for p in sorted(root.glob("*.json")):
-            yield p.stem, p.read_text(encoding="utf-8")
-        return
-    pkg = resources.files(__package__) / "corpus"
-    entries = [e for e in pkg.iterdir() if e.name.endswith(".json")]
-    for e in sorted(entries, key=lambda e: e.name):
-        yield e.name[:-len(".json")], e.read_text(encoding="utf-8")
+    else:
+        root = resources.files(__package__) / "corpus"
+    entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")),
+                     key=lambda e: e.name)
+    return [(e.name[:-len(".json")], e) for e in entries]
 
 
 def _check_case(sf: SpaceFile):
@@ -176,13 +175,15 @@ def cmd_corpus(args) -> int:
     cases = 0
     mismatches = 0
     try:
-        sources = list(_corpus_sources(args.dir))
+        sources = _corpus_sources(args.dir)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    for name, text in sources:
+    for name, source in sources:
         cases += 1
         try:
+            # a file that cannot be read or decoded fails its own case
+            text = source.read_text(encoding="utf-8")
             sf = space_file_from_text(text, default_name=name)
             problems = _check_case(sf)
         except _LOAD_ERRORS as exc:

@@ -22,7 +22,8 @@ columns, and checks the compatibilities between them, e.g.
 theta2(rho2(z)) = rho4(2z).  For a torsion-free presentation the
 reductions are derived from the integral ring, which is built once.  The
 operations at the bottom of the module (divide_by, integral lifts,
-Pontryagin squares) are what the obstruction evaluator consumes.
+Pontryagin squares) are what the obstruction evaluator consumes; the
+mod-2 equations among them are solved over F2 from the columns of rho2.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .intlin import IntMatrix, solve_integer_linear
+from .intlin import IntMatrix
 
 
 class RingError(Exception):
@@ -504,10 +505,6 @@ class GradedRing:
                 format_exponents(self.names, m) for m in self.basis(degree))
         return names
 
-    def relation_matrix(self, degree: int) -> IntMatrix:
-        """Diagonal matrix of additive orders of the degree-d basis."""
-        return IntMatrix.diagonal(self.orders(degree))
-
     def _check_degree(self, degree: int):
         if not 0 <= degree <= self.cutoff:
             raise DegreeError("degree %d outside [0, %d]" % (degree, self.cutoff))
@@ -736,8 +733,8 @@ class CoefficientMap:
     or a sequence of column mappings.  Either is normalised here, and the
     map must send each source monomial of finite order o to a target
     element killed by o.  Building, applying, composing and comparing maps
-    costs time linear in the nonzero entries; `matrix` writes a degree out
-    as a dense IntMatrix for the callers that solve linear systems.
+    costs time linear in the nonzero entries, and the lift solver reads
+    the columns of rho2 directly.
     """
 
     def __init__(self, name: str, source: GradedRing, target: GradedRing,
@@ -793,16 +790,6 @@ class CoefficientMap:
             raise DegreeError(
                 "map %s undefined in degree %d" % (self.name, degree))
         return columns
-
-    def matrix(self, degree: int) -> IntMatrix:
-        """The map in one source degree as a dense matrix, built on demand."""
-        columns = self._columns(degree)
-        rows, cols = len(self.target.basis(degree + self.shift)), len(columns)
-        entries = [0] * (rows * cols)
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                entries[i * cols + j] = x
-        return IntMatrix(rows, cols, entries)
 
     def __call__(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
@@ -1010,19 +997,6 @@ def divide_by(n: int, y: RingElement) -> tuple[RingElement, ...]:
                  for combo in itertools.product(*axes))
 
 
-def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElement]:
-    """One integral x with rho2(x) = u, or None when provably none exists."""
-    if u.ring != system.mod2:
-        raise RingError("lift source must be the mod-2 ring")
-    # solve rho2(x) = u as an integer system: M x + diag(orders) t = u
-    M = system.rho2.matrix(u.degree)
-    A = M.hstack(system.mod2.relation_matrix(u.degree))
-    solved = solve_integer_linear(A, u.coeffs)
-    if solved is None:
-        return None
-    return system.integral.element(u.degree, solved[0][:M.cols])
-
-
 def _solve_mod2(columns: Columns, u: Sequence[int], variables: Sequence[int]):
     """Parities p with sum_k p_k columns[variables[k]] = u over F2.
 
@@ -1061,6 +1035,37 @@ def _solve_mod2(columns: Columns, u: Sequence[int], variables: Sequence[int]):
     return particular, kernel
 
 
+def _lift_parities(system: RingSystem, u: RingElement, free: bool = True):
+    """Solve rho2(x) = u for the parities of x over F2.
+
+    Every mod-2 order is 2, so rho2 sees the parity of each free and
+    even-order coordinate of x and kills those of odd order.  free=False
+    fixes the free parities to 0.  Returns the integral orders, the
+    coordinates solved for, and _solve_mod2's answer.
+    """
+    if u.ring != system.mod2:
+        raise RingError("lift source must be the mod-2 ring")
+    orders = system.integral.orders(u.degree)
+    seen = [j for j, o in enumerate(orders) if o % 2 == 0 and (o or free)]
+    return orders, seen, _solve_mod2(system.rho2.columns[u.degree], u.coeffs,
+                                     seen)
+
+
+def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElement]:
+    """One integral x with rho2(x) = u, or None when provably none exists.
+
+    x is the particular solution of the parity system of integral_lifts:
+    each coordinate rho2 sees is 0 or 1, and the others are 0.
+    """
+    orders, seen, solved = _lift_parities(system, u)
+    if solved is None:
+        return None
+    coeffs = [0] * len(orders)
+    for k, j in enumerate(seen):
+        coeffs[j] = solved[0] >> k & 1
+    return system.integral.element(u.degree, coeffs)
+
+
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
     """All lifts of u with free coefficients in [-bound, bound].
 
@@ -1069,9 +1074,8 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
     no_lift_proven is True exactly when the underlying congruences are
     unsolvable, which no bound can repair.
 
-    Every order in the mod-2 ring is 2, so whether x lifts u depends only
-    on the parities of x's free and even-order coordinates; rho2 kills
-    the coordinates of odd order.  Those parities p solve the system
+    Whether x lifts u depends only on the parities of x's free and
+    even-order coordinates, and those parities p solve the system
     rho2(p) = u over F2, whose solutions are a particular one plus the
     kernel.  At bound 0 the free parities are fixed to 0.  Each solution
     is spread over the bound, one or more lifts each, and the running
@@ -1080,18 +1084,13 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
     """
     if bound < 0:
         raise ValueError("negative bound")
-    if u.ring != system.mod2:
-        raise RingError("lift source must be the mod-2 ring")
-    columns = system.rho2.columns[u.degree]
-    orders = system.integral.orders(u.degree)
-    seen = [j for j, o in enumerate(orders) if o % 2 == 0]
-    if _solve_mod2(columns, u.coeffs, seen) is None:
+    orders, seen, solved = _lift_parities(system, u)
+    if solved is None:
         return LiftSearch(lifts=(), no_lift_proven=True)
     if bound == 0:
-        seen = [j for j in seen if orders[j]]
-    solved = _solve_mod2(columns, u.coeffs, seen)
-    if solved is None:
-        return LiftSearch(lifts=(), no_lift_proven=False)
+        orders, seen, solved = _lift_parities(system, u, free=False)
+        if solved is None:
+            return LiftSearch(lifts=(), no_lift_proven=False)
     # the values of each coordinate with parity 0 and with parity 1; a
     # coordinate outside `seen` takes the first, whatever its parity
     values = [(range(o),) * 2 if o % 2 else

@@ -37,7 +37,7 @@ from .gradedring import (
     integral_lifts,
     pontryagin_square,
 )
-from .intlin import AbelianGroupDescriptor, IntMatrix, solve_integer_linear
+from .intlin import AbelianGroupDescriptor, IntMatrix
 
 
 class DataValidationError(Exception):
@@ -315,11 +315,22 @@ def first_obstruction(data: BundleData) -> Verdict:
                    note="W3 = beta(w2) is nonzero")
 
 
+# the largest n whose n! is computed (1000! has 2,568 digits); acs_verdict
+# needs at most 705!, as rank <= cutoff <= 1412 (TABLE_CAP degree pairs)
+FACTORIAL_CAP = 1000
+
+
+def _factorial(n: int) -> int:
+    if n > FACTORIAL_CAP:
+        raise ValueError("%d! exceeds the factorial cap %d!" % (n, FACTORIAL_CAP))
+    return math.factorial(n)
+
+
 def obstruction_denominator(k: int) -> int:
     """Multiplier l(k) with W_{4k+3} = l(k) * o_{4k+3}: (2k)!, halved for odd k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    f = math.factorial(2 * k)
+    f = _factorial(2 * k)
     return f if k % 2 == 0 else f // 2
 
 
@@ -721,10 +732,11 @@ def construct_w4m_lift(data: BundleData, m: int,
                        lifts: Sequence[RingElement]) -> RingElement:
     """Integral lift of w_{4m} built from lifts c_1..c_{2m-1} of w_2..w_{4m-2}.
 
-    Solves 2x = c_m^2 - p_m - 2 * sum_{j<m} c_j c_{2m-j}, corrects x by a
-    Bockstein so that the mod-2 reduction hits w_{4m} on the nose, and
-    returns z = x + beta(y).  Raises NoSolution when no choice of x admits
-    the correction.
+    Returns the first half x of c_m^2 - p_m - 2 * sum_{j<m} c_j c_{2m-j}, in
+    divide_by's order, with rho2(x) = w_{4m}; raises NoSolution when none
+    reduces to w_{4m}.  Any two halves differ by a class killed by 2, and
+    2 beta = 0 is a validated law, so a Bockstein correction x + beta(y)
+    is itself a half: testing every half misses no lift it could reach.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -748,25 +760,9 @@ def construct_w4m_lift(data: BundleData, m: int,
         rhs = rhs - 2 * (lifts[j - 1] * lifts[2 * m - j - 1])
 
     w4m = data.w_class(4 * m)
-    mod2 = rings.mod2
-    deg_y = 4 * m - 1
-    sq1_mat = rings.sq1.matrix(deg_y)
-    # solve modulo the order-2 relations of the target piece
-    relations = mod2.relation_matrix(4 * m)
-    system = sq1_mat.hstack(relations) if relations.cols else sq1_mat
-
     for x in divide_by(2, rhs):
-        target = rings.rho2(x) + w4m
-        if target.is_zero:
+        if rings.rho2(x) == w4m:
             return x
-        solved = solve_integer_linear(system, list(target.coeffs))
-        if solved is None:
-            continue
-        yvec = solved[0][:sq1_mat.cols]
-        y = mod2.element(deg_y, yvec)
-        z = x + rings.beta(y)
-        if (rings.rho2(z) - w4m).is_zero:
-            return z
     raise NoSolution("no integral lift of w%d arises from the given classes"
                      % (4 * m))
 
@@ -809,7 +805,7 @@ def homotopy_group(n: int, q: int) -> AbelianGroupDescriptor:
         return AbelianGroupDescriptor(free_rank=1, torsion_factors=(2,))
     if r == 2:
         return AbelianGroupDescriptor.free(1)
-    f = math.factorial(n - 1)
+    f = _factorial(n - 1)
     return AbelianGroupDescriptor.cyclic(f if r == 1 else f // 2)
 
 

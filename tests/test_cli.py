@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output shapes, determinism."""
 
 import json
+import math
 import shutil
 import time
 
@@ -416,6 +417,29 @@ def test_table_range_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, factorial", [
+    (("--denominator", "2000000"), 4000000),
+    (("--denominator", "1500"), 3000),
+    (("--pi", "3001", "6001"), 3000),
+])
+def test_table_refuses_factorials_above_the_cap(argv, factorial, capsys):
+    # 3000! has 9,131 digits, more than Python 3.11+ converts to a string
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: %d! exceeds the factorial cap 1000!\n" % factorial
+
+
+def test_table_prints_up_to_the_cap(capsys):
+    code, out, _ = run(capsys, "table", "--denominator", "500")
+    assert code == 0
+    assert int(out) == math.factorial(1000)
+    # stable degrees need no factorial, however large N is
+    code, out, _ = run(capsys, "table", "--pi", "1000000000", "7")
+    assert (code, out) == (0, "Z/2\n")
+
+
 # -- corpus ---------------------------------------------------------------
 
 
@@ -449,6 +473,18 @@ def test_corpus_flags_broken_files(tmp_path, capsys):
     assert code == 1
     assert "ugly: MISMATCH" in out
     assert "failed to run" in out
+
+
+def test_corpus_reports_undecodable_file_and_runs_the_rest(tmp_path, capsys):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    shutil.copy(CORPUS_DIR / "cp2.json", tmp_path / "cp2.json")
+    code, out, err = run(capsys, "corpus", "--run", "--dir", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out == ("binary: MISMATCH\n"
+                   "  failed to run: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte\n"
+                   "cp2: ok\n"
+                   "2 cases, 1 mismatches\n")
 
 
 def test_corpus_empty_directory(tmp_path, capsys):

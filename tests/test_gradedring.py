@@ -35,6 +35,7 @@ from acso.gradedring import (
     sq1_derivation,
 )
 from acso.intlin import IntMatrix, solve_integer_linear
+from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
 
 from conftest import CORPUS_DIR
 
@@ -683,6 +684,17 @@ def system_outcome(map_class, system_class, rings, mats):
         return type(exc), str(exc)
 
 
+def dense_matrix(m, d):
+    """The map m in source degree d as a dense IntMatrix, from its columns."""
+    columns = m.columns[d]
+    rows, cols = len(m.target.basis(d + m.shift)), len(columns)
+    entries = [0] * (rows * cols)
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            entries[i * cols + j] = x
+    return IntMatrix(rows, cols, entries)
+
+
 def assert_same_system(rings, mats, rng):
     got = system_outcome(CoefficientMap, RingSystem, rings, mats)
     ref = system_outcome(DenseMap, DenseSystem, rings, mats)
@@ -694,7 +706,7 @@ def assert_same_system(rings, mats, rng):
         m, dense = getattr(got, name), getattr(ref, name)
         assert set(m.columns) == set(dense.matrices), name
         for d, M in dense.matrices.items():
-            assert m.matrix(d) == M, (name, d)
+            assert dense_matrix(m, d) == M, (name, d)
             n = len(m.source.basis(d))
             for _ in range(3):
                 x = m.source.element(d, [rng.randint(-5, 5) for _ in range(n)])
@@ -708,7 +720,7 @@ def system_rings(system):
 
 
 def system_matrices(system):
-    return {name: {d: getattr(system, name).matrix(d)
+    return {name: {d: dense_matrix(getattr(system, name), d)
                    for d in getattr(system, name).columns}
             for name, _, _, _ in gradedring.MAP_SIGNATURES}
 
@@ -874,7 +886,13 @@ def random_matrices(rng, rings, base):
     return mats
 
 
-def test_maps_match_dense_reference_on_random_systems(corpus):
+def random_systems(corpus):
+    """Yield (outcome, system) for 1200 perturbed map sets.
+
+    Each draw is checked against the dense reference by assert_same_system;
+    outcome is "accepted" or the message that refused the maps, and system
+    is the accepted RingSystem or None.
+    """
     rng = random.Random(2025)
     systems = [
         system_outcome(CoefficientMap, RingSystem, torsion_rings(),
@@ -886,11 +904,17 @@ def test_maps_match_dense_reference_on_random_systems(corpus):
             truncated_product("t", 1, [1] * 3, 3)),
     ]
     pools = [(system_rings(s), system_matrices(s)) for s in systems]
-    kinds = collections.Counter()
     for _ in range(1200):
         rings, base = rng.choice(pools)
-        outcome = assert_same_system(rings, random_matrices(rng, rings, base),
-                                     rng)
+        mats = random_matrices(rng, rings, base)
+        outcome = assert_same_system(rings, mats, rng)
+        yield outcome, (system_outcome(CoefficientMap, RingSystem, rings, mats)
+                        if outcome == "accepted" else None)
+
+
+def test_maps_match_dense_reference_on_random_systems(corpus):
+    kinds = collections.Counter()
+    for outcome, _ in random_systems(corpus):
         kind = re.sub(r"( fails)? in degree.*| for undefined.*", "", outcome)
         kinds[kind] += 1
     # most draws break a law, and every way to fail is reached
@@ -981,12 +1005,21 @@ def test_integral_lifts_enumeration(proj_plane_system):
     assert [x.coeffs for x in zeros.lifts] == [(-2,), (0,), (2,)]
 
 
+def smith_lift(system, u):
+    # the reference any_integral_lift: solve rho2(x) = u over Z as
+    # M x + diag(orders) t = u through a Smith normal form
+    M = dense_matrix(system.rho2, u.degree)
+    A = M.hstack(IntMatrix.diagonal(system.mod2.orders(u.degree)))
+    solved = solve_integer_linear(A, u.coeffs)
+    if solved is None:
+        return None
+    return system.integral.element(u.degree, solved[0][:M.cols])
+
+
 def box_scan_lifts(system, u, bound):
     # the reference: test every point of [-bound, bound]^free x prod range(o),
     # and prove "no lift" by solving M x + diag(orders) t = u over Z
-    M = system.rho2.matrix(u.degree)
-    A = M.hstack(system.mod2.relation_matrix(u.degree))
-    if solve_integer_linear(A, u.coeffs) is None:
+    if smith_lift(system, u) is None:
         return (), True
     axes = [range(-bound, bound + 1) if o == 0 else range(o)
             for o in system.integral.orders(u.degree)]
@@ -1069,7 +1102,7 @@ def class_test_lifts(system, u, bound):
     # the reference: test one point per parity class of the free
     # coordinates and per torsion value, and spread each class that lifts
     # over the bound; "no lift" is proven by solving over Z
-    if any_integral_lift(system, u) is None:
+    if smith_lift(system, u) is None:
         return (), True
     orders = system.integral.orders(u.degree)
     classes = [range(min(2, 2 * bound + 1)) if o == 0 else range(o)
@@ -1226,6 +1259,133 @@ def test_lift_requires_mod2_source(proj_plane_system):
     sys = proj_plane_system
     with pytest.raises(RingError):
         any_integral_lift(sys, sys.integral.from_terms(2, {"a": 1}))
+
+
+# -- the Smith and Sq^1 solves, kept as references ---------------------------------
+
+
+def w4m_rhs(data, m, lifts):
+    """c_m^2 - p_m - 2 sum_{j<m} c_j c_{2m-j}, the class construct_w4m_lift halves."""
+    cm = lifts[m - 1]
+    rhs = cm * cm - data.p_class(m)
+    for j in range(1, m):
+        rhs = rhs - 2 * (lifts[j - 1] * lifts[2 * m - j - 1])
+    return rhs
+
+
+def sq1_w4m_lift(data, m, lifts):
+    # the reference construct_w4m_lift: a half x of the right side whose
+    # reduction misses w_4m is corrected by beta(y), where y solves
+    # sq1(y) = rho2(x) + w_4m over Z modulo the order-2 relations
+    rings = data.rings
+    w4m = data.w_class(4 * m)
+    sq1 = dense_matrix(rings.sq1, 4 * m - 1)
+    relations = IntMatrix.diagonal(rings.mod2.orders(4 * m))
+    system = sq1.hstack(relations) if relations.cols else sq1
+    for x in divide_by(2, w4m_rhs(data, m, lifts)):
+        target = rings.rho2(x) + w4m
+        if target.is_zero:
+            return x
+        solved = solve_integer_linear(system, list(target.coeffs))
+        if solved is None:
+            continue
+        y = rings.mod2.element(4 * m - 1, solved[0][:sq1.cols])
+        z = x + rings.beta(y)
+        if rings.rho2(z) == w4m:
+            return z
+    raise NoSolution("no integral lift of w%d arises from the given classes"
+                     % (4 * m))
+
+
+def w4m_outcome(construct, data, m, lifts):
+    try:
+        return construct(data, m, lifts)
+    except NoSolution:
+        return NoSolution
+
+
+def assert_solves_match_references(system, bundle=None):
+    """any_integral_lift and construct_w4m_lift against the references.
+
+    Lifts are compared on every mod-2 basis element and w class.  The
+    degree-4m construction runs on unvalidated bundles that keep the w
+    classes below 4m, take w_4m from the w class and the basis of degree
+    4m, and take p_m from the p class plus 0 or one integral basis element
+    of degree 4m.  BundleData._validate must be switched off.
+    """
+    def w(i):
+        return bundle.w_class(i) if bundle else system.mod2.zero(i)
+
+    cutoff = system.integral.cutoff
+    for d in range(cutoff + 1):
+        for u in [w(d)] + list(system.mod2._basis_elements(d)):
+            got, ref = any_integral_lift(system, u), smith_lift(system, u)
+            assert (got is None) == (ref is None), u
+            assert all(x is None or system.rho2(x) == u for x in (got, ref))
+    for m in range(1, cutoff // 4 + 1):
+        lifts = tuple(any_integral_lift(system, w(2 * j))
+                      for j in range(1, 2 * m))
+        if None in lifts:
+            continue
+        p = bundle.p_class(m) if bundle else system.integral.zero(4 * m)
+        below = {2 * j: w(2 * j) for j in range(1, 2 * m)}
+        for w4m in [w(4 * m)] + list(system.mod2._basis_elements(4 * m)):
+            for pm in [p] + [p + e for e in
+                             system.integral._basis_elements(4 * m)]:
+                data = BundleData(rank=4 * m, rings=system,
+                                  w={**below, 4 * m: w4m}, p={m: pm},
+                                  euler=system.integral.zero(4 * m))
+                got = w4m_outcome(construct_w4m_lift, data, m, lifts)
+                ref = w4m_outcome(sq1_w4m_lift, data, m, lifts)
+                assert (got is NoSolution) == (ref is NoSolution), (m, w4m, pm)
+                if got is not NoSolution:
+                    rhs = w4m_rhs(data, m, lifts)
+                    for z in (got, ref):
+                        assert 2 * z == rhs and system.rho2(z) == w4m
+
+
+def test_solves_match_smith_and_sq1_references(corpus, monkeypatch):
+    monkeypatch.setattr(BundleData, "_validate", lambda self: None)
+    for sf in corpus.values():
+        assert_solves_match_references(sf.bundle.rings, sf.bundle)
+    for pres in FAMILY_PRESENTATIONS.values():
+        assert_solves_match_references(RingSystem.with_reduction_defaults(pres))
+    # the Z/4 and Z/3 torsion fixtures, and the one where rho2 kills x
+    kernel = system_outcome(
+        CoefficientMap, RingSystem, torsion_rings(),
+        torsion_matrices(rho2={1: IntMatrix.from_rows([[0]])},
+                         rho4={1: IntMatrix.from_rows([[2]])},
+                         beta={1: IntMatrix.from_rows([[0], [2], [0]])}))
+    for system in (system_outcome(CoefficientMap, RingSystem, torsion_rings(),
+                                  torsion_matrices()),
+                   kernel, free_and_z4_system()):
+        assert_solves_match_references(system)
+
+
+def test_solves_match_references_on_random_systems(corpus, monkeypatch):
+    monkeypatch.setattr(BundleData, "_validate", lambda self: None)
+    accepted = [system for _, system in random_systems(corpus) if system]
+    assert len(accepted) > 100
+    for system in accepted:
+        assert_solves_match_references(system)
+
+
+def test_construct_lift_takes_the_bockstein_branch(s1xwu, monkeypatch):
+    # H^4 = Z/2{t*c} and beta(tb*z2) = t*c.  With c1 = 0 and p1 = 0 the
+    # first half of 0 is 0, which misses w4 = tb*z3; the second half, t*c,
+    # is what the Sq^1 correction reaches as well
+    monkeypatch.setattr(BundleData, "_validate", lambda self: None)
+    rings = s1xwu.rings
+    zero, tc = rings.integral.zero(4), rings.integral.from_terms(4, {"t*c": 1})
+    assert rings.integral.orders(4) == (2,)
+    assert rings.beta(rings.mod2.from_terms(3, {"tb*z2": 1})) == tc
+    assert divide_by(2, zero) == (zero, tc)
+    w4 = rings.mod2.from_terms(4, {"tb*z3": 1})
+    data = BundleData(rank=6, rings=rings, w={4: w4}, p={},
+                      euler=rings.integral.zero(6))
+    c1 = (rings.integral.zero(2),)
+    assert construct_w4m_lift(data, 1, c1) == tc
+    assert sq1_w4m_lift(data, 1, c1) == tc
 
 
 # -- squaring operation --------------------------------------------------------------

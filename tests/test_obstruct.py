@@ -16,6 +16,7 @@ from acso.gradedring import (
     RewriteRule,
     RingPresentation,
     RingSystem,
+    TableTooLarge,
     any_integral_lift,
     divide_by,
     integral_lifts,
@@ -604,7 +605,7 @@ def test_construct_lift_validates_input(cp2):
 
 def test_construct_lift_no_solution_on_inconsistent_data(monkeypatch):
     # w4 = 0 but p1 = 2b contradicts Wu's formula; with validation off the
-    # second solve has no target and must say so
+    # only half of c1^2 - p1 = -2b is -b, which reduces to b, not to w4
     monkeypatch.setattr(BundleData, "_validate", lambda self: None)
     pres = RingPresentation(
         modulus=0, cutoff=8,
@@ -615,6 +616,23 @@ def test_construct_lift_no_solution_on_inconsistent_data(monkeypatch):
                       euler=sys.integral.zero(8))
     with pytest.raises(NoSolution):
         construct_w4m_lift(data, 1, (sys.integral.zero(2),))
+
+
+def test_verdicts_stay_below_the_factorial_cap():
+    # acs_verdict takes (2k)! with 4k + 3 < rank and (n - 1)! with 2n = rank,
+    # and rank <= cutoff, so the largest cutoff a ring accepts bounds both
+    def ring(cutoff):
+        return GradedRing(RingPresentation(0, cutoff, (Generator("x", 2),),
+                                           (RewriteRule((2,), ()),)))
+
+    ring(1412)
+    with pytest.raises(TableTooLarge):
+        ring(1413)
+    assert 1412 // 2 - 1 <= obstruct.FACTORIAL_CAP
+    with pytest.raises(ValueError, match=r"^1002! exceeds the factorial cap"):
+        obstruction_denominator(501)
+    with pytest.raises(ValueError, match=r"^1002! exceeds the factorial cap"):
+        homotopy_group(1003, 2005)
 
 
 # -- homotopy groups ------------------------------------------------------------------
