@@ -10,10 +10,14 @@ commutativity demands.
 Only basis monomials are enumerated: an exponent prefix stops growing as
 soon as a rule divides it.  Confluence is checked only on the multiples
 of rules with a right-hand side, since every other reducible monomial
-rewrites to 0, and each exponent sum gets one normal form however many
-pairs of basis monomials multiply to it.  So construction scales with
-the basis and its product table rather than with the truncated set of
-all exponent tuples.
+rewrites to 0.  No product table is built: the product of two basis
+monomials is computed the first time it is asked, as the Koszul sign
+times the normal form of the exponent sum, and each sum gets one normal
+form however many pairs of basis monomials multiply to it.  The checks
+of graded commutativity and additive orders look up only the pairs on
+which they can fail, so building an exterior algebra computes no product
+at all.  Construction scales with the basis rather than with the
+truncated set of all exponent tuples or the pairs of basis monomials.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
@@ -50,7 +54,7 @@ class ConfluenceError(RingError):
 
 
 class SignRuleError(RingError):
-    """A product table violates graded commutativity."""
+    """A product of basis monomials violates graded commutativity."""
 
 
 class NoIntegralLift(RingError):
@@ -58,14 +62,15 @@ class NoIntegralLift(RingError):
 
 
 class TableTooLarge(RingError):
-    """A product table would hold or visit more than TABLE_CAP entries."""
+    """A ring's checks could visit more than TABLE_CAP pairs of monomials."""
 
 
 class TooManyLifts(RingError):
     """A lift search would return more than LIFT_CAP lifts."""
 
 
-# the largest product table a ring may hold; T^10 (616,666 entries) fits
+# the most pairs of basis monomials (the entries of a dense product table)
+# that the construction checks of a ring may visit; T^10 (616,666) fits
 TABLE_CAP = 10 ** 6
 # the most lifts integral_lifts returns; each becomes a RingElement
 LIFT_CAP = 10 ** 6
@@ -188,12 +193,13 @@ class GradedRing:
     """Graded-commutative ring truncated above a degree cutoff.
 
     Construction refuses a cutoff with more than TABLE_CAP degree pairs,
-    enumerates monomial bases while counting the product table of the
-    monomials found so far against TABLE_CAP, verifies that the rewrite
-    rules are confluent inside the truncation, materializes the product
-    table, and checks it against graded commutativity and the additive
-    orders.  A presentation that survives construction is safe to compute
-    in.
+    enumerates monomial bases while counting the pairs of the monomials
+    found so far against TABLE_CAP, verifies that the rewrite rules are
+    confluent inside the truncation, and checks graded commutativity and
+    the additive orders on the pairs of basis monomials where they can
+    fail.  A presentation that survives construction is safe to compute
+    in.  Products of basis monomials are computed on demand and memoised
+    (product_vector).
     """
 
     def __init__(self, presentation: RingPresentation):
@@ -201,10 +207,12 @@ class GradedRing:
         self._basis_names: dict = {}
         self._nf_cache: dict = {}
         self._nf_active: set = set()
+        self._masks: dict = {}  # degree -> parity masks of its basis
+        self._by_sum: dict = {}  # exponent sum -> (vector, its negative)
+        self._products: dict = {}  # (d1, i, d2, j) -> product vector
         self._check_cutoff()
         self._enumerate_monomials()
         self._check_confluence()
-        self._build_table()
         self._check_table()
 
     # -- presentation machinery -------------------------------------------
@@ -230,7 +238,7 @@ class GradedRing:
         return g
 
     def _check_cutoff(self):
-        # _build_table visits every degree pair (d1, d2) with d1 + d2 <=
+        # _check_table may visit every degree pair (d1, d2) with d1 + d2 <=
         # cutoff, so the cutoff alone bounds the work before any monomial
         pairs = (self.cutoff + 1) * (self.cutoff + 2) // 2
         if pairs > TABLE_CAP:
@@ -247,8 +255,9 @@ class GradedRing:
         # stops growing at the first exponent that makes it reducible or
         # zero: only basis monomials are built, in lexicographic order.
         # Each prefix padded with zeros is a distinct basis monomial m, so
-        # the products of the prefixes are part of the table, which holds
-        # 1*m for every m: an oversized table shows before the basis is done
+        # the pairs of the prefixes are among the pairs _check_table may
+        # visit, which hold 1*m for every m: too many pairs show before the
+        # basis is done
         ending: list[list] = [[] for _ in self._degrees]
         for rule in self.presentation.rules:
             last = max(k for k, l in enumerate(rule.lhs) if l)
@@ -283,7 +292,8 @@ class GradedRing:
                        for d, b in self._basis.items()}
 
     def _check_table_size(self, monomials):
-        # the table entries among (exps, degree, order) basis monomials
+        # the pairs with degree sum <= cutoff among (exps, degree, order)
+        # basis monomials
         sizes = [0] * (self.cutoff + 1)
         for _, d, _ in monomials:
             sizes[d] += 1
@@ -313,7 +323,10 @@ class GradedRing:
         # per basis monomial b: the bits i of odd generators with b_i odd,
         # and the bits i where an odd number of those bits lie below i, so
         # that _koszul(a, b) = (-1)^popcount(odd(a) & below(b))
-        out = []
+        out = self._masks.get(degree)
+        if out is not None:
+            return out
+        out = self._masks[degree] = []
         for exps in self._basis[degree]:
             odd = below = 0
             for i, (e, o) in enumerate(zip(exps, self._odd)):
@@ -407,81 +420,115 @@ class GradedRing:
                         "rules disagree on %s"
                         % format_exponents(self.names, exps))
 
-    def _build_table(self):
+    def _product(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
         # every pair of basis monomials with the same exponent sum shares
         # one normal form, up to the Koszul sign
-        masks = {d: self._parity_masks(d) for d in self._basis}
-        by_sum: dict = {}
-        self._table = table = {}
-        for d1 in range(self.cutoff + 1):
-            b1, m1 = self._basis[d1], masks[d1]
-            for d2 in range(self.cutoff + 1 - d1):
-                b2, m2 = self._basis[d2], masks[d2]
-                orders = self._orders[d1 + d2]
-                for i, a in enumerate(b1):
-                    odd = m1[i][0]
-                    for j, b in enumerate(b2):
-                        prod = tuple([x + y for x, y in zip(a, b)])
-                        signed = by_sum.get(prod)
-                        if signed is None:
-                            vec = self._vector(d1 + d2, self._normal_form(prod))
-                            neg = tuple([_norm_coeff(-c, o)
-                                         for c, o in zip(vec, orders)]) \
-                                if any(vec) else vec
-                            signed = by_sum[prod] = (vec, neg)
-                        table[(d1, i, d2, j)] = \
-                            signed[(odd & m2[j][1]).bit_count() & 1]
+        d = d1 + d2
+        for k in (d1, d2, d):
+            self._check_degree(k)
+        b1, b2 = self._basis[d1], self._basis[d2]
+        if not (0 <= i < len(b1) and 0 <= j < len(b2)):
+            raise RingError("no basis pair (%d, %d) in degrees %d and %d"
+                            % (i, j, d1, d2))
+        prod = tuple([x + y for x, y in zip(b1[i], b2[j])])
+        signed = self._by_sum.get(prod)
+        if signed is None:
+            vec = self._vector(d, self._normal_form(prod))
+            neg = tuple([_norm_coeff(-c, o)
+                         for c, o in zip(vec, self._orders[d])]) \
+                if any(vec) else vec
+            signed = self._by_sum[prod] = (vec, neg)
+        odd = self._parity_masks(d1)[i][0]
+        return signed[(odd & self._parity_masks(d2)[j][1]).bit_count() & 1]
 
     def _check_table(self):
         # by the Koszul identity k(a,b) k(b,a) = (-1)^(d1 d2 + D), D the sum
         # of a_i b_i over odd generators, ab and ba share a normal form and
         # their signs differ by (-1)^(d1 d2) unless D is odd.  So graded
         # commutativity, v12 = (-1)^(d1 d2) v21, fails only where D is odd
-        # and 2 v12 != 0.  Zero vectors pass both tests.
+        # and 2 v12 != 0, and the order test only where o_left v12 != 0.
+        # Zero vectors pass both tests.  The pairs are visited in the order
+        # of a dense table, but a pair is looked up only where a test can
+        # fail: 2 v12 or o_left v12 can be nonzero only if an order of the
+        # product's degree does not divide 2 or o_left.  And an odd
+        # generator is dead when a rule without right-hand side divides its
+        # square: a shared dead generator puts that rule under the exponent
+        # sum, whose normal form is then 0, as _check_confluence compared
+        # every rule on the multiples of the rules with a right-hand side
+        dead = 0
+        for rule in self.presentation.rules:
+            support = [k for k, l in enumerate(rule.lhs) if l]
+            if not rule.rhs and len(support) == 1 and rule.lhs[support[0]] <= 2:
+                dead |= 1 << support[0]
         masks = {d: self._parity_masks(d) for d in self._basis}
-        for (d1, i, d2, j), v12 in self._table.items():
-            if not any(v12):
+        order_sets = {d: set(orders) for d, orders in self._orders.items()}
+
+        def may_fail(factor, d):
+            # factor * v can be nonzero in degree d
+            return any(o == 0 or factor % o for o in order_sets[d])
+
+        for d1 in range(self.cutoff + 1):
+            rows = [(i, odd, o_left) for i, ((odd, _), o_left)
+                    in enumerate(zip(masks[d1], self._orders[d1]))
+                    if odd & ~dead or o_left]
+            if not rows:
                 continue
-            orders = self._orders[d1 + d2]
-            if (masks[d1][i][0] & masks[d2][j][0]).bit_count() & 1 and any(
-                    _norm_coeff(2 * c, o) for c, o in zip(v12, orders)):
-                raise SignRuleError(
-                    "product of %s and %s breaks graded commutativity"
-                    % (self.basis_strings(d1)[i], self.basis_strings(d2)[j]))
-            o_left = self._orders[d1][i]
-            if o_left and any(_norm_coeff(o_left * c, o)
-                              for c, o in zip(v12, orders)):
-                raise RingError(
-                    "product of %s and %s violates additive orders"
-                    % (self.basis_strings(d1)[i], self.basis_strings(d2)[j]))
+            for d2 in range(self.cutoff + 1 - d1):
+                d = d1 + d2
+                orders = self._orders[d]
+                for i, odd, o_left in rows:
+                    sign_test = odd & ~dead and may_fail(2, d)
+                    order_test = o_left and may_fail(o_left, d)
+                    if not (sign_test or order_test):
+                        continue
+                    for j, (odd2, _) in enumerate(masks[d2]):
+                        shared = odd & odd2
+                        if shared & dead:
+                            continue
+                        odd_d = sign_test and shared.bit_count() & 1
+                        if not (odd_d or order_test):
+                            continue
+                        v12 = self.product_vector(d1, i, d2, j)
+                        if not any(v12):
+                            continue
+                        if odd_d and any(_norm_coeff(2 * c, o)
+                                         for c, o in zip(v12, orders)):
+                            raise SignRuleError(
+                                "product of %s and %s breaks graded "
+                                "commutativity"
+                                % (self.basis_strings(d1)[i],
+                                   self.basis_strings(d2)[j]))
+                        if order_test and any(_norm_coeff(o_left * c, o)
+                                              for c, o in zip(v12, orders)):
+                            raise RingError(
+                                "product of %s and %s violates additive orders"
+                                % (self.basis_strings(d1)[i],
+                                   self.basis_strings(d2)[j]))
 
     def _reduction(self, modulus: int) -> "GradedRing":
         """The mod-`modulus` ring of this torsion-free integral ring.
 
         It is built without rewriting.  Rewriting never reduces a
         coefficient and only _vector does, so every normal form mod m is
-        the integral one reduced: basis, index and normal forms are
-        shared, every order is m and each distinct table vector is
-        reduced once.  The checks that passed over Z therefore hold mod m.
+        the integral one reduced: basis, index, parity masks and normal
+        forms are shared, every order is m, and each per-sum vector is
+        reduced mod m the first time a product with that sum is asked.
+        The checks that passed over Z therefore hold mod m.
         """
         # attributes are set one by one, as in __init__: copying __dict__
         # would give both rings slower attribute access on the hot path
         ring = object.__new__(GradedRing)
         ring._set_presentation(replace(self.presentation, modulus=modulus))
+        ring._basis_names = self._basis_names
         ring._nf_cache = self._nf_cache
         ring._nf_active = set()
+        ring._masks = self._masks
+        ring._by_sum = {}
+        ring._products = {}
         ring._basis = self._basis
         ring._orders = {d: (modulus,) * len(basis)
                         for d, basis in self._basis.items()}
         ring._index = self._index
-        ring._basis_names = self._basis_names
-        reduced: dict = {}
-        ring._table = table = {}
-        for key, vec in self._table.items():
-            r = reduced.get(vec)
-            if r is None:
-                r = reduced[vec] = tuple([c % modulus for c in vec])
-            table[key] = r
         return ring
 
     # -- public API --------------------------------------------------------
@@ -517,7 +564,11 @@ class GradedRing:
         return RingElement(self, degree, [0] * len(self._basis[degree]))
 
     def unit(self) -> "RingElement":
-        return self.monomial((0,) * len(self.generators))
+        # the degree-0 basis is the empty monomial alone, as no rule has a
+        # trivial left-hand side, so 1 needs no normal form.  It is not
+        # cached: a ring holding an element that refers back to it would
+        # be freed only by the cyclic garbage collector
+        return RingElement(self, 0, (1,))
 
     def monomial(self, exps: Sequence[int]) -> "RingElement":
         exps = tuple(int(e) for e in exps)
@@ -544,7 +595,16 @@ class GradedRing:
         return acc
 
     def product_vector(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
-        return self._table[(d1, i, d2, j)]
+        """Basis monomial i of degree d1 times basis monomial j of degree d2.
+
+        The coefficient vector in degree d1 + d2 is computed the first time
+        the pair is asked and memoised per pair.
+        """
+        key = (d1, i, d2, j)
+        vec = self._products.get(key)
+        if vec is None:
+            vec = self._products[key] = self._product(d1, i, d2, j)
+        return vec
 
     def check_associativity(self) -> None:
         """Verify (xy)z == x(yz) for all basis triples inside the cutoff."""
@@ -627,17 +687,22 @@ class RingElement:
         if d > self.ring.cutoff:
             raise DegreeError(
                 "product degree %d exceeds cutoff %d" % (d, self.ring.cutoff))
-        coeffs = [0] * len(self.ring.basis(d))
+        ring = self.ring
+        products = ring._products
+        d1, d2 = self.degree, other.degree
+        coeffs = [0] * len(ring.basis(d))
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 if not b:
                     continue
-                vec = self.ring.product_vector(self.degree, i, other.degree, j)
+                vec = products.get((d1, i, d2, j))
+                if vec is None:
+                    vec = ring.product_vector(d1, i, d2, j)
                 for k, v in enumerate(vec):
                     coeffs[k] += a * b * v
-        return RingElement(self.ring, d, coeffs)
+        return RingElement(ring, d, coeffs)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -932,11 +997,12 @@ class RingSystem:
 
         Only the integral ring is built from the presentation.  The mod-2
         and mod-4 rings are reduced from it: they share its basis, index
-        and normal forms, their product tables are its table mod 2
-        and mod 4, and they compare equal to rings built from the
-        presentation with the modulus swapped.  All reduction maps are
-        (scaled) identities on monomials, and the Bockstein vanishes, as
-        it must without 2-torsion.
+        and normal forms, each of their products is the integral one
+        reduced mod 2 or mod 4 when it is first asked, and they compare
+        equal to rings built from the presentation with the modulus
+        swapped.  All reduction maps are (scaled) identities on
+        monomials, and the Bockstein vanishes, as it must without
+        2-torsion.
         """
         if presentation.modulus != 0:
             raise RingError("expected an integral presentation")
@@ -1066,6 +1132,11 @@ def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElemen
     return system.integral.element(u.degree, coeffs)
 
 
+def _range_size(r: range) -> int:
+    # len() of a range raises OverflowError beyond sys.maxsize values
+    return max(0, (r.stop - r.start + r.step - 1) // r.step)
+
+
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
     """All lifts of u with free coefficients in [-bound, bound].
 
@@ -1110,7 +1181,7 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
             p ^= kernel[(step & -step).bit_length() - 1]
         axes = [pair[0] if k is None else pair[p >> k & 1]
                 for pair, k in zip(values, positions)]
-        count += math.prod(len(axis) for axis in axes)
+        count += math.prod(_range_size(axis) for axis in axes)
         if count > LIFT_CAP:
             raise TooManyLifts("%s%d lifts in degree %d exceed the cap %d"
                                % ("" if step == total - 1 else "at least ",

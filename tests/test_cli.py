@@ -385,6 +385,19 @@ def test_lifts_count_is_capped_before_expansion(families, tmp_path, capsys):
         % 11 ** 6
 
 
+@pytest.mark.parametrize("argv", [("check",), ("lifts", "--class", "w2")])
+def test_lift_count_past_the_word_size_is_refused(argv, capsys):
+    # 10^20 odd multiples of a lift w2 over CP^2: more values than len() of
+    # a range can count
+    bound = 10 ** 20
+    code, out, err = run(capsys, argv[0], str(CORPUS_DIR / "cp2.json"),
+                         *argv[1:], "--bound", str(bound))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %d lifts in degree 2 exceed the cap 1000000\n" \
+        % bound
+
+
 # -- table ---------------------------------------------------------------
 
 

@@ -109,9 +109,11 @@ class ReferenceRing(GradedRing):
     """Reference ring: enumerates every monomial inside the cutoff.
 
     Confluence is compared on every reducible monomial, every ordered
-    pair of basis monomials gets its own normal form and Koszul sign, and
-    graded commutativity is tested on every pair.  The ring under test
-    must agree with it on basis, orders and table, or fail the same way.
+    pair of basis monomials gets its own normal form and Koszul sign in a
+    dense product table built at construction, and graded commutativity
+    is tested on every pair of that table.  The ring under test must
+    agree with it on basis, orders and product_vector of every pair, or
+    fail the same way.
     """
 
     def _enumerate_monomials(self):
@@ -177,7 +179,11 @@ class ReferenceRing(GradedRing):
                             d1 + d2, {m: sign * c for m, c in nf.items()})
                         self._table[(d1, i, d2, j)] = vec
 
+    def product_vector(self, d1, i, d2, j):
+        return self._table[(d1, i, d2, j)]
+
     def _check_table(self):
+        self._build_table()
         for (d1, i, d2, j), v12 in self._table.items():
             d = d1 + d2
             orders = self._orders[d]
@@ -242,19 +248,28 @@ def shared_presentations(corpus):
     return out
 
 
+def dense_table(ring):
+    """product_vector of every pair of basis monomials, keyed (d1, i, d2, j)."""
+    return {(d1, i, d2, j): ring.product_vector(d1, i, d2, j)
+            for d1 in range(ring.cutoff + 1)
+            for d2 in range(ring.cutoff + 1 - d1)
+            for i in range(len(ring.basis(d1)))
+            for j in range(len(ring.basis(d2)))}
+
+
 def outcome(ring_class, pres):
-    """Basis, orders and table of a ring, or its construction error."""
+    """Basis, orders and products of a ring, or its construction error."""
     try:
         ring = ring_class(pres)
     except RingError as exc:
         return type(exc), str(exc)
-    return ring._basis, ring._orders, ring._table
+    return ring._basis, ring._orders, dense_table(ring)
 
 
 def assert_same_enumeration(ring, ref):
     assert ring._basis == ref._basis
     assert ring._orders == ref._orders
-    assert ring._table == ref._table
+    assert dense_table(ring) == ref._table
 
 
 def test_enumeration_matches_box_scan(corpus):
@@ -272,6 +287,17 @@ def test_enumeration_matches_box_scan(corpus):
         assert_same_enumeration(ring, ReferenceRing(ring.presentation))
 
 
+# odd squares that rewrite: s^2 -> 0 makes s dead, but t^2 -> x survives
+# and is not killed by 2, so the pair (t, t) must be looked up
+LIVE_ODD_SQUARE = RingPresentation(
+    0, 3, (Generator("t", 1), Generator("s", 1), Generator("x", 2)),
+    (RewriteRule((0, 2, 0), ()), RewriteRule((2, 0, 0), ((1, (0, 0, 1)),))))
+# a of order 3 times the free b rewrites to the free b^2, which 3 does not kill
+ORDER_THREE_TIMES_FREE = RingPresentation(
+    0, 4, (Generator("a", 2, 3), Generator("b", 2)),
+    (RewriteRule((1, 1), ((1, (0, 2)),)),))
+
+
 def hand_fixtures(corpus):
     """Presentations that fail construction, each in its own way, and the
     mod-4 ring of s1xwu, whose rule has a right-hand side."""
@@ -283,6 +309,8 @@ def hand_fixtures(corpus):
         0, 6, two, (RewriteRule((2, 0), ()),
                     RewriteRule((2, 1), ((1, (0, 3)),))))
     yield RingPresentation(0, 2, (Generator("t", 1),))  # an odd square
+    yield LIVE_ODD_SQUARE
+    yield ORDER_THREE_TIMES_FREE
     mod4 = corpus["s1xwu"].bundle.rings.mod4.presentation
     assert any(rule.rhs for rule in mod4.rules)
     yield mod4
@@ -294,7 +322,27 @@ def test_construction_matches_reference_on_fixtures(corpus):
         got = outcome(GradedRing, pres)
         assert got == outcome(ReferenceRing, pres), pres
         kinds.add(got[0] if isinstance(got[0], type) else "ring")
-    assert kinds == {ConfluenceError, SignRuleError, "ring"}
+    assert kinds == {ConfluenceError, SignRuleError, RingError, "ring"}
+
+
+@pytest.mark.parametrize("pres, error", [
+    (LIVE_ODD_SQUARE,
+     (SignRuleError, "product of t and t breaks graded commutativity")),
+    (ORDER_THREE_TIMES_FREE,
+     (RingError, "product of a and b violates additive orders")),
+])
+def test_checks_look_up_the_pairs_that_fail(pres, error):
+    assert outcome(GradedRing, pres) == outcome(ReferenceRing, pres) == error
+
+
+def test_construction_computes_no_product_without_a_live_odd_square():
+    # every odd generator of T^9 squares to 0 and no ring has torsion, so
+    # neither the checks nor the derived reductions ask for a product
+    for pres in (truncated_product("t", 1, [1] * 9, 9),
+                 FAMILY_PRESENTATIONS["CP^2xCP^2xCP^2"]):
+        system = RingSystem.with_reduction_defaults(pres)
+        for ring in (system.integral, system.mod2, system.mod4):
+            assert ring._products == {} and ring._by_sum == {}, ring
 
 
 def random_presentation(rng):
@@ -378,26 +426,34 @@ def test_derived_reductions_equal_rings_built_from_scratch(corpus):
         for derived in (system.mod2, system.mod4):
             m = derived.modulus
             scratch = GradedRing(replace(pres, modulus=m))
+            ref = BoxScanRing(replace(pres, modulus=m))
             assert derived == scratch and hash(derived) == hash(scratch), name
             assert vars(derived).keys() == vars(scratch).keys()
             cutoff = pres.cutoff
             for d in range(cutoff + 1):
-                assert derived.basis(d) == scratch.basis(d)
+                assert derived.basis(d) == scratch.basis(d) == ref.basis(d)
                 assert derived.orders(d) == scratch.orders(d) == \
                     (m,) * len(scratch.basis(d))
-            for d1 in range(cutoff + 1):
-                for d2 in range(cutoff + 1 - d1):
-                    for i in range(len(scratch.basis(d1))):
-                        for j in range(len(scratch.basis(d2))):
-                            assert derived.product_vector(d1, i, d2, j) == \
-                                scratch.product_vector(d1, i, d2, j), (name, m)
-            for mons in BoxScanRing(pres)._monomials.values():
+            table = dense_table(derived)
+            assert table == dense_table(scratch), (name, m)
+            assert table == ref._table, (name, m)
+            for mons in ref._monomials.values():
                 for exps in mons:
                     assert derived.monomial(exps).coeffs == \
                         scratch.monomial(exps).coeffs, (name, m, exps)
 
 
 # -- products ---------------------------------------------------------------
+
+
+def test_product_vector_rejects_pairs_outside_the_basis(proj_plane_ring):
+    r = proj_plane_ring
+    assert r.product_vector(2, 0, 2, 0) == (1,)  # a * a = a^2
+    for key, error in [((2, 0, 8, 0), DegreeError), ((-2, 0, 2, 0), DegreeError),
+                       ((2, 1, 2, 0), RingError), ((2, -1, 2, 0), RingError)]:
+        with pytest.raises(error):
+            r.product_vector(*key)
+        assert key not in r._products
 
 
 def test_cup_products(proj_plane_ring):
@@ -408,6 +464,15 @@ def test_cup_products(proj_plane_ring):
     assert (a * r.unit()) == a
     assert (3 * a).terms() == {"a": 3}
     assert (a ** 2).terms() == {"a^2": 1}
+
+
+def test_unit_is_the_empty_monomial(corpus):
+    for sf in corpus.values():
+        rings = sf.bundle.rings
+        for ring in (rings.integral, rings.mod2, rings.mod4):
+            empty = (0,) * len(ring.generators)
+            assert ring.basis(0) == (empty,)
+            assert ring.unit() == ring.monomial(empty)
 
 
 def test_product_beyond_cutoff_raises(proj_plane_ring):
