@@ -11,9 +11,9 @@ Only basis monomials are enumerated: an exponent prefix stops growing as
 soon as a rule divides it.  Confluence is checked only on the multiples
 of rules with a right-hand side, since every other reducible monomial
 rewrites to 0.  No product table is built: the product of two basis
-monomials is computed the first time it is asked, as the Koszul sign
-times the normal form of the exponent sum, and each sum gets one normal
-form however many pairs of basis monomials multiply to it.  The checks
+monomials is computed the first time the pair is asked and kept, as the
+Koszul sign times the normal form of the exponent sum; normal forms are
+kept per exponent tuple, so pairs with one sum share one.  The checks
 of graded commutativity and additive orders look up only the pairs on
 which they can fail, so building an exterior algebra computes no product
 at all.  Construction scales with the basis rather than with the
@@ -207,8 +207,7 @@ class GradedRing:
         self._basis_names: dict = {}
         self._nf_cache: dict = {}
         self._nf_active: set = set()
-        self._masks: dict = {}  # degree -> parity masks of its basis
-        self._by_sum: dict = {}  # exponent sum -> (vector, its negative)
+        self._masks: dict = {}  # degree -> odd-exponent masks of its basis
         self._products: dict = {}  # (d1, i, d2, j) -> product vector
         self._check_cutoff()
         self._enumerate_monomials()
@@ -319,22 +318,14 @@ class GradedRing:
                         s += a[i] * bj
         return -1 if s & 1 else 1
 
-    def _parity_masks(self, degree: int) -> list[tuple[int, int]]:
-        # per basis monomial b: the bits i of odd generators with b_i odd,
-        # and the bits i where an odd number of those bits lie below i, so
-        # that _koszul(a, b) = (-1)^popcount(odd(a) & below(b))
+    def _parity_masks(self, degree: int) -> list[int]:
+        # per basis monomial: the bits i of odd generators with an odd exponent
         out = self._masks.get(degree)
-        if out is not None:
-            return out
-        out = self._masks[degree] = []
-        for exps in self._basis[degree]:
-            odd = below = 0
-            for i, (e, o) in enumerate(zip(exps, self._odd)):
-                if odd.bit_count() & 1:
-                    below |= 1 << i
-                if e & o:
-                    odd |= 1 << i
-            out.append((odd, below))
+        if out is None:
+            out = self._masks[degree] = [
+                sum(1 << i for i, (e, o) in enumerate(zip(exps, self._odd))
+                    if e & o)
+                for exps in self._basis[degree]]
         return out
 
     def _apply_rule(self, exps, rule):
@@ -375,17 +366,17 @@ class GradedRing:
         return acc
 
     def _vector(self, degree: int, combo: Mapping) -> tuple[int, ...]:
+        # the monomials of combo are distinct, so each sets one coefficient
         orders = self._orders[degree]
         coeffs = [0] * len(orders)
         index = self._index[degree]
         for mon, c in combo.items():
-            if mon in index:
-                coeffs[index[mon]] += c
+            k = index.get(mon)
+            if k is not None:
+                coeffs[k] = _norm_coeff(c, orders[k])
             elif self._order_of(mon) != 1:
                 raise RingError("normal form left the basis in degree %d" % degree)
-        if not any(orders):
-            return tuple(coeffs)
-        return tuple(_norm_coeff(c, o) for c, o in zip(coeffs, orders))
+        return tuple(coeffs)
 
     def _all_monomials(self, budget: int) -> list[tuple[int, ...]]:
         # every exponent tuple of degree <= budget, in lexicographic order
@@ -420,27 +411,6 @@ class GradedRing:
                         "rules disagree on %s"
                         % format_exponents(self.names, exps))
 
-    def _product(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
-        # every pair of basis monomials with the same exponent sum shares
-        # one normal form, up to the Koszul sign
-        d = d1 + d2
-        for k in (d1, d2, d):
-            self._check_degree(k)
-        b1, b2 = self._basis[d1], self._basis[d2]
-        if not (0 <= i < len(b1) and 0 <= j < len(b2)):
-            raise RingError("no basis pair (%d, %d) in degrees %d and %d"
-                            % (i, j, d1, d2))
-        prod = tuple([x + y for x, y in zip(b1[i], b2[j])])
-        signed = self._by_sum.get(prod)
-        if signed is None:
-            vec = self._vector(d, self._normal_form(prod))
-            neg = tuple([_norm_coeff(-c, o)
-                         for c, o in zip(vec, self._orders[d])]) \
-                if any(vec) else vec
-            signed = self._by_sum[prod] = (vec, neg)
-        odd = self._parity_masks(d1)[i][0]
-        return signed[(odd & self._parity_masks(d2)[j][1]).bit_count() & 1]
-
     def _check_table(self):
         # by the Koszul identity k(a,b) k(b,a) = (-1)^(d1 d2 + D), D the sum
         # of a_i b_i over odd generators, ab and ba share a normal form and
@@ -468,7 +438,7 @@ class GradedRing:
             return any(o == 0 or factor % o for o in order_sets[d])
 
         for d1 in range(self.cutoff + 1):
-            rows = [(i, odd, o_left) for i, ((odd, _), o_left)
+            rows = [(i, odd, o_left) for i, (odd, o_left)
                     in enumerate(zip(masks[d1], self._orders[d1]))
                     if odd & ~dead or o_left]
             if not rows:
@@ -481,7 +451,7 @@ class GradedRing:
                     order_test = o_left and may_fail(o_left, d)
                     if not (sign_test or order_test):
                         continue
-                    for j, (odd2, _) in enumerate(masks[d2]):
+                    for j, odd2 in enumerate(masks[d2]):
                         shared = odd & odd2
                         if shared & dead:
                             continue
@@ -510,10 +480,10 @@ class GradedRing:
 
         It is built without rewriting.  Rewriting never reduces a
         coefficient and only _vector does, so every normal form mod m is
-        the integral one reduced: basis, index, parity masks and normal
-        forms are shared, every order is m, and each per-sum vector is
-        reduced mod m the first time a product with that sum is asked.
-        The checks that passed over Z therefore hold mod m.
+        the integral one reduced: basis, index, odd-exponent masks and
+        normal forms are shared, every order is m, and _vector reduces a
+        product mod m the first time its pair is asked.  The checks that
+        passed over Z therefore hold mod m.
         """
         # attributes are set one by one, as in __init__: copying __dict__
         # would give both rings slower attribute access on the hot path
@@ -523,7 +493,6 @@ class GradedRing:
         ring._nf_cache = self._nf_cache
         ring._nf_active = set()
         ring._masks = self._masks
-        ring._by_sum = {}
         ring._products = {}
         ring._basis = self._basis
         ring._orders = {d: (modulus,) * len(basis)
@@ -597,13 +566,26 @@ class GradedRing:
     def product_vector(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
         """Basis monomial i of degree d1 times basis monomial j of degree d2.
 
-        The coefficient vector in degree d1 + d2 is computed the first time
-        the pair is asked and memoised per pair.
+        The coefficient vector in degree d1 + d2, the Koszul sign times the
+        normal form of the exponent sum, is computed the first time the
+        pair is asked and memoised per pair.
         """
         key = (d1, i, d2, j)
         vec = self._products.get(key)
-        if vec is None:
-            vec = self._products[key] = self._product(d1, i, d2, j)
+        if vec is not None:
+            return vec
+        d = d1 + d2
+        for k in (d1, d2, d):
+            self._check_degree(k)
+        b1, b2 = self._basis[d1], self._basis[d2]
+        if not (0 <= i < len(b1) and 0 <= j < len(b2)):
+            raise RingError("no basis pair (%d, %d) in degrees %d and %d"
+                            % (i, j, d1, d2))
+        a, b = b1[i], b2[j]
+        nf = self._normal_form(tuple([x + y for x, y in zip(a, b)]))
+        if self._koszul(a, b) < 0:
+            nf = {m: -c for m, c in nf.items()}
+        vec = self._products[key] = self._vector(d, nf)
         return vec
 
     def check_associativity(self) -> None:
@@ -644,7 +626,6 @@ class RingElement:
     __slots__ = ("ring", "degree", "coeffs")
 
     def __init__(self, ring: GradedRing, degree: int, coeffs: Sequence[int]):
-        ring._check_degree(degree)
         orders = ring.orders(degree)
         if len(coeffs) != len(orders):
             raise RingError(

@@ -925,8 +925,11 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
                 continue  # Theorem I row
             if q == 2 * n and rank % 4 == 0:
                 if n % 4 == 0 and final is not None and final.status != "NonZero":
-                    gaps.append("Z/2 component of the degree-%d obstruction "
-                                "undetected" % q)
+                    gap = ("Z/2 component of the degree-%d obstruction "
+                           "undetected" % q)
+                    gaps.append(gap)
+                    final = Verdict(final.status, final.witness,
+                                    final.denominator, final.note + "; " + gap)
                 continue
             if _piece_trivial(data, q):
                 continue
@@ -956,13 +959,6 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
         existence = "admits"
     else:
         existence = "undetermined"
-
-    if final is not None and final.status != "NonZero":
-        for g in gaps:
-            if g.startswith("Z/2 component"):
-                final = Verdict(final.status, final.witness, final.denominator,
-                                final.note + "; " + g)
-                break
 
     return ObstructionReport(
         rank=rank, base_dimension=dim, first=first,

@@ -306,6 +306,38 @@ def test_check_cp2bar_excluded_at_every_bound(capsys):
         assert "negative definite" in out
 
 
+def test_check_theorem1_fires_and_w6_has_no_lift(capsys):
+    # y of degree 7 and order 2 is beta(w6), so W7 = y != 0, and w6 = u
+    # has no integral lift, which decides the final degree as well
+    path = str(DATA_DIR / "thm1_w7.json")
+    code, out, err = run(capsys, "check", path, "--format", "json")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert (doc["status"], doc["existence"], doc["exit_code"]) == \
+        ("obstructed", "excluded", 2)
+    assert doc["first"]["status"] == "Zero"
+    [w7] = doc["theorem1"]
+    assert (w7["k"], w7["degree"], w7["denominator"], w7["status"]) == \
+        (1, 7, "1", "NonZero")
+    assert w7["witness"]["terms"] == {"y": "1"}
+    assert doc["final"]["status"] == "NonZero"
+    assert doc["final"]["witness"]["terms"] == {"y": "1"}
+    assert doc["final"]["note"] == (
+        "Massey Theorem II (rank 8, k=2): w6 admits no integral lift, so no "
+        "reduction reaches this degree")
+    assert doc["search"]["no_lift_degree"] == 6
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert "status: obstructed (exit 2), existence: excluded" in lines
+    assert "  [degree 7, Massey Thm I, k=1, l=1] NonZero -- witness y -- W7 = " \
+        "l*o with l = 1 is nonzero, so o != 0" in lines
+    assert "  [final, Massey Theorem II (rank 8, k=2)] NonZero -- witness y " \
+        "-- w6 admits no integral lift, so no reduction reaches this " \
+        "degree" in lines
+    assert "search: w6 admits no integral lift" in lines
+
+
 def test_check_divisibility_violation_is_an_error(monkeypatch, capsys):
     def violate(*args, **kwargs):
         raise DivisibilityViolation("q = 2*a^2 is not divisible by 4")

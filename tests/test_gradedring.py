@@ -113,8 +113,29 @@ class ReferenceRing(GradedRing):
     dense product table built at construction, and graded commutativity
     is tested on every pair of that table.  The ring under test must
     agree with it on basis, orders and product_vector of every pair, or
-    fail the same way.
+    fail the same way.  The Koszul sign and the rewriting step are its
+    own copies, so a sign the ring under test gets wrong in rewriting or
+    in products shows as a difference.
     """
+
+    def _koszul(self, a, b) -> int:
+        # sign putting sorted(a)*sorted(b) into sorted(a + b)
+        s = 0
+        for j, bj in enumerate(b):
+            if bj and self._odd[j]:
+                for i in range(j + 1, len(a)):
+                    if a[i] and self._odd[i]:
+                        s += a[i] * bj
+        return -1 if s & 1 else 1
+
+    def _apply_rule(self, exps, rule):
+        rem = tuple(e - l for e, l in zip(exps, rule.lhs))
+        s0 = self._koszul(rule.lhs, rem)
+        out = []
+        for coeff, mon in rule.rhs:
+            s1 = self._koszul(mon, rem)
+            out.append((coeff * s0 * s1, tuple(m + r for m, r in zip(mon, rem))))
+        return out
 
     def _enumerate_monomials(self):
         prefixes = [((), 0)]
@@ -298,9 +319,29 @@ ORDER_THREE_TIMES_FREE = RingPresentation(
     (RewriteRule((1, 1), ((1, (0, 2)),)),))
 
 
+def odd_rule_fixture(lhs, rhs):
+    """u, x, z of degree 1 with squares 0 and w of degree 2, over Z with
+    cutoff 4, and the one rule lhs -> rhs between monomials of degree 3."""
+    gens = (Generator("u", 1), Generator("x", 1), Generator("z", 1),
+            Generator("w", 2))
+    squares = tuple(RewriteRule(tuple(2 * (k == i) for k in range(4)), ())
+                    for i in range(3))
+    return RingPresentation(0, 4, gens,
+                            squares + (RewriteRule(lhs, ((1, rhs),)),))
+
+
+# z*w -> u*w: x*z*w rewrites to -u*x*w, the sign of moving x past z
+# (the sign s0 of putting lhs*rest in order)
+SIGN_OF_LHS = odd_rule_fixture((0, 0, 1, 1), (1, 0, 0, 1))
+# u*w -> z*w: u*x*w rewrites to -x*z*w, the sign of moving x past z
+# (the sign s1 of putting rhs*rest in order)
+SIGN_OF_RHS = odd_rule_fixture((1, 0, 0, 1), (0, 0, 1, 1))
+
+
 def hand_fixtures(corpus):
-    """Presentations that fail construction, each in its own way, and the
-    mod-4 ring of s1xwu, whose rule has a right-hand side."""
+    """Presentations that fail construction, each in its own way, the two
+    rules that fix a rewriting sign, and the mod-4 ring of s1xwu, whose
+    rule has a right-hand side."""
     two = (Generator("a", 2), Generator("b", 2))
     yield RingPresentation(  # a rewrite cycle
         0, 4, two, (RewriteRule((2, 0), ((1, (0, 2)),)),
@@ -311,6 +352,8 @@ def hand_fixtures(corpus):
     yield RingPresentation(0, 2, (Generator("t", 1),))  # an odd square
     yield LIVE_ODD_SQUARE
     yield ORDER_THREE_TIMES_FREE
+    yield SIGN_OF_LHS
+    yield SIGN_OF_RHS
     mod4 = corpus["s1xwu"].bundle.rings.mod4.presentation
     assert any(rule.rhs for rule in mod4.rules)
     yield mod4
@@ -342,7 +385,7 @@ def test_construction_computes_no_product_without_a_live_odd_square():
                  FAMILY_PRESENTATIONS["CP^2xCP^2xCP^2"]):
         system = RingSystem.with_reduction_defaults(pres)
         for ring in (system.integral, system.mod2, system.mod4):
-            assert ring._products == {} and ring._by_sum == {}, ring
+            assert ring._products == {}, ring
 
 
 def random_presentation(rng):
@@ -501,6 +544,22 @@ def test_koszul_sign_for_odd_generators():
     assert t * m == tm
     assert m * t == -tm
     assert not (m * t).is_zero
+
+
+def test_rewriting_sign_of_the_left_hand_side():
+    r = GradedRing(SIGN_OF_LHS)
+    x, z = r.from_terms(1, {"x": 1}), r.from_terms(1, {"z": 1})
+    w = r.from_terms(2, {"w": 1})
+    assert (x * z) * w == -r.from_terms(4, {"u*x*w": 1}) == x * (z * w)
+    r.check_associativity()
+
+
+def test_rewriting_sign_of_the_right_hand_side():
+    r = GradedRing(SIGN_OF_RHS)
+    u, x = r.from_terms(1, {"u": 1}), r.from_terms(1, {"x": 1})
+    w = r.from_terms(2, {"w": 1})
+    assert (u * x) * w == -r.from_terms(4, {"x*z*w": 1}) == u * (x * w)
+    r.check_associativity()
 
 
 def test_odd_square_needs_a_rule():
@@ -1240,6 +1299,48 @@ def test_lifts_solve_parities_without_testing_classes():
     assert [x.coeffs[4] for x in single.lifts] == [-1, 1]
     assert all(system.rho2(x) == basis[4] for x in single.lifts)
     assert not zero.no_lift_proven and not single.no_lift_proven
+
+
+def test_solve_mod2_matches_brute_force():
+    # up to 6 rows and 6 variables with entries 0-3: columns share rows,
+    # so rows must be reduced by the pivots before them, and even entries
+    # vanish mod 2.  Bit k of a parity vector is variable k
+    rng = random.Random(7)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        rows = rng.randint(0, 6)
+        columns = [{i: rng.randint(0, 3) for i in range(rows)
+                    if rng.random() < 0.6} for _ in range(rng.randint(0, 6))]
+        variables = rng.sample(range(len(columns)),
+                               rng.randint(0, len(columns)))
+        u = [rng.randint(0, 3) for _ in range(rows)]
+
+        def image(p):
+            out = [0] * rows
+            for k, j in enumerate(variables):
+                if p >> k & 1:
+                    for i, x in columns[j].items():
+                        out[i] ^= x & 1
+            return out
+
+        vectors = range(1 << len(variables))
+        solutions = [p for p in vectors if image(p) == [b & 1 for b in u]]
+        homogeneous = {p for p in vectors if not any(image(p))}
+        solved = gradedring._solve_mod2(columns, u, variables)
+        if not solutions:
+            assert solved is None
+            kinds["none"] += 1
+            continue
+        particular, kernel = solved
+        assert particular in solutions
+        assert all(v in homogeneous for v in kernel)
+        assert 1 << len(kernel) == len(homogeneous)  # the nullity
+        span = {0}
+        for v in kernel:
+            span |= {p ^ v for p in span}
+        assert len(span) == len(homogeneous)  # independent
+        kinds["kernel" if kernel else "unique"] += 1
+    assert set(kinds) == {"none", "kernel", "unique"}, kinds
 
 
 def free_system(n, rho2_rows):
