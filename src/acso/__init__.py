@@ -33,6 +33,7 @@ from .gradedring import (
     any_integral_lift,
     divide_by,
     integral_lifts,
+    iter_integral_lifts,
     pontryagin_square,
     sq1_derivation,
 )
@@ -80,7 +81,7 @@ __all__ = [
     "GradedRing", "LiftSearch", "NoIntegralLift", "RewriteRule",
     "RingElement", "RingError", "RingPresentation", "RingSystem",
     "SignRuleError", "any_integral_lift", "divide_by", "integral_lifts",
-    "pontryagin_square", "sq1_derivation",
+    "iter_integral_lifts", "pontryagin_square", "sq1_derivation",
     "BudgetExceeded", "BundleData", "ChernCandidate", "DataValidationError",
     "DivisibilityViolation", "NoSolution", "ObstructionReport", "Pairing",
     "SearchOutcome", "Verdict", "WuCheck", "acs_verdict",

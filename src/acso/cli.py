@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .gradedring import RingError, integral_lifts
+from .gradedring import RingError, iter_integral_lifts
 from .obstruct import (
     BudgetExceeded,
     DataValidationError,
@@ -80,15 +80,15 @@ def cmd_lifts(args) -> int:
             print("error: degree %d exceeds the ring cutoff %d"
                   % (i, data.cutoff), file=sys.stderr)
             return 1
-        found = integral_lifts(data.rings, data.w_class(i), args.bound)
-        if found.no_lift_proven:
+        lifts = iter_integral_lifts(data.rings, data.w_class(i), args.bound)
+        if lifts is None:
             msg = "no integral lift"
             if i % 2 == 0 and i + 1 <= data.cutoff \
                     and not integral_sw(data, i // 2).is_zero:
                 msg = "no integral lift (W%d != 0)" % (i + 1)
             print(msg)
             return 0
-        for x in found.lifts:
+        for x in lifts:
             print(x)
     except _LOAD_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)

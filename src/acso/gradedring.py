@@ -12,8 +12,9 @@ soon as a rule divides it.  Confluence is checked only on the multiples
 of rules with a right-hand side, since every other reducible monomial
 rewrites to 0.  No product table is built: the product of two basis
 monomials is computed the first time the pair is asked and kept, as the
-Koszul sign times the normal form of the exponent sum; normal forms are
-kept per exponent tuple, so pairs with one sum share one.  The checks
+sparse terms of the Koszul sign times the normal form of the exponent
+sum; normal forms are kept per exponent tuple, so pairs with one sum
+share one.  Elements reduce only their torsion coordinates.  The checks
 of graded commutativity and additive orders look up only the pairs on
 which they can fail, so building an exterior algebra computes no product
 at all.  Construction scales with the basis rather than with the
@@ -32,11 +33,12 @@ mod-2 equations among them are solved over F2 from the columns of rho2.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .intlin import IntMatrix
 
@@ -72,7 +74,7 @@ class TooManyLifts(RingError):
 # the most pairs of basis monomials (the entries of a dense product table)
 # that the construction checks of a ring may visit; T^10 (616,666) fits
 TABLE_CAP = 10 ** 6
-# the most lifts integral_lifts returns; each becomes a RingElement
+# the most lifts iter_integral_lifts yields; each becomes a RingElement
 LIFT_CAP = 10 ** 6
 
 
@@ -208,7 +210,7 @@ class GradedRing:
         self._nf_cache: dict = {}
         self._nf_active: set = set()
         self._masks: dict = {}  # degree -> odd-exponent masks of its basis
-        self._products: dict = {}  # (d1, i, d2, j) -> product vector
+        self._products: dict = {}  # (d1, i, d2, j) -> sparse product terms
         self._check_cutoff()
         self._enumerate_monomials()
         self._check_confluence()
@@ -287,6 +289,8 @@ class GradedRing:
             orders[d].append(order)
         self._basis = {d: tuple(v) for d, v in basis.items()}
         self._orders = {d: tuple(v) for d, v in orders.items()}
+        self._torsion = {d: tuple((i, o) for i, o in enumerate(v) if o)
+                         for d, v in orders.items()}
         self._index = {d: {m: i for i, m in enumerate(b)}
                        for d, b in self._basis.items()}
 
@@ -365,17 +369,28 @@ class GradedRing:
                 acc[m2] = acc.get(m2, 0) + coeff * c2
         return acc
 
-    def _vector(self, degree: int, combo: Mapping) -> tuple[int, ...]:
-        # the monomials of combo are distinct, so each sets one coefficient
+    def _terms(self, degree: int, combo: Mapping) -> tuple:
+        # the nonzero (index, coefficient) pairs of combo in the degree
+        # basis, in index order; the monomials of combo are distinct, so
+        # each gives at most one pair
         orders = self._orders[degree]
-        coeffs = [0] * len(orders)
         index = self._index[degree]
+        out = []
         for mon, c in combo.items():
             k = index.get(mon)
             if k is not None:
-                coeffs[k] = _norm_coeff(c, orders[k])
+                c = _norm_coeff(c, orders[k])
+                if c:
+                    out.append((k, c))
             elif self._order_of(mon) != 1:
                 raise RingError("normal form left the basis in degree %d" % degree)
+        out.sort()
+        return tuple(out)
+
+    def _vector(self, degree: int, combo: Mapping) -> tuple[int, ...]:
+        coeffs = [0] * len(self._orders[degree])
+        for k, c in self._terms(degree, combo):
+            coeffs[k] = c
         return tuple(coeffs)
 
     def _all_monomials(self, budget: int) -> list[tuple[int, ...]]:
@@ -458,18 +473,18 @@ class GradedRing:
                         odd_d = sign_test and shared.bit_count() & 1
                         if not (odd_d or order_test):
                             continue
-                        v12 = self.product_vector(d1, i, d2, j)
-                        if not any(v12):
+                        v12 = self._product_terms(d1, i, d2, j)
+                        if not v12:
                             continue
-                        if odd_d and any(_norm_coeff(2 * c, o)
-                                         for c, o in zip(v12, orders)):
+                        if odd_d and any(_norm_coeff(2 * c, orders[k])
+                                         for k, c in v12):
                             raise SignRuleError(
                                 "product of %s and %s breaks graded "
                                 "commutativity"
                                 % (self.basis_strings(d1)[i],
                                    self.basis_strings(d2)[j]))
-                        if order_test and any(_norm_coeff(o_left * c, o)
-                                              for c, o in zip(v12, orders)):
+                        if order_test and any(_norm_coeff(o_left * c, orders[k])
+                                              for k, c in v12):
                             raise RingError(
                                 "product of %s and %s violates additive orders"
                                 % (self.basis_strings(d1)[i],
@@ -479,11 +494,12 @@ class GradedRing:
         """The mod-`modulus` ring of this torsion-free integral ring.
 
         It is built without rewriting.  Rewriting never reduces a
-        coefficient and only _vector does, so every normal form mod m is
+        coefficient and only _terms does, so every normal form mod m is
         the integral one reduced: basis, index, odd-exponent masks and
-        normal forms are shared, every order is m, and _vector reduces a
-        product mod m the first time its pair is asked.  The checks that
-        passed over Z therefore hold mod m.
+        normal forms are shared, every order is m (so every coordinate is
+        a torsion coordinate), and _terms reduces a product mod m the
+        first time its pair is asked.  The checks that passed over Z
+        therefore hold mod m.
         """
         # attributes are set one by one, as in __init__: copying __dict__
         # would give both rings slower attribute access on the hot path
@@ -497,6 +513,8 @@ class GradedRing:
         ring._basis = self._basis
         ring._orders = {d: (modulus,) * len(basis)
                         for d, basis in self._basis.items()}
+        ring._torsion = {d: tuple((i, modulus) for i in range(len(basis)))
+                         for d, basis in self._basis.items()}
         ring._index = self._index
         return ring
 
@@ -530,14 +548,14 @@ class GradedRing:
 
     def zero(self, degree: int) -> "RingElement":
         self._check_degree(degree)
-        return RingElement(self, degree, [0] * len(self._basis[degree]))
+        return _element(self, degree, (0,) * len(self._basis[degree]))
 
     def unit(self) -> "RingElement":
         # the degree-0 basis is the empty monomial alone, as no rule has a
         # trivial left-hand side, so 1 needs no normal form.  It is not
         # cached: a ring holding an element that refers back to it would
         # be freed only by the cyclic garbage collector
-        return RingElement(self, 0, (1,))
+        return _element(self, 0, (1,))
 
     def monomial(self, exps: Sequence[int]) -> "RingElement":
         exps = tuple(int(e) for e in exps)
@@ -545,12 +563,16 @@ class GradedRing:
             raise RingError("bad exponent tuple %r" % (exps,))
         d = self._exp_degree(exps)
         self._check_degree(d)
-        return RingElement(self, d, self._vector(d, self._normal_form(exps)))
+        return _element(self, d, self._vector(d, self._normal_form(exps)))
 
     def from_terms(self, degree: int, terms: Mapping[str, int]) -> "RingElement":
-        """Build an element from {monomial string: coefficient}."""
+        """Build an element from {monomial string: coefficient}.
+
+        The normal form of each monomial, times its coefficient, is added
+        into one coefficient list, which is reduced once at the end.
+        """
         self._check_degree(degree)
-        acc = self.zero(degree)
+        coeffs = [0] * len(self._basis[degree])
         for text, coeff in terms.items():
             try:
                 exps = parse_exponents(self.names, text)
@@ -560,22 +582,18 @@ class GradedRing:
                 raise DegreeError(
                     "monomial %r has degree %d, expected %d"
                     % (text, self._exp_degree(exps), degree))
-            acc = acc + int(coeff) * self.monomial(exps)
-        return acc
+            c = int(coeff)
+            for k, v in self._terms(degree, self._normal_form(exps)):
+                coeffs[k] += c * v
+        return _reduced(self, degree, coeffs)
 
-    def product_vector(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
-        """Basis monomial i of degree d1 times basis monomial j of degree d2.
-
-        The coefficient vector in degree d1 + d2, the Koszul sign times the
-        normal form of the exponent sum, is computed the first time the
-        pair is asked and memoised per pair.
-        """
+    def _product_terms(self, d1: int, i: int, d2: int, j: int) -> tuple:
+        # product_vector's value as sparse (index, coefficient) terms
         key = (d1, i, d2, j)
-        vec = self._products.get(key)
-        if vec is not None:
-            return vec
-        d = d1 + d2
-        for k in (d1, d2, d):
+        terms = self._products.get(key)
+        if terms is not None:
+            return terms
+        for k in (d1, d2, d1 + d2):
             self._check_degree(k)
         b1, b2 = self._basis[d1], self._basis[d2]
         if not (0 <= i < len(b1) and 0 <= j < len(b2)):
@@ -585,8 +603,23 @@ class GradedRing:
         nf = self._normal_form(tuple([x + y for x, y in zip(a, b)]))
         if self._koszul(a, b) < 0:
             nf = {m: -c for m, c in nf.items()}
-        vec = self._products[key] = self._vector(d, nf)
-        return vec
+        terms = self._products[key] = self._terms(d1 + d2, nf)
+        return terms
+
+    def product_vector(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
+        """Basis monomial i of degree d1 times basis monomial j of degree d2.
+
+        The coefficient vector in degree d1 + d2, the Koszul sign times the
+        normal form of the exponent sum.  The product is computed the
+        first time the pair is asked and memoised per pair as sparse
+        (index, coefficient) terms, which RingElement.__mul__ and the
+        construction checks read; this dense vector is built from them.
+        """
+        terms = self._product_terms(d1, i, d2, j)
+        coeffs = [0] * len(self._basis[d1 + d2])
+        for k, c in terms:
+            coeffs[k] = c
+        return tuple(coeffs)
 
     def check_associativity(self) -> None:
         """Verify (xy)z == x(yz) for all basis triples inside the cutoff."""
@@ -621,7 +654,18 @@ class GradedRing:
 
 
 class RingElement:
-    """Homogeneous element, stored as coefficients over the degree basis."""
+    """Homogeneous element, stored as coefficients over the degree basis.
+
+    The constructor validates: it takes any integer sequence of the
+    degree's length and reduces it.  Only the torsion coordinates are
+    reduced, the (index, order) pairs that the ring lists once per degree;
+    a free coordinate is kept as the integer it is, and in the derived
+    mod-m rings every coordinate is a torsion coordinate of order m.  The
+    results of the ring's own arithmetic (+, -, negation, scalar and ring
+    products, CoefficientMap application, divide_by and integral_lifts)
+    are reduced the same way but skip the validation, since their
+    coefficients are integers of the right length already.
+    """
 
     __slots__ = ("ring", "degree", "coeffs")
 
@@ -631,9 +675,12 @@ class RingElement:
             raise RingError(
                 "expected %d coefficients in degree %d, got %d"
                 % (len(orders), degree, len(coeffs)))
+        coeffs = list(map(int, coeffs))
+        for i, o in ring._torsion[degree]:
+            coeffs[i] %= o
         self.ring = ring
         self.degree = degree
-        self.coeffs = tuple(_norm_coeff(int(c), o) for c, o in zip(coeffs, orders))
+        self.coeffs = tuple(coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -647,43 +694,43 @@ class RingElement:
 
     def __add__(self, other):
         self._require_peer(other)
-        return RingElement(self.ring, self.degree,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _reduced(self.ring, self.degree,
+                        [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._require_peer(other)
-        return RingElement(self.ring, self.degree,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _reduced(self.ring, self.degree,
+                        [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return RingElement(self.ring, self.degree, [-c for c in self.coeffs])
+        return _reduced(self.ring, self.degree, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElement(self.ring, self.degree,
-                               [other * c for c in self.coeffs])
+            return _reduced(self.ring, self.degree,
+                            [other * c for c in self.coeffs])
         if not isinstance(other, RingElement) or other.ring != self.ring:
             raise RingError("operands live in different rings")
         d = self.degree + other.degree
-        if d > self.ring.cutoff:
-            raise DegreeError(
-                "product degree %d exceeds cutoff %d" % (d, self.ring.cutoff))
         ring = self.ring
+        if d > ring.cutoff:
+            raise DegreeError(
+                "product degree %d exceeds cutoff %d" % (d, ring.cutoff))
         products = ring._products
         d1, d2 = self.degree, other.degree
-        coeffs = [0] * len(ring.basis(d))
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        coeffs = [0] * len(ring._basis[d])
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                vec = products.get((d1, i, d2, j))
-                if vec is None:
-                    vec = ring.product_vector(d1, i, d2, j)
-                for k, v in enumerate(vec):
-                    coeffs[k] += a * b * v
-        return RingElement(ring, d, coeffs)
+            for j, b in right:
+                terms = products.get((d1, i, d2, j))
+                if terms is None:
+                    terms = ring._product_terms(d1, i, d2, j)
+                ab = a * b
+                for k, v in terms:
+                    coeffs[k] += ab * v
+        return _reduced(ring, d, coeffs)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -739,6 +786,23 @@ class RingElement:
 
     def __repr__(self):
         return "<%s in degree %d>" % (self, self.degree)
+
+
+def _element(ring: GradedRing, degree: int, coeffs: tuple) -> RingElement:
+    # an element whose coefficients are a reduced tuple of the right length
+    x = object.__new__(RingElement)
+    x.ring = ring
+    x.degree = degree
+    x.coeffs = coeffs
+    return x
+
+
+def _reduced(ring: GradedRing, degree: int, coeffs: list) -> RingElement:
+    # an element from a list of integers of the right length, reduced in
+    # place at the torsion coordinates
+    for i, o in ring._torsion[degree]:
+        coeffs[i] %= o
+    return _element(ring, degree, tuple(coeffs))
 
 
 # a map in one degree: per source basis monomial, {target row: coefficient}
@@ -842,12 +906,12 @@ class CoefficientMap:
             raise RingError("map %s applied outside its source ring" % self.name)
         columns = self._columns(x.degree)
         td = x.degree + self.shift
-        out = [0] * len(self.target.basis(td))
+        out = [0] * len(self.target._basis[td])
         for c, col in zip(x.coeffs, columns):
             if c:
                 for i, v in col.items():
                     out[i] += c * v
-        return self.target.element(td, out)
+        return _reduced(self.target, td, out)
 
     @classmethod
     def compose(cls, name: str, outer: "CoefficientMap",
@@ -1040,7 +1104,7 @@ def divide_by(n: int, y: RingElement) -> tuple[RingElement, ...]:
         step = o // g
         base = (c // g) * pow(n // g, -1, step) % step if step > 1 else 0
         axes.append(sorted((base + k * step) % o for k in range(g)))
-    return tuple(ring.element(y.degree, combo)
+    return tuple(_element(ring, y.degree, combo)
                  for combo in itertools.product(*axes))
 
 
@@ -1118,31 +1182,35 @@ def _range_size(r: range) -> int:
     return max(0, (r.stop - r.start + r.step - 1) // r.step)
 
 
-def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
-    """All lifts of u with free coefficients in [-bound, bound].
+def iter_integral_lifts(system: RingSystem, u: RingElement,
+                        bound: int) -> Optional[Iterator[RingElement]]:
+    """The lifts of u with free coefficients in [-bound, bound], lazily.
 
-    Torsion coordinates range over their full residue system regardless
-    of the bound, and lifts come out in coefficient-lexicographic order.
-    no_lift_proven is True exactly when the underlying congruences are
-    unsolvable, which no bound can repair.
+    Returns None exactly when the underlying congruences are unsolvable,
+    which no bound can repair; otherwise an iterator over the lifts in
+    coefficient-lexicographic order.  Torsion coordinates range over
+    their full residue system regardless of the bound.
 
     Whether x lifts u depends only on the parities of x's free and
     even-order coordinates, and those parities p solve the system
     rho2(p) = u over F2, whose solutions are a particular one plus the
     kernel.  At bound 0 the free parities are fixed to 0.  Each solution
     is spread over the bound, one or more lifts each, and the running
-    count is checked against LIFT_CAP before any lift is built:
-    TooManyLifts is raised as soon as it exceeds the cap.
+    count is checked against LIFT_CAP before this function returns:
+    TooManyLifts is raised as soon as it exceeds the cap, so a refusal
+    comes before any lift.  Each spread is a product of ascending ranges,
+    hence sorted, and spreads of different parities are disjoint, so
+    merging them yields every lift once and in order, one at a time.
     """
     if bound < 0:
         raise ValueError("negative bound")
     orders, seen, solved = _lift_parities(system, u)
     if solved is None:
-        return LiftSearch(lifts=(), no_lift_proven=True)
+        return None
     if bound == 0:
         orders, seen, solved = _lift_parities(system, u, free=False)
         if solved is None:
-            return LiftSearch(lifts=(), no_lift_proven=False)
+            return iter(())
     # the values of each coordinate with parity 0 and with parity 1; a
     # coordinate outside `seen` takes the first, whatever its parity
     values = [(range(o),) * 2 if o % 2 else
@@ -1167,12 +1235,22 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
             raise TooManyLifts("%s%d lifts in degree %d exceed the cap %d"
                                % ("" if step == total - 1 else "at least ",
                                   count, u.degree, LIFT_CAP))
-        spreads.append(axes)
-    found = [c for axes in spreads for c in itertools.product(*axes)]
-    found.sort()
-    return LiftSearch(lifts=tuple(system.integral.element(u.degree, c)
-                                  for c in found),
-                      no_lift_proven=False)
+        spreads.append(itertools.product(*axes))
+    ring, degree = system.integral, u.degree
+    return (_element(ring, degree, c) for c in heapq.merge(*spreads))
+
+
+def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
+    """All lifts of u with free coefficients in [-bound, bound].
+
+    The lifts of iter_integral_lifts, in its order, collected into a
+    tuple; no_lift_proven is True exactly when it finds the congruences
+    unsolvable.
+    """
+    lifts = iter_integral_lifts(system, u, bound)
+    if lifts is None:
+        return LiftSearch(lifts=(), no_lift_proven=True)
+    return LiftSearch(lifts=tuple(lifts), no_lift_proven=False)
 
 
 def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .gradedring import (
@@ -431,13 +430,17 @@ def chern_square_sum(data: BundleData, cand: ChernCandidate,
     return q + 2 * twice
 
 
-def _top_class(data: BundleData, cand: ChernCandidate, k: int) -> RingElement:
-    # the top-degree class q_k = 4o of a candidate known to be valid
-    q = chern_square_sum(data, cand, k)
+def _divisible(data: BundleData, q: RingElement) -> RingElement:
+    # q itself, once rho4(q) = 0 is checked, as consistent data guarantees
     if not data.rings.rho4(q).is_zero:
         raise DivisibilityViolation("q = %s is not divisible by 4 (rho4(q) = %s)"
                                     % (q, data.rings.rho4(q)))
     return q
+
+
+def _top_class(data: BundleData, cand: ChernCandidate, k: int) -> RingElement:
+    # the top-degree class q_k = 4o of a candidate known to be valid
+    return _divisible(data, chern_square_sum(data, cand, k))
 
 
 def theorem2_class(data: BundleData, cand: ChernCandidate):
@@ -456,8 +459,9 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
     return q, divide_by(4, q)
 
 
-def _divisibility_verdict(data: BundleData, q: RingElement, rule: str) -> Verdict:
-    paired = data.pair(q)
+def _divisibility_verdict(data: BundleData, q: RingElement, rule: str,
+                          paired: Optional[int]) -> Verdict:
+    # paired is data.pair(q), which the caller computes once
     tail = "" if paired is None else "; q pairs to %d" % paired
     if not q.is_zero:
         solutions = divide_by(4, q)
@@ -493,7 +497,8 @@ def rank6_second_obstruction(data: BundleData, cand: ChernCandidate) -> Verdict:
 def _candidate_verdict(data: BundleData, cand: ChernCandidate) -> Verdict:
     validate_candidate(data, cand)
     k, rule = _final_criterion(data.rank)
-    return _divisibility_verdict(data, _top_class(data, cand, k), rule)
+    q = _top_class(data, cand, k)
+    return _divisibility_verdict(data, q, rule, data.pair(q))
 
 
 # -- candidate enumeration ---------------------------------------------
@@ -555,8 +560,14 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     2 c_2j = -r, r being q_j with c_2j set to zero, that are lifts of
     w_4j within the bound.  Every candidate built thus reduces to w and
     satisfies the intermediate identities by construction, and only its
-    top-degree class is evaluated.  Deterministic: candidates come out in
-    lexicographic order of their coefficient vectors.
+    top-degree class is evaluated.  At rank 4k with k >= 2 that class is
+    evaluated once per prefix c_1..c_{2k-2}: the last class c_{2k-1}
+    enters it only as -2 c_1 c_{2k-1}, so each lift x of c_{2k-1} gets
+    q = q0 - 2 c_1 x, q0 being the class with c_{2k-1} = 0.  At ranks 4
+    and 6 it is quadratic in the last class and is computed whole.  The
+    check rho4(q) = 0 and the pairing of q run once per candidate.
+    Deterministic: candidates come out in lexicographic order of their
+    coefficient vectors.
 
     `enumerated` is the size of the product of the lift sets, which is
     reported but never iterated.  The work is predicted before the search
@@ -597,37 +608,53 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
         raise BudgetExceeded("candidate enumeration exceeded the cap %d"
                              % CANDIDATE_CAP)
     records = []
-    for cand in _admissible_candidates(data, lift_sets):
-        q = _top_class(data, cand, k_final)
-        verdict = _divisibility_verdict(data, q, rule)
-        records.append(CandidateRecord(cand, q, verdict, data.pair(q)))
+    for cand, q in _admissible_candidates(data, lift_sets, k_final):
+        q = _divisible(data, q)
+        paired = data.pair(q)
+        verdict = _divisibility_verdict(data, q, rule, paired)
+        records.append(CandidateRecord(cand, q, verdict, paired))
     return SearchOutcome(bound=bound, rule=rule,
                          enumerated=math.prod(len(lifts) for lifts in lift_sets),
                          records=tuple(records), complete=complete)
 
 
-def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple]):
-    # every even index 2j below n = rank/2 has j below the final index, so
+def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
+                           k: int):
+    # (candidate, its unchecked top class q_k), in lexicographic order.
+    # Every even index 2j below n = rank/2 has j below the final index, so
     # identity j fixes c_2j; it reads only c_1..c_2j, so the prefix with
     # c_2j = 0 gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the
-    # bound and the lexicographic order of divide_by's solutions.
+    # bound and the lexicographic order of divide_by's solutions.  The
+    # last level evaluates q_k per prefix where survey_candidates says so.
     integral = data.rings.integral
+    last = len(lift_sets)
     members = {i: {x.coeffs for x in lift_sets[i - 1]}
-               for i in range(2, len(lift_sets) + 1, 2)}
+               for i in range(2, last + 1, 2)}
+    per_prefix = k >= 2 and data.rank % 4 == 0
+
+    def without_last(prefix, j):
+        # q_j of the prefix extended by a zero class
+        zero = integral.zero(2 * len(prefix) + 2)
+        return chern_square_sum(data, ChernCandidate(prefix + (zero,)), j)
 
     def extend(prefix):
         i = len(prefix) + 1
-        if i > len(lift_sets):
-            yield ChernCandidate(prefix)
-            return
         if i % 2:
             choices = lift_sets[i - 1]
         else:
-            partial = ChernCandidate(prefix + (integral.zero(2 * i),))
-            r = chern_square_sum(data, partial, i // 2)
+            r = without_last(prefix, i // 2)
             choices = [x for x in divide_by(2, -r) if x.coeffs in members[i]]
-        for x in choices:
-            yield from extend(prefix + (x,))
+        if i < last:
+            for x in choices:
+                yield from extend(prefix + (x,))
+        elif per_prefix:
+            q0, c1 = without_last(prefix, k), prefix[0]
+            for x in choices:
+                yield ChernCandidate(prefix + (x,)), q0 - 2 * (c1 * x)
+        else:
+            for x in choices:
+                cand = ChernCandidate(prefix + (x,))
+                yield cand, chern_square_sum(data, cand, k)
 
     return extend(())
 
@@ -667,8 +694,9 @@ def _definite_form_certificate(data: BundleData, bound: int) -> Optional[str]:
     det = minor(range(m), sign)
     radius = 0
     for i in range(m):
-        inverse_ii = Fraction(minor([j for j in range(m) if j != i], sign), det)
-        radius = max(radius, math.isqrt(math.floor(sign * t * inverse_ii)))
+        # floor(sign t (Q^-1)_ii) with (Q^-1)_ii = minor_i / det, det > 0
+        minor_i = minor([j for j in range(m) if j != i], sign)
+        radius = max(radius, math.isqrt(sign * t * minor_i // det))
     if radius > bound:
         return None
     return ("<c1^2> is %s definite, so <c1^2> = <p1 + 2e> = %d bounds the "
@@ -715,7 +743,7 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
         # bound, so none vanishes, and the q of any lift is a witness
         lift = any_integral_lift(data.rings, data.w_class(2))
         q = _top_class(data, ChernCandidate((lift,)), 1)
-        witness = _divisibility_verdict(data, q, rule).witness
+        witness = _divisibility_verdict(data, q, rule, None).witness
     note = ("%s: nonzero obstruction for every candidate (%d tested%s)"
             % (rule, len(statuses),
                "" if certificate is None else "; " + certificate))

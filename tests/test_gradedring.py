@@ -20,6 +20,8 @@ from acso.gradedring import (
     GradedRing,
     NoIntegralLift,
     RewriteRule,
+    MAP_SIGNATURES,
+    RingElement,
     RingError,
     RingPresentation,
     RingSystem,
@@ -31,6 +33,8 @@ from acso.gradedring import (
     divide_by,
     format_exponents,
     integral_lifts,
+    iter_integral_lifts,
+    parse_exponents,
     pontryagin_square,
     sq1_derivation,
 )
@@ -1403,6 +1407,23 @@ def test_lift_cap_counts_parity_solutions(monkeypatch):
         integral_lifts(system, u, 1)
 
 
+def test_iter_integral_lifts_refuses_before_the_first_lift(monkeypatch,
+                                                          s1xwu):
+    # the count is checked when the iterator is made, so `acso lifts`
+    # prints nothing before a refusal; the lifts then come one at a time,
+    # in the order integral_lifts collects them
+    system = free_system(3, [[1, 0, 0]])
+    u = system.mod2.zero(2)
+    stream = iter_integral_lifts(system, u, 1)
+    first = next(stream)
+    assert (first,) + tuple(stream) == integral_lifts(system, u, 1).lifts
+    monkeypatch.setattr(gradedring, "LIFT_CAP", 8)
+    with pytest.raises(TooManyLifts):
+        iter_integral_lifts(system, u, 1)
+    z2 = s1xwu.rings.mod2.from_terms(2, {"z2": 1})
+    assert iter_integral_lifts(s1xwu.rings, z2, 4) is None
+
+
 def test_lift_failure_is_proven(s1xwu):
     sys = s1xwu.rings
     z2 = sys.mod2.from_terms(2, {"z2": 1})
@@ -1583,3 +1604,152 @@ def test_square_is_lift_independent(proj_plane_system):
     base = pontryagin_square(sys, w2)
     for lift in integral_lifts(sys, w2, bound=7).lifts:
         assert sys.rho4(lift * lift) == base
+
+
+# -- element arithmetic -------------------------------------------------------
+
+
+def validated(ring, degree, raw):
+    """The validating constructor on raw coefficients, after checking it
+    against the reduction of every coordinate by its order."""
+    x = RingElement(ring, degree, raw)
+    assert x.coeffs == tuple(_norm_coeff(int(c), o)
+                             for c, o in zip(raw, ring.orders(degree)))
+    return x
+
+
+def unreduced_product(x, y):
+    ring, d = x.ring, x.degree + y.degree
+    acc = [0] * len(ring.basis(d))
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            vec = ring.product_vector(x.degree, i, y.degree, j)
+            for k, v in enumerate(vec):
+                acc[k] += a * b * v
+    return acc
+
+
+def assert_same_element(got, expected):
+    assert (got.ring, got.degree, got.coeffs) == \
+        (expected.ring, expected.degree, expected.coeffs)
+    assert all(type(c) is int for c in got.coeffs)
+
+
+def test_element_arithmetic_matches_validating_constructor(s1xwu):
+    # the ring's own results skip validation and reduce only the torsion
+    # coordinates: every coordinate of the derived mod-2/mod-4 rings, the
+    # orders 2 and 4 of s1xwu's explicit rings, none of a free piece
+    rng = random.Random(13)
+    derived = RingSystem.with_reduction_defaults(
+        FAMILY_PRESENTATIONS["CP^1xCP^2"])
+    for system in (derived, s1xwu.rings):
+        for ring in (system.integral, system.mod2, system.mod4):
+
+            def random_element(d):
+                return ring.element(d, [rng.randint(-9, 9)
+                                        for _ in ring.basis(d)])
+
+            for d1 in range(ring.cutoff + 1):
+                for _ in range(3):
+                    x, y = random_element(d1), random_element(d1)
+                    n = rng.randint(-7, 7)
+                    pairs = [(x + y, [a + b for a, b in zip(x.coeffs, y.coeffs)]),
+                             (x - y, [a - b for a, b in zip(x.coeffs, y.coeffs)]),
+                             (-x, [-a for a in x.coeffs]),
+                             (n * x, [n * a for a in x.coeffs])]
+                    for got, raw in pairs:
+                        assert_same_element(got, validated(ring, d1, raw))
+                    for m in (2, 3, 4):
+                        for half in divide_by(m, x):
+                            assert_same_element(half, validated(ring, d1,
+                                                                half.coeffs))
+                            assert m * half == x
+                    for d2 in range(ring.cutoff + 1 - d1):
+                        z = random_element(d2)
+                        assert_same_element(
+                            x * z, validated(ring, d1 + d2,
+                                             unreduced_product(x, z)))
+        for name, _, _, _ in MAP_SIGNATURES:
+            f = getattr(system, name)
+            for d, columns in f.columns.items():
+                x = f.source.element(d, [rng.randint(-9, 9)
+                                         for _ in f.source.basis(d)])
+                raw = [0] * len(f.target.basis(d + f.shift))
+                for c, col in zip(x.coeffs, columns):
+                    for i, v in col.items():
+                        raw[i] += c * v
+                assert_same_element(f(x), validated(f.target, d + f.shift, raw))
+        for d in range(system.integral.cutoff + 1):
+            u = system.mod2.element(d, [rng.randint(0, 1)
+                                        for _ in system.mod2.basis(d)])
+            for lift in integral_lifts(system, u, 2).lifts:
+                assert_same_element(lift, validated(system.integral, d,
+                                                    lift.coeffs))
+
+
+def parent_from_terms(ring, degree, terms):
+    """GradedRing.from_terms as it was before it summed into one list:
+    one element per term, added up."""
+    ring._check_degree(degree)
+    acc = ring.zero(degree)
+    for text, coeff in terms.items():
+        try:
+            exps = parse_exponents(ring.names, text)
+        except ValueError as exc:
+            raise RingError(str(exc)) from None
+        if ring._exp_degree(exps) != degree:
+            raise DegreeError(
+                "monomial %r has degree %d, expected %d"
+                % (text, ring._exp_degree(exps), degree))
+        acc = acc + int(coeff) * ring.monomial(exps)
+    return acc
+
+
+def from_terms_outcome(build, ring, degree, terms):
+    try:
+        x = build(ring, degree, terms)
+    except RingError as exc:
+        return type(exc), str(exc)
+    return x.ring, x.degree, x.coeffs
+
+
+def test_from_terms_matches_repeated_addition(corpus):
+    # random term dicts over every exponent tuple up to the cutoff, so
+    # that reducible, rewritten and zero monomials occur next to basis
+    # ones, with unknown names, bad exponents and wrong degrees mixed in
+    rng = random.Random(29)
+    rings = []
+    for name in ("cp2", "s1xwu", "hp2"):
+        system = corpus[name].bundle.rings
+        rings += [system.integral, system.mod2, system.mod4]
+    derived = RingSystem.with_reduction_defaults(
+        FAMILY_PRESENTATIONS["CP^1xCP^2"])
+    rings += [derived.integral, derived.mod2, derived.mod4]
+    outcomes = collections.Counter()
+    for ring in rings:
+        tuples = ring._all_monomials(ring.cutoff)
+        for _ in range(300):
+            degree = rng.randint(-1, ring.cutoff + 1)
+            same = [m for m in tuples if ring._exp_degree(m) == degree]
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                roll = rng.random()
+                if roll < 0.75 and same:
+                    text = format_exponents(ring.names, rng.choice(same))
+                elif roll < 0.85:
+                    text = format_exponents(ring.names, rng.choice(tuples))
+                elif roll < 0.9:
+                    text = "%s^0" % ring.names[0]
+                elif roll < 0.95:
+                    text = "nosuch*%s" % ring.names[-1]
+                else:
+                    text = "%s*%s" % (ring.names[0], ring.names[0])
+                terms[text] = rng.choice((rng.randint(-30, 30),
+                                          str(rng.randint(-5, 5))))
+            got = from_terms_outcome(GradedRing.from_terms, ring, degree,
+                                     terms)
+            assert got == from_terms_outcome(parent_from_terms, ring,
+                                             degree, terms), (ring, terms)
+            outcomes[got[0] if isinstance(got[0], type) else "element"] += 1
+    assert outcomes["element"] > 500
+    assert outcomes[DegreeError] > 100 and outcomes[RingError] > 20

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,42 @@ def z2_in_degree_four_bundle(p1):
         p={1: sys.integral.from_terms(4, {"a^2": p1})},
         euler=sys.integral.zero(6), pairing=Pairing(8, (1,)),
         base_dimension=8)
+
+
+def z4_in_degree_eight_bundle():
+    """Rank-8 data whose degree-8 piece is Z/4 + Z, so that the top class
+    q = q0 - 2 c1 c3 has a torsion coordinate that 2 does not kill.
+
+    Integral ring (cutoff 8): a in degree 2, s in degree 6 and t of order
+    4 in degree 8, with a*s = t; the degree-8 basis is t, a^4.  w2 = a,
+    w4 = 0, w6 = s, p1 = -3a^2, p2 = 2t - 2a^4 and e = -a^4, so every c1
+    is an odd multiple of a (two or more lifts from bound 1 on) and every
+    c3 has an odd s-coefficient, which makes c1 c3 an odd multiple of t.
+    """
+    def ring(modulus):
+        return GradedRing(RingPresentation(
+            modulus=modulus, cutoff=8,
+            generators=(Generator("a", 2), Generator("s", 6),
+                        Generator("t", 8, order=4)),
+            rules=(RewriteRule((1, 1, 0), ((1, (0, 0, 1)),)),)))
+
+    integral, mod2, mod4 = ring(0), ring(2), ring(4)
+    sys = RingSystem(
+        integral, mod2, mod4,
+        rho2=CoefficientMap.scaled_identity("rho2", integral, mod2),
+        rho4=CoefficientMap.scaled_identity("rho4", integral, mod4),
+        theta2=CoefficientMap.scaled_identity("theta2", mod2, mod4, 2),
+        rho24=CoefficientMap.scaled_identity("rho24", mod4, mod2),
+        beta=CoefficientMap("beta", mod2, integral, 1))
+    euler = sys.integral.from_terms(8, {"a^4": -1})
+    return BundleData(
+        rank=8, rings=sys,
+        w={2: sys.mod2.from_terms(2, {"a": 1}),
+           6: sys.mod2.from_terms(6, {"s": 1}),
+           8: sys.rho2(euler)},
+        p={1: sys.integral.from_terms(4, {"a^2": -3}),
+           2: sys.integral.from_terms(8, {"t": 2, "a^4": -2})},
+        euler=euler, pairing=Pairing(8, (0, 1)), base_dimension=8)
 
 
 # -- torsion classes ----------------------------------------------------------
@@ -374,8 +411,9 @@ def full_product_survey(data, bound):
                for j in range(1, k_final)):
             continue
         q = naive_chern_square_sum(data, cand, k_final)
-        verdict = obstruct._divisibility_verdict(data, q, rule)
-        records.append((cand, q, verdict, data.pair(q)))
+        paired = data.pair(q)
+        verdict = obstruct._divisibility_verdict(data, q, rule, paired)
+        records.append((cand, q, verdict, paired))
     return (tuple(records), math.prod(len(lifts) for lifts in lift_sets),
             complete, None)
 
@@ -391,7 +429,8 @@ def test_survey_matches_full_product_reference(corpus, two_sphere_six_sphere,
         [(1, 0), (0, 1), (1, -1), (0, 2)])]
     cases = [sf.bundle for sf in corpus.values()] + [
         two_sphere_six_sphere,
-        z2_in_degree_four_bundle(1), z2_in_degree_four_bundle(-3)]
+        z2_in_degree_four_bundle(1), z2_in_degree_four_bundle(-3),
+        z4_in_degree_eight_bundle()]
     cases += [space_file_from_doc(F.space_doc("family", b)).bundle
               for b in generated]
     solved = 0
@@ -404,6 +443,24 @@ def test_survey_matches_full_product_reference(corpus, two_sphere_six_sphere,
                     outcome.no_lift_degree) == full_product_survey(data, bound)
             solved += data.rank >= 6 and bool(records)
     assert solved >= 20
+
+
+def test_survey_of_torsion_in_the_top_degree():
+    # two values of c1 come with twelve lifts c3 each, and c1 c3 is an odd
+    # multiple of the order-4 class t, so the per-prefix q = q0 - 2 c1 c3
+    # must keep 2t in the t-coordinate before rho4(q) = 0 is checked
+    data = z4_in_degree_eight_bundle()
+    outcome = survey_candidates(data, 3)
+    c1s = {r.candidate.classes[0].coeffs for r in outcome.records}
+    assert c1s == {(-1,), (1,)} and len(outcome.records) == 24
+    for r in outcome.records:
+        c1, c2, c3 = r.candidate.classes
+        assert (c1 * c3).coeffs[0] % 2 == 1
+        assert (2 * (c1 * c3)).coeffs[0] == 2
+        assert r.q == chern_square_sum(data, r.candidate, 2)
+        assert r.q.coeffs[0] == 0
+    statuses = {r.verdict.status for r in outcome.records}
+    assert statuses == {"NonZero", "Inconclusive"}
 
 
 def test_survey_solves_torsion_even_classes():
@@ -510,6 +567,72 @@ def test_definite_form_certificate_bounds_every_solution():
                     assert all(max(abs(x), abs(y)) <= bound
                                for x, y in solutions)
                     assert all(holds[bound:])
+
+
+def gram_bundle(Q, t):
+    """Rank-4 data over H^2 = Z{a0, ..., a(m-1)}, H^4 = Z{u} with
+    a_i a_j = Q_ij u and <u> = 1, so <c1^2> is the form Q.  w2 = 0, e = 0
+    and p1 = t u, so <p1 + 2e> = t (a multiple of 4 by Wu's formula)."""
+    m = len(Q)
+    names = ["a%d" % i for i in range(m)]
+    gens = tuple(Generator(n, 2) for n in names) + (Generator("u", 4),)
+    rules = []
+    for i in range(m):
+        for j in range(i, m):
+            lhs = [0] * (m + 1)
+            lhs[i] += 1
+            lhs[j] += 1
+            rhs = ((Q[i][j], (0,) * m + (1,)),) if Q[i][j] else ()
+            rules.append(RewriteRule(tuple(lhs), rhs))
+    sys = RingSystem.with_reduction_defaults(
+        RingPresentation(modulus=0, cutoff=4, generators=gens,
+                         rules=tuple(rules)))
+    return BundleData(rank=4, rings=sys, w={},
+                      p={1: sys.integral.from_terms(4, {"u": t})},
+                      euler=sys.integral.zero(4), pairing=Pairing(4, (1,)),
+                      base_dimension=4)
+
+
+def fraction_radius(Q, t, sign):
+    """The radius as _definite_form_certificate computed it with Fraction:
+    max over i of isqrt(floor(sign t (sign Q)^-1_ii))."""
+    m = len(Q)
+
+    def det(keep):
+        return IntMatrix.from_rows([[sign * Q[i][j] for j in keep]
+                                    for i in keep]).determinant()
+
+    full = det(range(m))
+    return max(math.isqrt(math.floor(
+        sign * t * Fraction(det([j for j in range(m) if j != i]), full)))
+        for i in range(m))
+
+
+def test_certificate_radius_matches_the_fraction_formula():
+    # random definite forms B^T B (signs flipped half the time) of size 1
+    # to 3; the radius is now one integer floor division
+    rng = random.Random(41)
+    tested = 0
+    while tested < 60:
+        m = rng.randint(1, 3)
+        B = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        if IntMatrix.from_rows(B).determinant() == 0:
+            continue
+        sign = rng.choice((1, -1))
+        Q = [[sign * sum(B[k][i] * B[k][j] for k in range(m))
+              for j in range(m)] for i in range(m)]
+        t = sign * 4 * rng.randint(0, 40)
+        note = obstruct._definite_form_certificate(gram_bundle(Q, t), 10 ** 6)
+        radius = fraction_radius(Q, t, sign)
+        assert note.endswith("vanishing c1 by %d" % radius), (Q, t, note)
+        kind = "positive" if sign > 0 else "negative"
+        assert note.startswith("<c1^2> is %s definite" % kind)
+        data = gram_bundle(Q, t)
+        assert obstruct._definite_form_certificate(data, radius) is not None
+        if radius:
+            assert obstruct._definite_form_certificate(data,
+                                                       radius - 1) is None
+        tested += 1
 
 
 def test_bounded_search_claims_nothing_without_a_certificate(cp2):
