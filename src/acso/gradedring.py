@@ -207,6 +207,7 @@ class GradedRing:
     def __init__(self, presentation: RingPresentation):
         self._set_presentation(presentation)
         self._basis_names: dict = {}
+        self._name_order: dict = {}
         self._nf_cache: dict = {}
         self._nf_active: set = set()
         self._masks: dict = {}  # degree -> odd-exponent masks of its basis
@@ -506,6 +507,7 @@ class GradedRing:
         ring = object.__new__(GradedRing)
         ring._set_presentation(replace(self.presentation, modulus=modulus))
         ring._basis_names = self._basis_names
+        ring._name_order = self._name_order
         ring._nf_cache = self._nf_cache
         ring._nf_active = set()
         ring._masks = self._masks
@@ -538,6 +540,19 @@ class GradedRing:
             names = self._basis_names[degree] = tuple(
                 format_exponents(self.names, m) for m in self.basis(degree))
         return names
+
+    def basis_string_order(self, degree: int) -> tuple[int, ...]:
+        """Indices of the degree-d basis sorted by their monomial names.
+
+        Computed once per degree and shared with the derived mod-m rings,
+        as basis_strings is; reports and space files list terms this way.
+        """
+        order = self._name_order.get(degree)
+        if order is None:
+            names = self.basis_strings(degree)
+            order = self._name_order[degree] = tuple(
+                sorted(range(len(names)), key=names.__getitem__))
+        return order
 
     def _check_degree(self, degree: int):
         if not 0 <= degree <= self.cutoff:
@@ -762,7 +777,11 @@ class RingElement:
 
         This is the form in which reports and space files store an element.
         """
-        return {mon: str(c) for mon, c in sorted(self.terms().items())}
+        names = self.ring.basis_strings(self.degree)
+        coeffs = self.coeffs
+        return {names[i]: str(coeffs[i])
+                for i in self.ring.basis_string_order(self.degree)
+                if coeffs[i]}
 
     def __str__(self):
         parts = []

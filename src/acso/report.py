@@ -4,14 +4,22 @@ The JSON form is byte-deterministic (sorted keys, fixed indentation,
 coefficients as decimal strings); the text form is a compact summary that
 names the classical result behind every row.
 
-render_json prints report_doc(...) byte for byte as
-json.dumps(doc, indent=2, sort_keys=True) + "\n" would.  It does not call
-json.dumps, because CPython encodes with indentation in pure Python
-through one generator per container; a small recursive writer over the
-types report_doc emits (dicts with str keys, lists, str, int, bool and
-None) is about twice as fast.  Strings are escaped by the same
-encode_basestring_ascii that json.dumps uses, and any other type raises
-TypeError.
+report_doc(...) is the JSON schema as a dict, and the byte reference:
+render_json prints exactly json.dumps(report_doc(...), indent=2,
+sort_keys=True) + "\n", without calling json.dumps, which CPython runs
+in pure Python through one generator per container when it indents.
+
+render_json writes in one pass.  The search section, which holds one
+record per admissible Chern candidate and so nearly all of a large
+report, is written by _write_search straight from the SearchOutcome: its
+keys come in a fixed sorted layout, a class's terms follow its ring's
+basis_string_order, and the terms object of each candidate class is
+written once per render and reused, since records share their
+c_1..c_{n-2} element objects.  The rest of the report is small and goes
+through _write_json, a recursive writer over the types report_doc emits
+(dicts with str keys, lists, str, int, bool and None), which raises
+TypeError on anything else.  Strings are escaped by the same
+encode_basestring_ascii that json.dumps uses.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ def _search_doc(search: Optional[SearchOutcome]) -> Optional[dict]:
     }
 
 
-def report_doc(report: ObstructionReport, name: str = "") -> dict:
+def _report_head(report: ObstructionReport, name: str) -> dict:
+    # report_doc without its search section, which stays None here
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "space": name,
@@ -96,10 +105,16 @@ def report_doc(report: ObstructionReport, name: str = "") -> dict:
                      for k, v in report.theorem1],
         "final": verdict_doc(report.final),
         "final_rule": report.final_rule,
-        "search": _search_doc(report.search),
+        "search": None,
         "gaps": list(report.gaps),
         "notes": list(report.notes),
     }
+
+
+def report_doc(report: ObstructionReport, name: str = "") -> dict:
+    doc = _report_head(report, name)
+    doc["search"] = _search_doc(report.search)
+    return doc
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -141,13 +156,91 @@ def _write_json(o, indent: str, out: list) -> None:
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(o, SearchOutcome):
+        _write_search(o, indent, out)
     else:
         raise TypeError("a report holds no %s" % type(o).__name__)
 
 
+def _join(items: list, indent: str, brackets: str) -> str:
+    # written items or "key": value entries, laid out as _write_json lays
+    # out a list ("[]") or a dict ("{}") at this indent
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
+def _write_search(search: SearchOutcome, indent: str, out: list) -> None:
+    """Write _search_doc(search) as _write_json would, without building it.
+
+    The entries of every object below are listed in sorted key order.
+    """
+    i1 = indent + "  "  # search entries
+    i2 = i1 + "  "      # records and vanishing candidates
+    i3 = i2 + "  "      # record entries
+    tables: dict = {}   # (ring id, degree) -> ((index, '"name": "'), ...)
+    keys: dict = {}     # class count -> ((i - 1, '"ci": '), ...)
+    memo: dict = {}     # (element id, indent) -> terms object
+
+    def terms(x, ind: str) -> str:
+        table = tables.get((id(x.ring), x.degree))
+        if table is None:
+            names = x.ring.basis_strings(x.degree)
+            table = tables[id(x.ring), x.degree] = tuple(
+                (i, _encode_str(names[i]) + ': "')
+                for i in x.ring.basis_string_order(x.degree))
+        coeffs = x.coeffs
+        return _join([p + str(coeffs[i]) + '"' for i, p in table if coeffs[i]],
+                     ind, "{}")
+
+    def candidate(cand: ChernCandidate, ind: str) -> str:
+        classes = cand.classes
+        order = keys.get(len(classes))
+        if order is None:
+            order = keys[len(classes)] = tuple(
+                (i - 1, '"c%d": ' % i)
+                for i in sorted(range(1, len(classes) + 1), key="c{}".format))
+        inner = ind + "  "
+        entries = []
+        for i, key in order:
+            x = classes[i]
+            text = memo.get((id(x), inner))
+            if text is None:
+                text = memo[id(x), inner] = terms(x, inner)
+            entries.append(key + text)
+        return _join(entries, ind, "{}")
+
+    # one record's layout, its values left as %-placeholders
+    record = _join([
+        '"candidate": %s', '"pairing": %s',
+        '"q": ' + _join(['"degree": %d', '"terms": %s', '"text": %s'],
+                        i3, "{}"),
+        '"status": %s'], i2, "{}")
+    records = [record % (
+        candidate(r.candidate, i3),
+        "null" if r.pairing is None else _encode_str(str(r.pairing)),
+        r.q.degree, terms(r.q, i3 + "  "), _encode_str(str(r.q)),
+        _encode_str(r.verdict.status)) for r in search.records]
+    no_lift = search.no_lift_degree
+    out.append(_join([
+        '"admissible": ' + int.__repr__(search.admissible),
+        '"bound": ' + int.__repr__(search.bound),
+        '"complete": ' + ("true" if search.complete else "false"),
+        '"enumerated": ' + int.__repr__(search.enumerated),
+        '"no_lift_degree": ' + ("null" if no_lift is None
+                                else int.__repr__(no_lift)),
+        '"records": ' + _join(records, i1, "[]"),
+        '"vanishing": ' + _join([candidate(c, i2) for c in search.vanishing],
+                                i1, "[]")], indent, "{}"))
+
+
 def render_json(report: ObstructionReport, name: str = "") -> str:
+    doc = _report_head(report, name)
+    doc["search"] = report.search
     out: list = []
-    _write_json(report_doc(report, name), "", out)
+    _write_json(doc, "", out)
     out.append("\n")
     return "".join(out)
 

@@ -40,6 +40,7 @@ from acso.gradedring import (
 )
 from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
+from acso.spacefile import space_file_from_doc
 
 from conftest import CORPUS_DIR
 
@@ -457,6 +458,40 @@ def test_basis_names_are_shared_with_derived_rings():
                               for m in system.integral.basis(d))
         assert system.mod2.basis_strings(d) is names
         assert system.mod4.basis_strings(d) is names
+        order = system.integral.basis_string_order(d)
+        assert [names[i] for i in order] == sorted(names)
+        assert system.mod2.basis_string_order(d) is order
+        assert system.mod4.basis_string_order(d) is order
+
+
+def test_term_strings_sorts_terms_by_monomial_name(corpus, families):
+    F = families
+    bundles = [F.tangent_cp_product([6]), F.tangent_cp_product([2, 2]),
+               F.tangent_cp_product([1, 3]),
+               F.line_sum(F.cp_product([2, 2, 2]), [[1, 1, 1]]),
+               F.line_sum(F.torus(4), [[0] * 4]),
+               F.line_sum(F.sphere_product(3), [[2, 0, 2]])]
+    systems = [space_file_from_doc(F.space_doc("family%d" % i, b)).bundle.rings
+               for i, b in enumerate(bundles)]
+    systems += [sf.bundle.rings for sf in corpus.values()]
+    rng = random.Random(14)
+    checked = 0
+    for system in systems:
+        for ring in (system.integral, system.mod2, system.mod4):
+            for d in range(ring.cutoff + 1):
+                n = len(ring.basis(d))
+                elements = [ring.element(d, [int(i == j) for j in range(n)])
+                            for i in range(n)]
+                elements += [ring.element(d, [rng.randint(-5, 5)
+                                              for _ in range(n)])
+                             for _ in range(4)]
+                for x in elements:
+                    expected = {m: str(c)
+                                for m, c in sorted(x.terms().items())}
+                    assert list(x.term_strings().items()) == \
+                        list(expected.items())
+                    checked += len(expected) > 1
+    assert checked > 100
 
 
 def test_torus_basis_sizes_are_binomial():

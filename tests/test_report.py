@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from acso.obstruct import Verdict, acs_verdict
+from acso.gradedring import Generator, GradedRing, RingPresentation
+from acso.obstruct import (
+    CandidateRecord,
+    ChernCandidate,
+    SearchOutcome,
+    Verdict,
+    acs_verdict,
+)
 from acso.report import render_json, report_doc
 from acso.spacefile import space_file_from_doc
 
@@ -65,3 +72,121 @@ def test_render_json_refuses_types_outside_the_schema(cp2, bad):
     report = dataclasses.replace(acs_verdict(cp2), notes=(bad,))
     with pytest.raises(TypeError):
         render_json(report, "cp2")
+
+
+# Synthetic searches for the one-pass search writer.  Every one holds
+# elements with several terms whose monomial names sort differently from
+# the basis (degree 4 of RING lists uv, b^2, a*b, a^2; degree 20 lists
+# a^9*b before a^10), so a writer that kept basis order fails each test.
+RING = GradedRing(RingPresentation(0, 20, (
+    Generator("a", 2), Generator("b", 2), Generator("uv", 4))))
+# degree 4 lists t^2, a*t, a^2; t has order 4
+TORSION = GradedRing(RingPresentation(0, 4, (
+    Generator("a", 2), Generator("t", 2, 4))))
+
+
+def mixed(ring, degree, seed):
+    # nonzero on every basis monomial, signs and sizes varying with seed
+    n = len(ring.basis(degree))
+    return ring.element(degree, [(-1) ** (i + seed) * (i + seed + 1)
+                                 for i in range(n)])
+
+
+def top(coeffs):
+    # degree 20 of RING: a^9*b and a^10 are its last two basis monomials
+    n = len(RING.basis(20))
+    return RING.element(20, [0] * (n - len(coeffs)) + list(coeffs))
+
+
+def synthetic(cp2, records, complete=False, no_lift_degree=None):
+    return dataclasses.replace(acs_verdict(cp2), search=SearchOutcome(
+        bound=3, rule="synthetic", enumerated=2 * len(records) + 1,
+        records=tuple(records), no_lift_degree=no_lift_degree,
+        complete=complete))
+
+
+def record(classes, q, status="Zero", pairing=0):
+    witness = None if status == "Zero" else q
+    return CandidateRecord(ChernCandidate(classes), q,
+                           Verdict(status, witness), pairing)
+
+
+def assert_matches_reference(report):
+    for name in ("", "synthetic"):
+        assert render_json(report, name) == reference_json(report, name)
+
+
+def test_search_writer_sorts_candidate_keys_as_strings(cp2):
+    shared = [mixed(RING, 4, i) for i in range(11)]
+    records = [record(shared + [mixed(RING, 4, 11 + j)], top([j + 1, -2]),
+                      status)
+               for j, status in enumerate(["Zero", "NonZero", "Zero"])]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    text = render_json(report)
+    assert text.index('"c10"') < text.index('"c11"') < text.index('"c2"')
+
+
+def test_search_writer_writes_a_zero_class_as_empty_terms(cp2):
+    zero = RING.zero(4)
+    records = [record([zero, mixed(RING, 4, 1), zero], top([1, 1])),
+               record([mixed(RING, 4, 2), zero, zero], top([3, 0]),
+                      "NonZero")]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    candidate = report_doc(report)["search"]["vanishing"][0]
+    assert candidate["c1"] == candidate["c3"] == {}
+
+
+def test_search_writer_writes_q_zero_as_text_0(cp2):
+    records = [record([mixed(RING, 4, 0)], RING.zero(20)),
+               record([mixed(RING, 4, 1)], top([-1, 2]), "NonZero")]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    q = report_doc(report)["search"]["records"][0]["q"]
+    assert (q["terms"], q["text"]) == ({}, "0")
+
+
+def test_search_writer_writes_pairing_none_as_null(cp2):
+    records = [record([mixed(RING, 4, 0)], top([2, 1]), "NonZero", None),
+               record([mixed(RING, 4, 1)], top([1, -1]), "NonZero", -7),
+               record([mixed(RING, 4, 2)], RING.zero(20), "Zero", None)]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    assert [r["pairing"] for r in report_doc(report)["search"]["records"]] \
+        == [None, "-7", None]
+
+
+def test_search_writer_writes_empty_records_and_vanishing(cp2):
+    nonzero = [record([mixed(RING, 4, i)], top([i + 1, 1]), "NonZero")
+               for i in range(2)]
+    for records, complete, no_lift in ((nonzero, True, None),
+                                       ((), False, None), ((), False, 4)):
+        report = synthetic(cp2, records, complete=complete,
+                           no_lift_degree=no_lift)
+        assert_matches_reference(report)
+        assert report_doc(report)["search"]["vanishing"] == []
+
+
+def test_search_writer_on_a_ring_with_torsion(cp2):
+    records = [record([mixed(TORSION, 4, i), mixed(TORSION, 2, i)],
+                      mixed(TORSION, 4, 5 + i), status)
+               for i, status in enumerate(["Zero", "NonZero"])]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    terms = report_doc(report)["search"]["vanishing"][0]["c1"]
+    # basis order t^2, a*t, a^2 with coefficients 1, -2, 3; a*t has order 4
+    assert terms == {"a*t": "2", "a^2": "3", "t^2": "1"}
+    assert list(terms) == ["a*t", "a^2", "t^2"]
+
+
+def test_search_writer_orders_terms_by_monomial_name(cp2):
+    records = [record([mixed(RING, 4, 0)], top([5, -6])),
+               record([mixed(RING, 4, 1)], top([-1, 1]), "NonZero")]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    q = report_doc(report)["search"]["records"][0]["q"]
+    assert list(q["terms"]) == ["a^10", "a^9*b"]
+    assert q["text"] == "5*a^9*b - 6*a^10"
+    assert list(report_doc(report)["search"]["vanishing"][0]["c1"]) == \
+        ["a*b", "a^2", "b^2", "uv"]
