@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .gradedring import RingError, iter_integral_lifts
+from .gradedring import RingError, _lift_coefficients, text
 from .obstruct import (
     BudgetExceeded,
     DataValidationError,
@@ -41,6 +41,10 @@ from .report import (
 )
 from .spacefile import SpaceFile, SpaceFileError, load_space_file, \
     space_file_from_text
+
+# lines of `acso lifts` per write to stdout; larger blocks save little
+# time and add to the peak memory of the command
+_BLOCK_LINES = 256
 
 _LOAD_ERRORS = (SpaceFileError, DataValidationError, RingError, OSError,
                 ValueError, BudgetExceeded, DivisibilityViolation)
@@ -80,7 +84,7 @@ def cmd_lifts(args) -> int:
             print("error: degree %d exceeds the ring cutoff %d"
                   % (i, data.cutoff), file=sys.stderr)
             return 1
-        lifts = iter_integral_lifts(data.rings, data.w_class(i), args.bound)
+        lifts = _lift_coefficients(data.rings, data.w_class(i), args.bound)
         if lifts is None:
             msg = "no integral lift"
             if i % 2 == 0 and i + 1 <= data.cutoff \
@@ -88,12 +92,26 @@ def cmd_lifts(args) -> int:
                 msg = "no integral lift (W%d != 0)" % (i + 1)
             print(msg)
             return 0
-        for x in lifts:
-            print(x)
+        # one line per lift, the text of its element, written in blocks;
+        # the memo keeps the text of each (coordinate, coefficient) term
+        names = data.rings.integral.basis_strings(i)
+        memo = {}
+        block = []
+        for coeffs in lifts:
+            block.append(text(names, coeffs, memo))
+            if len(block) == _BLOCK_LINES:
+                _write_lines(block)
+                block = []
+        _write_lines(block)
     except _LOAD_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0
+
+
+def _write_lines(lines) -> None:
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_table(args) -> int:

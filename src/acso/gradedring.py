@@ -74,8 +74,10 @@ class TooManyLifts(RingError):
 # the most pairs of basis monomials (the entries of a dense product table)
 # that the construction checks of a ring may visit; T^10 (616,666) fits
 TABLE_CAP = 10 ** 6
-# the most lifts iter_integral_lifts yields; each becomes a RingElement
+# the most lifts iter_integral_lifts yields, or `acso lifts` writes
 LIFT_CAP = 10 ** 6
+# the most term texts one memo of `text` keeps, whatever the coefficients
+TEXT_MEMO_CAP = 4096
 
 
 def _table_too_large(entries: int) -> TableTooLarge:
@@ -679,7 +681,9 @@ class RingElement:
     results of the ring's own arithmetic (+, -, negation, scalar and ring
     products, CoefficientMap application, divide_by and integral_lifts)
     are reduced the same way but skip the validation, since their
-    coefficients are integers of the right length already.
+    coefficients are integers of the right length already.  str() is
+    `text` over the names of the degree's basis, the one formatter that
+    `acso lifts` also writes its lines with.
     """
 
     __slots__ = ("ring", "degree", "coeffs")
@@ -784,24 +788,7 @@ class RingElement:
                 if coeffs[i]}
 
     def __str__(self):
-        parts = []
-        for text, c in zip(self.ring.basis_strings(self.degree), self.coeffs):
-            if not c:
-                continue
-            if text == "1":
-                parts.append("%d" % c)
-            elif c == 1:
-                parts.append(text)
-            elif c == -1:
-                parts.append("-%s" % text)
-            else:
-                parts.append("%d*%s" % (c, text))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return text(self.ring.basis_strings(self.degree), self.coeffs)
 
     def __repr__(self):
         return "<%s in degree %d>" % (self, self.degree)
@@ -822,6 +809,49 @@ def _reduced(ring: GradedRing, degree: int, coeffs: list) -> RingElement:
     for i, o in ring._torsion[degree]:
         coeffs[i] %= o
     return _element(ring, degree, tuple(coeffs))
+
+
+def _term(name: str, c: int) -> str:
+    # one nonzero term as it follows another: " + 3*a*b", " - a", " + 2"
+    sign = " - " if c < 0 else " + "
+    c = abs(c)
+    if name == "1":
+        return "%s%d" % (sign, c)
+    if c == 1:
+        return sign + name
+    return "%s%d*%s" % (sign, c, name)
+
+
+def text(names: Sequence[str], coeffs: Sequence[int],
+         memo: Optional[dict] = None) -> str:
+    """The text of the element with these coefficients over these names.
+
+    The nonzero terms come in basis order as `3*a*b`, `a` or `-a`, joined
+    by " + " or " - "; the degree-0 monomial `1` shows its coefficient
+    alone, and an element without terms is `0`.  Each term is built with
+    the sign that joins it to the one before, and only the first term's
+    sign is then fixed.  A memo, when given, keeps the terms by (index,
+    coefficient) for later calls over the same names, up to TEXT_MEMO_CAP
+    of them, so memory stays flat however many coefficients occur.
+    """
+    terms = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if memo is None:
+            terms.append(_term(names[i], c))
+            continue
+        term = memo.get((i, c))
+        if term is None:
+            term = _term(names[i], c)
+            if len(memo) < TEXT_MEMO_CAP:
+                memo[i, c] = term
+        terms.append(term)
+    if not terms:
+        return "0"
+    first = terms[0]
+    terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(terms)
 
 
 # a map in one degree: per source basis monomial, {target row: coefficient}
@@ -1201,14 +1231,9 @@ def _range_size(r: range) -> int:
     return max(0, (r.stop - r.start + r.step - 1) // r.step)
 
 
-def iter_integral_lifts(system: RingSystem, u: RingElement,
-                        bound: int) -> Optional[Iterator[RingElement]]:
-    """The lifts of u with free coefficients in [-bound, bound], lazily.
-
-    Returns None exactly when the underlying congruences are unsolvable,
-    which no bound can repair; otherwise an iterator over the lifts in
-    coefficient-lexicographic order.  Torsion coordinates range over
-    their full residue system regardless of the bound.
+def _lift_coefficients(system: RingSystem, u: RingElement,
+                       bound: int) -> Optional[Iterator[tuple]]:
+    """The coefficient tuples of iter_integral_lifts, in its order.
 
     Whether x lifts u depends only on the parities of x's free and
     even-order coordinates, and those parities p solve the system
@@ -1255,8 +1280,26 @@ def iter_integral_lifts(system: RingSystem, u: RingElement,
                                % ("" if step == total - 1 else "at least ",
                                   count, u.degree, LIFT_CAP))
         spreads.append(itertools.product(*axes))
+    return heapq.merge(*spreads)
+
+
+def iter_integral_lifts(system: RingSystem, u: RingElement,
+                        bound: int) -> Optional[Iterator[RingElement]]:
+    """The lifts of u with free coefficients in [-bound, bound], lazily.
+
+    Returns None exactly when the underlying congruences are unsolvable,
+    which no bound can repair; otherwise an iterator over the lifts in
+    coefficient-lexicographic order.  Torsion coordinates range over
+    their full residue system regardless of the bound.  A count past
+    LIFT_CAP raises TooManyLifts before this function returns.  Each lift
+    is an element made from a tuple of _lift_coefficients; `acso lifts`
+    reads those tuples and writes their text, and makes no element.
+    """
+    coeffs = _lift_coefficients(system, u, bound)
+    if coeffs is None:
+        return None
     ring, degree = system.integral, u.degree
-    return (_element(ring, degree, c) for c in heapq.merge(*spreads))
+    return (_element(ring, degree, c) for c in coeffs)
 
 
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:

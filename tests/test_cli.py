@@ -7,8 +7,11 @@ import time
 
 import pytest
 
+from acso import cli, gradedring
 from acso.cli import main
+from acso.gradedring import iter_integral_lifts
 from acso.obstruct import DivisibilityViolation
+from acso.spacefile import load_space_file
 
 from conftest import CORPUS_DIR, DATA_DIR
 
@@ -367,10 +370,12 @@ def test_lifts_bound_flag(capsys):
 
 
 def test_lifts_reports_proven_failure(capsys):
-    code, out, _ = run(capsys, "lifts", str(CORPUS_DIR / "s1xwu.json"),
-                       "--class", "w2")
-    assert code == 0
-    assert out.strip() == "no integral lift (W3 != 0)"
+    # the message is all of stdout, at any bound
+    assert run(capsys, "lifts", str(CORPUS_DIR / "s1xwu.json"),
+               "--class", "w2") == (0, "no integral lift (W3 != 0)\n", "")
+    assert run(capsys, "lifts", str(DATA_DIR / "thm1_w7.json"), "--class",
+               "w6", "--bound", "0") == (0, "no integral lift (W7 != 0)\n",
+                                         "")
 
 
 def test_lifts_torsion_class(capsys):
@@ -415,6 +420,100 @@ def test_lifts_count_is_capped_before_expansion(families, tmp_path, capsys):
     assert out == ""
     assert err == "error: %d lifts in degree 4 exceed the cap 1000000\n" \
         % 11 ** 6
+
+
+def lift_lines(path, i, bound):
+    """The text `acso lifts` must print: str() of each lift, one a line."""
+    data = load_space_file(path).bundle
+    return "".join(str(x) + "\n" for x in
+                   iter_integral_lifts(data.rings, data.w_class(i), bound))
+
+
+def kernel_space(tmp_path):
+    """H^2 free of rank 3, rho2 with rows a0 + a1 and a1 + a2, w2 = b0.
+
+    (1, 1, 1) spans the F2 kernel of rho2, so the lifts of w2 come from
+    two parity solutions whose spreads are merged; at bound 0 there are
+    none.  No corpus or benchmark file has a nonempty kernel.
+    """
+    def ring(prefix, n):
+        return {"cutoff": 2, "generators": [
+            {"name": "%s%d" % (prefix, k), "degree": 2} for k in range(n)]}
+    rho = {"0": [["1"]], "2": [["1", "1", "0"], ["0", "1", "1"]]}
+    doc = {"schema_version": 1, "name": "kernel",
+           "rings": {"integral": ring("a", 3), "mod2": ring("b", 2),
+                     "mod4": ring("c", 2)},
+           "maps": {"rho2": rho, "rho4": rho,
+                    "theta2": {"0": [["2"]], "2": [["2", "0"], ["0", "2"]]},
+                    "rho24": {"0": [["1"]], "2": [["1", "0"], ["0", "1"]]},
+                    "beta": {}},
+           "bundle": {"rank": 2, "base_dimension": 2, "w": {"2": {"b0": "1"}},
+                      "p": {}, "euler": {"a0": "1"}}}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_lifts_writes_the_text_of_every_lift(tmp_path, capsys):
+    # lift counts around the block size: w4 of S^4 is 0 on a free
+    # coordinate, so an odd bound B gives the B even values in [-B, B];
+    # w2 of CP^2 gives the B + 1 odd ones
+    block = cli._BLOCK_LINES
+    s4, cp2 = CORPUS_DIR / "s4.json", CORPUS_DIR / "cp2.json"
+    kernel = kernel_space(tmp_path)
+    cases = [(kernel, 2, 0, 0), (s4, 4, 0, 1), (s4, 4, 1, 1),
+             (s4, 4, block - 1, block - 1), (cp2, 2, block - 1, block),
+             (s4, 4, block + 1, block + 1),
+             (s4, 4, 2 * block + 1, 2 * block + 1),
+             (kernel, 2, 1, 6), (kernel, 2, 3, 4 * 3 * 3 + 3 * 4 * 4)]
+    for path, i, bound, count in cases:
+        code, out, err = run(capsys, "lifts", str(path), "--class",
+                             "w%d" % i, "--bound", str(bound))
+        assert (code, err) == (0, "")
+        assert out == lift_lines(path, i, bound)
+        assert out.count("\n") == count, (path.name, bound)
+    # the zero lift prints 0, and the kernel's merged spreads stay sorted
+    assert run(capsys, "lifts", str(s4), "--class", "w4",
+               "--bound", "0")[1] == "0\n"
+    _, out, _ = run(capsys, "lifts", str(kernel), "--class", "w2",
+                    "--bound", "1")
+    assert out.splitlines() == ["-a2 - a1", "-a2 + a1", "-a0", "a0",
+                                "a2 - a1", "a2 + a1"]
+
+
+def test_lifts_are_written_in_blocks(monkeypatch):
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr("sys.stdout", Stream())
+    block = cli._BLOCK_LINES
+    path = CORPUS_DIR / "s4.json"
+    assert main(["lifts", str(path), "--class", "w4",
+                 "--bound", str(2 * block + 1)]) == 0
+    assert [w.count("\n") for w in writes] == [block, block, 1]
+    assert "".join(writes) == lift_lines(path, 4, 2 * block + 1)
+
+
+def test_lifts_memo_stays_at_its_cap(monkeypatch, capsys):
+    # the 40,000 lifts of w2 over CP^2 at bound 40000 each have their own
+    # coefficient; the memo of term texts stops at TEXT_MEMO_CAP of them
+    memos = []
+
+    def text(names, coeffs, memo=None):
+        memos.append(memo)
+        return gradedring.text(names, coeffs, memo)
+
+    monkeypatch.setattr(cli, "text", text)
+    path = CORPUS_DIR / "cp2.json"
+    code, out, _ = run(capsys, "lifts", str(path), "--class", "w2",
+                       "--bound", "40000")
+    assert code == 0
+    assert out == lift_lines(path, 2, 40000)
+    assert len(memos) == 40000 and all(m is memos[0] for m in memos)
+    assert len(memos[0]) == gradedring.TEXT_MEMO_CAP
 
 
 @pytest.mark.parametrize("argv", [("check",), ("lifts", "--class", "w2")])

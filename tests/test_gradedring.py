@@ -464,8 +464,8 @@ def test_basis_names_are_shared_with_derived_rings():
         assert system.mod4.basis_string_order(d) is order
 
 
-def test_term_strings_sorts_terms_by_monomial_name(corpus, families):
-    F = families
+def family_and_corpus_systems(corpus, F):
+    """The ring systems of six `families` bundles and of the corpus."""
     bundles = [F.tangent_cp_product([6]), F.tangent_cp_product([2, 2]),
                F.tangent_cp_product([1, 3]),
                F.line_sum(F.cp_product([2, 2, 2]), [[1, 1, 1]]),
@@ -473,10 +473,13 @@ def test_term_strings_sorts_terms_by_monomial_name(corpus, families):
                F.line_sum(F.sphere_product(3), [[2, 0, 2]])]
     systems = [space_file_from_doc(F.space_doc("family%d" % i, b)).bundle.rings
                for i, b in enumerate(bundles)]
-    systems += [sf.bundle.rings for sf in corpus.values()]
+    return systems + [sf.bundle.rings for sf in corpus.values()]
+
+
+def test_term_strings_sorts_terms_by_monomial_name(corpus, families):
     rng = random.Random(14)
     checked = 0
-    for system in systems:
+    for system in family_and_corpus_systems(corpus, families):
         for ring in (system.integral, system.mod2, system.mod4):
             for d in range(ring.cutoff + 1):
                 n = len(ring.basis(d))
@@ -492,6 +495,61 @@ def test_term_strings_sorts_terms_by_monomial_name(corpus, families):
                         list(expected.items())
                     checked += len(expected) > 1
     assert checked > 100
+
+
+def reference_str(self):
+    # the term-by-term RingElement.__str__ that `text` must match, verbatim
+    parts = []
+    for text, c in zip(self.ring.basis_strings(self.degree), self.coeffs):
+        if not c:
+            continue
+        if text == "1":
+            parts.append("%d" % c)
+        elif c == 1:
+            parts.append(text)
+        elif c == -1:
+            parts.append("-%s" % text)
+        else:
+            parts.append("%d*%s" % (c, text))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
+    return out
+
+
+def test_element_text_matches_the_reference(corpus, families):
+    # every basis element and its negative, and seeded random elements
+    # with zero, unit and large coefficients of either sign, of every
+    # degree of the integral, mod-2 and mod-4 rings; one memo per ring
+    # and degree, as `acso lifts` keeps one per command
+    rng = random.Random(15)
+    coefficients = [0, 0, 1, -1, 2, -2, 3, -7, 12, -10 ** 6, 10 ** 30]
+    seen = collections.Counter()
+    for system in family_and_corpus_systems(corpus, families):
+        for ring in (system.integral, system.mod2, system.mod4):
+            for d in range(ring.cutoff + 1):
+                names = ring.basis_strings(d)
+                n = len(names)
+                memo = {}
+                elements = [ring.element(d, [s * (i == j) for j in range(n)])
+                            for i in range(n) for s in (1, -1, 5)]
+                elements += [ring.element(d, [rng.choice(coefficients)
+                                              for _ in range(n)])
+                             for _ in range(6)]
+                elements.append(ring.zero(d))
+                for x in elements:
+                    expected = reference_str(x)
+                    assert str(x) == expected
+                    assert gradedring.text(names, x.coeffs, memo) == expected
+                    assert gradedring.text(names, x.coeffs) == expected
+                    first = next((c for c in x.coeffs if c), 0)
+                    seen["degree 0, |c| > 1"] += d == 0 and abs(first) > 1
+                    seen["negative first term"] += first < 0 and n > 1
+                    seen["several terms"] += sum(map(bool, x.coeffs)) > 1
+                    seen["zero"] += first == 0
+    assert min(seen.values()) > 20, seen
 
 
 def test_torus_basis_sizes_are_binomial():
