@@ -11,7 +11,6 @@ from .intlin import (
     AbelianGroupDescriptor,
     IntMatrix,
     SmithDecomposition,
-    group_from_presentation,
     hermite_basis,
     smith_normal_form,
     solve_integer_linear,
@@ -33,9 +32,8 @@ from .gradedring import (
     any_integral_lift,
     divide_by,
     integral_lifts,
-    iter_integral_lifts,
+    lift_coefficients,
     pontryagin_square,
-    sq1_derivation,
 )
 from .obstruct import (
     BudgetExceeded,
@@ -55,42 +53,35 @@ from .obstruct import (
     homotopy_group,
     integral_sw,
     obstruction_denominator,
-    rank6_second_obstruction,
     survey_candidates,
     theorem1_obstruction,
     theorem2_class,
     validate_wu_formula,
-    wu_dim4_obstruction,
 )
 from .spacefile import (
     SpaceFile,
     SpaceFileError,
-    dump_space_file,
     load_space_file,
-    parse_space_file,
 )
-from .report import exit_code, render_json, render_text, report_doc
+from .report import exit_code, render_json, render_text
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroupDescriptor", "IntMatrix", "SmithDecomposition",
-    "group_from_presentation", "hermite_basis", "smith_normal_form",
-    "solve_integer_linear",
+    "hermite_basis", "smith_normal_form", "solve_integer_linear",
     "CoefficientMap", "ConfluenceError", "DegreeError", "Generator",
     "GradedRing", "LiftSearch", "NoIntegralLift", "RewriteRule",
     "RingElement", "RingError", "RingPresentation", "RingSystem",
     "SignRuleError", "any_integral_lift", "divide_by", "integral_lifts",
-    "iter_integral_lifts", "pontryagin_square", "sq1_derivation",
+    "lift_coefficients", "pontryagin_square",
     "BudgetExceeded", "BundleData", "ChernCandidate", "DataValidationError",
     "DivisibilityViolation", "NoSolution", "ObstructionReport", "Pairing",
     "SearchOutcome", "Verdict", "WuCheck", "acs_verdict",
     "construct_w4m_lift", "first_obstruction", "homotopy_group",
-    "integral_sw", "obstruction_denominator", "rank6_second_obstruction",
-    "survey_candidates", "theorem1_obstruction", "theorem2_class",
-    "validate_wu_formula", "wu_dim4_obstruction",
-    "SpaceFile", "SpaceFileError", "dump_space_file", "load_space_file",
-    "parse_space_file",
-    "exit_code", "render_json", "render_text", "report_doc",
+    "integral_sw", "obstruction_denominator", "survey_candidates",
+    "theorem1_obstruction", "theorem2_class", "validate_wu_formula",
+    "SpaceFile", "SpaceFileError", "load_space_file",
+    "exit_code", "render_json", "render_text",
     "__version__",
 ]

@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .gradedring import RingError, _lift_coefficients, text
+from .gradedring import RingError, lift_coefficients, text
 from .obstruct import (
     BudgetExceeded,
     DataValidationError,
@@ -73,7 +73,10 @@ def cmd_check(args) -> int:
 
 def cmd_lifts(args) -> int:
     name = args.klass
-    if not (len(name) > 1 and name[0] == "w" and name[1:].isdigit()):
+    # ASCII digits only: str.isdigit() also takes "²" (which int() refuses)
+    # and "٢" (which int() reads as 2)
+    if not (len(name) > 1 and name[0] == "w" and name[1:].isascii()
+            and name[1:].isdigit()):
         print("error: --class must look like w2, w4, ...", file=sys.stderr)
         return 1
     i = int(name[1:])
@@ -84,7 +87,7 @@ def cmd_lifts(args) -> int:
             print("error: degree %d exceeds the ring cutoff %d"
                   % (i, data.cutoff), file=sys.stderr)
             return 1
-        lifts = _lift_coefficients(data.rings, data.w_class(i), args.bound)
+        lifts = lift_coefficients(data.rings, data.w_class(i), args.bound)
         if lifts is None:
             msg = "no integral lift"
             if i % 2 == 0 and i + 1 <= data.cutoff \

@@ -38,7 +38,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .intlin import IntMatrix
 
@@ -74,7 +74,8 @@ class TooManyLifts(RingError):
 # the most pairs of basis monomials (the entries of a dense product table)
 # that the construction checks of a ring may visit; T^10 (616,666) fits
 TABLE_CAP = 10 ** 6
-# the most lifts iter_integral_lifts yields, or `acso lifts` writes
+# the most lifts lift_coefficients spreads, so the most that integral_lifts
+# returns or `acso lifts` writes
 LIFT_CAP = 10 ** 6
 # the most term texts one memo of `text` keeps, whatever the coefficients
 TEXT_MEMO_CAP = 4096
@@ -203,7 +204,7 @@ class GradedRing:
     the additive orders on the pairs of basis monomials where they can
     fail.  A presentation that survives construction is safe to compute
     in.  Products of basis monomials are computed on demand and memoised
-    (product_vector).
+    (_product_terms).
     """
 
     def __init__(self, presentation: RingPresentation):
@@ -216,7 +217,14 @@ class GradedRing:
         self._products: dict = {}  # (d1, i, d2, j) -> sparse product terms
         self._check_cutoff()
         self._enumerate_monomials()
-        self._check_confluence()
+        try:
+            self._check_confluence()
+        except RecursionError:
+            # each rewriting step nests two calls of _normal_form/_rewrite,
+            # so a chain of rules as long as about half the interpreter's
+            # recursion limit cannot be followed
+            raise RingError("rewriting nests too deeply to check confluence; "
+                            "the rules chain too many steps") from None
         self._check_table()
 
     # -- presentation machinery -------------------------------------------
@@ -605,58 +613,20 @@ class GradedRing:
         return _reduced(self, degree, coeffs)
 
     def _product_terms(self, d1: int, i: int, d2: int, j: int) -> tuple:
-        # product_vector's value as sparse (index, coefficient) terms
+        # basis monomial i of degree d1 times basis monomial j of degree
+        # d2, d1 + d2 <= cutoff: the Koszul sign times the normal form of
+        # the exponent sum, as sparse (index, coefficient) terms in degree
+        # d1 + d2, computed the first time the pair is asked and memoised
         key = (d1, i, d2, j)
         terms = self._products.get(key)
         if terms is not None:
             return terms
-        for k in (d1, d2, d1 + d2):
-            self._check_degree(k)
-        b1, b2 = self._basis[d1], self._basis[d2]
-        if not (0 <= i < len(b1) and 0 <= j < len(b2)):
-            raise RingError("no basis pair (%d, %d) in degrees %d and %d"
-                            % (i, j, d1, d2))
-        a, b = b1[i], b2[j]
+        a, b = self._basis[d1][i], self._basis[d2][j]
         nf = self._normal_form(tuple([x + y for x, y in zip(a, b)]))
         if self._koszul(a, b) < 0:
             nf = {m: -c for m, c in nf.items()}
         terms = self._products[key] = self._terms(d1 + d2, nf)
         return terms
-
-    def product_vector(self, d1: int, i: int, d2: int, j: int) -> tuple[int, ...]:
-        """Basis monomial i of degree d1 times basis monomial j of degree d2.
-
-        The coefficient vector in degree d1 + d2, the Koszul sign times the
-        normal form of the exponent sum.  The product is computed the
-        first time the pair is asked and memoised per pair as sparse
-        (index, coefficient) terms, which RingElement.__mul__ and the
-        construction checks read; this dense vector is built from them.
-        """
-        terms = self._product_terms(d1, i, d2, j)
-        coeffs = [0] * len(self._basis[d1 + d2])
-        for k, c in terms:
-            coeffs[k] = c
-        return tuple(coeffs)
-
-    def check_associativity(self) -> None:
-        """Verify (xy)z == x(yz) for all basis triples inside the cutoff."""
-        for da in range(self.cutoff + 1):
-            for db in range(self.cutoff + 1 - da):
-                for dc in range(self.cutoff + 1 - da - db):
-                    for a in self._basis_elements(da):
-                        for b in self._basis_elements(db):
-                            for c in self._basis_elements(dc):
-                                if (a * b) * c != a * (b * c):
-                                    raise RingError(
-                                        "associativity fails on %s, %s, %s"
-                                        % (a, b, c))
-
-    def _basis_elements(self, d):
-        n = len(self._basis[d])
-        for i in range(n):
-            coeffs = [0] * n
-            coeffs[i] = 1
-            yield RingElement(self, d, coeffs)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, GradedRing)
@@ -770,11 +740,6 @@ class RingElement:
 
     def __hash__(self):
         return hash((self.degree, self.coeffs))
-
-    def terms(self) -> dict[str, int]:
-        """Nonzero coefficients keyed by monomial string."""
-        return {mon: c for mon, c in
-                zip(self.ring.basis_strings(self.degree), self.coeffs) if c}
 
     def term_strings(self) -> dict[str, str]:
         """Nonzero coefficients as decimal strings, sorted by monomial.
@@ -1231,9 +1196,14 @@ def _range_size(r: range) -> int:
     return max(0, (r.stop - r.start + r.step - 1) // r.step)
 
 
-def _lift_coefficients(system: RingSystem, u: RingElement,
-                       bound: int) -> Optional[Iterator[tuple]]:
-    """The coefficient tuples of iter_integral_lifts, in its order.
+def lift_coefficients(system: RingSystem, u: RingElement,
+                      bound: int) -> Optional[Iterator[tuple]]:
+    """The coefficients of the lifts of u with free ones in [-bound, bound].
+
+    Returns None exactly when the underlying congruences are unsolvable,
+    which no bound can repair; otherwise an iterator over the coefficient
+    tuples of the lifts in lexicographic order.  Torsion coordinates
+    range over their full residue system regardless of the bound.
 
     Whether x lifts u depends only on the parities of x's free and
     even-order coordinates, and those parities p solve the system
@@ -1283,36 +1253,20 @@ def _lift_coefficients(system: RingSystem, u: RingElement,
     return heapq.merge(*spreads)
 
 
-def iter_integral_lifts(system: RingSystem, u: RingElement,
-                        bound: int) -> Optional[Iterator[RingElement]]:
-    """The lifts of u with free coefficients in [-bound, bound], lazily.
-
-    Returns None exactly when the underlying congruences are unsolvable,
-    which no bound can repair; otherwise an iterator over the lifts in
-    coefficient-lexicographic order.  Torsion coordinates range over
-    their full residue system regardless of the bound.  A count past
-    LIFT_CAP raises TooManyLifts before this function returns.  Each lift
-    is an element made from a tuple of _lift_coefficients; `acso lifts`
-    reads those tuples and writes their text, and makes no element.
-    """
-    coeffs = _lift_coefficients(system, u, bound)
-    if coeffs is None:
-        return None
-    ring, degree = system.integral, u.degree
-    return (_element(ring, degree, c) for c in coeffs)
-
-
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
     """All lifts of u with free coefficients in [-bound, bound].
 
-    The lifts of iter_integral_lifts, in its order, collected into a
-    tuple; no_lift_proven is True exactly when it finds the congruences
-    unsolvable.
+    One element per tuple of lift_coefficients, in its order, with the
+    same LIFT_CAP refusal; no_lift_proven is True exactly when it finds
+    the congruences unsolvable.  `acso lifts` reads the tuples of
+    lift_coefficients and writes their text, and makes no element.
     """
-    lifts = iter_integral_lifts(system, u, bound)
-    if lifts is None:
+    coeffs = lift_coefficients(system, u, bound)
+    if coeffs is None:
         return LiftSearch(lifts=(), no_lift_proven=True)
-    return LiftSearch(lifts=tuple(lifts), no_lift_proven=False)
+    ring, degree = system.integral, u.degree
+    return LiftSearch(lifts=tuple(_element(ring, degree, c) for c in coeffs),
+                      no_lift_proven=False)
 
 
 def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:
@@ -1327,41 +1281,3 @@ def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:
         raise NoIntegralLift(
             "no integral lift in degree %d" % u.degree)
     return system.rho4(lift * lift)
-
-
-def sq1_derivation(ring: GradedRing,
-                   images: Mapping[str, RingElement]) -> CoefficientMap:
-    """Extend generator images to a degree +1 derivation on a mod-2 ring.
-
-    images maps generator names to elements one degree up; the extension
-    follows the Leibniz rule, which needs no signs mod 2.  Generators
-    missing from images are sent to zero.
-    """
-    if ring.modulus != 2:
-        raise RingError("derivations here live on mod-2 rings")
-    gen_image = []
-    for g in ring.generators:
-        img = images.get(g.name)
-        if img is None:
-            if g.degree + 1 <= ring.cutoff:
-                img = ring.zero(g.degree + 1)
-        else:
-            if img.ring != ring or img.degree != g.degree + 1:
-                raise RingError("image of %s must live one degree up" % g.name)
-        gen_image.append(img)
-    cols = {}
-    for d in range(ring.cutoff):
-        cols[d] = columns = []
-        for exps in ring.basis(d):
-            acc = ring.zero(d + 1)
-            for i, e in enumerate(exps):
-                if not e or e % 2 == 0:
-                    continue
-                img = gen_image[i]
-                if img is None or img.is_zero:
-                    continue
-                rest = list(exps)
-                rest[i] -= 1
-                acc = acc + ring.monomial(rest) * img
-            columns.append({i: c for i, c in enumerate(acc.coeffs) if c})
-    return CoefficientMap("sq1", ring, ring, 1, cols)

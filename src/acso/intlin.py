@@ -3,7 +3,7 @@
 Everything in this module computes with arbitrary-precision ints and
 returns exact results: Smith normal forms together with the unimodular
 transforms that realize them, solvers for linear systems over Z, Hermite
-bases for integer lattices, and finitely presented abelian groups in
+bases for integer lattices, and finitely generated abelian groups in
 invariant-factor form.  No floats anywhere.
 """
 
@@ -55,17 +55,8 @@ class IntMatrix:
         return cls(len(rows), width, [x for r in rows for x in r])
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls(n, n, [entries[i] if i == j else 0 for i in range(n) for j in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -81,20 +72,6 @@ class IntMatrix:
 
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.row(i) for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self._e[i * self.cols + j]
-                          for j in range(self.cols) for i in range(self.rows)])
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.row(i))
-            entries.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -397,24 +374,7 @@ class AbelianGroupDescriptor:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion_factors
 
-    def order(self) -> Optional[int]:
-        """Number of elements, or None for an infinite group."""
-        if self.free_rank:
-            return None
-        out = 1
-        for t in self.torsion_factors:
-            out *= t
-        return out
-
     def __str__(self):
         parts = ["Z"] * self.free_rank
         parts += ["Z/%d" % t for t in self.torsion_factors]
         return " + ".join(parts) if parts else "0"
-
-
-def group_from_presentation(rel: IntMatrix) -> AbelianGroupDescriptor:
-    """Cokernel of rel, generators indexed by rows and one relation per column."""
-    diag = smith_normal_form(rel).diagonal
-    torsion = tuple(d for d in diag if d > 1)
-    used = sum(1 for d in diag if d)
-    return AbelianGroupDescriptor(free_rank=rel.rows - used, torsion_factors=torsion)

@@ -478,29 +478,6 @@ def _divisibility_verdict(data: BundleData, q: RingElement, rule: str,
                         % (rule, q.degree, tail))
 
 
-def wu_dim4_obstruction(data: BundleData, c1: RingElement) -> Verdict:
-    """Rank-4 criterion: p_1 - c_1^2 + 2e = 4 * o for a lift c_1 of w_2."""
-    if data.rank != 4:
-        raise ValueError("this criterion applies to rank 4, got %d" % data.rank)
-    return _candidate_verdict(data, ChernCandidate((c1,)))
-
-
-def rank6_second_obstruction(data: BundleData, cand: ChernCandidate) -> Verdict:
-    """Rank-6, degree-8 criterion: -2 c1 c3 + c2^2 - p2 = 4 * o, c3 = e."""
-    if data.rank != 6:
-        raise ValueError("this criterion applies to rank 6, got %d" % data.rank)
-    if 8 > data.cutoff:
-        raise DegreeError("degree 8 exceeds cutoff %d" % data.cutoff)
-    return _candidate_verdict(data, cand)
-
-
-def _candidate_verdict(data: BundleData, cand: ChernCandidate) -> Verdict:
-    validate_candidate(data, cand)
-    k, rule = _final_criterion(data.rank)
-    q = _top_class(data, cand, k)
-    return _divisibility_verdict(data, q, rule, data.pair(q))
-
-
 # -- candidate enumeration ---------------------------------------------
 
 

@@ -4,10 +4,11 @@ The JSON form is byte-deterministic (sorted keys, fixed indentation,
 coefficients as decimal strings); the text form is a compact summary that
 names the classical result behind every row.
 
-report_doc(...) is the JSON schema as a dict, and the byte reference:
-render_json prints exactly json.dumps(report_doc(...), indent=2,
-sort_keys=True) + "\n", without calling json.dumps, which CPython runs
-in pure Python through one generator per container when it indents.
+render_json prints exactly json.dumps(doc, indent=2, sort_keys=True) +
+"\n", doc being the report as a dict (tests/test_report.py builds that
+dict, report_doc, as the byte reference), without calling json.dumps,
+which CPython runs in pure Python through one generator per container
+when it indents.
 
 render_json writes in one pass.  The search section, which holds one
 record per admissible Chern candidate and so nearly all of a large
@@ -16,7 +17,7 @@ keys come in a fixed sorted layout, a class's terms follow its ring's
 basis_string_order, and the terms object of each candidate class is
 written once per render and reused, since records share their
 c_1..c_{n-2} element objects.  The rest of the report is small and goes
-through _write_json, a recursive writer over the types report_doc emits
+through _write_json, a recursive writer over the types of that dict
 (dicts with str keys, lists, str, int, bool and None), which raises
 TypeError on anything else.  Strings are escaped by the same
 encode_basestring_ascii that json.dumps uses.
@@ -64,30 +65,8 @@ def candidate_doc(cand: ChernCandidate) -> dict:
             for i, ci in enumerate(cand.classes, start=1)}
 
 
-def _search_doc(search: Optional[SearchOutcome]) -> Optional[dict]:
-    if search is None:
-        return None
-    records = []
-    for r in search.records:
-        records.append({
-            "candidate": candidate_doc(r.candidate),
-            "q": element_doc(r.q),
-            "status": r.verdict.status,
-            "pairing": None if r.pairing is None else str(r.pairing),
-        })
-    return {
-        "bound": search.bound,
-        "enumerated": search.enumerated,
-        "admissible": search.admissible,
-        "complete": search.complete,
-        "no_lift_degree": search.no_lift_degree,
-        "records": records,
-        "vanishing": [candidate_doc(c) for c in search.vanishing],
-    }
-
-
 def _report_head(report: ObstructionReport, name: str) -> dict:
-    # report_doc without its search section, which stays None here
+    # the report as a dict, its search section left None for the caller
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "space": name,
@@ -109,12 +88,6 @@ def _report_head(report: ObstructionReport, name: str) -> dict:
         "gaps": list(report.gaps),
         "notes": list(report.notes),
     }
-
-
-def report_doc(report: ObstructionReport, name: str = "") -> dict:
-    doc = _report_head(report, name)
-    doc["search"] = _search_doc(report.search)
-    return doc
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -173,9 +146,10 @@ def _join(items: list, indent: str, brackets: str) -> str:
 
 
 def _write_search(search: SearchOutcome, indent: str, out: list) -> None:
-    """Write _search_doc(search) as _write_json would, without building it.
+    """Write the search section as _write_json would write its dict.
 
-    The entries of every object below are listed in sorted key order.
+    The dict is never built, and the entries of every object below are
+    listed in sorted key order.
     """
     i1 = indent + "  "  # search entries
     i2 = i1 + "  "      # records and vanishing candidates

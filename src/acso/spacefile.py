@@ -1,10 +1,10 @@
-"""Reading and writing bundle descriptions as JSON space files.
+"""Reading bundle descriptions from JSON space files.
 
 A space file carries one bundle: the cohomology rings of its base (either
 a single torsion-free presentation shared by all three coefficient rings,
 or three explicit presentations tied together by coefficient matrices),
 the characteristic classes, an optional fundamental-class pairing, and
-the expected outcomes used by the corpus runner.  All integer values are
+the expected outcomes used by the corpus runner.  Integer values may be
 written as decimal strings so coefficients survive arbitrary precision.
 """
 
@@ -24,7 +24,6 @@ from .gradedring import (
     RingPresentation,
     RewriteRule,
     RingSystem,
-    format_exponents,
     parse_exponents,
 )
 from .intlin import IntMatrix
@@ -274,6 +273,9 @@ def space_file_from_text(text: str, default_name: str = "",
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpaceFileError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise SpaceFileError("invalid JSON: nested deeper than the "
+                             "interpreter's recursion limit") from None
     return space_file_from_doc(doc, default_name, path)
 
 
@@ -281,86 +283,3 @@ def load_space_file(path) -> SpaceFile:
     path = Path(path)
     return space_file_from_text(path.read_text(encoding="utf-8"),
                                 default_name=path.stem, path=path)
-
-
-def parse_space_file(path) -> BundleData:
-    """Parse a space file and return its fully validated bundle."""
-    return load_space_file(path).bundle
-
-
-# -- serialization ------------------------------------------------------
-
-
-def _pres_doc(ring: GradedRing) -> dict:
-    pres = ring.presentation
-    names = list(pres.names)
-    gens = []
-    for g in pres.generators:
-        item = {"name": g.name, "degree": g.degree}
-        if g.order:
-            item["order"] = g.order
-        gens.append(item)
-    rels = []
-    for rule in pres.rules:
-        rhs = {format_exponents(names, mon): str(c) for c, mon in rule.rhs}
-        rels.append({"lhs": format_exponents(names, rule.lhs), "rhs": rhs})
-    return {"cutoff": pres.cutoff, "generators": gens, "relations": rels}
-
-
-def _maps_doc(rings: RingSystem) -> dict:
-    out = {}
-    for name, _, _, _ in MAP_SIGNATURES:
-        m: CoefficientMap = getattr(rings, name)
-        degrees = {}
-        for d, columns in sorted(m.columns.items()):
-            if not any(columns):
-                continue
-            rows = [["0"] * len(columns)
-                    for _ in m.target.basis(d + m.shift)]
-            for j, col in enumerate(columns):
-                for i, x in col.items():
-                    rows[i][j] = str(x)
-            degrees[str(d)] = rows
-        out[name] = degrees
-    return out
-
-
-def serialize_space_file(sf: SpaceFile) -> dict:
-    """Canonical document for a space file (explicit three-ring form)."""
-    data = sf.bundle
-    rings = data.rings
-    bundle = {
-        "rank": data.rank,
-        "w": {str(i): wi.term_strings() for i, wi in sorted(data.w.items())},
-        "p": {str(k): pk.term_strings() for k, pk in sorted(data.p.items())},
-        "euler": data.euler.term_strings(),
-    }
-    if data.base_dimension is not None:
-        bundle["base_dimension"] = data.base_dimension
-    if data.pairing is not None:
-        basis = rings.integral.basis_strings(data.pairing.degree)
-        bundle["pairing"] = {
-            "degree": data.pairing.degree,
-            "values": {mon: str(v)
-                       for mon, v in zip(basis, data.pairing.values) if v},
-        }
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": sf.name,
-        "rings": {
-            "integral": _pres_doc(rings.integral),
-            "mod2": _pres_doc(rings.mod2),
-            "mod4": _pres_doc(rings.mod4),
-        },
-        "maps": _maps_doc(rings),
-        "bundle": bundle,
-    }
-    if sf.description:
-        doc["description"] = sf.description
-    if sf.expectations:
-        doc["expectations"] = dict(sf.expectations)
-    return doc
-
-
-def dump_space_file(sf: SpaceFile) -> str:
-    return json.dumps(serialize_space_file(sf), indent=2, sort_keys=True) + "\n"

@@ -9,7 +9,7 @@ import pytest
 
 from acso import cli, gradedring
 from acso.cli import main
-from acso.gradedring import iter_integral_lifts
+from acso.gradedring import integral_lifts
 from acso.obstruct import DivisibilityViolation
 from acso.spacefile import load_space_file
 
@@ -392,6 +392,15 @@ def test_lifts_rejects_bad_class_name(capsys):
     assert "--class" in err
 
 
+@pytest.mark.parametrize("klass", ["w\u00b2", "w\u0662", "w2\u00b2", "w"])
+def test_lifts_rejects_class_digits_that_are_not_ascii(klass, capsys):
+    # "w²" passes str.isdigit() but int() refuses it, and int() reads
+    # "w٢" (Arabic-Indic two) as w2: neither is a class name
+    assert run(capsys, "lifts", str(CORPUS_DIR / "cp2.json"),
+               "--class", klass) == (
+        1, "", "error: --class must look like w2, w4, ...\n")
+
+
 def test_lifts_rejects_degree_beyond_cutoff(capsys):
     code, _, err = run(capsys, "lifts", str(CORPUS_DIR / "cp2.json"),
                        "--class", "w10")
@@ -426,7 +435,7 @@ def lift_lines(path, i, bound):
     """The text `acso lifts` must print: str() of each lift, one a line."""
     data = load_space_file(path).bundle
     return "".join(str(x) + "\n" for x in
-                   iter_integral_lifts(data.rings, data.w_class(i), bound))
+                   integral_lifts(data.rings, data.w_class(i), bound).lifts)
 
 
 def kernel_space(tmp_path):
@@ -629,6 +638,50 @@ def test_corpus_reports_undecodable_file_and_runs_the_rest(tmp_path, capsys):
                    "position 0: invalid start byte\n"
                    "cp2: ok\n"
                    "2 cases, 1 mismatches\n")
+
+
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    shutil.copy(CORPUS_DIR / "cp2.json", tmp_path / "cp2.json")
+    message = ("invalid JSON: nested deeper than the interpreter's "
+               "recursion limit")
+    assert run(capsys, "check", str(tmp_path / "deep.json")) == (
+        1, "", "error: %s\n" % message)
+    # the bad case fails alone, and the run goes on
+    assert run(capsys, "corpus", "--run", "--dir", str(tmp_path)) == (
+        1, "cp2: ok\ndeep: MISMATCH\n  failed to run: %s\n"
+           "2 cases, 1 mismatches\n" % message, "")
+
+
+def chain_space(tmp_path, n):
+    """Shared ring of n degree-2 generators with the rules g_{i+1} -> g_i.
+
+    The normal form of g_{n-1} rewrites through every rule in turn, and
+    confluence checks it first.
+    """
+    doc = {"schema_version": 1, "name": "chain%d" % n,
+           "rings": {"shared": {
+               "cutoff": 2,
+               "generators": [{"name": "g%d" % i, "degree": 2}
+                              for i in range(n)],
+               "relations": [{"lhs": "g%d" % (i + 1), "rhs": {"g%d" % i: "1"}}
+                             for i in range(n - 1)]}},
+           "bundle": {"rank": 2, "euler": {}}}
+    path = tmp_path / ("chain%d.json" % n)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_overlong_rewriting_chain_is_one_error_line(tmp_path, capsys):
+    assert run(capsys, "check", str(chain_space(tmp_path, 500))) == (
+        1, "", "error: rewriting nests too deeply to check confluence; "
+               "the rules chain too many steps\n")
+    # a shorter chain builds; confluence costs about rules x generators^2,
+    # so 100 rather than the 400 that also build
+    code, out, err = run(capsys, "check", str(chain_space(tmp_path, 100)))
+    assert (code, err) == (0, "")
+    assert "status: clear" in out
 
 
 def test_corpus_empty_directory(tmp_path, capsys):

@@ -1,0 +1,83 @@
+"""Output that must not depend on the interpreter's hash seed.
+
+Rings key dicts and sets by exponent tuples and fill their product memos
+on demand, maps keep sparse columns as dicts, and every mod-2 equation is
+solved over F2 from them; no iteration order may reach stdout, stderr or
+the exit code.  This runs the command list of the CI step "Reports are
+byte-identical across hash seeds" under PYTHONHASHSEED 0 and 1, one
+process per seed with every command run through acso.cli.main, and
+compares the results.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+from conftest import CORPUS_DIR
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# the runs of the CI step, one per space file each
+RUNS = ("check --format json", "check --format json --bound 3",
+        "check --format json --bound 0", "check --format text --bound 0",
+        "lifts --class w2 --bound 2", "lifts --class w4 --bound 1")
+
+# reads a JSON list of argument lists on stdin and writes, per command,
+# [exit code, stdout, stderr] as a JSON list
+RUNNER = """
+import contextlib, io, json, sys
+from acso.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def family_spaces(F, directory):
+    """The five generated space files of the CI step, by name."""
+    bundles = {
+        "t8_rank2": F.line_sum(F.torus(8), [[0] * 8]),
+        "cp2x3_line": F.line_sum(F.cp_product([2, 2, 2]), [[1, 1, 1]]),
+        "t_cp2xcp2": F.tangent_cp_product([2, 2]),
+        "t_cp6": F.tangent_cp_product([6]),
+        "lines_rank8": F.line_sum(F.cp_product([2, 2]),
+                                  [(1, 0), (0, 1), (1, -1), (0, 2)]),
+    }
+    paths = {}
+    for name, bundle in bundles.items():
+        paths[name] = directory / ("%s.json" % name)
+        paths[name].write_text(json.dumps(F.space_doc(name, bundle)))
+    return paths
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
+    spaces = family_spaces(families, tmp_path)
+    files = sorted(CORPUS_DIR.glob("*.json")) + sorted(spaces.values())
+    commands = [run.split() + [str(f)] for f in files for run in RUNS]
+    # 8,000 lifts take several blocks of `acso lifts` output
+    commands.append(["lifts", "--class", "w4", "--bound", "20",
+                     str(spaces["lines_rank8"])])
+    assert len(commands) == 85
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    procs = [subprocess.Popen([sys.executable, "-c", RUNNER],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              text=True, env=dict(env, PYTHONHASHSEED=seed))
+             for seed in ("0", "1")]
+    outputs = [p.communicate(json.dumps(commands))[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    first, second = (json.loads(out) for out in outputs)
+    assert len(first) == len(commands)
+    for argv, a, b in zip(commands, first, second):
+        assert a == b, argv
+    code, out, err = first[-1]
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 8000

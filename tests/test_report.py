@@ -13,8 +13,38 @@ from acso.obstruct import (
     Verdict,
     acs_verdict,
 )
-from acso.report import render_json, report_doc
+from acso.report import _report_head, candidate_doc, element_doc, render_json
 from acso.spacefile import space_file_from_doc
+
+
+def search_doc(search):
+    """The search section of a report as a dict."""
+    if search is None:
+        return None
+    records = []
+    for r in search.records:
+        records.append({
+            "candidate": candidate_doc(r.candidate),
+            "q": element_doc(r.q),
+            "status": r.verdict.status,
+            "pairing": None if r.pairing is None else str(r.pairing),
+        })
+    return {
+        "bound": search.bound,
+        "enumerated": search.enumerated,
+        "admissible": search.admissible,
+        "complete": search.complete,
+        "no_lift_degree": search.no_lift_degree,
+        "records": records,
+        "vanishing": [candidate_doc(c) for c in search.vanishing],
+    }
+
+
+def report_doc(report, name=""):
+    """The JSON report as a dict: the byte reference of render_json."""
+    doc = _report_head(report, name)
+    doc["search"] = search_doc(report.search)
+    return doc
 
 
 def reference_json(report, name):

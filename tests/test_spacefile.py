@@ -1,7 +1,6 @@
-"""Space file format: parsing, validation, serialization round trips."""
+"""Space file format: parsing and validation."""
 
 import json
-import pathlib
 
 import pytest
 
@@ -9,10 +8,7 @@ from acso.obstruct import DataValidationError
 from acso.spacefile import (
     SCHEMA_VERSION,
     SpaceFileError,
-    dump_space_file,
     load_space_file,
-    parse_space_file,
-    serialize_space_file,
     space_file_from_doc,
     space_file_from_text,
 )
@@ -59,11 +55,6 @@ def test_explicit_three_ring_form(s1xwu):
     assert rings.integral.orders(3) == (2,)
     assert rings.mod2.basis_strings(3) == ("z3", "tb*z2")
     assert rings.beta(s1xwu.w_class(2)) == rings.integral.from_terms(3, {"c": 1})
-
-
-def test_parse_space_file_returns_bundle():
-    data = parse_space_file(CORPUS_DIR / "cp2.json")
-    assert data.rank == 4
 
 
 def test_load_rejects_bad_reduction_data():
@@ -138,42 +129,3 @@ def test_from_text_uses_default_name():
     del doc["name"]
     sf = space_file_from_text(json.dumps(doc), default_name="fallback")
     assert sf.name == "fallback"
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def test_round_trip_preserves_every_corpus_bundle(corpus):
-    for name, space in corpus.items():
-        doc = serialize_space_file(space)
-        again = space_file_from_doc(doc, default_name=name)
-        a, b = space.bundle, again.bundle
-        assert a.rank == b.rank, name
-        assert a.base_dimension == b.base_dimension, name
-        assert a.euler.coeffs == b.euler.coeffs, name
-        assert {i: x.coeffs for i, x in a.w.items()} == \
-               {i: x.coeffs for i, x in b.w.items()}, name
-        assert {k: x.coeffs for k, x in a.p.items()} == \
-               {k: x.coeffs for k, x in b.p.items()}, name
-        if a.pairing is None:
-            assert b.pairing is None, name
-        else:
-            assert a.pairing.degree == b.pairing.degree, name
-            assert a.pairing.values == b.pairing.values, name
-        for d in range(a.cutoff + 1):
-            assert a.rings.integral.basis_strings(d) == b.rings.integral.basis_strings(d)
-            assert a.rings.mod2.orders(d) == b.rings.mod2.orders(d)
-
-
-def test_dump_is_stable_json(corpus):
-    text = dump_space_file(corpus["cp2"])
-    assert text.endswith("\n")
-    doc = json.loads(text)
-    assert doc["schema_version"] == SCHEMA_VERSION
-    assert dump_space_file(corpus["cp2"]) == text
-
-
-def test_serialized_form_is_explicit(corpus):
-    doc = serialize_space_file(corpus["cp2"])
-    assert set(doc["rings"]) == {"integral", "mod2", "mod4"}
-    assert "rho2" in doc["maps"]
