@@ -8,8 +8,8 @@
 `check` exits 0 when no obstruction test fired, 2 when some obstruction
 is provably nonzero, 3 when the only blockers are inconclusive tests, and
 1 on input or usage errors, on candidate searches, counts of ring basis
-pairs and lift counts larger than their caps, and on data that passed validation
-yet breaks Massey's divisibility by 4.  `lifts` exits 1 on the same
+pairs or confluence tests and lift counts larger than their caps, and on
+data that passed validation yet breaks Massey's divisibility by 4.  `lifts` exits 1 on the same
 errors.
 `corpus` exits nonzero when any bundled (or supplied) case disagrees with
 its recorded expectations.

@@ -64,7 +64,8 @@ class NoIntegralLift(RingError):
 
 
 class TableTooLarge(RingError):
-    """A ring's checks could visit more than TABLE_CAP pairs of monomials."""
+    """A ring's checks could visit more than TABLE_CAP pairs of monomials,
+    or test more than TABLE_CAP pairs of a rule and a multiple of a rule."""
 
 
 class TooManyLifts(RingError):
@@ -72,7 +73,8 @@ class TooManyLifts(RingError):
 
 
 # the most pairs of basis monomials (the entries of a dense product table)
-# that the construction checks of a ring may visit; T^10 (616,666) fits
+# that the construction checks of a ring may visit, T^10 (616,666) fitting,
+# and the most (multiple, rule) tests of its confluence check
 TABLE_CAP = 10 ** 6
 # the most lifts lift_coefficients spreads, so the most that integral_lifts
 # returns or `acso lifts` writes
@@ -199,7 +201,8 @@ class GradedRing:
 
     Construction refuses a cutoff with more than TABLE_CAP degree pairs,
     enumerates monomial bases while counting the pairs of the monomials
-    found so far against TABLE_CAP, verifies that the rewrite rules are
+    found so far against TABLE_CAP, counts the tests of the confluence
+    check against TABLE_CAP before it verifies that the rewrite rules are
     confluent inside the truncation, and checks graded commutativity and
     the additive orders on the pairs of basis monomials where they can
     fail.  A presentation that survives construction is safe to compute
@@ -404,26 +407,44 @@ class GradedRing:
             coeffs[k] = c
         return tuple(coeffs)
 
-    def _all_monomials(self, budget: int) -> list[tuple[int, ...]]:
-        # every exponent tuple of degree <= budget, in lexicographic order
+    def _all_monomials(self, budget: int, limit: int) -> Optional[list]:
+        # every exponent tuple of degree <= budget, in lexicographic order,
+        # or None as soon as there are more than limit of them: a prefix
+        # grows into at least one tuple, so the count never falls
         prefixes: list = [((), 0)]
         for step in self._degrees:
-            prefixes = [(exps + (e,), d + e * step)
-                        for exps, d in prefixes
-                        for e in range((budget - d) // step + 1)]
+            grown: list = []
+            for exps, d in prefixes:
+                grown.extend((exps + (e,), d + e * step)
+                             for e in range((budget - d) // step + 1))
+                if len(grown) > limit:
+                    return None
+            prefixes = grown
         return [exps for exps, _ in prefixes]
 
     def _check_confluence(self):
         # a monomial that no rule with a right-hand side divides rewrites
         # to 0 by every applicable rule, so nothing there can recurse,
         # disagree or leave the basis; the multiples s*lhs of the others
-        # are compared in order of degree, then exponents
+        # are compared in order of degree, then exponents.  Each multiple
+        # is tested against every rule, so more than TABLE_CAP tests are
+        # refused before any multiple is compared
+        rules = self.presentation.rules
+        limit = TABLE_CAP // max(1, len(rules))
         multiples = set()
-        for rule in self.presentation.rules:
+        for rule in rules:
             if rule.rhs:
                 budget = self.cutoff - self._exp_degree(rule.lhs)
-                multiples.update(tuple(l + s for l, s in zip(rule.lhs, rest))
-                                 for rest in self._all_monomials(budget))
+                rests = self._all_monomials(budget, limit)
+                if rests is not None:
+                    multiples.update(
+                        tuple(l + s for l, s in zip(rule.lhs, rest))
+                        for rest in rests)
+                if rests is None or len(multiples) > limit:
+                    raise TableTooLarge(
+                        "confluence check of more than %d multiples by %d "
+                        "rules exceeds the cap %d"
+                        % (limit, len(rules), TABLE_CAP))
         for d, exps in sorted((self._exp_degree(m), m) for m in multiples):
             # _normal_form rewrote with the first applicable rule; compare the rest
             first = self._first_rule(exps)

@@ -6,27 +6,25 @@ names the classical result behind every row.
 
 render_json prints exactly json.dumps(doc, indent=2, sort_keys=True) +
 "\n", doc being the report as a dict (tests/test_report.py builds that
-dict, report_doc, as the byte reference), without calling json.dumps,
-which CPython runs in pure Python through one generator per container
-when it indents.
+dict as the byte reference), without building the dict or calling
+json.dumps, which CPython runs in pure Python through one generator per
+container when it indents.
 
-render_json writes in one pass.  The search section, which holds one
-record per admissible Chern candidate and so nearly all of a large
-report, is written by _write_search straight from the SearchOutcome: its
-keys come in a fixed sorted layout, a class's terms follow its ring's
-basis_string_order, and the terms object of each candidate class is
-written once per render and reused, since records share their
-c_1..c_{n-2} element objects.  The rest of the report is small and goes
-through _write_json, a recursive writer over the types of that dict
-(dicts with str keys, lists, str, int, bool and None), which raises
-TypeError on anything else.  Strings are escaped by the same
-encode_basestring_ascii that json.dumps uses.
+render_json is the one JSON writer, and it writes in one pass.  Every
+object of the report is written as its "key": value entries, listed in
+sorted key order and laid out by _join.  Strings go through the same
+encode_basestring_ascii that json.dumps uses and integers through
+int.__repr__, so a string or integer field that holds another type
+raises TypeError.  A class's
+terms follow its ring's basis_string_order.  The search section holds
+one record per admissible Chern candidate and so nearly all of a large
+report; records share their c_1..c_{n-2} element objects, so the terms
+object of each candidate class is written once per render and reused.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .obstruct import (
     BundleData,
@@ -45,99 +43,18 @@ def exit_code(report: ObstructionReport) -> int:
     return _EXIT_BY_STATUS[report.status]
 
 
-def element_doc(x) -> dict:
-    return {"degree": x.degree,
-            "terms": x.term_strings(),
-            "text": str(x)}
-
-
-def verdict_doc(v: Optional[Verdict]) -> Optional[dict]:
-    if v is None:
-        return None
-    return {"status": v.status,
-            "witness": None if v.witness is None else element_doc(v.witness),
-            "denominator": None if v.denominator is None else str(v.denominator),
-            "note": v.note}
-
-
 def candidate_doc(cand: ChernCandidate) -> dict:
     return {"c%d" % i: ci.term_strings()
             for i, ci in enumerate(cand.classes, start=1)}
 
 
-def _report_head(report: ObstructionReport, name: str) -> dict:
-    # the report as a dict, its search section left None for the caller
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "space": name,
-        "rank": report.rank,
-        "base_dimension": report.base_dimension,
-        "status": report.status,
-        "existence": report.existence,
-        "exit_code": exit_code(report),
-        "sole_obstruction": report.sole_obstruction,
-        "wu": [{"m": c.m, "status": c.status, "note": c.note}
-               for c in report.wu_checks],
-        "first": verdict_doc(report.first),
-        "ehresmann_w7": verdict_doc(dict(report.theorem1).get(1)),
-        "theorem1": [{"k": k, "degree": 4 * k + 3, **verdict_doc(v)}
-                     for k, v in report.theorem1],
-        "final": verdict_doc(report.final),
-        "final_rule": report.final_rule,
-        "search": None,
-        "gaps": list(report.gaps),
-        "notes": list(report.notes),
-    }
-
-
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write_json(o, indent: str, out: list) -> None:
-    if isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError("report keys must be str, not %s"
-                                % type(key).__name__)
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(o[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(o, list):
-        if not o:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in o:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif isinstance(o, SearchOutcome):
-        _write_search(o, indent, out)
-    else:
-        raise TypeError("a report holds no %s" % type(o).__name__)
+_int = int.__repr__
 
 
 def _join(items: list, indent: str, brackets: str) -> str:
-    # written items or "key": value entries, laid out as _write_json lays
-    # out a list ("[]") or a dict ("{}") at this indent
+    # written items or "key": value entries, laid out as json.dumps lays
+    # out a list ("[]") or a dict ("{}") whose first line is at this indent
     if not items:
         return brackets
     inner = "\n" + indent + "  "
@@ -145,15 +62,7 @@ def _join(items: list, indent: str, brackets: str) -> str:
             + "\n" + indent + brackets[1])
 
 
-def _write_search(search: SearchOutcome, indent: str, out: list) -> None:
-    """Write the search section as _write_json would write its dict.
-
-    The dict is never built, and the entries of every object below are
-    listed in sorted key order.
-    """
-    i1 = indent + "  "  # search entries
-    i2 = i1 + "  "      # records and vanishing candidates
-    i3 = i2 + "  "      # record entries
+def render_json(report: ObstructionReport, name: str = "") -> str:
     tables: dict = {}   # (ring id, degree) -> ((index, '"name": "'), ...)
     keys: dict = {}     # class count -> ((i - 1, '"ci": '), ...)
     memo: dict = {}     # (element id, indent) -> terms object
@@ -168,6 +77,24 @@ def _write_search(search: SearchOutcome, indent: str, out: list) -> None:
         coeffs = x.coeffs
         return _join([p + str(coeffs[i]) + '"' for i, p in table if coeffs[i]],
                      ind, "{}")
+
+    def element(x, ind: str) -> str:
+        return _join(['"degree": ' + _int(x.degree),
+                      '"terms": ' + terms(x, ind + "  "),
+                      '"text": ' + _encode_str(str(x))], ind, "{}")
+
+    def verdict_entries(v: Verdict, ind: str) -> list:
+        # the entries of a verdict object at this indent
+        return ['"denominator": ' + ("null" if v.denominator is None
+                                     else _encode_str(str(v.denominator))),
+                '"note": ' + _encode_str(v.note),
+                '"status": ' + _encode_str(v.status),
+                '"witness": ' + ("null" if v.witness is None
+                                 else element(v.witness, ind + "  "))]
+
+    def verdict(v, ind: str) -> str:
+        return "null" if v is None else _join(verdict_entries(v, ind), ind,
+                                              "{}")
 
     def candidate(cand: ChernCandidate, ind: str) -> str:
         classes = cand.classes
@@ -186,37 +113,65 @@ def _write_search(search: SearchOutcome, indent: str, out: list) -> None:
             entries.append(key + text)
         return _join(entries, ind, "{}")
 
-    # one record's layout, its values left as %-placeholders
-    record = _join([
-        '"candidate": %s', '"pairing": %s',
-        '"q": ' + _join(['"degree": %d', '"terms": %s', '"text": %s'],
-                        i3, "{}"),
-        '"status": %s'], i2, "{}")
-    records = [record % (
-        candidate(r.candidate, i3),
-        "null" if r.pairing is None else _encode_str(str(r.pairing)),
-        r.q.degree, terms(r.q, i3 + "  "), _encode_str(str(r.q)),
-        _encode_str(r.verdict.status)) for r in search.records]
-    no_lift = search.no_lift_degree
-    out.append(_join([
-        '"admissible": ' + int.__repr__(search.admissible),
-        '"bound": ' + int.__repr__(search.bound),
-        '"complete": ' + ("true" if search.complete else "false"),
-        '"enumerated": ' + int.__repr__(search.enumerated),
-        '"no_lift_degree": ' + ("null" if no_lift is None
-                                else int.__repr__(no_lift)),
-        '"records": ' + _join(records, i1, "[]"),
-        '"vanishing": ' + _join([candidate(c, i2) for c in search.vanishing],
-                                i1, "[]")], indent, "{}"))
+    def search_section(search: SearchOutcome, ind: str) -> str:
+        i1 = ind + "  "  # search entries
+        i2 = i1 + "  "   # records and vanishing candidates
+        i3 = i2 + "  "   # record entries
+        # one record's layout, its values left as %-placeholders
+        record = _join([
+            '"candidate": %s', '"pairing": %s',
+            '"q": ' + _join(['"degree": %d', '"terms": %s', '"text": %s'],
+                            i3, "{}"),
+            '"status": %s'], i2, "{}")
+        records = [record % (
+            candidate(r.candidate, i3),
+            "null" if r.pairing is None else _encode_str(str(r.pairing)),
+            r.q.degree, terms(r.q, i3 + "  "), _encode_str(str(r.q)),
+            _encode_str(r.verdict.status)) for r in search.records]
+        no_lift = search.no_lift_degree
+        return _join([
+            '"admissible": ' + _int(search.admissible),
+            '"bound": ' + _int(search.bound),
+            '"complete": ' + ("true" if search.complete else "false"),
+            '"enumerated": ' + _int(search.enumerated),
+            '"no_lift_degree": ' + ("null" if no_lift is None
+                                    else _int(no_lift)),
+            '"records": ' + _join(records, i1, "[]"),
+            '"vanishing": ' + _join([candidate(c, i2)
+                                     for c in search.vanishing], i1, "[]")],
+            ind, "{}")
 
-
-def render_json(report: ObstructionReport, name: str = "") -> str:
-    doc = _report_head(report, name)
-    doc["search"] = report.search
-    out: list = []
-    _write_json(doc, "", out)
-    out.append("\n")
-    return "".join(out)
+    i1, i2 = "  ", "    "  # report entries, and the rows of its lists
+    theorem1 = []
+    for k, v in report.theorem1:
+        denominator, *rest = verdict_entries(v, i2)
+        theorem1.append(_join(['"degree": ' + _int(4 * k + 3), denominator,
+                               '"k": ' + _int(k)] + rest, i2, "{}"))
+    wu = [_join(['"m": ' + _int(c.m), '"note": ' + _encode_str(c.note),
+                 '"status": ' + _encode_str(c.status)], i2, "{}")
+          for c in report.wu_checks]
+    base, rule, search = (report.base_dimension, report.final_rule,
+                          report.search)
+    return _join([
+        '"base_dimension": ' + ("null" if base is None else _int(base)),
+        '"ehresmann_w7": ' + verdict(dict(report.theorem1).get(1), i1),
+        '"existence": ' + _encode_str(report.existence),
+        '"exit_code": ' + _int(exit_code(report)),
+        '"final": ' + verdict(report.final, i1),
+        '"final_rule": ' + ("null" if rule is None else _encode_str(rule)),
+        '"first": ' + verdict(report.first, i1),
+        '"gaps": ' + _join([_encode_str(g) for g in report.gaps], i1, "[]"),
+        '"notes": ' + _join([_encode_str(n) for n in report.notes], i1, "[]"),
+        '"rank": ' + _int(report.rank),
+        '"schema_version": ' + _int(REPORT_SCHEMA_VERSION),
+        '"search": ' + ("null" if search is None
+                        else search_section(search, i1)),
+        '"sole_obstruction": ' + ("true" if report.sole_obstruction
+                                  else "false"),
+        '"space": ' + _encode_str(name),
+        '"status": ' + _encode_str(report.status),
+        '"theorem1": ' + _join(theorem1, i1, "[]"),
+        '"wu": ' + _join(wu, i1, "[]")], "", "{}") + "\n"
 
 
 def _verdict_line(label: str, v: Verdict) -> str:

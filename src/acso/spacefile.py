@@ -72,6 +72,10 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
         raise SpaceFileError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
 
 
+# the most characters of an offending value that an error message quotes
+_QUOTE_CAP = 64
+
+
 def _int(value, what: str) -> int:
     if isinstance(value, bool):
         raise SpaceFileError("%s must be an integer" % what)
@@ -82,8 +86,11 @@ def _int(value, what: str) -> int:
             return int(value, 10)
         except ValueError:
             pass
-    raise SpaceFileError("%s must be an integer or decimal string, got %r"
-                         % (what, value))
+    quoted = repr(value)
+    if len(quoted) > _QUOTE_CAP:
+        quoted = quoted[:_QUOTE_CAP] + "..."
+    raise SpaceFileError("%s must be an integer or decimal string, got %s"
+                         % (what, quoted))
 
 
 def _terms(obj, what: str) -> dict:

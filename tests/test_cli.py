@@ -1,8 +1,13 @@
 """Command line behavior: exit codes, output shapes, determinism."""
 
+import itertools
 import json
 import math
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -14,6 +19,8 @@ from acso.obstruct import DivisibilityViolation
 from acso.spacefile import load_space_file
 
 from conftest import CORPUS_DIR, DATA_DIR
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -244,6 +251,40 @@ def test_check_oversized_ring_is_refused_before_enumeration(
     code, out, err = run(capsys, "check", str(path))
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", message)
+
+
+def test_check_confluence_work_is_refused_before_any_comparison(
+        monkeypatch, tmp_path, capsys):
+    # 14 degree-2 generators, cutoff 12, g_i g_j -> 0 (i < j), g_i^2 -> g_0^2
+    # (i >= 1) and g_0^3 -> 0: 16 basis monomials, but the 13 rules with a
+    # right-hand side have tens of thousands of multiples, each to be
+    # tested against all 105 rules
+    n = 14
+    names = ["g%d" % i for i in range(n)]
+    relations = [{"lhs": "%s*%s" % (a, b), "rhs": {}}
+                 for a, b in itertools.combinations(names, 2)]
+    relations += [{"lhs": "%s^2" % g, "rhs": {"g0^2": "1"}}
+                  for g in names[1:]]
+    relations.append({"lhs": "g0^3", "rhs": {}})
+    doc = {"schema_version": 1, "name": "squares",
+           "rings": {"shared": {
+               "cutoff": 12,
+               "generators": [{"name": g, "degree": 2} for g in names],
+               "relations": relations}},
+           "bundle": {"rank": 2, "w": {}, "p": {}, "euler": {}}}
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps(doc))
+
+    def compared(*args):
+        raise AssertionError("a normal form was computed")
+
+    monkeypatch.setattr(gradedring.GradedRing, "_normal_form", compared)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        1, "", "error: confluence check of more than 9523 multiples by 105 "
+               "rules exceeds the cap 1000000\n")
 
 
 def test_check_huge_base_dimension_is_one_gap(tmp_path, capsys):
@@ -652,6 +693,24 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys):
     assert run(capsys, "corpus", "--run", "--dir", str(tmp_path)) == (
         1, "cp2: ok\ndeep: MISMATCH\n  failed to run: %s\n"
            "2 cases, 1 mismatches\n" % message, "")
+
+
+def test_deeply_nested_value_is_cut_in_its_error_line(tmp_path):
+    # a list nested 980 deep, which the decoder accepts in a fresh
+    # process: its repr runs to 1,960 characters, of which the one error
+    # line quotes 64.  A process, because the deeper stack of a test run
+    # leaves the decoder and repr less room below the recursion limit
+    doc = json.loads((CORPUS_DIR / "cp2.json").read_text())
+    doc["bundle"]["euler"] = {"a^2": "@"}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc).replace('"@"', "[" * 980 + "]" * 980))
+    result = subprocess.run(
+        [sys.executable, "-m", "acso", "check", str(path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: bundle.euler['a^2'] must be an integer or decimal "
+               "string, got %s...\n" % ("[" * 64))
 
 
 def chain_space(tmp_path, n):

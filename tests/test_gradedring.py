@@ -473,6 +473,34 @@ def test_enumeration_stops_at_the_cap(monkeypatch):
         GradedRing(replace(pres, cutoff=13))
 
 
+def test_confluence_check_is_capped_before_any_comparison(monkeypatch):
+    # four degree-2 generators, cutoff 12, g_i g_j -> 0 (i < j),
+    # g_i^2 -> g_0^2 (i >= 1) and g_0^3 -> 0: 10 rules, and the 3 with a
+    # right-hand side have 166 distinct multiples (the 210 exponent tuples
+    # of degree <= 12 less the 44 with g_1..g_3 exponents below 2)
+    gens = tuple(Generator("g%d" % i, 2) for i in range(4))
+    unit = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    rules = [RewriteRule(tuple(a + b for a, b in zip(unit[i], unit[j])))
+             for i, j in itertools.combinations(range(4), 2)]
+    rules += [RewriteRule(tuple(2 * e for e in unit[i]),
+                          ((1, (2, 0, 0, 0)),)) for i in range(1, 4)]
+    rules.append(RewriteRule((3, 0, 0, 0)))
+    pres = RingPresentation(0, 12, gens, tuple(rules))
+    monkeypatch.setattr(gradedring, "TABLE_CAP", 1660)
+    ring = GradedRing(pres)
+    assert [len(ring.basis(d)) for d in range(0, 13, 2)] == [1, 4, 1, 0, 0,
+                                                             0, 0]
+
+    def compared(*args):
+        raise AssertionError("a normal form was computed")
+
+    monkeypatch.setattr(gradedring, "TABLE_CAP", 1659)
+    monkeypatch.setattr(GradedRing, "_normal_form", compared)
+    with pytest.raises(TableTooLarge, match=r"^confluence check of more than "
+                       r"165 multiples by 10 rules exceeds the cap 1659$"):
+        GradedRing(pres)
+
+
 def test_basis_names_are_shared_with_derived_rings():
     system = RingSystem.with_reduction_defaults(
         truncated_product("t", 1, [1] * 4, 4))
@@ -1813,7 +1841,7 @@ def test_from_terms_matches_repeated_addition(corpus):
     rings += [derived.integral, derived.mod2, derived.mod4]
     outcomes = collections.Counter()
     for ring in rings:
-        tuples = ring._all_monomials(ring.cutoff)
+        tuples = ring._all_monomials(ring.cutoff, gradedring.TABLE_CAP)
         for _ in range(300):
             degree = rng.randint(-1, ring.cutoff + 1)
             same = [m for m in tuples if ring._exp_degree(m) == degree]

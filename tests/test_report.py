@@ -1,7 +1,10 @@
 """render_json against json.dumps, which stays the reference for its bytes."""
 
+from __future__ import annotations
+
 import dataclasses
 import json
+from typing import Optional
 
 import pytest
 
@@ -9,12 +12,62 @@ from acso.gradedring import Generator, GradedRing, RingPresentation
 from acso.obstruct import (
     CandidateRecord,
     ChernCandidate,
+    ObstructionReport,
     SearchOutcome,
     Verdict,
     acs_verdict,
 )
-from acso.report import _report_head, candidate_doc, element_doc, render_json
+from acso.report import (
+    REPORT_SCHEMA_VERSION,
+    candidate_doc,
+    exit_code,
+    render_json,
+)
 from acso.spacefile import space_file_from_doc
+
+# element_doc, verdict_doc and _report_head are copies of the dict
+# builders that render_json replaced, so that the reference shares no
+# code with the writer it checks.
+
+
+def element_doc(x) -> dict:
+    return {"degree": x.degree,
+            "terms": x.term_strings(),
+            "text": str(x)}
+
+
+def verdict_doc(v: Optional[Verdict]) -> Optional[dict]:
+    if v is None:
+        return None
+    return {"status": v.status,
+            "witness": None if v.witness is None else element_doc(v.witness),
+            "denominator": None if v.denominator is None else str(v.denominator),
+            "note": v.note}
+
+
+def _report_head(report: ObstructionReport, name: str) -> dict:
+    # the report as a dict, its search section left None for the caller
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "space": name,
+        "rank": report.rank,
+        "base_dimension": report.base_dimension,
+        "status": report.status,
+        "existence": report.existence,
+        "exit_code": exit_code(report),
+        "sole_obstruction": report.sole_obstruction,
+        "wu": [{"m": c.m, "status": c.status, "note": c.note}
+               for c in report.wu_checks],
+        "first": verdict_doc(report.first),
+        "ehresmann_w7": verdict_doc(dict(report.theorem1).get(1)),
+        "theorem1": [{"k": k, "degree": 4 * k + 3, **verdict_doc(v)}
+                     for k, v in report.theorem1],
+        "final": verdict_doc(report.final),
+        "final_rule": report.final_rule,
+        "search": None,
+        "gaps": list(report.gaps),
+        "notes": list(report.notes),
+    }
 
 
 def search_doc(search):
@@ -100,6 +153,14 @@ def test_render_json_matches_json_dumps_on_synthetic_reports(cp2):
 @pytest.mark.parametrize("bad", [(1, 2), 1.5])
 def test_render_json_refuses_types_outside_the_schema(cp2, bad):
     report = dataclasses.replace(acs_verdict(cp2), notes=(bad,))
+    with pytest.raises(TypeError):
+        render_json(report, "cp2")
+
+
+@pytest.mark.parametrize("field, bad", [("rank", 4.0), ("base_dimension", "4")])
+def test_render_json_refuses_a_non_integer_in_an_integer_field(cp2, field,
+                                                               bad):
+    report = dataclasses.replace(acs_verdict(cp2), **{field: bad})
     with pytest.raises(TypeError):
         render_json(report, "cp2")
 

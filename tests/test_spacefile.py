@@ -124,6 +124,28 @@ def test_integer_fields_accept_plain_and_string():
         space_file_from_doc(doc)
 
 
+def int_error(value) -> str:
+    doc = cp2_doc()
+    doc["bundle"]["euler"] = {"a^2": value}
+    with pytest.raises(SpaceFileError) as info:
+        space_file_from_doc(doc)
+    return str(info.value)
+
+
+INT_ERROR = "bundle.euler['a^2'] must be an integer or decimal string, got "
+
+
+def test_integer_errors_quote_a_short_value_whole():
+    # "x" * 62 has a repr of 64 characters, the most quoted whole
+    for value in ("three", 1.5, [1, 2], None, "x" * 62):
+        assert int_error(value) == INT_ERROR + repr(value)
+
+
+def test_integer_errors_cut_a_long_value():
+    for value in ("x" * 63, "y" * 5000, list(range(1000))):
+        assert int_error(value) == INT_ERROR + repr(value)[:64] + "..."
+
+
 def test_from_text_uses_default_name():
     doc = cp2_doc()
     del doc["name"]

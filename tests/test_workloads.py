@@ -1,0 +1,54 @@
+"""One checked round of every benchmark workload.
+
+`bench/workloads.py` builds each workload's operations (`acso` command
+lines) and a check on each answer, which it computes independently with
+`bench/algebra.py`.  This runs a workload's set-up checks, then every
+operation once through acso.cli.main, unmeasured, and calls its check.
+A known-fault marker on an operation is not honoured here: every answer
+must pass its check, so a regression that a marker would hide fails.
+"""
+
+import contextlib
+import io
+import sys
+
+import pytest
+
+from acso.cli import main
+
+from conftest import BENCH_DIR
+
+NAMES = ["corpus", "search", "rings", "lifts"]
+SEED = 7
+
+
+@pytest.fixture(scope="module")
+def workloads(families):
+    # imported from bench/ as it is, next to the families module it uses
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import workloads as module
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module
+
+
+def test_every_workload_is_run(workloads):
+    assert sorted(workloads.WORKLOADS) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_workload_round_passes_its_checks(workloads, name, tmp_path):
+    workload = workloads.WORKLOADS[name](SEED, BENCH_DIR.parent, tmp_path)
+    for check in workload.setup_checks:
+        check()
+    assert workload.ops
+    for op in workload.ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(op.argv))
+            except SystemExit as exc:
+                code = exc.code
+        assert err.getvalue() == "", op.key
+        op.check(code, out.getvalue())
