@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .gradedring import RingError, lift_coefficients, text
 from .obstruct import (
@@ -132,6 +130,11 @@ def cmd_table(args) -> int:
 
 def _corpus_sources(directory):
     """(name, file) of every space file in name order; files are read later."""
+    # imported here, not at the top: only `acso corpus` lists a directory,
+    # and these modules would add to the start of every other command
+    from importlib import resources
+    from pathlib import Path
+
     if directory is not None:
         root = Path(directory)
         if not root.is_dir():

@@ -37,10 +37,9 @@ import heapq
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
-from .intlin import IntMatrix
+from .intlin import Frozen, IntMatrix, set_field
 
 
 class RingError(Exception):
@@ -81,6 +80,16 @@ TABLE_CAP = 10 ** 6
 LIFT_CAP = 10 ** 6
 # the most term texts one memo of `text` keeps, whatever the coefficients
 TEXT_MEMO_CAP = 4096
+# the most characters of an offending value that an error message quotes
+QUOTE_CAP = 64
+
+
+def quote(value) -> str:
+    """repr(value) for an error message, cut after QUOTE_CAP characters."""
+    quoted = repr(value)
+    if len(quoted) > QUOTE_CAP:
+        quoted = quoted[:QUOTE_CAP] + "..."
+    return quoted
 
 
 def _table_too_large(entries: int) -> TableTooLarge:
@@ -91,51 +100,51 @@ def _table_too_large(entries: int) -> TableTooLarge:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Frozen):
     """Ring generator: additive order 0 means infinite order."""
 
-    name: str
-    degree: int
-    order: int = 0
+    __slots__ = ("name", "degree", "order")
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValueError("bad generator name %r" % (self.name,))
-        if self.degree < 1:
+    def __init__(self, name: str, degree: int, order: int = 0):
+        if not _NAME_RE.match(name):
+            raise ValueError("bad generator name %s" % quote(name))
+        if degree < 1:
             raise ValueError("generator degree must be positive")
-        if self.order < 0 or self.order == 1:
+        if order < 0 or order == 1:
             raise ValueError("generator order must be 0 or >= 2")
+        set_field(self, "name", name)
+        set_field(self, "degree", degree)
+        set_field(self, "order", order)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Frozen):
     """lhs is an exponent tuple; rhs a sum of (coefficient, exponent tuple)."""
 
-    lhs: tuple[int, ...]
-    rhs: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(int(e) for e in self.lhs))
-        rhs = tuple((int(c), tuple(int(e) for e in m)) for c, m in self.rhs)
-        object.__setattr__(self, "rhs", rhs)
-        if not any(self.lhs):
+    def __init__(self, lhs: tuple[int, ...],
+                 rhs: tuple[tuple[int, tuple[int, ...]], ...] = ()):
+        lhs = tuple(int(e) for e in lhs)
+        rhs = tuple((int(c), tuple(int(e) for e in m)) for c, m in rhs)
+        if not any(lhs):
             raise ValueError("rewrite rule with trivial left-hand side")
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    modulus: int
-    cutoff: int
-    generators: tuple[Generator, ...]
-    rules: tuple[RewriteRule, ...] = ()
+class RingPresentation(Frozen):
+    __slots__ = ("modulus", "cutoff", "generators", "rules")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if self.modulus not in (0, 2, 4):
+    def __init__(self, modulus: int, cutoff: int,
+                 generators: tuple[Generator, ...],
+                 rules: tuple[RewriteRule, ...] = ()):
+        set_field(self, "modulus", modulus)
+        set_field(self, "cutoff", cutoff)
+        set_field(self, "generators", tuple(generators))
+        set_field(self, "rules", tuple(rules))
+        if modulus not in (0, 2, 4):
             raise ValueError("modulus must be 0, 2, or 4")
-        if self.cutoff < 0:
+        if cutoff < 0:
             raise ValueError("negative cutoff")
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
@@ -183,11 +192,11 @@ def parse_exponents(names: Sequence[str], text: str) -> tuple[int, ...]:
             name = name.strip()
             e = int(power)
             if e < 1:
-                raise ValueError("bad exponent in %r" % (factor,))
+                raise ValueError("bad exponent in %s" % quote(factor))
         else:
             name, e = factor, 1
         if name not in index:
-            raise ValueError("unknown generator %r" % (name,))
+            raise ValueError("unknown generator %s" % quote(name))
         exps[index[name]] += e
     return tuple(exps)
 
@@ -320,7 +329,7 @@ class GradedRing:
         if entries > TABLE_CAP:
             raise _table_too_large(entries)
 
-    def _first_rule(self, exps) -> Optional[RewriteRule]:
+    def _first_rule(self, exps) -> RewriteRule | None:
         for rule in self.presentation.rules:
             if all(l <= e for l, e in zip(rule.lhs, exps)):
                 return rule
@@ -407,7 +416,7 @@ class GradedRing:
             coeffs[k] = c
         return tuple(coeffs)
 
-    def _all_monomials(self, budget: int, limit: int) -> Optional[list]:
+    def _all_monomials(self, budget: int, limit: int) -> list | None:
         # every exponent tuple of degree <= budget, in lexicographic order,
         # or None as soon as there are more than limit of them: a prefix
         # grows into at least one tuple, so the count never falls
@@ -536,7 +545,9 @@ class GradedRing:
         # attributes are set one by one, as in __init__: copying __dict__
         # would give both rings slower attribute access on the hot path
         ring = object.__new__(GradedRing)
-        ring._set_presentation(replace(self.presentation, modulus=modulus))
+        pres = self.presentation
+        ring._set_presentation(RingPresentation(
+            modulus, pres.cutoff, pres.generators, pres.rules))
         ring._basis_names = self._basis_names
         ring._name_order = self._name_order
         ring._nf_cache = self._nf_cache
@@ -626,8 +637,8 @@ class GradedRing:
                 raise RingError(str(exc)) from None
             if self._exp_degree(exps) != degree:
                 raise DegreeError(
-                    "monomial %r has degree %d, expected %d"
-                    % (text, self._exp_degree(exps), degree))
+                    "monomial %s has degree %d, expected %d"
+                    % (quote(text), self._exp_degree(exps), degree))
             c = int(coeff)
             for k, v in self._terms(degree, self._normal_form(exps)):
                 coeffs[k] += c * v
@@ -809,7 +820,7 @@ def _term(name: str, c: int) -> str:
 
 
 def text(names: Sequence[str], coeffs: Sequence[int],
-         memo: Optional[dict] = None) -> str:
+         memo: dict | None = None) -> str:
     """The text of the element with these coefficients over these names.
 
     The nonzero terms come in basis order as `3*a*b`, `a` or `-a`, joined
@@ -1108,12 +1119,15 @@ class RingSystem:
                 and self.beta == other.beta and self.sq1 == other.sq1)
 
 
-@dataclass(frozen=True)
-class LiftSearch:
+class LiftSearch(Frozen):
     """Integral preimages under rho2 found within a coefficient bound."""
 
-    lifts: tuple[RingElement, ...]
-    no_lift_proven: bool = False
+    __slots__ = ("lifts", "no_lift_proven")
+
+    def __init__(self, lifts: tuple[RingElement, ...],
+                 no_lift_proven: bool = False):
+        set_field(self, "lifts", lifts)
+        set_field(self, "no_lift_proven", no_lift_proven)
 
 
 def divide_by(n: int, y: RingElement) -> tuple[RingElement, ...]:
@@ -1197,7 +1211,7 @@ def _lift_parities(system: RingSystem, u: RingElement, free: bool = True):
                                      seen)
 
 
-def any_integral_lift(system: RingSystem, u: RingElement) -> Optional[RingElement]:
+def any_integral_lift(system: RingSystem, u: RingElement) -> RingElement | None:
     """One integral x with rho2(x) = u, or None when provably none exists.
 
     x is the particular solution of the parity system of integral_lifts:
@@ -1218,7 +1232,7 @@ def _range_size(r: range) -> int:
 
 
 def lift_coefficients(system: RingSystem, u: RingElement,
-                      bound: int) -> Optional[Iterator[tuple]]:
+                      bound: int) -> Iterator[tuple] | None:
     """The coefficients of the lifts of u with free ones in [-bound, bound].
 
     Returns None exactly when the underlying congruences are unsolvable,

@@ -9,8 +9,46 @@ invariant-factor form.  No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
+
+
+class Frozen:
+    """Base of the immutable value classes, whose fields are their __slots__.
+
+    Assigning or deleting a field raises AttributeError.  Equality,
+    hashing and repr go field by field, in slot order: two instances are
+    equal when they are of one class and their field tuples are equal, a
+    comparison with any other class is NotImplemented, and the hash is
+    that of the field tuple.  Each subclass stores its fields from a
+    hand-written __init__ through `set_field`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+# stores a field of a Frozen instance, which its own __setattr__ refuses
+set_field = object.__setattr__
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -129,13 +167,15 @@ class IntMatrix:
         return "IntMatrix.from_rows(%r)" % [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Frozen):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        set_field(self, "U", U)
+        set_field(self, "D", D)
+        set_field(self, "V", V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -294,7 +334,7 @@ def hermite_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ..
 
 def solve_integer_linear(
     A: IntMatrix, b: Sequence[int]
-) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
     """Solve A x = b over Z.
 
     Returns (particular, kernel_basis) or None when no integer solution
@@ -328,8 +368,7 @@ def solve_integer_linear(
     return tuple(x), kernel
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
+class AbelianGroupDescriptor(Frozen):
     """Finitely generated abelian group in invariant-factor form.
 
     torsion_factors is the ascending divisibility chain (each entry >= 2
@@ -337,14 +376,12 @@ class AbelianGroupDescriptor:
     groups are isomorphic.
     """
 
-    free_rank: int
-    torsion_factors: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion_factors: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        factors = tuple(int(t) for t in self.torsion_factors)
-        object.__setattr__(self, "torsion_factors", factors)
+        factors = tuple(int(t) for t in torsion_factors)
         prev = None
         for t in factors:
             if t < 2:
@@ -352,6 +389,8 @@ class AbelianGroupDescriptor:
             if prev is not None and t % prev:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = t
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion_factors", factors)
 
     @classmethod
     def trivial(cls) -> "AbelianGroupDescriptor":

@@ -23,8 +23,7 @@ what was proven, what failed, and what stayed out of reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .gradedring import (
     DegreeError,
@@ -36,7 +35,7 @@ from .gradedring import (
     integral_lifts,
     pontryagin_square,
 )
-from .intlin import AbelianGroupDescriptor, IntMatrix
+from .intlin import AbelianGroupDescriptor, Frozen, IntMatrix, set_field
 
 
 class DataValidationError(Exception):
@@ -58,8 +57,7 @@ class NoSolution(Exception):
 _STATUSES = ("Zero", "NonZero", "Inconclusive")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of one obstruction test.
 
     `witness` is a representative of the obstruction (or of the class that
@@ -67,16 +65,18 @@ class Verdict:
     class, when the test has that shape.
     """
 
-    status: str
-    witness: Optional[RingElement] = None
-    denominator: Optional[int] = None
-    note: str = ""
+    __slots__ = ("status", "witness", "denominator", "note")
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError("unknown verdict status %r" % (self.status,))
-        if self.status == "NonZero" and (self.witness is None or self.witness.is_zero):
+    def __init__(self, status: str, witness: RingElement | None = None,
+                 denominator: int | None = None, note: str = "") -> None:
+        if status not in _STATUSES:
+            raise ValueError("unknown verdict status %r" % (status,))
+        if status == "NonZero" and (witness is None or witness.is_zero):
             raise ValueError("NonZero verdict requires a nonzero witness")
+        set_field(self, "status", status)
+        set_field(self, "witness", witness)
+        set_field(self, "denominator", denominator)
+        set_field(self, "note", note)
 
 
 def canonical_witness(x: RingElement) -> RingElement:
@@ -86,30 +86,35 @@ def canonical_witness(x: RingElement) -> RingElement:
     return x if x.coeffs >= neg.coeffs else neg
 
 
-@dataclass(frozen=True)
-class WuCheck:
-    """Result of checking Wu's formula for one m."""
+class WuCheck(Frozen):
+    """Result of checking Wu's formula for one m.
 
-    m: int
-    status: str  # "ok" | "failed" | "skipped"
-    discrepancy: Optional[RingElement] = None
-    note: str = ""
+    `status` is "ok", "failed" or "skipped".
+    """
+
+    __slots__ = ("m", "status", "discrepancy", "note")
+
+    def __init__(self, m: int, status: str,
+                 discrepancy: RingElement | None = None,
+                 note: str = "") -> None:
+        set_field(self, "m", m)
+        set_field(self, "status", status)
+        set_field(self, "discrepancy", discrepancy)
+        set_field(self, "note", note)
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Frozen):
     """Evaluation against a fundamental class in one degree.
 
     `values` lists the integer each basis element of the integral piece
     pairs to.  Torsion basis elements must pair to zero.
     """
 
-    degree: int
-    values: tuple
+    __slots__ = ("degree", "values")
 
     def __init__(self, degree: int, values: Iterable[int]) -> None:
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        set_field(self, "degree", int(degree))
+        set_field(self, "values", tuple(int(v) for v in values))
 
     def pair(self, x: RingElement) -> int:
         if x.degree != self.degree:
@@ -137,8 +142,8 @@ class BundleData:
                  w: Mapping[int, RingElement],
                  p: Mapping[int, RingElement],
                  euler: RingElement,
-                 pairing: Optional[Pairing] = None,
-                 base_dimension: Optional[int] = None) -> None:
+                 pairing: Pairing | None = None,
+                 base_dimension: int | None = None) -> None:
         self.rank = int(rank)
         self.rings = rings
         self.w = {int(i): wi for i, wi in w.items() if not wi.is_zero}
@@ -173,7 +178,7 @@ class BundleData:
             return self.p[k]
         return self.rings.integral.zero(4 * k)
 
-    def pair(self, x: RingElement) -> Optional[int]:
+    def pair(self, x: RingElement) -> int | None:
         if self.pairing is None or x.degree != self.pairing.degree:
             return None
         return self.pairing.pair(x)
@@ -373,14 +378,13 @@ def theorem1_obstruction(data: BundleData, k: int) -> Verdict:
 # -- Chern class candidates and the top-degree criteria ----------------
 
 
-@dataclass(frozen=True)
-class ChernCandidate:
+class ChernCandidate(Frozen):
     """Proposed integral Chern classes c_1..c_{n-1}; c_n is the Euler class."""
 
-    classes: tuple
+    __slots__ = ("classes",)
 
     def __init__(self, classes: Iterable[RingElement]) -> None:
-        object.__setattr__(self, "classes", tuple(classes))
+        set_field(self, "classes", tuple(classes))
 
     def chern(self, data: BundleData, i: int) -> RingElement:
         n = data.rank // 2
@@ -460,7 +464,7 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
 
 
 def _divisibility_verdict(data: BundleData, q: RingElement, rule: str,
-                          paired: Optional[int]) -> Verdict:
+                          paired: int | None) -> Verdict:
     # paired is data.pair(q), which the caller computes once
     tail = "" if paired is None else "; q pairs to %d" % paired
     if not q.is_zero:
@@ -481,24 +485,32 @@ def _divisibility_verdict(data: BundleData, q: RingElement, rule: str,
 # -- candidate enumeration ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    candidate: ChernCandidate
-    q: RingElement
-    verdict: Verdict
-    pairing: Optional[int]
+class CandidateRecord(Frozen):
+    __slots__ = ("candidate", "q", "verdict", "pairing")
+
+    def __init__(self, candidate: ChernCandidate, q: RingElement,
+                 verdict: Verdict, pairing: int | None) -> None:
+        set_field(self, "candidate", candidate)
+        set_field(self, "q", q)
+        set_field(self, "verdict", verdict)
+        set_field(self, "pairing", pairing)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Frozen):
     """Everything one enumeration of Chern candidates established."""
 
-    bound: int
-    rule: str
-    enumerated: int = 0
-    records: tuple = ()
-    no_lift_degree: Optional[int] = None
-    complete: bool = False
+    __slots__ = ("bound", "rule", "enumerated", "records", "no_lift_degree",
+                 "complete")
+
+    def __init__(self, bound: int, rule: str, enumerated: int = 0,
+                 records: tuple = (), no_lift_degree: int | None = None,
+                 complete: bool = False) -> None:
+        set_field(self, "bound", bound)
+        set_field(self, "rule", rule)
+        set_field(self, "enumerated", enumerated)
+        set_field(self, "records", records)
+        set_field(self, "no_lift_degree", no_lift_degree)
+        set_field(self, "complete", complete)
 
     @property
     def admissible(self) -> int:
@@ -515,7 +527,7 @@ class SearchOutcome:
 CANDIDATE_CAP = 10 ** 6
 
 
-def _final_criterion(rank: int) -> Optional[tuple[int, str]]:
+def _final_criterion(rank: int) -> tuple[int, str] | None:
     # (k, rule) for the top-degree class q_k, which lives in degree 4k
     if rank == 4:
         return 1, "Wu's dimension-4 criterion (p1 - c1^2 + 2e = 4o)"
@@ -636,7 +648,7 @@ def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
     return extend(())
 
 
-def _definite_form_certificate(data: BundleData, bound: int) -> Optional[str]:
+def _definite_form_certificate(data: BundleData, bound: int) -> str | None:
     """Why no rank-4 candidate outside `bound` can vanish, or None.
 
     A vanishing q = p1 - c1^2 + 2e pairs to zero, so Q(c1) = t with
@@ -817,23 +829,35 @@ def homotopy_group(n: int, q: int) -> AbelianGroupDescriptor:
 # -- the full pipeline ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    """Everything `acs_verdict` established for one bundle."""
+class ObstructionReport(Frozen):
+    """Everything `acs_verdict` established for one bundle.
 
-    rank: int
-    base_dimension: Optional[int]
-    first: Verdict
-    theorem1: tuple
-    final: Optional[Verdict]
-    final_rule: Optional[str]
-    search: Optional[SearchOutcome]
-    sole_obstruction: bool
-    wu_checks: tuple
-    gaps: tuple
-    notes: tuple
-    status: str        # "clear" | "obstructed" | "inconclusive"
-    existence: str     # "admits" | "excluded" | "undetermined"
+    `status` is "clear", "obstructed" or "inconclusive"; `existence` is
+    "admits", "excluded" or "undetermined".
+    """
+
+    __slots__ = ("rank", "base_dimension", "first", "theorem1", "final",
+                 "final_rule", "search", "sole_obstruction", "wu_checks",
+                 "gaps", "notes", "status", "existence")
+
+    def __init__(self, rank: int, base_dimension: int | None, first: Verdict,
+                 theorem1: tuple, final: Verdict | None,
+                 final_rule: str | None, search: SearchOutcome | None,
+                 sole_obstruction: bool, wu_checks: tuple, gaps: tuple,
+                 notes: tuple, status: str, existence: str) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "base_dimension", base_dimension)
+        set_field(self, "first", first)
+        set_field(self, "theorem1", theorem1)
+        set_field(self, "final", final)
+        set_field(self, "final_rule", final_rule)
+        set_field(self, "search", search)
+        set_field(self, "sole_obstruction", sole_obstruction)
+        set_field(self, "wu_checks", wu_checks)
+        set_field(self, "gaps", gaps)
+        set_field(self, "notes", notes)
+        set_field(self, "status", status)
+        set_field(self, "existence", existence)
 
 
 def _piece_trivial(data: BundleData, q: int) -> bool:

@@ -11,9 +11,8 @@ written as decimal strings so coefficients survive arbitrary precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional
+import os
+from collections.abc import Mapping
 
 from .gradedring import (
     MAP_SIGNATURES,
@@ -25,8 +24,9 @@ from .gradedring import (
     RewriteRule,
     RingSystem,
     parse_exponents,
+    quote,
 )
-from .intlin import IntMatrix
+from .intlin import Frozen, IntMatrix, set_field
 from .obstruct import BundleData, DataValidationError, Pairing
 
 SCHEMA_VERSION = 1
@@ -72,10 +72,6 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
         raise SpaceFileError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
 
 
-# the most characters of an offending value that an error message quotes
-_QUOTE_CAP = 64
-
-
 def _int(value, what: str) -> int:
     if isinstance(value, bool):
         raise SpaceFileError("%s must be an integer" % what)
@@ -86,16 +82,14 @@ def _int(value, what: str) -> int:
             return int(value, 10)
         except ValueError:
             pass
-    quoted = repr(value)
-    if len(quoted) > _QUOTE_CAP:
-        quoted = quoted[:_QUOTE_CAP] + "..."
     raise SpaceFileError("%s must be an integer or decimal string, got %s"
-                         % (what, quoted))
+                         % (what, quote(value)))
 
 
 def _terms(obj, what: str) -> dict:
     obj = _require_dict(obj if obj is not None else {}, what)
-    return {str(mon): _int(c, "%s[%r]" % (what, mon)) for mon, c in obj.items()}
+    return {str(mon): _int(c, "%s[%s]" % (what, quote(mon)))
+            for mon, c in obj.items()}
 
 
 def _presentation(section, modulus: int, what: str) -> RingPresentation:
@@ -235,27 +229,32 @@ def _bundle(doc: dict, rings: RingSystem) -> BundleData:
         values = [0] * len(basis)
         for mon, v in _terms(pd.get("values"), "pairing.values").items():
             if mon not in basis:
-                raise SpaceFileError("pairing.values names unknown monomial %r"
-                                     % mon)
+                raise SpaceFileError("pairing.values names unknown monomial %s"
+                                     % quote(mon))
             values[basis.index(mon)] = v
         pairing = Pairing(degree, values)
     return BundleData(rank, rings, w, p, euler, pairing=pairing,
                       base_dimension=dim)
 
 
-@dataclass(frozen=True)
-class SpaceFile:
+class SpaceFile(Frozen):
     """One parsed space file: the bundle plus its expected outcomes."""
 
-    name: str
-    bundle: BundleData
-    description: str = ""
-    expectations: Mapping = field(default_factory=dict)
-    path: Optional[Path] = None
+    __slots__ = ("name", "bundle", "description", "expectations", "path")
+
+    def __init__(self, name: str, bundle: BundleData, description: str = "",
+                 expectations: Mapping | None = None,
+                 path: str | os.PathLike | None = None) -> None:
+        set_field(self, "name", name)
+        set_field(self, "bundle", bundle)
+        set_field(self, "description", description)
+        set_field(self, "expectations",
+                  {} if expectations is None else expectations)
+        set_field(self, "path", path)
 
 
 def space_file_from_doc(doc, default_name: str = "",
-                        path: Optional[Path] = None) -> SpaceFile:
+                        path: str | os.PathLike | None = None) -> SpaceFile:
     doc = _require_dict(doc, "space file")
     _check_keys(doc, _TOP_KEYS, "space file")
     version = _int(doc.get("schema_version"), "schema_version")
@@ -275,7 +274,7 @@ def space_file_from_doc(doc, default_name: str = "",
 
 
 def space_file_from_text(text: str, default_name: str = "",
-                         path: Optional[Path] = None) -> SpaceFile:
+                         path: str | os.PathLike | None = None) -> SpaceFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -287,6 +286,12 @@ def space_file_from_text(text: str, default_name: str = "",
 
 
 def load_space_file(path) -> SpaceFile:
-    path = Path(path)
-    return space_file_from_text(path.read_text(encoding="utf-8"),
-                                default_name=path.stem, path=path)
+    """Read a space file, named by default after its file less the suffix."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    # pathlib's stem: "a." stays whole and "..json" gives ".", where
+    # os.path.splitext would give "a" and "..json"
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    return space_file_from_text(text, default_name=stem, path=path)

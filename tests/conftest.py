@@ -9,6 +9,18 @@ CORPUS_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "acso" / "cor
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
+
+def replace(obj, **changes):
+    """A copy of an acso value object with the given fields changed.
+
+    It is built through the class's public constructor, so the checks of
+    that constructor run on the new fields.
+    """
+    fields = {name: getattr(obj, name) for name in obj.__slots__}
+    fields.update(changes)
+    return type(obj)(**fields)
+
+
 # filled by the acceptance module; echoed after the run so the verdict
 # lines survive output capture
 acceptance_lines: list = []

@@ -713,6 +713,37 @@ def test_deeply_nested_value_is_cut_in_its_error_line(tmp_path):
                "string, got %s...\n" % ("[" * 64))
 
 
+LONG = "b" * 5000
+
+
+@pytest.mark.parametrize("path, value", [
+    # an unknown generator named by a monomial key, then a bad value there
+    (("bundle", "euler"), {LONG: "3"}),
+    (("bundle", "euler"), {LONG: "three"}),
+    # a monomial of the wrong degree, and a bad exponent
+    (("bundle", "euler"), {"*".join(["a"] * 2500): "3"}),
+    (("bundle", "euler"), {LONG + "^0": "3"}),
+    (("rings", "shared", "relations", 0, "lhs"), LONG),
+    (("rings", "shared", "generators", 0, "name"), "_" + LONG),
+    (("bundle", "pairing", "values"), {LONG: "1"}),
+], ids=["unknown-generator", "bad-value", "wrong-degree", "bad-exponent",
+        "relation", "generator-name", "pairing"])
+def test_long_monomial_is_cut_in_its_error_line(path, value, tmp_path,
+                                                capsys):
+    doc = json.loads((CORPUS_DIR / "cp2.json").read_text())
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    space = tmp_path / "long.json"
+    space.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(space))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200 and "..." in err
+
+
 def chain_space(tmp_path, n):
     """Shared ring of n degree-2 generators with the rules g_{i+1} -> g_i.
 

@@ -7,7 +7,6 @@ import math
 import random
 import re
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -41,7 +40,7 @@ from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
 from acso.spacefile import space_file_from_doc
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, replace
 
 
 def truncated_polynomial(name: str, degree: int, power: int, cutoff: int,
@@ -795,7 +794,6 @@ def test_map_rejects_wrong_ring(proj_plane_system):
 def test_broken_square_map_rejected():
     pres = truncated_polynomial("a", 2, 3, 8)
     integral = GradedRing(pres)
-    from dataclasses import replace
     mod2 = GradedRing(replace(pres, modulus=2))
     mod4 = GradedRing(replace(pres, modulus=4))
     with pytest.raises(RingError):

@@ -1,4 +1,4 @@
-"""Output that must not depend on the interpreter's hash seed.
+"""Output that must not depend on the interpreter's hash seed or buffering.
 
 Rings key dicts and sets by exponent tuples and fill their product memos
 on demand, maps keep sparse columns as dicts, and every mod-2 equation is
@@ -6,7 +6,9 @@ solved over F2 from them; no iteration order may reach stdout, stderr or
 the exit code.  This runs the command list of the CI step "Reports are
 byte-identical across hash seeds" under PYTHONHASHSEED 0 and 1, one
 process per seed with every command run through acso.cli.main, and
-compares the results.
+compares the results.  It also runs the block writer of `acso lifts` as
+two processes, one with PYTHONUNBUFFERED=1 and one without, as that CI
+step does.
 """
 
 import json
@@ -83,3 +85,18 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
     code, out, err = first[-1]
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 8000
+
+
+def test_lifts_output_does_not_depend_on_buffering(families, tmp_path):
+    # 8,000 lifts written in blocks, by processes whose stdout is a pipe,
+    # once block-buffered and once unbuffered
+    space = family_spaces(families, tmp_path)["lines_rank8"]
+    argv = [sys.executable, "-m", "acso", "lifts", "--class", "w4",
+            "--bound", "20", str(space)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    runs = [subprocess.run(argv, capture_output=True, text=True, env=e)
+            for e in (env, dict(env, PYTHONUNBUFFERED="1"))]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.splitlines()) == 8000

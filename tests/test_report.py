@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Optional
 
@@ -24,6 +23,8 @@ from acso.report import (
     render_json,
 )
 from acso.spacefile import space_file_from_doc
+
+from conftest import replace
 
 # element_doc, verdict_doc and _report_head are copies of the dict
 # builders that render_json replaced, so that the reference shares no
@@ -132,14 +133,14 @@ AWKWARD = 'say "hi" \\ back\nslash\x00\x1f café \U0001d538'
 
 def test_render_json_matches_json_dumps_on_synthetic_reports(cp2):
     report = acs_verdict(cp2)
-    search = dataclasses.replace(report.search, enumerated=2 ** 64 + 1)
+    search = replace(report.search, enumerated=2 ** 64 + 1)
     variants = [
-        dataclasses.replace(report, gaps=(), notes=()),
-        dataclasses.replace(report, notes=(AWKWARD, AWKWARD[::-1], ""),
+        replace(report, gaps=(), notes=()),
+        replace(report, notes=(AWKWARD, AWKWARD[::-1], ""),
                             gaps=(AWKWARD,)),
-        dataclasses.replace(report, final=None, final_rule=None,
+        replace(report, final=None, final_rule=None,
                             search=None, base_dimension=None),
-        dataclasses.replace(report, search=search,
+        replace(report, search=search,
                             first=Verdict("Zero", None, None, AWKWARD)),
     ]
     for variant in variants:
@@ -152,7 +153,7 @@ def test_render_json_matches_json_dumps_on_synthetic_reports(cp2):
 
 @pytest.mark.parametrize("bad", [(1, 2), 1.5])
 def test_render_json_refuses_types_outside_the_schema(cp2, bad):
-    report = dataclasses.replace(acs_verdict(cp2), notes=(bad,))
+    report = replace(acs_verdict(cp2), notes=(bad,))
     with pytest.raises(TypeError):
         render_json(report, "cp2")
 
@@ -160,7 +161,7 @@ def test_render_json_refuses_types_outside_the_schema(cp2, bad):
 @pytest.mark.parametrize("field, bad", [("rank", 4.0), ("base_dimension", "4")])
 def test_render_json_refuses_a_non_integer_in_an_integer_field(cp2, field,
                                                                bad):
-    report = dataclasses.replace(acs_verdict(cp2), **{field: bad})
+    report = replace(acs_verdict(cp2), **{field: bad})
     with pytest.raises(TypeError):
         render_json(report, "cp2")
 
@@ -190,7 +191,7 @@ def top(coeffs):
 
 
 def synthetic(cp2, records, complete=False, no_lift_degree=None):
-    return dataclasses.replace(acs_verdict(cp2), search=SearchOutcome(
+    return replace(acs_verdict(cp2), search=SearchOutcome(
         bound=3, rule="synthetic", enumerated=2 * len(records) + 1,
         records=tuple(records), no_lift_degree=no_lift_degree,
         complete=complete))
