@@ -9,16 +9,19 @@
 is provably nonzero, 3 when the only blockers are inconclusive tests, and
 1 on input or usage errors, on candidate searches, counts of ring basis
 pairs or confluence tests and lift counts larger than their caps, and on
-data that passed validation yet breaks Massey's divisibility by 4.  `lifts` exits 1 on the same
-errors.
-`corpus` exits nonzero when any bundled (or supplied) case disagrees with
-its recorded expectations.
+data that passed validation yet breaks Massey's divisibility by 4.
+`lifts` exits 1 on the same errors.  `corpus` exits nonzero when any
+bundled (or supplied) case disagrees with its recorded expectations.
+
+A well-formed command line is read by `_parse`; help, usage errors and
+every command line it is not sure of go to the argparse parser of
+`build_parser`, which is built, and `argparse` imported, only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .gradedring import RingError, lift_coefficients, text
 from .obstruct import (
@@ -46,13 +49,6 @@ _BLOCK_LINES = 256
 
 _LOAD_ERRORS = (SpaceFileError, DataValidationError, RingError, OSError,
                 ValueError, BudgetExceeded, DivisibilityViolation)
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; 2 is taken by "obstructed"
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 def cmd_check(args) -> int:
@@ -223,7 +219,17 @@ def cmd_corpus(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    # imported here, not at the top: argparse and its gettext cost more
+    # than a small `acso check`, and only help and usage errors need them
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors; 2 is taken by "obstructed"
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
     parser = _Parser(prog="acso",
                      description="obstructions to almost complex structures "
                                  "from characteristic-class data")
@@ -261,9 +267,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format(token):
+    if token not in ("text", "json"):
+        raise ValueError(token)
+    return token
+
+
+def _pi(n, q):
+    return [int(n), int(q)]
+
+
+def _flag():
+    return True
+
+
+# The grammar of `build_parser`, as `_parse` reads it.  Per command: its
+# function, the name of its one positional argument (None for none), its
+# options as {option: (name, number of values, conversion of the values)},
+# the defaults of the names a command line may leave out, and the names
+# of which a command line gives exactly one (empty for no such rule).
+_GRAMMAR = {
+    "check": (cmd_check, "space",
+              {"--bound": ("bound", 1, int),
+               "--format": ("format", 1, _format)},
+              {"bound": 10, "format": "text"}, ()),
+    "lifts": (cmd_lifts, "space",
+              {"--class": ("klass", 1, str), "--bound": ("bound", 1, int)},
+              {"bound": 10}, ("klass",)),
+    "table": (cmd_table, None,
+              {"--pi": ("pi", 2, _pi),
+               "--denominator": ("denominator", 1, int)},
+              {"pi": None, "denominator": None}, ("pi", "denominator")),
+    "corpus": (cmd_corpus, None,
+               {"--run": ("run", 0, _flag), "--dir": ("dir", 1, str)},
+               {"run": False, "dir": None}, ()),
+}
+
+
+def _parse(argv):
+    """The attributes argparse sets for a well-formed command line, or None.
+
+    None whenever argparse might answer otherwise: on help, an unknown
+    command, a token starting with "-" that is not an option of the
+    command (abbreviations, `--opt=value`, `--`), a value starting with
+    "-", a value that does not convert, a missing, extra or repeated
+    argument, and both or neither of `--pi` and `--denominator`.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    func, positional, options, defaults, one_of = _GRAMMAR[argv[0]]
+    fields = {"command": argv[0], "func": func}
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if positional is None or positional in fields:
+                return None
+            fields[positional] = token
+            continue
+        if token not in options:
+            return None
+        name, count, convert = options[token]
+        values = argv[i:i + count]
+        i += count
+        if name in fields or len(values) < count \
+                or any(v.startswith("-") for v in values):
+            return None
+        try:
+            fields[name] = convert(*values)
+        except ValueError:
+            return None
+    if positional is not None and positional not in fields:
+        return None
+    if one_of and sum(name in fields for name in one_of) != 1:
+        return None
+    for name, value in defaults.items():
+        fields.setdefault(name, value)
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        # help, usage errors and whatever _parse declines, in argparse's
+        # own words and exit codes
+        args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -84,12 +84,16 @@ TEXT_MEMO_CAP = 4096
 QUOTE_CAP = 64
 
 
+def cut(text: str) -> str:
+    """text for an error message, cut after QUOTE_CAP characters."""
+    if len(text) > QUOTE_CAP:
+        text = text[:QUOTE_CAP] + "..."
+    return text
+
+
 def quote(value) -> str:
     """repr(value) for an error message, cut after QUOTE_CAP characters."""
-    quoted = repr(value)
-    if len(quoted) > QUOTE_CAP:
-        quoted = quoted[:QUOTE_CAP] + "..."
-    return quoted
+    return cut(repr(value))
 
 
 def _table_too_large(entries: int) -> TableTooLarge:
@@ -190,7 +194,10 @@ def parse_exponents(names: Sequence[str], text: str) -> tuple[int, ...]:
         if "^" in factor:
             name, _, power = factor.partition("^")
             name = name.strip()
-            e = int(power)
+            try:
+                e = int(power)
+            except ValueError:  # not a number: as bad as a power below 1
+                e = 0
             if e < 1:
                 raise ValueError("bad exponent in %s" % quote(factor))
         else:

@@ -23,6 +23,7 @@ from .gradedring import (
     RingPresentation,
     RewriteRule,
     RingSystem,
+    cut,
     parse_exponents,
     quote,
 )
@@ -69,7 +70,8 @@ def _required(obj: dict, key: str, what: str):
 def _check_keys(obj: dict, allowed, what: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise SpaceFileError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
+        raise SpaceFileError("%s has unknown keys: %s"
+                             % (what, cut(", ".join(unknown))))
 
 
 def _int(value, what: str) -> int:

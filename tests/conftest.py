@@ -72,3 +72,15 @@ def families():
     finally:
         sys.path.remove(str(BENCH_DIR))
     return module
+
+
+@pytest.fixture(scope="session")
+def workloads(families):
+    """`bench/workloads.py`: the benchmark's operations and their checks."""
+    # imported from bench/ as it is, next to the families module it uses
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import workloads as module
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module

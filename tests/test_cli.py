@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -18,7 +20,9 @@ from acso.gradedring import integral_lifts
 from acso.obstruct import DivisibilityViolation
 from acso.spacefile import load_space_file
 
-from conftest import CORPUS_DIR, DATA_DIR
+import cli_reference as reference
+from conftest import BENCH_DIR, CORPUS_DIR, DATA_DIR
+from test_hashseed import RUNS
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -726,8 +730,12 @@ LONG = "b" * 5000
     (("rings", "shared", "relations", 0, "lhs"), LONG),
     (("rings", "shared", "generators", 0, "name"), "_" + LONG),
     (("bundle", "pairing", "values"), {LONG: "1"}),
+    # an unknown top-level key, and an exponent that is not a number
+    ((LONG,), 1),
+    (("bundle", "euler"), {"a^" + LONG: "3"}),
 ], ids=["unknown-generator", "bad-value", "wrong-degree", "bad-exponent",
-        "relation", "generator-name", "pairing"])
+        "relation", "generator-name", "pairing", "unknown-key",
+        "exponent-not-a-number"])
 def test_long_monomial_is_cut_in_its_error_line(path, value, tmp_path,
                                                 capsys):
     doc = json.loads((CORPUS_DIR / "cp2.json").read_text())
@@ -800,3 +808,133 @@ def test_no_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+# -- the command line parser --------------------------------------------------
+
+
+def reference_args(argv):
+    """vars() of the parent's argparse result, or None on a usage error."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(reference.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# every shape of command line the README shows and the CI step runs
+DOCUMENTED = [
+    ["check", "src/acso/corpus/cp2.json"],
+    ["lifts", "src/acso/corpus/cp2.json", "--class", "w2", "--bound", "2"],
+    ["table", "--pi", "8", "7"],
+    ["table", "--denominator", "2"],
+    ["corpus", "--run"],
+    ["corpus", "--run", "--dir", "tests/data"],
+    ["lifts", "--class", "w4", "--bound", "20", "lines_rank8.json"],
+] + [run.split() + ["cp2.json"] for run in RUNS[:6]]
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED, ids=" ".join)
+def test_parser_reads_documented_command_lines(argv):
+    args = cli._parse(argv)
+    assert args is not None
+    assert vars(args) == reference_args(argv)
+
+
+def test_parser_reads_every_benchmark_command_line(workloads, tmp_path):
+    for name, build in workloads.WORKLOADS.items():
+        for op in build(7, BENCH_DIR.parent, tmp_path).ops:
+            args = cli._parse(list(op.argv))
+            assert args is not None, op.argv
+            assert vars(args) == reference_args(list(op.argv)), op.argv
+
+
+PINNED = [[], ["-h"], ["check", "-h"], ["check"],
+          ["check", "x", "--bound", "x"], ["check", "x", "--format", "yaml"],
+          ["lifts", "x"], ["table"], ["table", "--pi", "1"],
+          ["table", "--pi", "1", "2", "--denominator", "3"], ["frobnicate"],
+          ["check", "x", "y"], ["check", "x", "--bou", "3"],
+          ["check", "x", "--bound=3"]]
+
+
+def outcome(capsys, run):
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PINNED,
+                         ids=lambda argv: " ".join(argv) or "none")
+def test_declined_command_lines_answer_as_argparse_did(argv, capsys):
+    assert cli._parse(argv) is None
+
+    def parent():
+        args = reference.build_parser().parse_args(argv)
+        return args.func(args)
+
+    expected = outcome(capsys, parent)
+    assert outcome(capsys, lambda: main(argv)) == expected
+    assert expected[0] in (0, 1) and expected[1] + expected[2]
+
+
+# the options of each command, with the number of values each takes
+OWN = {"check": {"--bound": 1, "--format": 1},
+       "lifts": {"--class": 1, "--bound": 1},
+       "table": {"--pi": 2, "--denominator": 1},
+       "corpus": {"--run": 0, "--dir": 1}}
+COMMANDS = list(OWN)
+# options, their abbreviations and --opt=value forms
+OPTIONS = ["--bound", "--format", "--class", "--pi", "--denominator", "--run",
+           "--dir", "--b", "--bou", "--form", "--cl", "--p", "--den", "--r",
+           "--di", "--bound=3", "--format=json", "--class=w2", "--pi=1",
+           "--denominator=2", "--run=", "--dir=x", "-h", "--help", "--he",
+           "--", "-", "-x y"]
+# choices, classes, digits of every kind, empty strings, paths
+VALUES = ["text", "json", "yaml", "w2", "w4", "0", "3", "10", "-1", "-7",
+          "+2", " 3", "1_0", "3.0", "\u0663", "-\u0663", "\u00b2", "", "x",
+          "frobnicate", "src/acso/corpus/cp2.json", "/no/such dir"]
+
+
+def test_parser_agrees_with_argparse_wherever_it_reads():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    values = st.one_of(st.sampled_from(VALUES),
+                       st.integers(-20, 20).map(str))
+    tokens = st.one_of(st.sampled_from(COMMANDS + OPTIONS), values)
+    # values of the type an option takes, or any value
+    numbers = st.integers(0, 20).map(str)
+    typed = {"--format": st.sampled_from(["text", "json"]),
+             "--class": st.sampled_from(["w2", "w4"]), "--dir": values}
+    fitting = {option: st.one_of(typed.get(option, numbers), values)
+               for command in OWN for option in OWN[command]}
+
+    def command_line(command):
+        # a command, then mostly its own options with as many values as
+        # they take, some positionals and now and then any option with up
+        # to two values
+        own = st.one_of(*[
+            st.lists(fitting[option], min_size=count, max_size=count)
+            .map(lambda given, option=option: [option] + given)
+            for option, count in OWN[command].items()])
+        other = st.builds(lambda option, given: [option] + given,
+                          st.sampled_from(OPTIONS),
+                          st.lists(values, max_size=2))
+        chunk = st.one_of(own, own, own, values.map(lambda v: [v]), other)
+        return st.lists(chunk, max_size=3, unique_by=lambda c: c[0]).map(
+            lambda chunks: ([command] + sum(chunks, []))[:7])
+
+    argvs = st.one_of(st.lists(tokens, max_size=7),
+                      *[command_line(command) for command in COMMANDS])
+
+    @hypothesis.settings(max_examples=600, deadline=None, database=None)
+    @hypothesis.given(argvs)
+    def agree(argv):
+        args = cli._parse(argv)
+        if args is not None:
+            assert vars(args) == reference_args(argv)
+
+    agree()

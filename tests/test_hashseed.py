@@ -21,10 +21,12 @@ from conftest import CORPUS_DIR
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# the runs of the CI step, one per space file each
+# the runs of the CI step, one per space file each; the last two are
+# usage errors, which acso.cli.main leaves to argparse
 RUNS = ("check --format json", "check --format json --bound 3",
         "check --format json --bound 0", "check --format text --bound 0",
-        "lifts --class w2 --bound 2", "lifts --class w4 --bound 1")
+        "lifts --class w2 --bound 2", "lifts --class w4 --bound 1",
+        "check --format yaml", "lifts --bound 2")
 
 # reads a JSON list of argument lists on stdin and writes, per command,
 # [exit code, stdout, stderr] as a JSON list
@@ -70,7 +72,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
     # 8,000 lifts take several blocks of `acso lifts` output
     commands.append(["lifts", "--class", "w4", "--bound", "20",
                      str(spaces["lines_rank8"])])
-    assert len(commands) == 91
+    assert len(commands) == 121
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     procs = [subprocess.Popen([sys.executable, "-c", RUNNER],
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -82,6 +84,9 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
     assert len(first) == len(commands)
     for argv, a, b in zip(commands, first, second):
         assert a == b, argv
+    # the two usage errors of every space file went through argparse
+    usage = [code for code, out, err in first if err.startswith("usage: acso")]
+    assert usage == [1] * 30
     code, out, err = first[-1]
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 8000

@@ -32,7 +32,8 @@ from conftest import replace
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # modules whose import would dominate the start of every `acso` command
-HEAVY = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
+HEAVY = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources",
+         "argparse", "gettext")
 
 
 def test_every_export_resolves():

@@ -10,7 +10,6 @@ must pass its check, so a regression that a marker would hide fails.
 
 import contextlib
 import io
-import sys
 
 import pytest
 
@@ -20,17 +19,6 @@ from conftest import BENCH_DIR
 
 NAMES = ["corpus", "search", "rings", "lifts"]
 SEED = 7
-
-
-@pytest.fixture(scope="module")
-def workloads(families):
-    # imported from bench/ as it is, next to the families module it uses
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        import workloads as module
-    finally:
-        sys.path.remove(str(BENCH_DIR))
-    return module
 
 
 def test_every_workload_is_run(workloads):
