@@ -228,6 +228,11 @@ class GradedRing:
 
     def __init__(self, presentation: RingPresentation):
         self._set_presentation(presentation)
+        # each rule with the (generator, exponent) pairs of its left-hand
+        # side's support; it divides exps when exps[k] >= l for every pair
+        self._supports = tuple(
+            (rule, tuple((k, l) for k, l in enumerate(rule.lhs) if l))
+            for rule in presentation.rules)
         self._basis_names: dict = {}
         self._name_order: dict = {}
         self._nf_cache: dict = {}
@@ -337,8 +342,8 @@ class GradedRing:
             raise _table_too_large(entries)
 
     def _first_rule(self, exps) -> RewriteRule | None:
-        for rule in self.presentation.rules:
-            if all(l <= e for l, e in zip(rule.lhs, exps)):
+        for rule, support in self._supports:
+            if all(exps[k] >= l for k, l in support):
                 return rule
         return None
 
@@ -443,15 +448,18 @@ class GradedRing:
         # to 0 by every applicable rule, so nothing there can recurse,
         # disagree or leave the basis; the multiples s*lhs of the others
         # are compared in order of degree, then exponents.  Each multiple
-        # is tested against every rule, so more than TABLE_CAP tests are
-        # refused before any multiple is compared
+        # is tested against every rule, on that rule's support, so more
+        # than TABLE_CAP tests are refused before any multiple is compared
         rules = self.presentation.rules
         limit = TABLE_CAP // max(1, len(rules))
         multiples = set()
+        by_budget: dict = {}  # budget -> _all_monomials(budget, limit)
         for rule in rules:
             if rule.rhs:
                 budget = self.cutoff - self._exp_degree(rule.lhs)
-                rests = self._all_monomials(budget, limit)
+                if budget not in by_budget:
+                    by_budget[budget] = self._all_monomials(budget, limit)
+                rests = by_budget[budget]
                 if rests is not None:
                     multiples.update(
                         tuple(l + s for l, s in zip(rule.lhs, rest))
@@ -463,12 +471,10 @@ class GradedRing:
                         % (limit, len(rules), TABLE_CAP))
         for d, exps in sorted((self._exp_degree(m), m) for m in multiples):
             # _normal_form rewrote with the first applicable rule; compare the rest
-            first = self._first_rule(exps)
+            _, *rest = [rule for rule, support in self._supports
+                        if all(exps[k] >= l for k, l in support)]
             canonical = self._vector(d, self._normal_form(exps))
-            for rule in self.presentation.rules:
-                if rule is first or not all(
-                        l <= e for l, e in zip(rule.lhs, exps)):
-                    continue
+            for rule in rest:
                 if self._vector(d, self._rewrite(exps, rule)) != canonical:
                     raise ConfluenceError(
                         "rules disagree on %s"
@@ -555,6 +561,7 @@ class GradedRing:
         pres = self.presentation
         ring._set_presentation(RingPresentation(
             modulus, pres.cutoff, pres.generators, pres.rules))
+        ring._supports = self._supports
         ring._basis_names = self._basis_names
         ring._name_order = self._name_order
         ring._nf_cache = self._nf_cache

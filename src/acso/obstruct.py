@@ -463,36 +463,29 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
     return q, divide_by(4, q)
 
 
-def _divisibility_verdict(data: BundleData, q: RingElement, rule: str,
-                          paired: int | None) -> Verdict:
-    # paired is data.pair(q), which the caller computes once
-    tail = "" if paired is None else "; q pairs to %d" % paired
-    if not q.is_zero:
-        solutions = divide_by(4, q)
-        rep = solutions[0] if solutions else q
-        return Verdict("NonZero", witness=canonical_witness(rep), denominator=4,
-                       note="%s: 4o = q is nonzero, so o != 0%s" % (rule, tail))
-    orders = data.rings.integral.orders(q.degree)
-    if not _annihilated_by(orders, 4):
-        return Verdict("Zero", denominator=4,
-                       note="%s: q = 0 and no nonzero degree-%d class is killed by 4%s"
-                            % (rule, q.degree, tail))
-    return Verdict("Inconclusive", denominator=4,
-                   note="%s: q = 0 but 4 kills torsion in degree %d%s"
-                        % (rule, q.degree, tail))
+def _witness(q: RingElement) -> RingElement:
+    # the printed witness of a nonzero q = 4o: a solution of 4x = q, or q
+    # itself when there is none, up to sign
+    solutions = divide_by(4, q)
+    return canonical_witness(solutions[0] if solutions else q)
 
 
 # -- candidate enumeration ---------------------------------------------
 
 
 class CandidateRecord(Frozen):
-    __slots__ = ("candidate", "q", "verdict", "pairing")
+    """An admissible candidate, its top class q = 4o and the status of q:
+    "NonZero" when q != 0, else "Zero", or "Inconclusive" when 4 kills
+    torsion in the degree of q.  It holds no witness: _aggregate_final
+    makes the one a report prints."""
+
+    __slots__ = ("candidate", "q", "status", "pairing")
 
     def __init__(self, candidate: ChernCandidate, q: RingElement,
-                 verdict: Verdict, pairing: int | None) -> None:
+                 status: str, pairing: int | None) -> None:
         set_field(self, "candidate", candidate)
         set_field(self, "q", q)
-        set_field(self, "verdict", verdict)
+        set_field(self, "status", status)
         set_field(self, "pairing", pairing)
 
 
@@ -518,8 +511,7 @@ class SearchOutcome(Frozen):
 
     @property
     def vanishing(self) -> tuple:
-        return tuple(r.candidate for r in self.records
-                     if r.verdict.status == "Zero")
+        return tuple(r.candidate for r in self.records if r.status == "Zero")
 
 
 # a candidate search predicted to build more candidates than this raises
@@ -554,7 +546,9 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     enters it only as -2 c_1 c_{2k-1}, so each lift x of c_{2k-1} gets
     q = q0 - 2 c_1 x, q0 being the class with c_{2k-1} = 0.  At ranks 4
     and 6 it is quadratic in the last class and is computed whole.  The
-    check rho4(q) = 0 and the pairing of q run once per candidate.
+    check rho4(q) = 0 and the pairing of q run once per candidate.  A
+    record holds a status, that of q = 0 read once per search, and no
+    record solves 4x = q: the witness is made once, for the printed verdict.
     Deterministic: candidates come out in lexicographic order of their
     coefficient vectors.
 
@@ -596,12 +590,15 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     if predicted > CANDIDATE_CAP:
         raise BudgetExceeded("candidate enumeration exceeded the cap %d"
                              % CANDIDATE_CAP)
+    # the status of q = 0; no q exists above the cutoff
+    top = 4 * k_final
+    zero = ("Inconclusive" if top <= data.cutoff and _annihilated_by(
+        rings.integral.orders(top), 4) else "Zero")
     records = []
     for cand, q in _admissible_candidates(data, lift_sets, k_final):
         q = _divisible(data, q)
-        paired = data.pair(q)
-        verdict = _divisibility_verdict(data, q, rule, paired)
-        records.append(CandidateRecord(cand, q, verdict, paired))
+        records.append(CandidateRecord(cand, q, zero if q.is_zero else
+                                       "NonZero", data.pair(q)))
     return SearchOutcome(bound=bound, rule=rule,
                          enumerated=math.prod(len(lifts) for lifts in lift_sets),
                          records=tuple(records), complete=complete)
@@ -693,6 +690,8 @@ def _definite_form_certificate(data: BundleData, bound: int) -> str | None:
 
 
 def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
+    """The final verdict from the record statuses; a NonZero one makes
+    here, once, the one witness it prints."""
     rule = outcome.rule
     if outcome.no_lift_degree is not None:
         i2 = outcome.no_lift_degree
@@ -702,7 +701,7 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
                        denominator=4,
                        note="%s: w%d admits no integral lift, so no reduction "
                             "reaches this degree" % (rule, i2))
-    statuses = [r.verdict.status for r in outcome.records]
+    statuses = [r.status for r in outcome.records]
     if "Zero" in statuses:
         count = statuses.count("Zero")
         return Verdict("Zero", denominator=4,
@@ -726,20 +725,19 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
                             "are not ruled out"
                             % (rule, outcome.bound, len(statuses)))
     if statuses:
-        witness = outcome.records[0].verdict.witness
+        q = outcome.records[0].q
     else:
         # only the rank-4 certificate gets here: no c1 lies within the
         # bound, so none vanishes, and the q of any lift is a witness
         lift = any_integral_lift(data.rings, data.w_class(2))
         q = _top_class(data, ChernCandidate((lift,)), 1)
-        witness = _divisibility_verdict(data, q, rule, None).witness
     note = ("%s: nonzero obstruction for every candidate (%d tested%s)"
             % (rule, len(statuses),
                "" if certificate is None else "; " + certificate))
     pairings = {r.pairing for r in outcome.records}
     if len(pairings) == 1 and None not in pairings:
         note += "; q pairs to %d" % outcome.records[0].pairing
-    return Verdict("NonZero", witness=witness, denominator=4, note=note)
+    return Verdict("NonZero", witness=_witness(q), denominator=4, note=note)
 
 
 # -- the degree-4m lift construction ------------------------------------
@@ -837,12 +835,12 @@ class ObstructionReport(Frozen):
     """
 
     __slots__ = ("rank", "base_dimension", "first", "theorem1", "final",
-                 "final_rule", "search", "sole_obstruction", "wu_checks",
-                 "gaps", "notes", "status", "existence")
+                 "search", "sole_obstruction", "wu_checks", "gaps", "notes",
+                 "status", "existence")
 
     def __init__(self, rank: int, base_dimension: int | None, first: Verdict,
                  theorem1: tuple, final: Verdict | None,
-                 final_rule: str | None, search: SearchOutcome | None,
+                 search: SearchOutcome | None,
                  sole_obstruction: bool, wu_checks: tuple, gaps: tuple,
                  notes: tuple, status: str, existence: str) -> None:
         set_field(self, "rank", rank)
@@ -850,7 +848,6 @@ class ObstructionReport(Frozen):
         set_field(self, "first", first)
         set_field(self, "theorem1", theorem1)
         set_field(self, "final", final)
-        set_field(self, "final_rule", final_rule)
         set_field(self, "search", search)
         set_field(self, "sole_obstruction", sole_obstruction)
         set_field(self, "wu_checks", wu_checks)
@@ -858,6 +855,10 @@ class ObstructionReport(Frozen):
         set_field(self, "notes", notes)
         set_field(self, "status", status)
         set_field(self, "existence", existence)
+
+    @property
+    def final_rule(self) -> str | None:
+        return None if self.search is None else self.search.rule
 
 
 def _piece_trivial(data: BundleData, q: int) -> bool:
@@ -896,7 +897,7 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
         notes.append("oriented rank-2 bundles are complex line bundles")
         return ObstructionReport(
             rank=rank, base_dimension=dim, first=first,
-            theorem1=(), final=None, final_rule=None, search=None,
+            theorem1=(), final=None, search=None,
             sole_obstruction=False, wu_checks=data.wu_checks, gaps=(),
             notes=tuple(notes), status="clear", existence="admits")
 
@@ -916,7 +917,6 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
 
     criterion = _final_criterion(rank)
     final = None
-    final_rule = None
     search = None
     if criterion is not None:
         final_degree = 4 * criterion[0]
@@ -928,7 +928,6 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
                         % (final_degree, cutoff))
         else:
             search = survey_candidates(data, bound)
-            final_rule = search.rule
             final = _aggregate_final(data, search)
 
     sole = rank == 6 and dim is not None and dim <= 6
@@ -991,6 +990,6 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
 
     return ObstructionReport(
         rank=rank, base_dimension=dim, first=first,
-        theorem1=theorem1, final=final, final_rule=final_rule, search=search,
+        theorem1=theorem1, final=final, search=search,
         sole_obstruction=sole, wu_checks=data.wu_checks, gaps=tuple(gaps),
         notes=tuple(notes), status=status, existence=existence)

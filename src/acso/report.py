@@ -127,7 +127,7 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
             candidate(r.candidate, i3),
             "null" if r.pairing is None else _encode_str(str(r.pairing)),
             r.q.degree, terms(r.q, i3 + "  "), _encode_str(str(r.q)),
-            _encode_str(r.verdict.status)) for r in search.records]
+            _encode_str(r.status)) for r in search.records]
         no_lift = search.no_lift_degree
         return _join([
             '"admissible": ' + _int(search.admissible),
@@ -174,12 +174,12 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
         '"wu": ' + _join(wu, i1, "[]")], "", "{}") + "\n"
 
 
-def _verdict_line(label: str, v: Verdict) -> str:
+def _verdict_line(label: str, v: Verdict, note: str) -> str:
     parts = ["  [%s] %s" % (label, v.status)]
     if v.witness is not None and not v.witness.is_zero:
         parts.append("witness %s" % v.witness)
-    if v.note:
-        parts.append(v.note)
+    if note:
+        parts.append(note)
     return " -- ".join(parts)
 
 
@@ -202,18 +202,15 @@ def render_text(report: ObstructionReport, name: str = "") -> str:
         lines.append("Wu formula checks: " + ", ".join(bits))
     lines.append("obstructions:")
     lines.append(_verdict_line("degree 3, Ehresmann W3 = beta(w2)",
-                               report.first))
+                               report.first, report.first.note))
     for k, v in report.theorem1:
         lines.append(_verdict_line(
             "degree %d, Massey Thm I, k=%d, l=%d"
-            % (4 * k + 3, k, v.denominator), v))
+            % (4 * k + 3, k, v.denominator), v, v.note))
     if report.final is not None:
-        v = report.final
-        prefix = "%s: " % report.final_rule
-        if v.note.startswith(prefix):
-            v = Verdict(v.status, v.witness, v.denominator,
-                        v.note[len(prefix):])
-        lines.append(_verdict_line("final, %s" % report.final_rule, v))
+        v, rule = report.final, report.final_rule
+        lines.append(_verdict_line("final, %s" % rule, v,
+                                   v.note.removeprefix(rule + ": ")))
     search = report.search
     if search is not None:
         if search.no_lift_degree is not None:

@@ -242,21 +242,18 @@ def _bundle(doc: dict, rings: RingSystem) -> BundleData:
 class SpaceFile(Frozen):
     """One parsed space file: the bundle plus its expected outcomes."""
 
-    __slots__ = ("name", "bundle", "description", "expectations", "path")
+    __slots__ = ("name", "bundle", "description", "expectations")
 
     def __init__(self, name: str, bundle: BundleData, description: str = "",
-                 expectations: Mapping | None = None,
-                 path: str | os.PathLike | None = None) -> None:
+                 expectations: Mapping | None = None) -> None:
         set_field(self, "name", name)
         set_field(self, "bundle", bundle)
         set_field(self, "description", description)
         set_field(self, "expectations",
                   {} if expectations is None else expectations)
-        set_field(self, "path", path)
 
 
-def space_file_from_doc(doc, default_name: str = "",
-                        path: str | os.PathLike | None = None) -> SpaceFile:
+def space_file_from_doc(doc, default_name: str = "") -> SpaceFile:
     doc = _require_dict(doc, "space file")
     _check_keys(doc, _TOP_KEYS, "space file")
     version = _int(doc.get("schema_version"), "schema_version")
@@ -272,11 +269,10 @@ def space_file_from_doc(doc, default_name: str = "",
     bundle = _bundle(doc, rings)
     return SpaceFile(name=name, bundle=bundle,
                      description=str(doc.get("description", "")),
-                     expectations=dict(expectations), path=path)
+                     expectations=dict(expectations))
 
 
-def space_file_from_text(text: str, default_name: str = "",
-                         path: str | os.PathLike | None = None) -> SpaceFile:
+def space_file_from_text(text: str, default_name: str = "") -> SpaceFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -284,7 +280,7 @@ def space_file_from_text(text: str, default_name: str = "",
     except RecursionError:
         raise SpaceFileError("invalid JSON: nested deeper than the "
                              "interpreter's recursion limit") from None
-    return space_file_from_doc(doc, default_name, path)
+    return space_file_from_doc(doc, default_name)
 
 
 def load_space_file(path) -> SpaceFile:
@@ -296,4 +292,4 @@ def load_space_file(path) -> SpaceFile:
     name = os.path.basename(path)
     dot = name.rfind(".")
     stem = name[:dot] if 0 < dot < len(name) - 1 else name
-    return space_file_from_text(text, default_name=stem, path=path)
+    return space_file_from_text(text, default_name=stem)

@@ -3,12 +3,11 @@
 Rings key dicts and sets by exponent tuples and fill their product memos
 on demand, maps keep sparse columns as dicts, and every mod-2 equation is
 solved over F2 from them; no iteration order may reach stdout, stderr or
-the exit code.  This runs the command list of the CI step "Reports are
-byte-identical across hash seeds" under PYTHONHASHSEED 0 and 1, one
-process per seed with every command run through acso.cli.main, and
-compares the results.  It also runs the block writer of `acso lifts` as
-two processes, one with PYTHONUNBUFFERED=1 and one without, as that CI
-step does.
+the exit code.  This runs a fixed command list under PYTHONHASHSEED 0 and
+1, one process per seed with every command run through acso.cli.main,
+and compares the results.  It also runs the block writer of `acso lifts`
+as two processes, one with PYTHONUNBUFFERED=1 and one without.  The CI
+step "Reports are byte-identical across hash seeds" runs this module.
 """
 
 import json
@@ -21,8 +20,8 @@ from conftest import CORPUS_DIR
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# the runs of the CI step, one per space file each; the last two are
-# usage errors, which acso.cli.main leaves to argparse
+# the runs, one per space file each; the last two are usage errors,
+# which acso.cli.main leaves to argparse
 RUNS = ("check --format json", "check --format json --bound 3",
         "check --format json --bound 0", "check --format text --bound 0",
         "lifts --class w2 --bound 2", "lifts --class w4 --bound 1",
@@ -47,7 +46,7 @@ json.dump(results, sys.stdout)
 
 
 def family_spaces(F, directory):
-    """The six generated space files of the CI step, by name."""
+    """The six generated space files of the command list, by name."""
     bundles = {
         "t8_rank2": F.line_sum(F.torus(8), [[0] * 8]),
         "cp2x3_line": F.line_sum(F.cp_product([2, 2, 2]), [[1, 1, 1]]),

@@ -24,7 +24,7 @@ from acso.gradedring import (
 )
 from acso import obstruct
 from acso.intlin import AbelianGroupDescriptor
-from acso.spacefile import space_file_from_doc
+from acso.spacefile import load_space_file, space_file_from_doc
 from acso.obstruct import (
     BudgetExceeded,
     BundleData,
@@ -47,7 +47,8 @@ from acso.obstruct import (
     validate_candidate,
 )
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, DATA_DIR
+import verdict_reference as reference
 
 
 def torsion_top_system(cutoff=12, degree=11):
@@ -252,10 +253,12 @@ def test_validate_candidate(cp2):
 
 
 def survey_verdict(data, bound, *classes):
-    """The verdict of the survey at `bound` on the candidate c1, c2, ..."""
-    for rec in survey_candidates(data, bound).records:
+    """The reference verdict of the survey's record at `bound` of the
+    candidate c1, c2, ..."""
+    outcome = survey_candidates(data, bound)
+    for rec in outcome.records:
         if rec.candidate.classes == classes:
-            return rec.verdict
+            return reference.record_verdict(data, outcome.rule, rec)
     raise AssertionError("no candidate %s within bound %d"
                          % (", ".join(map(str, classes)), bound))
 
@@ -339,7 +342,7 @@ def test_survey_reversed_orientation_never_vanishes(cp2bar):
     outcome = survey_candidates(cp2bar, bound=10)
     assert outcome.vanishing == ()
     for rec in outcome.records:
-        assert rec.verdict.status == "NonZero"
+        assert rec.status == "NonZero"
         c = rec.candidate.classes[0].coeffs[0]
         assert rec.pairing == 3 + c * c
 
@@ -351,7 +354,7 @@ def test_survey_forces_quaternionic_candidate(hp2):
     [rec] = outcome.records
     u = hp2.rings.integral.from_terms(4, {"u": 1})
     assert rec.candidate.classes[1] == -u
-    assert rec.verdict.status == "Zero"
+    assert rec.status == "Zero"
     assert rec.pairing == 0
     assert outcome.vanishing == (rec.candidate,)
 
@@ -408,8 +411,8 @@ def full_product_survey(data, bound):
             continue
         q = naive_chern_square_sum(data, cand, k_final)
         paired = data.pair(q)
-        verdict = obstruct._divisibility_verdict(data, q, rule, paired)
-        records.append((cand, q, verdict, paired))
+        verdict = reference._divisibility_verdict(data, q, rule, paired)
+        records.append((cand, q, verdict.status, paired))
     return (tuple(records), math.prod(len(lifts) for lifts in lift_sets),
             complete, None)
 
@@ -433,7 +436,7 @@ def test_survey_matches_full_product_reference(corpus, two_sphere_six_sphere,
     for data in cases:
         for bound in range(4):
             outcome = survey_candidates(data, bound)
-            records = tuple((r.candidate, r.q, r.verdict, r.pairing)
+            records = tuple((r.candidate, r.q, r.status, r.pairing)
                             for r in outcome.records)
             assert (records, outcome.enumerated, outcome.complete,
                     outcome.no_lift_degree) == full_product_survey(data, bound)
@@ -455,7 +458,7 @@ def test_survey_of_torsion_in_the_top_degree():
         assert (2 * (c1 * c3)).coeffs[0] == 2
         assert r.q == chern_square_sum(data, r.candidate, 2)
         assert r.q.coeffs[0] == 0
-    statuses = {r.verdict.status for r in outcome.records}
+    statuses = {r.status for r in outcome.records}
     assert statuses == {"NonZero", "Inconclusive"}
 
 
@@ -476,8 +479,7 @@ def test_survey_solves_torsion_even_classes():
 def test_candidate_sign_flip_preserves_verdict(cp2, hp2):
     for data in (cp2, hp2):
         records = survey_candidates(data, bound=6).records
-        status = {rec.candidate.classes: rec.verdict.status
-                  for rec in records}
+        status = {rec.candidate.classes: rec.status for rec in records}
         for rec in records:
             flipped = ChernCandidate(tuple(-c for c in rec.candidate.classes))
             validate_candidate(data, flipped)
@@ -486,7 +488,130 @@ def test_candidate_sign_flip_preserves_verdict(cp2, hp2):
             assert q0.is_zero == q1.is_zero
             if data.rank == 4:
                 # -c1 lies within the bound with c1, so it has a record
-                assert status[flipped.classes] == rec.verdict.status
+                assert status[flipped.classes] == rec.status
+
+
+def z3_in_degree_two_bundle():
+    """Rank-4 data whose degree-2 piece is Z/3, so that the survey is
+    complete and every candidate is NonZero, with witnesses that differ.
+
+    Integral ring (cutoff 4): t of order 3 in degree 2 and s in degree 4,
+    so the degree-4 basis is s, t^2 with t^2 of order 3; the mod-2 and
+    mod-4 rings hold s alone.  w = 0, e = 0 and p1 = -4s.  The lifts of
+    w2 are c1 = 0, t, 2t, whose q = -4s - c1^2 gives the witnesses s,
+    s + t^2 and s + t^2 once 4x = q is solved and the sign fixed.
+    """
+    integral = GradedRing(RingPresentation(0, 4, (
+        Generator("t", 2, order=3), Generator("s", 4))))
+    mod2, mod4 = (GradedRing(RingPresentation(m, 4, (Generator("s", 4),)))
+                  for m in (2, 4))
+
+    def on_s(scale):
+        return {0: [{0: 1}], 4: [{0: scale}, {}]}
+
+    sys = RingSystem(
+        integral, mod2, mod4,
+        rho2=CoefficientMap("rho2", integral, mod2, 0, on_s(1)),
+        rho4=CoefficientMap("rho4", integral, mod4, 0, on_s(1)),
+        theta2=CoefficientMap("theta2", mod2, mod4, 0,
+                              {0: [{0: 2}], 4: [{0: 2}]}),
+        rho24=CoefficientMap("rho24", mod4, mod2, 0,
+                             {0: [{0: 1}], 4: [{0: 1}]}),
+        beta=CoefficientMap("beta", mod2, integral, 1))
+    return BundleData(rank=4, rings=sys, w={},
+                      p={1: integral.from_terms(4, {"s": -4})},
+                      euler=integral.zero(4), base_dimension=4)
+
+
+def reference_cases(corpus, families):
+    """Bundles whose records are checked against the verdict reference:
+    the corpus, thm1_w7, generated bundles of rank 4, 6, 8 and 12, and
+    the torsion bundles of this module."""
+    F = families
+    generated = [F.tangent_cp_product(ns) for ns in ([2], [2, 2], [6])]
+    generated += [F.line_sum(F.cp_product([2, 2]), vectors) for vectors in (
+        [(1, 0), (1, 1)], [(1, 1), (1, -1), (2, 1)],
+        [(1, 0), (0, 1), (1, -1), (0, 2)])]
+    return ([sf.bundle for sf in corpus.values()]
+            + [load_space_file(DATA_DIR / "thm1_w7.json").bundle]
+            + [space_file_from_doc(F.space_doc("family", b)).bundle
+               for b in generated]
+            + [z2_in_degree_four_bundle(1), z4_in_degree_eight_bundle(),
+               z3_in_degree_two_bundle()])
+
+
+def test_record_statuses_and_witness_match_the_verdict_reference(
+        corpus, families):
+    ranks = set()
+    printed = 0
+    for data in reference_cases(corpus, families):
+        ranks.add(data.rank)
+        for bound in range(4):
+            outcome = survey_candidates(data, bound)
+            for r in outcome.records:
+                expected = reference.record_verdict(data, outcome.rule, r)
+                assert r.status == expected.status
+            final = obstruct._aggregate_final(data, outcome)
+            if final.status == "NonZero" and outcome.records:
+                first = reference.record_verdict(data, outcome.rule,
+                                                 outcome.records[0])
+                assert final.witness == first.witness
+                printed += 1
+    assert {4, 6, 8, 12} <= ranks
+    assert printed >= 16
+
+
+def test_final_witness_comes_from_the_first_record():
+    data = z3_in_degree_two_bundle()
+    ring = data.rings.integral
+    outcome = survey_candidates(data, 0)
+    assert outcome.complete
+    assert [r.candidate.classes[0].coeffs for r in outcome.records] == \
+        [(0,), (1,), (2,)]
+    assert [r.status for r in outcome.records] == ["NonZero"] * 3
+    witnesses = [reference.record_verdict(data, outcome.rule, r).witness
+                 for r in outcome.records]
+    s, st2 = ring.from_terms(4, {"s": 1}), ring.from_terms(4, {"s": 1,
+                                                              "t^2": 1})
+    assert witnesses == [s, st2, st2]
+    final = acs_verdict(data, 0).final
+    assert (final.status, final.witness) == ("NonZero", s)
+
+
+def test_survey_without_a_candidate_below_the_cutoff(families):
+    # rank 6 over CP^3: q would lie in degree 8, above the cutoff 6, and at
+    # bound 0 no candidate gets there, so there is no status of q = 0 to read
+    doc = families.space_doc("t_cp3", families.tangent_cp_product([3]))
+    data = space_file_from_doc(doc).bundle
+    outcome = survey_candidates(data, 0)
+    assert (data.cutoff, outcome.enumerated, outcome.records) == (6, 1, ())
+
+
+def test_survey_builds_no_verdict_and_never_divides_by_four(
+        corpus, families, monkeypatch):
+    built, divisors = [], []
+
+    def counting_verdict(*args, **kwargs):
+        built.append(args)
+        return Verdict(*args, **kwargs)
+
+    def counting_divide_by(n, y):
+        divisors.append(n)
+        return divide_by(n, y)
+
+    monkeypatch.setattr(obstruct, "Verdict", counting_verdict)
+    monkeypatch.setattr(obstruct, "divide_by", counting_divide_by)
+    records = 0
+    for data in reference_cases(corpus, families):
+        records += len(survey_candidates(data, 3).records)
+    assert records >= 100
+    assert built == [] and 4 not in divisors
+    assert 2 in divisors  # the even-index classes are still solved
+    # the one witness a report prints is made once
+    divisors.clear()
+    final = acs_verdict(corpus["cp2bar"].bundle, 3).final
+    assert final.status == "NonZero"
+    assert divisors.count(4) == 1 and len(built) == 2
 
 
 def naive_chern_square_sum(data, cand, j):

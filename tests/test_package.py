@@ -59,7 +59,7 @@ SEARCH = SearchOutcome(3, "rule", 1, (), None, True)
 EYE = IntMatrix.from_rows([[1]])
 # the fields of an ObstructionReport, in order
 REPORT = dict(rank=4, base_dimension=4, first=VERDICT, theorem1=(),
-              final=None, final_rule=None, search=SEARCH,
+              final=None, search=SEARCH,
               sole_obstruction=False, wu_checks=(), gaps=(), notes=(),
               status="obstructed", existence="excluded")
 
@@ -86,17 +86,17 @@ VALUES = [
      dict(m=1, status="failed", discrepancy=X, note=""), WuCheck(1, "ok")),
     (Pairing, (2, [1]), dict(degree=2, values=(1,)), Pairing(2, [2])),
     (ChernCandidate, ([X],), dict(classes=(X,)), ChernCandidate([-X])),
-    (CandidateRecord, (ChernCandidate([X]), X, VERDICT, 3),
-     dict(candidate=ChernCandidate([X]), q=X, verdict=VERDICT, pairing=3),
-     CandidateRecord(ChernCandidate([X]), X, VERDICT, None)),
+    (CandidateRecord, (ChernCandidate([X]), X, "NonZero", 3),
+     dict(candidate=ChernCandidate([X]), q=X, status="NonZero", pairing=3),
+     CandidateRecord(ChernCandidate([X]), X, "NonZero", None)),
     (SearchOutcome, (3, "rule", 1, (), None, True),
      dict(bound=3, rule="rule", enumerated=1, records=(), no_lift_degree=None,
           complete=True), SearchOutcome(3, "rule")),
     (ObstructionReport, tuple(REPORT.values()), REPORT,
      ObstructionReport(**dict(REPORT, gaps=("gap",)))),
-    (SpaceFile, ("cp2", None, "", {"status": "clear"}, None),
+    (SpaceFile, ("cp2", None, "", {"status": "clear"}),
      dict(name="cp2", bundle=None, description="",
-          expectations={"status": "clear"}, path=None),
+          expectations={"status": "clear"}),
      SpaceFile("cp2", None)),
 ]
 
@@ -141,10 +141,15 @@ def test_value_classes_keep_their_defaults():
     assert Pairing("2", ["1"]) == Pairing(2, (1,))
     assert SearchOutcome(3, "r") == SearchOutcome(3, "r", 0, (), None, False)
     empty = SpaceFile("cp2", None)
-    assert (empty.description, empty.expectations, empty.path) == \
-        ("", {}, None)
+    assert (empty.description, empty.expectations) == ("", {})
     assert SpaceFile("cp2", None).expectations is not empty.expectations
     assert RewriteRule([2], [("1", ["2"])]) == RewriteRule((2,), ((1, (2,)),))
+
+
+def test_report_final_rule_is_the_rule_of_its_search():
+    report = ObstructionReport(**REPORT)
+    assert report.final_rule == SEARCH.rule == "rule"
+    assert replace(report, search=None).final_rule is None
 
 
 @pytest.mark.parametrize("build, message", [

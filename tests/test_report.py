@@ -80,7 +80,7 @@ def search_doc(search):
         records.append({
             "candidate": candidate_doc(r.candidate),
             "q": element_doc(r.q),
-            "status": r.verdict.status,
+            "status": r.status,
             "pairing": None if r.pairing is None else str(r.pairing),
         })
     return {
@@ -138,8 +138,7 @@ def test_render_json_matches_json_dumps_on_synthetic_reports(cp2):
         replace(report, gaps=(), notes=()),
         replace(report, notes=(AWKWARD, AWKWARD[::-1], ""),
                             gaps=(AWKWARD,)),
-        replace(report, final=None, final_rule=None,
-                            search=None, base_dimension=None),
+        replace(report, final=None, search=None, base_dimension=None),
         replace(report, search=search,
                             first=Verdict("Zero", None, None, AWKWARD)),
     ]
@@ -198,9 +197,7 @@ def synthetic(cp2, records, complete=False, no_lift_degree=None):
 
 
 def record(classes, q, status="Zero", pairing=0):
-    witness = None if status == "Zero" else q
-    return CandidateRecord(ChernCandidate(classes), q,
-                           Verdict(status, witness), pairing)
+    return CandidateRecord(ChernCandidate(classes), q, status, pairing)
 
 
 def assert_matches_reference(report):
