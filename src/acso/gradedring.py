@@ -26,9 +26,10 @@ rho4, theta2, rho24, the Bockstein beta, and Sq^1), stored as sparse
 columns, and checks the compatibilities between them, e.g.
 theta2(rho2(z)) = rho4(2z).  For a torsion-free presentation the
 reductions are derived from the integral ring, which is built once.  The
-operations at the bottom of the module (divide_by, integral lifts,
-Pontryagin squares) are what the obstruction evaluator consumes; the
-mod-2 equations among them are solved over F2 from the columns of rho2.
+operations at the bottom of the module (divide_by and its coefficient
+form quotients, integral lifts, Pontryagin squares) are what the
+obstruction evaluator consumes; the mod-2 equations among them are
+solved over F2 from the columns of rho2.
 """
 
 from __future__ import annotations
@@ -697,7 +698,11 @@ class RingElement:
     results of the ring's own arithmetic (+, -, negation, scalar and ring
     products, CoefficientMap application, divide_by and integral_lifts)
     are reduced the same way but skip the validation, since their
-    coefficients are integers of the right length already.  str() is
+    coefficients are integers of the right length already.  A ring
+    product reduces what the kernel `product` returns.  Loops that make
+    many products, such as the Chern-candidate survey, call `product` and
+    the map's `image` on coefficient tuples, and make elements only for
+    what they keep.  str() is
     `text` over the names of the degree's basis, the one formatter that
     `acso lifts` also writes its lines with.
     """
@@ -746,26 +751,9 @@ class RingElement:
                             [other * c for c in self.coeffs])
         if not isinstance(other, RingElement) or other.ring != self.ring:
             raise RingError("operands live in different rings")
-        d = self.degree + other.degree
-        ring = self.ring
-        if d > ring.cutoff:
-            raise DegreeError(
-                "product degree %d exceeds cutoff %d" % (d, ring.cutoff))
-        products = ring._products
-        d1, d2 = self.degree, other.degree
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        coeffs = [0] * len(ring._basis[d])
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in right:
-                terms = products.get((d1, i, d2, j))
-                if terms is None:
-                    terms = ring._product_terms(d1, i, d2, j)
-                ab = a * b
-                for k, v in terms:
-                    coeffs[k] += ab * v
-        return _reduced(ring, d, coeffs)
+        return _reduced(self.ring, self.degree + other.degree,
+                        product(self.ring, self.degree, self.coeffs,
+                                other.degree, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -803,6 +791,36 @@ class RingElement:
 
     def __repr__(self):
         return "<%s in degree %d>" % (self, self.degree)
+
+
+def product(ring: GradedRing, d1: int, a: Sequence[int], d2: int,
+            b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two homogeneous elements, given
+    by their degrees and coefficients, not yet reduced.
+
+    This is the one product loop: RingElement.__mul__ reduces its result,
+    and the Chern-candidate survey adds products up before reducing once.
+    Each pair of nonzero coefficients adds their product times the terms
+    of its pair of basis monomials, which are computed on first use.
+    """
+    d = d1 + d2
+    if d > ring.cutoff:
+        raise DegreeError(
+            "product degree %d exceeds cutoff %d" % (d, ring.cutoff))
+    products = ring._products
+    right = [(j, y) for j, y in enumerate(b) if y]
+    coeffs = [0] * len(ring._basis[d])
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in right:
+            terms = products.get((d1, i, d2, j))
+            if terms is None:
+                terms = ring._product_terms(d1, i, d2, j)
+            xy = x * y
+            for k, v in terms:
+                coeffs[k] += xy * v
+    return coeffs
 
 
 def _element(ring: GradedRing, degree: int, coeffs: tuple) -> RingElement:
@@ -964,14 +982,28 @@ class CoefficientMap:
     def __call__(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
             raise RingError("map %s applied outside its source ring" % self.name)
-        columns = self._columns(x.degree)
-        td = x.degree + self.shift
-        out = [0] * len(self.target._basis[td])
-        for c, col in zip(x.coeffs, columns):
-            if c:
-                for i, v in col.items():
-                    out[i] += c * v
-        return _reduced(self.target, td, out)
+        return _element(self.target, x.degree + self.shift,
+                        tuple(self.image(x.degree)(x.coeffs)))
+
+    def image(self, degree: int):
+        """The map in one source degree, as a function from coefficients
+        to the reduced coefficients of the image."""
+        columns = self._columns(degree)
+        td = degree + self.shift
+        size = len(self.target._basis[td])
+        torsion = self.target._torsion[td]
+
+        def apply(coeffs: Sequence[int]) -> list[int]:
+            out = [0] * size
+            for c, col in zip(coeffs, columns):
+                if c:
+                    for i, v in col.items():
+                        out[i] += c * v
+            for i, o in torsion:
+                out[i] %= o
+            return out
+
+        return apply
 
     @classmethod
     def compose(cls, name: str, outer: "CoefficientMap",
@@ -1153,22 +1185,29 @@ def divide_by(n: int, y: RingElement) -> tuple[RingElement, ...]:
     """
     if n == 0:
         raise ValueError("division by zero scalar")
-    ring = y.ring
+    return tuple(_element(y.ring, y.degree, combo) for combo in
+                 quotients(n, y.coeffs, y.ring.orders(y.degree)))
+
+
+def quotients(n: int, coeffs: Sequence[int],
+              orders: Sequence[int]) -> Iterator[tuple]:
+    """The coefficients of every x with n*x = y, y having these reduced
+    coefficients over a basis with these orders, in lexicographic order;
+    divide_by makes one element of each.  n is nonzero."""
     axes = []
-    for c, o in zip(y.coeffs, ring.orders(y.degree)):
+    for c, o in zip(coeffs, orders):
         if o == 0:
             if c % n:
-                return ()
+                return iter(())
             axes.append([c // n])
             continue
         g = math.gcd(n, o)
         if c % g:
-            return ()
+            return iter(())
         step = o // g
         base = (c // g) * pow(n // g, -1, step) % step if step > 1 else 0
         axes.append(sorted((base + k * step) % o for k in range(g)))
-    return tuple(_element(ring, y.degree, combo)
-                 for combo in itertools.product(*axes))
+    return itertools.product(*axes)
 
 
 def _solve_mod2(columns: Columns, u: Sequence[int], variables: Sequence[int]):
@@ -1307,8 +1346,9 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
 
     One element per tuple of lift_coefficients, in its order, with the
     same LIFT_CAP refusal; no_lift_proven is True exactly when it finds
-    the congruences unsolvable.  `acso lifts` reads the tuples of
-    lift_coefficients and writes their text, and makes no element.
+    the congruences unsolvable.  No command calls it: `acso lifts` writes
+    the text of the tuples of lift_coefficients, and the Chern-candidate
+    survey reads them too and makes one element per lift itself.
     """
     coeffs = lift_coefficients(system, u, bound)
     if coeffs is None:

@@ -23,6 +23,7 @@ what was proven, what failed, and what stayed out of reach.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 
 from .gradedring import (
@@ -30,10 +31,13 @@ from .gradedring import (
     NoIntegralLift,
     RingElement,
     RingSystem,
+    _element,
     any_integral_lift,
     divide_by,
-    integral_lifts,
+    lift_coefficients,
     pontryagin_square,
+    product,
+    quotients,
 )
 from .intlin import AbelianGroupDescriptor, Frozen, IntMatrix, set_field
 
@@ -418,20 +422,36 @@ def chern_square_sum(data: BundleData, cand: ChernCandidate,
                      j: int) -> RingElement:
     """Massey's degree-4j class
 
-        q_j = sum_{i=0}^{2j} (-1)^i c_i c_{2j-i} - (-1)^j p_j.
+        q_j = sum_{i=0}^{2j} (-1)^i c_i c_{2j-i} - (-1)^j p_j,
+
+    from square_sum over the coefficients of c_0..c_{min(2j, n)}.
+    """
+    c = [cand.chern(data, i).coeffs
+         for i in range(min(2 * j, data.rank // 2) + 1)]
+    return data.rings.integral.element(4 * j, square_sum(data, c, j))
+
+
+def square_sum(data: BundleData, c: Sequence[Sequence[int]],
+               j: int) -> list[int]:
+    """The coefficients of q_j, not yet reduced, where c[i] holds those of
+    c_i and a class past the end of c is zero.
 
     Chern classes have even degree, so c_i c_{2j-i} = c_{2j-i} c_i and the
     sum folds to (-1)^j (c_j^2 - p_j) + 2 sum_{i<j} (-1)^i c_i c_{2j-i},
-    whose i = 0 term is c_{2j} itself.
+    whose i = 0 term is c_{2j} itself.  This is the one formula for q:
+    chern_square_sum and the candidate survey both evaluate it.
     """
-    q = cand.chern(data, j) * cand.chern(data, j) - data.p_class(j)
-    if j % 2:
-        q = -q
-    twice = cand.chern(data, 2 * j)
-    for i in range(1, j):
-        term = cand.chern(data, i) * cand.chern(data, 2 * j - i)
-        twice = twice - term if i % 2 else twice + term
-    return q + 2 * twice
+    ring = data.rings.integral
+    q = product(ring, 2 * j, c[j], 2 * j, c[j])
+    sign = -1 if j % 2 else 1
+    q = [sign * (x - y) for x, y in zip(q, data.p_class(j).coeffs)]
+    for i in range(j):
+        if 2 * j - i < len(c):
+            term = (c[2 * j] if i == 0 else
+                    product(ring, 2 * i, c[i], 4 * j - 2 * i, c[2 * j - i]))
+            twice = -2 if i % 2 else 2
+            q = [x + twice * y for x, y in zip(q, term)]
+    return q
 
 
 def _divisible(data: BundleData, q: RingElement) -> RingElement:
@@ -533,22 +553,32 @@ def _final_criterion(rank: int) -> tuple[int, str] | None:
 def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     """Find the Chern candidates within `bound` and test each one.
 
-    Candidates are built depth-first in index order.  An odd-index class
-    c_i ranges over the integral lifts of w_2i whose free coefficients lie
-    in [-bound, bound].  An even-index class c_2j is solved, not
-    enumerated: Massey's intermediate identity q_j = 0 (j below the final
-    index) contains it only as 2 c_2j, so c_2j runs over the solutions of
-    2 c_2j = -r, r being q_j with c_2j set to zero, that are lifts of
-    w_4j within the bound.  Every candidate built thus reduces to w and
-    satisfies the intermediate identities by construction, and only its
-    top-degree class is evaluated.  At rank 4k with k >= 2 that class is
-    evaluated once per prefix c_1..c_{2k-2}: the last class c_{2k-1}
-    enters it only as -2 c_1 c_{2k-1}, so each lift x of c_{2k-1} gets
-    q = q0 - 2 c_1 x, q0 being the class with c_{2k-1} = 0.  At ranks 4
-    and 6 it is quadratic in the last class and is computed whole.  The
-    check rho4(q) = 0 and the pairing of q run once per candidate.  A
-    record holds a status, that of q = 0 read once per search, and no
-    record solves 4x = q: the witness is made once, for the printed verdict.
+    Candidates are built depth-first in index order, on coefficient
+    tuples.  An odd-index class c_i ranges over the integral lifts of w_2i
+    whose free coefficients lie in [-bound, bound], read from
+    lift_coefficients.
+    An even-index class c_2j is solved, not enumerated: Massey's
+    intermediate identity q_j = 0 (j below the final index) contains it
+    only as 2 c_2j, so c_2j runs over the solutions of 2 c_2j = -r, r
+    being q_j with c_2j set to zero, that are lifts of w_4j within the
+    bound.  Every candidate built thus reduces to w and satisfies the
+    intermediate identities by construction, and only its top-degree
+    class is evaluated, by square_sum, the formula chern_square_sum uses.
+
+    At rank 4k with k >= 2 the last class c_{2k-1} enters q only as
+    -2 c_1 c_{2k-1}, so each lift x of it gets q = q0 - 2 M x, q0 being
+    the class with c_{2k-1} = 0 and M the matrix of multiplication by c_1
+    from degree 4k-2 to 4k; q0 is made once per prefix c_1..c_{2k-2}, M
+    once per c_1.  At ranks 4 and 6 q is quadratic in the last class and
+    is computed whole.  Sums are reduced at the torsion coordinates once,
+    at the end.
+
+    The check rho4(q) = 0 and the pairing of q run once per candidate, on
+    the coefficients; a failing check raises DivisibilityViolation.  A
+    record holds one element per lift, shared by every record with that
+    class, the element of its q, shared by every record with that value,
+    and a status, that of q = 0 read once per search; no record solves
+    4x = q: the witness is made once, for the printed verdict.
     Deterministic: candidates come out in lexicographic order of their
     coefficient vectors.
 
@@ -568,37 +598,55 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     k_final, rule = final
     n = rank // 2
     rings = data.rings
+    integral = rings.integral
 
     lift_sets = []
     for i in range(1, n):
-        found = integral_lifts(rings, data.w_class(2 * i), bound)
-        if found.no_lift_proven:
+        found = lift_coefficients(rings, data.w_class(2 * i), bound)
+        if found is None:
             return SearchOutcome(bound=bound, rule=rule, no_lift_degree=2 * i,
                                  complete=True)
-        lift_sets.append(found.lifts)
+        lift_sets.append(tuple(found))
     complete = all(o != 0
                    for i in range(1, n)
-                   for o in rings.integral.orders(2 * i))
+                   for o in integral.orders(2 * i))
 
     predicted = 1
     for i, lifts in enumerate(lift_sets, start=1):
         if i % 2:
             predicted *= len(lifts)
         else:
-            predicted *= 2 ** sum(1 for o in rings.integral.orders(2 * i)
+            predicted *= 2 ** sum(1 for o in integral.orders(2 * i)
                                   if o and o % 2 == 0)
     if predicted > CANDIDATE_CAP:
         raise BudgetExceeded("candidate enumeration exceeded the cap %d"
                              % CANDIDATE_CAP)
     # the status of q = 0; no q exists above the cutoff
     top = 4 * k_final
-    zero = ("Inconclusive" if top <= data.cutoff and _annihilated_by(
-        rings.integral.orders(top), 4) else "Zero")
+    above = top > data.cutoff
+    zero = ("Inconclusive" if not above and _annihilated_by(
+        integral.orders(top), 4) else "Zero")
+    torsion = () if above else [(i, o) for i, o in
+                                enumerate(integral.orders(top)) if o]
+    pairing = data.pairing
+    values = (pairing.values if pairing is not None
+              and pairing.degree == top else None)
+    rho4 = None if above else rings.rho4.image(top)
     records = []
-    for cand, q in _admissible_candidates(data, lift_sets, k_final):
-        q = _divisible(data, q)
-        records.append(CandidateRecord(cand, q, zero if q.is_zero else
-                                       "NonZero", data.pair(q)))
+    seen = {}  # the element and status of each value of q
+    for classes, q in _admissible_candidates(data, lift_sets, k_final):
+        for i, o in torsion:
+            q[i] %= o
+        key = tuple(q)
+        q_element = seen.get(key)
+        if q_element is None:
+            q_element = seen[key] = (_element(integral, top, key),
+                                     "NonZero" if any(key) else zero)
+        if any(rho4(q)):
+            _divisible(data, q_element[0])
+        records.append(CandidateRecord(
+            ChernCandidate(classes), *q_element,
+            None if values is None else sum(map(operator.mul, q, values))))
     return SearchOutcome(bound=bound, rule=rule,
                          enumerated=math.prod(len(lifts) for lifts in lift_sets),
                          records=tuple(records), complete=complete)
@@ -606,43 +654,59 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
 
 def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
                            k: int):
-    # (candidate, its unchecked top class q_k), in lexicographic order.
-    # Every even index 2j below n = rank/2 has j below the final index, so
-    # identity j fixes c_2j; it reads only c_1..c_2j, so the prefix with
-    # c_2j = 0 gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the
-    # bound and the lexicographic order of divide_by's solutions.  The
-    # last level evaluates q_k per prefix where survey_candidates says so.
+    # (classes, coefficients of the top class q_k before reduction), in
+    # lexicographic order.  Every even index 2j below n = rank/2 has j
+    # below the final index, so identity j fixes c_2j; it reads only
+    # c_1..c_2j, so the prefix alone, c_2j being zero, gives r.  Lift-set
+    # membership keeps rho2(c_2j) = w_4j, the bound and the lexicographic
+    # order of the solutions of 2x = -r.  The last level evaluates q_k per
+    # prefix where survey_candidates says so.
     integral = data.rings.integral
     last = len(lift_sets)
-    members = {i: {x.coeffs for x in lift_sets[i - 1]}
-               for i in range(2, last + 1, 2)}
+    elements = [{c: _element(integral, 2 * i, c) for c in lifts}
+                for i, lifts in enumerate(lift_sets, start=1)]
     per_prefix = k >= 2 and data.rank % 4 == 0
+    unit, euler = (1,), data.euler.coeffs
+    times_c1 = {}  # c_1 -> columns of -2 c_1 from degree 4k-2 to 4k
 
-    def without_last(prefix, j):
-        # q_j of the prefix extended by a zero class
-        zero = integral.zero(2 * len(prefix) + 2)
-        return chern_square_sum(data, ChernCandidate(prefix + (zero,)), j)
-
-    def extend(prefix):
+    def extend(prefix, classes):
         i = len(prefix) + 1
+        members = elements[i - 1]
         if i % 2:
-            choices = lift_sets[i - 1]
+            choices = members.items()
         else:
-            r = without_last(prefix, i // 2)
-            choices = [x for x in divide_by(2, -r) if x.coeffs in members[i]]
+            orders = integral.orders(2 * i)
+            r = square_sum(data, (unit,) + prefix, i // 2)
+            y = [-x % o if o else -x for x, o in zip(r, orders)]
+            choices = [(c, members[c]) for c in quotients(2, y, orders)
+                       if c in members]
         if i < last:
-            for x in choices:
-                yield from extend(prefix + (x,))
+            for c, x in choices:
+                yield from extend(prefix + (c,), classes + (x,))
         elif per_prefix:
-            q0, c1 = without_last(prefix, k), prefix[0]
-            for x in choices:
-                yield ChernCandidate(prefix + (x,)), q0 - 2 * (c1 * x)
+            size = len(integral.orders(2 * i))
+            q0 = square_sum(data, (unit,) + prefix + ((0,) * size, euler), k)
+            c1 = prefix[0]
+            columns = times_c1.get(c1)
+            if columns is None:
+                columns = times_c1[c1] = [
+                    [(t, -2 * v) for t, v in enumerate(product(
+                        integral, 2, c1, 2 * i,
+                        [int(j == s) for s in range(size)])) if v]
+                    for j in range(size)]
+            for c, x in choices:
+                q = list(q0)
+                for xj, column in zip(c, columns):
+                    if xj:
+                        for t, v in column:
+                            q[t] += xj * v
+                yield classes + (x,), q
         else:
-            for x in choices:
-                cand = ChernCandidate(prefix + (x,))
-                yield cand, chern_square_sum(data, cand, k)
+            for c, x in choices:
+                yield classes + (x,), square_sum(
+                    data, (unit,) + prefix + (c, euler), k)
 
-    return extend(())
+    return extend((), ())
 
 
 def _definite_form_certificate(data: BundleData, bound: int) -> str | None:

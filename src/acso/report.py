@@ -18,14 +18,16 @@ int.__repr__, so a string or integer field that holds another type
 raises TypeError.  A class's
 terms follow its ring's basis_string_order.  The search section holds
 one record per admissible Chern candidate and so nearly all of a large
-report; records share their c_1..c_{n-2} element objects, so the terms
-object of each candidate class is written once per render and reused.
+report; records share one element object per class and per value of q,
+so the terms object of each is written once per render and reused, and
+the text of each q is joined from terms kept per render by `text`.
 """
 
 from __future__ import annotations
 
 import json
 
+from .gradedring import text
 from .obstruct import (
     BundleData,
     ChernCandidate,
@@ -66,6 +68,7 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
     tables: dict = {}   # (ring id, degree) -> ((index, '"name": "'), ...)
     keys: dict = {}     # class count -> ((i - 1, '"ci": '), ...)
     memo: dict = {}     # (element id, indent) -> terms object
+    texts: dict = {}    # (ring id, degree) -> text memo of a q's terms
 
     def terms(x, ind: str) -> str:
         table = tables.get((id(x.ring), x.degree))
@@ -104,14 +107,22 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
                 (i - 1, '"c%d": ' % i)
                 for i in sorted(range(1, len(classes) + 1), key="c{}".format))
         inner = ind + "  "
-        entries = []
-        for i, key in order:
-            x = classes[i]
-            text = memo.get((id(x), inner))
-            if text is None:
-                text = memo[id(x), inner] = terms(x, inner)
-            entries.append(key + text)
-        return _join(entries, ind, "{}")
+        return _join([key + shared_terms(classes[i], inner)
+                      for i, key in order], ind, "{}")
+
+    def shared_terms(x, ind: str) -> str:
+        # terms(x, ind), written once per element object
+        written = memo.get((id(x), ind))
+        if written is None:
+            written = memo[id(x), ind] = terms(x, ind)
+        return written
+
+    def q_text(q) -> str:
+        # str(q), its terms kept per piece for the q of later records
+        piece = texts.get((id(q.ring), q.degree))
+        if piece is None:
+            piece = texts[id(q.ring), q.degree] = {}
+        return text(q.ring.basis_strings(q.degree), q.coeffs, piece)
 
     def search_section(search: SearchOutcome, ind: str) -> str:
         i1 = ind + "  "  # search entries
@@ -126,8 +137,9 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
         records = [record % (
             candidate(r.candidate, i3),
             "null" if r.pairing is None else _encode_str(str(r.pairing)),
-            r.q.degree, terms(r.q, i3 + "  "), _encode_str(str(r.q)),
-            _encode_str(r.status)) for r in search.records]
+            r.q.degree, shared_terms(r.q, i3 + "  "),
+            _encode_str(q_text(r.q)), _encode_str(r.status))
+            for r in search.records]
         no_lift = search.no_lift_degree
         return _join([
             '"admissible": ' + _int(search.admissible),

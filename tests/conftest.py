@@ -84,3 +84,48 @@ def workloads(families):
     finally:
         sys.path.remove(str(BENCH_DIR))
     return module
+
+
+def cp2_sum_doc(k: int, l: int) -> dict:
+    """The shared-form space file of the tangent bundle of the connected
+    sum of k copies of CP^2 and l copies of CP^2 with reversed orientation.
+
+    Generators a_1..a_k and b_1..b_l in degree 2, cutoff 4, with the
+    relations a_i^2 -> a_1^2, b_j^2 -> -a_1^2 and every mixed product -> 0,
+    so that a_1^2 is the top class and the intersection form is
+    diag(1, ..., 1, -1, ..., -1).  w2 is the sum of the generators (every
+    square is odd), e = chi = 2 + k + l and p1 = 3 sigma = 3 (k - l) times
+    a_1^2, w4 = chi mod 2, and the pairing is 1 on a_1^2.  By Hirzebruch
+    and Hopf, an almost complex structure exists iff k is odd.
+    `bench/algebra.Ring` cannot express a_i^2 = a_1^2, so the generator
+    lives here.  k >= 1.
+    """
+    gens = ["a%d" % i for i in range(1, k + 1)] + \
+        ["b%d" % j for j in range(1, l + 1)]
+    top = "a1^2"
+    relations = [{"lhs": "%s^2" % g,
+                  "rhs": {top: "-1" if g[0] == "b" else "1"}}
+                 for g in gens[1:]]
+    relations += [{"lhs": "%s*%s" % (g, h), "rhs": {}}
+                  for i, g in enumerate(gens) for h in gens[i + 1:]]
+    chi, sigma = 2 + k + l, k - l
+    w = {"2": {g: "1" for g in gens}}
+    if chi % 2:
+        w["4"] = {top: "1"}
+    bundle = {"rank": 4, "base_dimension": 4, "w": w,
+              "euler": {top: str(chi)},
+              "pairing": {"degree": 4, "values": {top: "1"}}}
+    if sigma:
+        bundle["p"] = {"1": {top: str(3 * sigma)}}
+    return {"schema_version": 1, "name": "cp2_sum_%d_%d" % (k, l),
+            "rings": {"shared": {
+                "cutoff": 4,
+                "generators": [{"name": g, "degree": 2} for g in gens],
+                "relations": relations}},
+            "bundle": bundle}
+
+
+@pytest.fixture(scope="session")
+def cp2_sums():
+    """`cp2_sum_doc`: k CP^2 # l reversed CP^2 space files by (k, l)."""
+    return cp2_sum_doc

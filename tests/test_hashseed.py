@@ -46,10 +46,12 @@ json.dump(results, sys.stdout)
 
 
 def family_spaces(F, directory):
-    """The six generated space files of the command list, by name."""
+    """The seven generated space files of the command list, by name."""
     bundles = {
         "t8_rank2": F.line_sum(F.torus(8), [[0] * 8]),
         "cp2x3_line": F.line_sum(F.cp_product([2, 2, 2]), [[1, 1, 1]]),
+        # rank 4 over an H^2 of rank 2: a survey of two-coordinate c1
+        "lines_rank4": F.line_sum(F.cp_product([2, 2]), [(1, 0), (1, 1)]),
         "t_cp2xcp2": F.tangent_cp_product([2, 2]),
         "t_cp6": F.tangent_cp_product([6]),
         # rank 10: its report lists two gaps, so their order is seen
@@ -71,7 +73,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
     # 8,000 lifts take several blocks of `acso lifts` output
     commands.append(["lifts", "--class", "w4", "--bound", "20",
                      str(spaces["lines_rank8"])])
-    assert len(commands) == 121
+    assert len(commands) == 129
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     procs = [subprocess.Popen([sys.executable, "-c", RUNNER],
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -85,7 +87,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
         assert a == b, argv
     # the two usage errors of every space file went through argparse
     usage = [code for code, out, err in first if err.startswith("usage: acso")]
-    assert usage == [1] * 30
+    assert usage == [1] * 32
     code, out, err = first[-1]
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 8000

@@ -21,6 +21,7 @@ from acso.gradedring import (
     any_integral_lift,
     divide_by,
     integral_lifts,
+    quotients,
 )
 from acso import obstruct
 from acso.intlin import AbelianGroupDescriptor
@@ -599,8 +600,14 @@ def test_survey_builds_no_verdict_and_never_divides_by_four(
         divisors.append(n)
         return divide_by(n, y)
 
+    def counting_quotients(n, coeffs, orders):
+        # the survey solves 2x = y on coefficients, without elements
+        divisors.append(n)
+        return quotients(n, coeffs, orders)
+
     monkeypatch.setattr(obstruct, "Verdict", counting_verdict)
     monkeypatch.setattr(obstruct, "divide_by", counting_divide_by)
+    monkeypatch.setattr(obstruct, "quotients", counting_quotients)
     records = 0
     for data in reference_cases(corpus, families):
         records += len(survey_candidates(data, 3).records)
