@@ -22,14 +22,18 @@ truncated set of all exponent tuples or the pairs of basis monomials.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
-rho4, theta2, rho24, the Bockstein beta, and Sq^1), stored as sparse
-columns, and checks the compatibilities between them, e.g.
-theta2(rho2(z)) = rho4(2z).  For a torsion-free presentation the
-reductions are derived from the integral ring, which is built once.  The
+rho4, theta2, rho24, the Bockstein beta, and Sq^1) and checks the
+compatibilities between them, e.g. theta2(rho2(z)) = rho4(2z).  Maps
+given degree by degree are stored as sparse columns, and the laws are
+checked column by column.  For a torsion-free presentation the
+reductions are derived from the integral ring, which is built once, and
+every map is a scale times the identity on the one shared basis (the
+zero map for beta and Sq^1): it stores the scale, and the laws are
+checked on the scales, once per degree and distinct target order.  The
 operations at the bottom of the module (divide_by and its coefficient
 form quotients, integral lifts, Pontryagin squares) are what the
 obstruction evaluator consumes; the mod-2 equations among them are
-solved over F2 from the columns of rho2.
+solved over F2 from the columns of rho2, built per degree when read.
 """
 
 from __future__ import annotations
@@ -909,7 +913,7 @@ def _combine(columns: Columns, coeffs: Mapping[int, int]) -> dict:
 
 
 class CoefficientMap:
-    """Additive degree-shifting map between rings, stored as sparse columns.
+    """Additive degree-shifting map between rings: sparse columns, or a scale.
 
     In source degree d the map has one column per source basis monomial.
     A column is a dict {row: coefficient} over the target basis monomials
@@ -917,32 +921,50 @@ class CoefficientMap:
     nonzero once reduced by the additive order of their row.  Degrees
     whose image would exceed the target cutoff are undefined.
 
-    The constructor takes, per degree, either an IntMatrix of that shape
+    A column map is given, per degree, either an IntMatrix of that shape
     or a sequence of column mappings.  Either is normalised here, and the
     map must send each source monomial of finite order o to a target
     element killed by o.  Building, applying, composing and comparing maps
     costs time linear in the nonzero entries, and the lift solver reads
     the columns of rho2 directly.
+
+    A scale map (scaled_identity) is `scale` times the identity on a
+    basis its two rings share, and stores the scale alone.  Its
+    construction checks, once per degree, that the bases agree (at no
+    cost when both rings hold one basis object, as the reductions of
+    RingSystem.with_reduction_defaults do) and that the scale respects
+    additive orders, once per distinct pair of source and target orders.
+    Applying it multiplies by the scale and reduces the torsion rows.
+    Its columns, scale * e_j reduced by the row orders, are built one
+    degree at a time, the first time something reads them.  A nonzero
+    scale needs shift 0, so a scale map of nonzero shift is the zero map.
+    `scale` is None for a column map.
     """
 
     def __init__(self, name: str, source: GradedRing, target: GradedRing,
                  shift: int,
-                 matrices: Mapping[int, IntMatrix | Columns] | None = None):
+                 matrices: Mapping[int, IntMatrix | Columns] | None = None,
+                 scale: int | None = None):
         self.name = name
         self.source = source
         self.target = target
         self.shift = shift
+        self.scale = scale
+        # the source degrees whose image lies inside the target's cutoff
+        self._span = range(max(0, -shift),
+                           min(source.cutoff, target.cutoff - shift) + 1)
+        self._cols: dict[int, tuple[dict, ...]] = {}
+        if scale is not None:
+            self._check_scale()
+            return
         given = dict(matrices or {})
-        self.columns: dict[int, tuple[dict, ...]] = {}
-        for d in range(source.cutoff + 1):
+        for d in self._span:
             td = d + shift
-            if not 0 <= td <= target.cutoff:
-                continue
             rows = len(target.basis(td))
             cols = len(source.basis(d))
             M = given.pop(d, None)
             if M is None:
-                self.columns[d] = tuple({} for _ in range(cols))
+                self._cols[d] = tuple({} for _ in range(cols))
                 continue
             if isinstance(M, IntMatrix):
                 if M.rows != rows or M.cols != cols:
@@ -958,7 +980,7 @@ class CoefficientMap:
             t_orders = target.orders(td)
             columns = tuple(_normalised(col, t_orders) for col in M)
             self._check_orders(d, columns, t_orders)
-            self.columns[d] = columns
+            self._cols[d] = columns
         if given:
             raise RingError(
                 "map %s: matrices supplied for undefined degrees %s"
@@ -972,12 +994,52 @@ class CoefficientMap:
                     "map %s does not respect additive orders in degree %d"
                     % (self.name, d))
 
+    def _check_scale(self):
+        s, source, target = self.scale, self.source, self.target
+        if self.shift:
+            if s:
+                raise RingError("map %s: scale %d with shift %d; only the "
+                                "zero map shifts degrees"
+                                % (self.name, s, self.shift))
+            return
+        if source._basis is not target._basis:
+            for d in self._span:
+                if source.basis(d) != target.basis(d):
+                    raise RingError(
+                        "rings do not share a monomial basis in degree %d" % d)
+        # column j is s e_j, killed by its source order o when o s = 0
+        # modulo its row's order t, which depends on (o, t) alone
+        checked: set = set()
+        for d in self._span:
+            pairs = set(zip(source._orders[d], target._orders[d])) - checked
+            if any(o and _norm_coeff(o * s, t) for o, t in pairs):
+                raise RingError(
+                    "map %s does not respect additive orders in degree %d"
+                    % (self.name, d))
+            checked |= pairs
+
+    @property
+    def columns(self) -> dict[int, tuple[dict, ...]]:
+        """{source degree: its columns}, for every degree the map covers."""
+        if self.scale is not None and len(self._cols) < len(self._span):
+            self._cols = {d: self._columns(d) for d in self._span}
+        return self._cols
+
     def _columns(self, degree: int) -> tuple[dict, ...]:
-        columns = self.columns.get(degree)
+        columns = self._cols.get(degree)
         if columns is None:
-            raise DegreeError(
-                "map %s undefined in degree %d" % (self.name, degree))
+            if self.scale is None or degree not in self._span:
+                raise self._undefined(degree)
+            s = self.scale
+            orders = self.target._orders[degree + self.shift]
+            columns = self._cols[degree] = tuple(
+                _normalised({j: s}, orders) if s else {}
+                for j in range(len(self.source._basis[degree])))
         return columns
+
+    def _undefined(self, degree: int) -> DegreeError:
+        return DegreeError("map %s undefined in degree %d"
+                           % (self.name, degree))
 
     def __call__(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
@@ -988,17 +1050,25 @@ class CoefficientMap:
     def image(self, degree: int):
         """The map in one source degree, as a function from coefficients
         to the reduced coefficients of the image."""
-        columns = self._columns(degree)
+        s = self.scale
+        if s is not None and degree not in self._span:
+            raise self._undefined(degree)
+        columns = None if s is not None else self._columns(degree)
         td = degree + self.shift
         size = len(self.target._basis[td])
         torsion = self.target._torsion[td]
 
         def apply(coeffs: Sequence[int]) -> list[int]:
-            out = [0] * size
-            for c, col in zip(coeffs, columns):
-                if c:
-                    for i, v in col.items():
-                        out[i] += c * v
+            if columns is not None:
+                out = [0] * size
+                for c, col in zip(coeffs, columns):
+                    if c:
+                        for i, v in col.items():
+                            out[i] += c * v
+            elif s:  # shift 0: coeffs index the target rows
+                out = [s * c for c in coeffs]
+            else:
+                return [0] * size
             for i, o in torsion:
                 out[i] %= o
             return out
@@ -1021,14 +1091,11 @@ class CoefficientMap:
 
     @classmethod
     def scaled_identity(cls, name: str, source: GradedRing, target: GradedRing,
-                        scale: int = 1) -> "CoefficientMap":
-        cols = {}
-        for d in range(min(source.cutoff, target.cutoff) + 1):
-            if source.basis(d) != target.basis(d):
-                raise RingError(
-                    "rings do not share a monomial basis in degree %d" % d)
-            cols[d] = [{j: scale} for j in range(len(source.basis(d)))]
-        return cls(name, source, target, 0, cols)
+                        scale: int = 1, shift: int = 0) -> "CoefficientMap":
+        """`scale` times the identity on the basis that source and target
+        share, stored as the scale; with a nonzero shift only the zero map
+        (scale 0) is accepted."""
+        return cls(name, source, target, shift, scale=scale)
 
     def __eq__(self, other):
         return (isinstance(other, CoefficientMap) and self.name == other.name
@@ -1060,12 +1127,19 @@ class RingSystem:
         2 beta = 0                          beta . rho2 = 0
         rho2 . beta = sq1
 
-    degree by degree on every basis monomial, in that order.  Each law is
-    checked column by column: both sides of it, applied to one source
-    monomial, are composed from sparse columns, reduced by the target
-    orders and compared, so the check costs time linear in the nonzero
-    coefficients.  Every law is checked for the derived systems of
-    with_reduction_defaults too, where all of them hold by construction.
+    degree by degree on every basis monomial, in that order.  When any map
+    is a column map, each law is checked column by column: both sides of
+    it, applied to one source monomial, are composed from sparse columns,
+    reduced by the target orders and compared, so the check costs time
+    linear in the nonzero coefficients.  When all six are scale maps, as
+    with_reduction_defaults builds them, each law is checked on the
+    scales, once per degree and distinct target order: theta2 . rho2 =
+    rho4 . 2 holds when the scales give theta2 * rho2 = 2 * rho4 modulo
+    each mod-4 order of the degree.
+    That is exact, since every column of a scale map is scale * e_j: the
+    two sides of a law agree on every basis monomial of a degree exactly
+    when they agree modulo each distinct target order in that degree.
+    Either way the first failing law and degree give the same message.
     """
 
     def __init__(self, integral: GradedRing, mod2: GradedRing, mod4: GradedRing,
@@ -1089,11 +1163,16 @@ class RingSystem:
             raise RingError("ring moduli must be 0, 2, 4")
         if not (self.integral.cutoff == self.mod2.cutoff == self.mod4.cutoff):
             raise RingError("rings must share a cutoff")
+        scaled = True
         for name, src, tgt, shift in MAP_SIGNATURES:
             m = getattr(self, name)
             if (m.source != getattr(self, src) or m.target != getattr(self, tgt)
                     or m.shift != shift):
                 raise RingError("map %s has the wrong signature" % m.name)
+            scaled = scaled and m.scale is not None
+        if scaled:
+            self._check_scales()
+            return
         rho2, rho4 = self.rho2.columns, self.rho4.columns
         theta2, rho24 = self.theta2.columns, self.rho24.columns
         beta, sq1 = self.beta.columns, self.sq1.columns
@@ -1128,6 +1207,39 @@ class RingSystem:
                 raise RingError("identity %s fails in degree %d"
                                 % (law, degree))
 
+    def _check_scales(self) -> None:
+        # the laws of a system of scale maps, in the column path's order.
+        # rho2, rho4, theta2 and rho24 share one basis per degree, so both
+        # sides of a law send monomial j to a multiple of e_j.  A column
+        # holds its scale reduced by row j's order; the unreduced scale
+        # differs by a multiple of a target order, or, inside a
+        # composition, by the outer scale times a multiple of its source
+        # order, which the outer map's order check kills.  beta and sq1
+        # have shift 1, so their scale is 0 and their three laws compare 0
+        # with 0.  A degree without basis monomials has no orders and
+        # checks nothing, as it has no columns
+        r2, r4, t2, r24 = (self.rho2.scale, self.rho4.scale,
+                           self.theta2.scale, self.rho24.scale)
+        b, s1 = self.beta.scale, self.sq1.scale
+        cutoff = self.integral.cutoff
+        for d in range(cutoff + 1):
+            self._expect_scale(d, "theta2 . rho2 = rho4 . 2",
+                               t2 * r2 - 2 * r4, self.mod4._orders[d])
+            self._expect_scale(d, "rho24 . rho4 = rho2",
+                               r24 * r4 - r2, self.mod2._orders[d])
+            if d == cutoff:
+                break
+            up = self.integral._orders[d + 1]
+            self._expect_scale(d + 1, "2 beta = 0", 2 * b, up)
+            self._expect_scale(d + 1, "rho2 . beta = sq1",
+                               r2 * b - s1, self.mod2._orders[d + 1])
+            self._expect_scale(d + 1, "beta . rho2 = 0", b * r2, up)
+
+    @staticmethod
+    def _expect_scale(degree: int, law: str, difference: int, orders) -> None:
+        if difference and any(_norm_coeff(difference, o) for o in set(orders)):
+            raise RingError("identity %s fails in degree %d" % (law, degree))
+
     @classmethod
     def with_reduction_defaults(cls, presentation: RingPresentation) -> "RingSystem":
         """System for a torsion-free integral ring: reductions are literal.
@@ -1137,9 +1249,10 @@ class RingSystem:
         and normal forms, each of their products is the integral one
         reduced mod 2 or mod 4 when it is first asked, and they compare
         equal to rings built from the presentation with the modulus
-        swapped.  All reduction maps are (scaled) identities on
-        monomials, and the Bockstein vanishes, as it must without
-        2-torsion.
+        swapped.  Every map is a scale map on that one basis: rho2, rho4
+        and rho24 scale by 1, theta2 by 2, and the Bockstein and Sq^1 are
+        the zero maps of shift 1, as they must be without 2-torsion.  The
+        five laws are checked on these scales (RingSystem).
         """
         if presentation.modulus != 0:
             raise RingError("expected an integral presentation")
@@ -1148,13 +1261,14 @@ class RingSystem:
         integral = GradedRing(presentation)
         mod2 = integral._reduction(2)
         mod4 = integral._reduction(4)
-        rho2 = CoefficientMap.scaled_identity("rho2", integral, mod2)
-        rho4 = CoefficientMap.scaled_identity("rho4", integral, mod4)
-        theta2 = CoefficientMap.scaled_identity("theta2", mod2, mod4, 2)
-        rho24 = CoefficientMap.scaled_identity("rho24", mod4, mod2)
-        beta = CoefficientMap("beta", mod2, integral, 1)
-        sq1 = CoefficientMap("sq1", mod2, mod2, 1)
-        return cls(integral, mod2, mod4, rho2, rho4, theta2, rho24, beta, sq1)
+        scaled = CoefficientMap.scaled_identity
+        return cls(integral, mod2, mod4,
+                   scaled("rho2", integral, mod2),
+                   scaled("rho4", integral, mod4),
+                   scaled("theta2", mod2, mod4, 2),
+                   scaled("rho24", mod4, mod2),
+                   scaled("beta", mod2, integral, 0, 1),
+                   scaled("sq1", mod2, mod2, 0, 1))
 
     def __eq__(self, other):
         return (isinstance(other, RingSystem)
@@ -1260,7 +1374,7 @@ def _lift_parities(system: RingSystem, u: RingElement, free: bool = True):
         raise RingError("lift source must be the mod-2 ring")
     orders = system.integral.orders(u.degree)
     seen = [j for j, o in enumerate(orders) if o % 2 == 0 and (o or free)]
-    return orders, seen, _solve_mod2(system.rho2.columns[u.degree], u.coeffs,
+    return orders, seen, _solve_mod2(system.rho2._columns(u.degree), u.coeffs,
                                      seen)
 
 

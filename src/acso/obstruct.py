@@ -444,7 +444,10 @@ def square_sum(data: BundleData, c: Sequence[Sequence[int]],
     ring = data.rings.integral
     q = product(ring, 2 * j, c[j], 2 * j, c[j])
     sign = -1 if j % 2 else 1
-    q = [sign * (x - y) for x, y in zip(q, data.p_class(j).coeffs)]
+    if j and j not in data.p:  # p_j = 0: no zero element is made for it
+        q = [sign * x for x in q]
+    else:
+        q = [sign * (x - y) for x, y in zip(q, data.p_class(j).coeffs)]
     for i in range(j):
         if 2 * j - i < len(c):
             term = (c[2 * j] if i == 0 else

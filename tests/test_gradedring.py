@@ -957,8 +957,12 @@ def dense_matrix(m, d):
     return IntMatrix(rows, cols, entries)
 
 
-def assert_same_system(rings, mats, rng):
-    got = system_outcome(CoefficientMap, RingSystem, rings, mats)
+def assert_same_system(rings, mats, rng, got=None):
+    """The outcome under test, by default the column maps built from mats,
+    against the dense reference built from mats: the same refusal, or
+    equal maps with equal images of random elements."""
+    if got is None:
+        got = system_outcome(CoefficientMap, RingSystem, rings, mats)
     ref = system_outcome(DenseMap, DenseSystem, rings, mats)
     if isinstance(ref, tuple):
         assert got == ref
@@ -1086,15 +1090,34 @@ def test_twice_beta_law_is_checked():
             s.validate()
 
 
+def assert_scale_map_matches_columns(m, c, rng):
+    """A scale map m against the column map c built from its matrices:
+    equal images of random elements, through the map and through image,
+    and the same DegreeError in every undefined degree.  m has built no
+    columns yet, so its images come from its scale."""
+    assert m.scale is not None and c.scale is None and not m._cols
+    for d in range(-1, m.source.cutoff + 2):
+        if d not in c.columns:
+            with pytest.raises(DegreeError) as got:
+                m.image(d)
+            with pytest.raises(DegreeError) as want:
+                c.image(d)
+            assert str(got.value) == str(want.value), (m.name, d)
+            continue
+        for _ in range(3):
+            x = m.source.element(d, [rng.randint(-9, 9)
+                                     for _ in m.source.basis(d)])
+            assert m(x) == c(x), (m.name, d)
+            assert m.image(d)(x.coeffs) == c.image(d)(x.coeffs), (m.name, d)
+    assert not m._cols
+
+
 def test_maps_match_dense_reference(corpus):
     rng = random.Random(5)
-    shared = [RingSystem.with_reduction_defaults(pres)
-              for pres in FAMILY_PRESENTATIONS.values()]
     for name, sf in corpus.items():
         doc = json.loads((CORPUS_DIR / ("%s.json" % name)).read_text())
         system = sf.bundle.rings
         if "shared" in doc["rings"]:
-            shared.append(system)
             continue
         mats = {m: {int(d): IntMatrix.from_rows(
                     [[int(x) for x in row] for row in rows])
@@ -1104,12 +1127,84 @@ def test_maps_match_dense_reference(corpus):
         assert assert_same_system(rings, mats, rng) == "accepted", name
         assert system_outcome(CoefficientMap, RingSystem, rings, mats) \
             == system
-    for system in shared:
+    # the shared form of every family and corpus file, built fresh so that
+    # no column of its scale maps has been read
+    for pres in shared_presentations(corpus).values():
+        system = RingSystem.with_reduction_defaults(pres)
         rings = system_rings(system)
         mats = shared_matrices(rings)
         assert assert_same_system(rings, mats, rng) == "accepted"
-        assert system_outcome(CoefficientMap, RingSystem, rings, mats) \
-            == system
+        columns = system_outcome(CoefficientMap, RingSystem, rings, mats)
+        for name, _, _, _ in MAP_SIGNATURES:
+            assert_scale_map_matches_columns(getattr(system, name),
+                                             getattr(columns, name), rng)
+        assert columns == system and system == columns
+
+
+# the scales with_reduction_defaults gives the six maps
+SHIPPED_SCALES = {"rho2": 1, "rho4": 1, "theta2": 2, "rho24": 1,
+                  "beta": 0, "sq1": 0}
+# (changed scales, what every shared form gives them)
+SCALE_MUTATIONS = [
+    ({}, "accepted"),
+    ({"theta2": 1}, "map theta2 does not respect additive orders in degree 0"),
+    ({"theta2": 3}, "map theta2 does not respect additive orders in degree 0"),
+    ({"rho24": 0}, "identity rho24 . rho4 = rho2 fails in degree 0"),
+    ({"rho24": 2}, "identity rho24 . rho4 = rho2 fails in degree 0"),
+    ({"rho2": 0}, "identity theta2 . rho2 = rho4 . 2 fails in degree 0"),
+    # 2 - 2*3 vanishes mod 4 and 3 - 1 mod 2: every law holds
+    ({"rho4": 3}, "accepted"),
+]
+
+
+def scale_outcome(rings, scales, mats, columns=()):
+    """The system of scale maps with these scales, the maps named in
+    columns built as column maps from mats instead, or the error that
+    refuses them."""
+    try:
+        maps = {name: CoefficientMap(name, rings[src], rings[tgt], shift,
+                                     mats[name])
+                if name in columns else
+                CoefficientMap.scaled_identity(name, rings[src], rings[tgt],
+                                               scales[name], shift)
+                for name, src, tgt, shift in MAP_SIGNATURES}
+        return RingSystem(rings["integral"], rings["mod2"], rings["mod4"],
+                          **maps)
+    except RingError as exc:
+        return type(exc), str(exc)
+
+
+def test_scale_laws_match_dense_reference(corpus):
+    # every law checked on the scales refuses what the dense reference
+    # refuses, with its message, and accepts the same maps; with beta as a
+    # column map the system takes the column path, with the same outcome
+    rng = random.Random(17)
+    for pres in shared_presentations(corpus).values():
+        rings = system_rings(RingSystem.with_reduction_defaults(pres))
+        for changes, expected in SCALE_MUTATIONS:
+            scales = {**SHIPPED_SCALES, **changes}
+            mats = {name: {d: IntMatrix(n, n, [scales[name] * (i == j)
+                                               for i in range(n)
+                                               for j in range(n)])
+                           for d in range(pres.cutoff + 1)
+                           for n in [len(rings["integral"].basis(d))]}
+                    for name, _, _, shift in MAP_SIGNATURES if not shift}
+            mats["beta"] = mats["sq1"] = {}
+            for columns in ((), ("beta",)):
+                got = scale_outcome(rings, scales, mats, columns)
+                assert assert_same_system(rings, mats, rng, got) == expected, \
+                    (pres, changes, columns)
+        # beta and sq1 shift degrees, so only their zero map is a scale map
+        for name, src, tgt, shift in MAP_SIGNATURES[4:]:
+            for scale in (1, 2, -1):
+                with pytest.raises(RingError) as exc:
+                    CoefficientMap.scaled_identity(name, rings[src],
+                                                   rings[tgt], scale, shift)
+                assert str(exc.value) == (
+                    "map %s: scale %d with shift 1; only the zero map "
+                    "shifts degrees" % (name, scale))
+                got = scale_outcome(rings, {**SHIPPED_SCALES, name: scale}, {})
+                assert got == (RingError, str(exc.value))
 
 
 def random_matrices(rng, rings, base):
