@@ -10,8 +10,11 @@ is provably nonzero, 3 when the only blockers are inconclusive tests, and
 1 on input or usage errors, on candidate searches, counts of ring basis
 pairs or confluence tests and lift counts larger than their caps, and on
 data that passed validation yet breaks Massey's divisibility by 4.
-`lifts` exits 1 on the same errors.  `corpus` exits nonzero when any
-bundled (or supplied) case disagrees with its recorded expectations.
+`lifts` exits 1 on the same errors.  It writes the text of every lift,
+one a line, built prefix by prefix from the coefficient ranges of each
+parity solution (`lift_spreads`), with a bounded number of texts held
+at once.  `corpus` exits nonzero when any bundled (or supplied) case
+disagrees with its recorded expectations.
 
 A well-formed command line is read by `_parse`; help, usage errors and
 every command line it is not sure of go to the argparse parser of
@@ -20,10 +23,12 @@ every command line it is not sure of go to the argparse parser of
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import sys
 from types import SimpleNamespace
 
-from .gradedring import RingError, lift_coefficients, text
+from .gradedring import RingError, leading, lift_spreads, term
 from .obstruct import (
     BudgetExceeded,
     DataValidationError,
@@ -46,6 +51,9 @@ from .spacefile import SpaceFile, SpaceFileError, load_space_file, \
 # lines of `acso lifts` per write to stdout; larger blocks save little
 # time and add to the peak memory of the command
 _BLOCK_LINES = 256
+# the most tail texts, and lines, that the writer of `acso lifts` builds
+# at once for one spread, whatever the bound or the length of an axis
+_TAIL_TEXTS = 4096
 
 _LOAD_ERRORS = (SpaceFileError, DataValidationError, RingError, OSError,
                 ValueError, BudgetExceeded, DivisibilityViolation)
@@ -81,34 +89,99 @@ def cmd_lifts(args) -> int:
             print("error: degree %d exceeds the ring cutoff %d"
                   % (i, data.cutoff), file=sys.stderr)
             return 1
-        lifts = lift_coefficients(data.rings, data.w_class(i), args.bound)
-        if lifts is None:
+        spreads = lift_spreads(data.rings, data.w_class(i), args.bound)
+        if spreads is None:
             msg = "no integral lift"
             if i % 2 == 0 and i + 1 <= data.cutoff \
                     and not integral_sw(data, i // 2).is_zero:
                 msg = "no integral lift (W%d != 0)" % (i + 1)
             print(msg)
             return 0
-        # one line per lift, the text of its element, written in blocks;
-        # the memo keeps the text of each (coordinate, coefficient) term
-        names = data.rings.integral.basis_strings(i)
-        memo = {}
-        block = []
-        for coeffs in lifts:
-            block.append(text(names, coeffs, memo))
-            if len(block) == _BLOCK_LINES:
-                _write_lines(block)
-                block = []
-        _write_lines(block)
+        lines = _lift_lines(data.rings.integral.basis_strings(i), spreads)
+        while True:
+            block = list(itertools.islice(lines, _BLOCK_LINES))
+            if not block:
+                break
+            sys.stdout.write("\n".join(block) + "\n")
     except _LOAD_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0
 
 
-def _write_lines(lines) -> None:
-    if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _lift_lines(names, spreads):
+    """The text of every lift, one a line, in lexicographic order of the
+    coefficient tuples: str() of each element of integral_lifts.
+
+    A single spread's lines come straight from _spread_lines; several are
+    merged on their coefficient tuples, which are distinct, so no two
+    lines are ever compared.
+    """
+    lines = [itertools.chain.from_iterable(_spread_lines(names, axes))
+             for axes in spreads]
+    if len(lines) == 1:
+        return lines[0]
+    merged = heapq.merge(*(zip(itertools.product(*axes), spread)
+                           for axes, spread in zip(spreads, lines)))
+    return (line for _, line in merged)
+
+
+def _spread_lines(names, axes):
+    """The lines of one spread, in order, in lists of at most _TAIL_TEXTS.
+
+    The tail is the last axes whose product has at most _TAIL_TEXTS
+    tuples.  Its texts are built once, term text by term text, and each
+    prefix of the other axes gets its own text followed by every tail
+    text: the texts the line of (prefix, tail tuple) is joined from.  The
+    prefix whose coefficients are all 0, at most one per spread, takes
+    the tail texts as whole lines instead, with "0" for the zero lift.
+    When the last axis alone is longer, it is the tail, and its texts are
+    built per prefix in slices of _TAIL_TEXTS values.
+    """
+    k, size = len(axes), 1
+    while k and size * len(axes[k - 1]) <= _TAIL_TEXTS:
+        k -= 1
+        size *= len(axes[k])
+    if axes and k == len(axes):
+        k -= 1
+        last = axes[k]
+        pieces = [[last[start:start + _TAIL_TEXTS]]
+                  for start in range(0, len(last), _TAIL_TEXTS)]
+    else:
+        pieces = [axes[k:]]
+    kept: dict = {}  # whole -> texts of the tail, when it is one piece
+    for prefix in itertools.product(*axes[:k]):
+        head = ""
+        for j, c in enumerate(prefix):
+            if c:
+                t = term(names[j], c)
+                head = head + t if head else leading(t)
+        for piece in pieces:
+            tails = kept.get(not head)
+            if tails is None:
+                tails = _tail_texts(names, k, piece, not head)
+                if len(pieces) == 1:
+                    kept[not head] = tails
+            yield [head + t for t in tails] if head else tails
+
+
+def _tail_texts(names, first, axes, whole):
+    """The text of each tuple of the product of axes, over the names from
+    index first on, in order: as it follows a nonzero prefix, or with
+    whole as a line of its own, where the first term has no joining sign
+    and a tuple of zeros reads "0"."""
+    texts = [""]
+    for name, axis in zip(names[first:], axes):
+        terms = [term(name, c) if c else "" for c in axis]
+        if whole:
+            firsts = [leading(t) if t else "" for t in terms]
+            texts = [s + t if s else f for s in texts
+                     for t, f in zip(terms, firsts)]
+        else:
+            texts = [s + t for s in texts for t in terms]
+    if whole:
+        texts = [s or "0" for s in texts]
+    return texts
 
 
 def cmd_table(args) -> int:

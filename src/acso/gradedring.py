@@ -10,15 +10,18 @@ commutativity demands.
 Only basis monomials are enumerated: an exponent prefix stops growing as
 soon as a rule divides it.  Confluence is checked only on the multiples
 of rules with a right-hand side, since every other reducible monomial
-rewrites to 0.  No product table is built: the product of two basis
-monomials is computed the first time the pair is asked and kept, as the
-sparse terms of the Koszul sign times the normal form of the exponent
-sum; normal forms are kept per exponent tuple, so pairs with one sum
-share one.  Elements reduce only their torsion coordinates.  The checks
-of graded commutativity and additive orders look up only the pairs on
-which they can fail, so building an exterior algebra computes no product
-at all.  Construction scales with the basis rather than with the
-truncated set of all exponent tuples or the pairs of basis monomials.
+rewrites to 0: each multiple is normalised, which shows that rewriting
+terminates, and its other applicable rules are compared only in degrees
+with basis monomials, since elsewhere every vector is 0.  No product
+table is built: the product of two basis monomials is computed the
+first time the pair is asked and kept, as the sparse terms of the Koszul
+sign times the normal form of the exponent sum; normal forms are kept
+per exponent tuple, so pairs with one sum share one.  Elements reduce
+only their torsion coordinates.  The checks of graded commutativity and
+additive orders look up only the pairs on which they can fail, so
+building an exterior algebra computes no product at all.  Construction
+scales with the basis rather than with the truncated set of all
+exponent tuples or the pairs of basis monomials.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
@@ -44,7 +47,7 @@ import math
 import re
 from collections.abc import Iterator, Mapping, Sequence
 
-from .intlin import Frozen, IntMatrix, set_field
+from .intlin import Frozen, set_field
 
 
 class RingError(Exception):
@@ -80,8 +83,8 @@ class TooManyLifts(RingError):
 # that the construction checks of a ring may visit, T^10 (616,666) fitting,
 # and the most (multiple, rule) tests of its confluence check
 TABLE_CAP = 10 ** 6
-# the most lifts lift_coefficients spreads, so the most that integral_lifts
-# returns or `acso lifts` writes
+# the most lifts lift_spreads spreads over a bound, so the most that
+# lift_coefficients and integral_lifts return or `acso lifts` writes
 LIFT_CAP = 10 ** 6
 # the most term texts one memo of `text` keeps, whatever the coefficients
 TEXT_MEMO_CAP = 4096
@@ -452,9 +455,11 @@ class GradedRing:
         # a monomial that no rule with a right-hand side divides rewrites
         # to 0 by every applicable rule, so nothing there can recurse,
         # disagree or leave the basis; the multiples s*lhs of the others
-        # are compared in order of degree, then exponents.  Each multiple
-        # is tested against every rule, on that rule's support, so more
-        # than TABLE_CAP tests are refused before any multiple is compared
+        # are normalised in order of degree, then exponents, and compared
+        # under every other applicable rule where their degree has basis
+        # monomials.  Each multiple is tested against every rule, on that
+        # rule's support, so more than TABLE_CAP tests are refused before
+        # any multiple is normalised
         rules = self.presentation.rules
         limit = TABLE_CAP // max(1, len(rules))
         multiples = set()
@@ -474,11 +479,17 @@ class GradedRing:
                         "confluence check of more than %d multiples by %d "
                         "rules exceeds the cap %d"
                         % (limit, len(rules), TABLE_CAP))
+        empty = {d for d, basis in self._basis.items() if not basis}
         for d, exps in sorted((self._exp_degree(m), m) for m in multiples):
-            # _normal_form rewrote with the first applicable rule; compare the rest
+            # the normal form, by the first applicable rule, is the
+            # termination check; in a degree without basis monomials every
+            # vector is (), so no comparison there can fail
+            normal = self._normal_form(exps)
+            if d in empty:
+                continue
             _, *rest = [rule for rule, support in self._supports
                         if all(exps[k] >= l for k, l in support)]
-            canonical = self._vector(d, self._normal_form(exps))
+            canonical = self._vector(d, normal)
             for rule in rest:
                 if self._vector(d, self._rewrite(exps, rule)) != canonical:
                     raise ConfluenceError(
@@ -497,8 +508,10 @@ class GradedRing:
         # product's degree does not divide 2 or o_left.  And an odd
         # generator is dead when a rule without right-hand side divides its
         # square: a shared dead generator puts that rule under the exponent
-        # sum, whose normal form is then 0, as _check_confluence compared
+        # sum, whose normal form is then 0: _check_confluence compared
         # every rule on the multiples of the rules with a right-hand side
+        # wherever a degree has basis monomials, and elsewhere every
+        # vector is 0
         dead = 0
         for rule in self.presentation.rules:
             support = [k for k, l in enumerate(rule.lhs) if l]
@@ -844,8 +857,8 @@ def _reduced(ring: GradedRing, degree: int, coeffs: list) -> RingElement:
     return _element(ring, degree, tuple(coeffs))
 
 
-def _term(name: str, c: int) -> str:
-    # one nonzero term as it follows another: " + 3*a*b", " - a", " + 2"
+def term(name: str, c: int) -> str:
+    """One nonzero term as it follows another: " + 3*a*b", " - a", " + 2"."""
     sign = " - " if c < 0 else " + "
     c = abs(c)
     if name == "1":
@@ -853,6 +866,11 @@ def _term(name: str, c: int) -> str:
     if c == 1:
         return sign + name
     return "%s%d*%s" % (sign, c, name)
+
+
+def leading(t: str) -> str:
+    """A term of `term` as the first of its text: "3*a*b", "-a", "2"."""
+    return t[3:] if t[1] == "+" else "-" + t[3:]
 
 
 def text(names: Sequence[str], coeffs: Sequence[int],
@@ -872,18 +890,17 @@ def text(names: Sequence[str], coeffs: Sequence[int],
         if not c:
             continue
         if memo is None:
-            terms.append(_term(names[i], c))
+            terms.append(term(names[i], c))
             continue
-        term = memo.get((i, c))
-        if term is None:
-            term = _term(names[i], c)
+        t = memo.get((i, c))
+        if t is None:
+            t = term(names[i], c)
             if len(memo) < TEXT_MEMO_CAP:
-                memo[i, c] = term
-        terms.append(term)
+                memo[i, c] = t
+        terms.append(t)
     if not terms:
         return "0"
-    first = terms[0]
-    terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    terms[0] = leading(terms[0])
     return "".join(terms)
 
 
@@ -921,12 +938,13 @@ class CoefficientMap:
     nonzero once reduced by the additive order of their row.  Degrees
     whose image would exceed the target cutoff are undefined.
 
-    A column map is given, per degree, either an IntMatrix of that shape
-    or a sequence of column mappings.  Either is normalised here, and the
+    A column map is given, per degree, a sequence of column mappings
+    {row: coefficient}, one per source basis monomial, which is what a
+    space file's rows are read into.  They are normalised here, and the
     map must send each source monomial of finite order o to a target
-    element killed by o.  Building, applying, composing and comparing maps
-    costs time linear in the nonzero entries, and the lift solver reads
-    the columns of rho2 directly.
+    element killed by o.  Building, applying, composing and comparing
+    maps costs time linear in the nonzero entries, and the lift solver
+    reads the columns of rho2 directly.
 
     A scale map (scaled_identity) is `scale` times the identity on a
     basis its two rings share, and stores the scale alone.  Its
@@ -943,7 +961,7 @@ class CoefficientMap:
 
     def __init__(self, name: str, source: GradedRing, target: GradedRing,
                  shift: int,
-                 matrices: Mapping[int, IntMatrix | Columns] | None = None,
+                 matrices: Mapping[int, Columns] | None = None,
                  scale: int | None = None):
         self.name = name
         self.source = source
@@ -966,14 +984,8 @@ class CoefficientMap:
             if M is None:
                 self._cols[d] = tuple({} for _ in range(cols))
                 continue
-            if isinstance(M, IntMatrix):
-                if M.rows != rows or M.cols != cols:
-                    raise RingError(
-                        "map %s: matrix in degree %d should be %dx%d, got %dx%d"
-                        % (name, d, rows, cols, M.rows, M.cols))
-                M = [dict(enumerate(M.column(j))) for j in range(cols)]
-            elif len(M) != cols or any(not 0 <= i < rows
-                                       for col in M for i in col):
+            if len(M) != cols or any(not 0 <= i < rows
+                                     for col in M for i in col):
                 raise RingError(
                     "map %s: columns in degree %d should be %d over %d rows"
                     % (name, d, cols, rows))
@@ -1398,14 +1410,16 @@ def _range_size(r: range) -> int:
     return max(0, (r.stop - r.start + r.step - 1) // r.step)
 
 
-def lift_coefficients(system: RingSystem, u: RingElement,
-                      bound: int) -> Iterator[tuple] | None:
-    """The coefficients of the lifts of u with free ones in [-bound, bound].
+def lift_spreads(system: RingSystem, u: RingElement,
+                 bound: int) -> list[list[range]] | None:
+    """The lifts of u with free coefficients in [-bound, bound], as spreads.
 
     Returns None exactly when the underlying congruences are unsolvable,
-    which no bound can repair; otherwise an iterator over the coefficient
-    tuples of the lifts in lexicographic order.  Torsion coordinates
-    range over their full residue system regardless of the bound.
+    which no bound can repair; otherwise one spread per solution of the
+    parity system below: the list of its coordinate axes, ascending
+    ranges of coefficients, whose product is that solution's lifts.
+    Torsion coordinates range over their full residue system regardless
+    of the bound.
 
     Whether x lifts u depends only on the parities of x's free and
     even-order coordinates, and those parities p solve the system
@@ -1414,9 +1428,7 @@ def lift_coefficients(system: RingSystem, u: RingElement,
     is spread over the bound, one or more lifts each, and the running
     count is checked against LIFT_CAP before this function returns:
     TooManyLifts is raised as soon as it exceeds the cap, so a refusal
-    comes before any lift.  Each spread is a product of ascending ranges,
-    hence sorted, and spreads of different parities are disjoint, so
-    merging them yields every lift once and in order, one at a time.
+    comes before any lift.  Spreads of different parities are disjoint.
     """
     if bound < 0:
         raise ValueError("negative bound")
@@ -1426,7 +1438,7 @@ def lift_coefficients(system: RingSystem, u: RingElement,
     if bound == 0:
         orders, seen, solved = _lift_parities(system, u, free=False)
         if solved is None:
-            return iter(())
+            return []
     # the values of each coordinate with parity 0 and with parity 1; a
     # coordinate outside `seen` takes the first, whatever its parity
     values = [(range(o),) * 2 if o % 2 else
@@ -1446,13 +1458,31 @@ def lift_coefficients(system: RingSystem, u: RingElement,
             p ^= kernel[(step & -step).bit_length() - 1]
         axes = [pair[0] if k is None else pair[p >> k & 1]
                 for pair, k in zip(values, positions)]
-        count += math.prod(_range_size(axis) for axis in axes)
+        size = math.prod(_range_size(axis) for axis in axes)
+        count += size
         if count > LIFT_CAP:
             raise TooManyLifts("%s%d lifts in degree %d exceed the cap %d"
                                % ("" if step == total - 1 else "at least ",
                                   count, u.degree, LIFT_CAP))
-        spreads.append(itertools.product(*axes))
-    return heapq.merge(*spreads)
+        if size:
+            spreads.append(axes)
+    return spreads
+
+
+def lift_coefficients(system: RingSystem, u: RingElement,
+                      bound: int) -> Iterator[tuple] | None:
+    """The coefficients of the lifts of u with free ones in [-bound, bound].
+
+    None when lift_spreads finds none can exist, with its LIFT_CAP
+    refusal; otherwise an iterator over the coefficient tuples of the
+    lifts in lexicographic order.  Each spread's product of ascending
+    ranges is sorted and the spreads are disjoint, so merging them yields
+    every lift once and in order, one at a time.
+    """
+    spreads = lift_spreads(system, u, bound)
+    if spreads is None:
+        return None
+    return heapq.merge(*(itertools.product(*axes) for axes in spreads))
 
 
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
@@ -1460,9 +1490,11 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
 
     One element per tuple of lift_coefficients, in its order, with the
     same LIFT_CAP refusal; no_lift_proven is True exactly when it finds
-    the congruences unsolvable.  No command calls it: `acso lifts` writes
-    the text of the tuples of lift_coefficients, and the Chern-candidate
-    survey reads them too and makes one element per lift itself.
+    the congruences unsolvable.  No command calls it: `acso lifts` builds
+    its lines from the axes of lift_spreads, and the Chern-candidate
+    survey reads the tuples of lift_coefficients and makes one element
+    per lift itself.  `str()` of its elements is what `acso lifts` must
+    print, so the tests hold the command's output against it.
     """
     coeffs = lift_coefficients(system, u, bound)
     if coeffs is None:

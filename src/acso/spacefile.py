@@ -27,7 +27,7 @@ from .gradedring import (
     parse_exponents,
     quote,
 )
-from .intlin import Frozen, IntMatrix, set_field
+from .intlin import Frozen, set_field
 from .obstruct import BundleData, DataValidationError, Pairing
 
 SCHEMA_VERSION = 1
@@ -129,19 +129,68 @@ def _presentation(section, modulus: int, what: str) -> RingPresentation:
         raise SpaceFileError("%s: %s" % (what, exc)) from None
 
 
-def _matrix(ring_rows: int, ring_cols: int, rows, what: str) -> IntMatrix:
+def _indexed(section, what: str, label: str):
+    """(index, value) of each entry of an object keyed by integers, in
+    order; two keys that name one index, such as "2" and "02", are
+    refused when the second is reached."""
+    keys: dict = {}
+    for key, value in _require_dict(section, what).items():
+        i = _int(key, "%s %s" % (what, label))
+        if i in keys:
+            raise SpaceFileError("%s: %s %d given twice, as %s and %s"
+                                 % (what, label, i, quote(keys[i]),
+                                    quote(key)))
+        keys[i] = key
+        yield i, value
+
+
+def _columns(rows, what: str) -> tuple[int, list[dict]] | None:
+    """A map's rows in one degree as its row count and sparse columns,
+    {row: entry} per column over the nonzero entries; None for no rows,
+    the zero matrix of whatever shape the degree has."""
     if not isinstance(rows, list):
         raise SpaceFileError("%s must be a list of rows" % what)
-    entries = []
-    for r in rows:
-        if not isinstance(r, list):
+    columns = None
+    ragged = False
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
             raise SpaceFileError("%s rows must be lists" % what)
-        entries.append([_int(v, what + " entry") for v in r])
-    try:
-        return IntMatrix.from_rows(entries) if entries else \
-            IntMatrix.zero(ring_rows, ring_cols)
-    except ValueError as exc:
-        raise SpaceFileError("%s: %s" % (what, exc)) from None
+        if columns is None:
+            columns = [{} for _ in row]
+        ragged = ragged or len(row) != len(columns)
+        for j, v in enumerate(row):
+            x = _int(v, what + " entry")
+            if x and not ragged:
+                columns[j][i] = x
+    if ragged:
+        raise SpaceFileError("%s: ragged rows" % what)
+    return None if columns is None else (len(rows), columns)
+
+
+def matrix_map(name: str, source: GradedRing, target: GradedRing, shift: int,
+               matrices) -> CoefficientMap:
+    """The column map given per source degree by a matrix, as its row
+    count and its sparse columns.
+
+    A matrix of the wrong shape in a degree the map covers is refused
+    only after the degrees below it pass the map's checks, since
+    CoefficientMap checks its degrees in ascending order.
+    """
+    covered = range(max(0, -shift),
+                    min(source.cutoff, target.cutoff - shift) + 1)
+    for d in sorted(matrices):
+        if d not in covered:
+            continue
+        rows, columns = matrices[d]
+        shape = (len(target.basis(d + shift)), len(source.basis(d)))
+        if (rows, len(columns)) != shape:
+            CoefficientMap(name, source, target, shift,
+                           {k: c for k, (_, c) in matrices.items()
+                            if k in covered and k < d})
+            raise RingError("map %s: matrix in degree %d should be %dx%d, "
+                            "got %dx%d" % (name, d, *shape, rows, len(columns)))
+    return CoefficientMap(name, source, target, shift,
+                          {d: c for d, (_, c) in matrices.items()})
 
 
 def _ring_system(doc: dict) -> RingSystem:
@@ -175,16 +224,17 @@ def _ring_system(doc: dict) -> RingSystem:
                 continue
             raise SpaceFileError("'maps' is missing %r" % name)
         src, tgt = built[src_key], built[tgt_key]
+        what = "maps.%s" % name
         mats = {}
-        for dkey, rows in _require_dict(maps_doc[name], "maps.%s" % name).items():
-            d = _int(dkey, "maps.%s degree" % name)
+        for d, rows in _indexed(maps_doc[name], what, "degree"):
             td = d + shift
             if d < 0 or d > src.cutoff or td < 0 or td > tgt.cutoff:
-                raise SpaceFileError("maps.%s: degree %d out of range" % (name, d))
-            mats[d] = _matrix(len(tgt.basis(td)), len(src.basis(d)), rows,
-                              "maps.%s[%d]" % (name, d))
+                raise SpaceFileError("%s: degree %d out of range" % (what, d))
+            matrix = _columns(rows, "%s[%d]" % (what, d))
+            if matrix is not None:
+                mats[d] = matrix
         try:
-            maps[name] = CoefficientMap(name, src, tgt, shift, mats)
+            maps[name] = matrix_map(name, src, tgt, shift, mats)
         except RingError as exc:
             raise SpaceFileError(str(exc)) from None
     try:
@@ -211,12 +261,10 @@ def _bundle(doc: dict, rings: RingSystem) -> BundleData:
     dim = (None if b.get("base_dimension") is None
            else _int(b["base_dimension"], "bundle.base_dimension"))
     w = {}
-    for key, terms in _require_dict(b.get("w", {}), "bundle.w").items():
-        i = _int(key, "bundle.w index")
+    for i, terms in _indexed(b.get("w", {}), "bundle.w", "index"):
         w[i] = _element(rings.mod2, i, terms, "bundle.w[%d]" % i)
     p = {}
-    for key, terms in _require_dict(b.get("p", {}), "bundle.p").items():
-        k = _int(key, "bundle.p index")
+    for k, terms in _indexed(b.get("p", {}), "bundle.p", "index"):
         p[k] = _element(rings.integral, 4 * k, terms, "bundle.p[%d]" % k)
     euler = _element(rings.integral, rank, _required(b, "euler", "'bundle'"),
                      "bundle.euler")

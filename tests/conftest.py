@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 
@@ -84,6 +85,32 @@ def workloads(families):
     finally:
         sys.path.remove(str(BENCH_DIR))
     return module
+
+
+def kernel_space(directory):
+    """H^2 free of rank 3, rho2 with rows a0 + a1 and a1 + a2, w2 = b0,
+    written as kernel.json in directory.
+
+    (1, 1, 1) spans the F2 kernel of rho2, so the lifts of w2 come from
+    two parity solutions whose spreads are merged; at bound 0 there are
+    none.  No corpus or benchmark file has a nonempty kernel.
+    """
+    def ring(prefix, n):
+        return {"cutoff": 2, "generators": [
+            {"name": "%s%d" % (prefix, k), "degree": 2} for k in range(n)]}
+    rho = {"0": [["1"]], "2": [["1", "1", "0"], ["0", "1", "1"]]}
+    doc = {"schema_version": 1, "name": "kernel",
+           "rings": {"integral": ring("a", 3), "mod2": ring("b", 2),
+                     "mod4": ring("c", 2)},
+           "maps": {"rho2": rho, "rho4": rho,
+                    "theta2": {"0": [["2"]], "2": [["2", "0"], ["0", "2"]]},
+                    "rho24": {"0": [["1"]], "2": [["1", "0"], ["0", "1"]]},
+                    "beta": {}},
+           "bundle": {"rank": 2, "base_dimension": 2, "w": {"2": {"b0": "1"}},
+                      "p": {}, "euler": {"a0": "1"}}}
+    path = directory / "kernel.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def cp2_sum_doc(k: int, l: int) -> dict:

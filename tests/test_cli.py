@@ -17,11 +17,11 @@ import pytest
 from acso import cli, gradedring
 from acso.cli import main
 from acso.gradedring import integral_lifts
-from acso.obstruct import DivisibilityViolation
+from acso.obstruct import DivisibilityViolation, integral_sw
 from acso.spacefile import load_space_file
 
 import cli_reference as reference
-from conftest import BENCH_DIR, CORPUS_DIR, DATA_DIR
+from conftest import BENCH_DIR, CORPUS_DIR, DATA_DIR, kernel_space
 from test_hashseed import RUNS
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -483,27 +483,46 @@ def lift_lines(path, i, bound):
                    integral_lifts(data.rings, data.w_class(i), bound).lifts)
 
 
-def kernel_space(tmp_path):
-    """H^2 free of rank 3, rho2 with rows a0 + a1 and a1 + a2, w2 = b0.
+def lift_oracle(data, i, bound):
+    """(exit code, stdout, stderr) of `acso lifts --class w<i>` on a file
+    that loads as data: str() of each element of integral_lifts, one a
+    line, the message that no lift exists, or the refusal."""
+    if i > data.cutoff:
+        return 1, "", "error: degree %d exceeds the ring cutoff %d\n" \
+            % (i, data.cutoff)
+    try:
+        search = integral_lifts(data.rings, data.w_class(i), bound)
+    except gradedring.RingError as exc:
+        return 1, "", "error: %s\n" % exc
+    if search.no_lift_proven:
+        if i % 2 == 0 and i + 1 <= data.cutoff \
+                and not integral_sw(data, i // 2).is_zero:
+            return 0, "no integral lift (W%d != 0)\n" % (i + 1), ""
+        return 0, "no integral lift\n", ""
+    return 0, "".join(str(x) + "\n" for x in search.lifts), ""
 
-    (1, 1, 1) spans the F2 kernel of rho2, so the lifts of w2 come from
-    two parity solutions whose spreads are merged; at bound 0 there are
-    none.  No corpus or benchmark file has a nonempty kernel.
+
+def torsion_kernel_space(tmp_path):
+    """H^2 = Z/2 t + Z a (generators in the order a, t, so the basis is
+    t, a), rho2 kills t and sends a to z, w2 = z.
+
+    The lifts of w2 come in two spreads, t = 0 and t = 1, each with the
+    free coordinate last: past 4,096 values of a the writer takes that
+    axis in slices after the prefix t, and the spreads are merged.
     """
-    def ring(prefix, n):
+    def ring(names, orders):
         return {"cutoff": 2, "generators": [
-            {"name": "%s%d" % (prefix, k), "degree": 2} for k in range(n)]}
-    rho = {"0": [["1"]], "2": [["1", "1", "0"], ["0", "1", "1"]]}
-    doc = {"schema_version": 1, "name": "kernel",
-           "rings": {"integral": ring("a", 3), "mod2": ring("b", 2),
-                     "mod4": ring("c", 2)},
-           "maps": {"rho2": rho, "rho4": rho,
-                    "theta2": {"0": [["2"]], "2": [["2", "0"], ["0", "2"]]},
-                    "rho24": {"0": [["1"]], "2": [["1", "0"], ["0", "1"]]},
-                    "beta": {}},
-           "bundle": {"rank": 2, "base_dimension": 2, "w": {"2": {"b0": "1"}},
-                      "p": {}, "euler": {"a0": "1"}}}
-    path = tmp_path / "kernel.json"
+            {"name": n, "degree": 2, "order": o} for n, o in zip(names, orders)]}
+    doc = {"schema_version": 1, "name": "torsion_kernel",
+           "rings": {"integral": ring(("a", "t"), (0, 2)),
+                     "mod2": ring(("z",), (0,)), "mod4": ring(("y",), (0,))},
+           "maps": {"rho2": {"0": [["1"]], "2": [["0", "1"]]},
+                    "rho4": {"0": [["1"]], "2": [["0", "1"]]},
+                    "theta2": {"0": [["2"]], "2": [["2"]]},
+                    "rho24": {"0": [["1"]], "2": [["1"]]}, "beta": {}},
+           "bundle": {"rank": 2, "base_dimension": 2, "w": {"2": {"z": "1"}},
+                      "p": {}, "euler": {"a": "1"}}}
+    path = tmp_path / "torsion_kernel.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -511,21 +530,25 @@ def kernel_space(tmp_path):
 def test_lifts_writes_the_text_of_every_lift(tmp_path, capsys):
     # lift counts around the block size: w4 of S^4 is 0 on a free
     # coordinate, so an odd bound B gives the B even values in [-B, B];
-    # w2 of CP^2 gives the B + 1 odd ones
-    block = cli._BLOCK_LINES
+    # w2 of CP^2 gives the B + 1 odd ones.  Past the tail of 4,096 texts
+    # the last axis is taken in slices, alone (CP^2) or after a prefix
+    # and across two spreads (torsion_kernel)
+    block, tail = cli._BLOCK_LINES, cli._TAIL_TEXTS
     s4, cp2 = CORPUS_DIR / "s4.json", CORPUS_DIR / "cp2.json"
-    kernel = kernel_space(tmp_path)
+    kernel, torsion = kernel_space(tmp_path), torsion_kernel_space(tmp_path)
     cases = [(kernel, 2, 0, 0), (s4, 4, 0, 1), (s4, 4, 1, 1),
              (s4, 4, block - 1, block - 1), (cp2, 2, block - 1, block),
              (s4, 4, block + 1, block + 1),
              (s4, 4, 2 * block + 1, 2 * block + 1),
-             (kernel, 2, 1, 6), (kernel, 2, 3, 4 * 3 * 3 + 3 * 4 * 4)]
+             (kernel, 2, 1, 6), (kernel, 2, 3, 4 * 3 * 3 + 3 * 4 * 4),
+             (cp2, 2, tail - 1, tail), (cp2, 2, tail + 1, tail + 2),
+             (torsion, 2, tail - 1, 2 * tail), (torsion, 2, tail + 1,
+                                                2 * (tail + 2))]
     for path, i, bound, count in cases:
-        code, out, err = run(capsys, "lifts", str(path), "--class",
-                             "w%d" % i, "--bound", str(bound))
-        assert (code, err) == (0, "")
-        assert out == lift_lines(path, i, bound)
-        assert out.count("\n") == count, (path.name, bound)
+        got = run(capsys, "lifts", str(path), "--class", "w%d" % i,
+                  "--bound", str(bound))
+        assert got == lift_oracle(load_space_file(path).bundle, i, bound)
+        assert got[1].count("\n") == count, (path.name, bound)
     # the zero lift prints 0, and the kernel's merged spreads stay sorted
     assert run(capsys, "lifts", str(s4), "--class", "w4",
                "--bound", "0")[1] == "0\n"
@@ -533,6 +556,55 @@ def test_lifts_writes_the_text_of_every_lift(tmp_path, capsys):
                     "--bound", "1")
     assert out.splitlines() == ["-a2 - a1", "-a2 + a1", "-a0", "a0",
                                 "a2 - a1", "a2 + a1"]
+    _, out, _ = run(capsys, "lifts", str(torsion), "--class", "w2",
+                    "--bound", "1")
+    assert out.splitlines() == ["-a", "a", "t - a", "t + a"]
+
+
+def test_lifts_match_the_element_oracle(families, tmp_path, capsys):
+    # every class w0..w8 at bounds 0-3 of the corpus, tests/data, both
+    # kernel spaces and generated line sums and tangent bundles: the
+    # same exit code, stdout and stderr as the oracle
+    bundles = {
+        "t_cp2": families.tangent_cp_product([2]),
+        "t_cp3": families.tangent_cp_product([3]),
+        "t_cp1xcp2": families.tangent_cp_product([1, 2]),
+        "t_cp2xcp2": families.tangent_cp_product([2, 2]),
+        "lines_cp2xcp2": families.line_sum(families.cp_product([2, 2]),
+                                           [(1, 0), (1, 1)]),
+        "lines_cp3": families.line_sum(families.cp_product([3]),
+                                       [(1,), (2,), (3,)]),
+        "lines_s2x3": families.line_sum(families.sphere_product(3),
+                                        [(1, 0, 1), (0, 2, 1)]),
+        "lines_t4": families.line_sum(families.torus(4),
+                                      [(1, 0, 1, 0), (0, 1, 1, 1)]),
+    }
+    paths = sorted(CORPUS_DIR.glob("*.json")) + sorted(DATA_DIR.glob("*.json"))
+    paths += [kernel_space(tmp_path), torsion_kernel_space(tmp_path)]
+    for name, bundle in bundles.items():
+        paths.append(tmp_path / ("%s.json" % name))
+        paths[-1].write_text(json.dumps(families.space_doc(name, bundle)))
+    outcomes = set()
+    for path in paths:
+        try:
+            data = load_space_file(path).bundle
+        except cli._LOAD_ERRORS as exc:
+            data = exc
+        for i in range(9):
+            for bound in range(4):
+                got = code, out, _ = run(capsys, "lifts", str(path),
+                                         "--class", "w%d" % i,
+                                         "--bound", str(bound))
+                if isinstance(data, Exception):
+                    assert got == (1, "", "error: %s\n" % data), path.name
+                else:
+                    assert got == lift_oracle(data, i, bound), \
+                        (path.name, i, bound)
+                outcomes.add("error" if code else "proven" if
+                             out.startswith("no integral lift") else
+                             min(out.count("\n"), 2))
+    # errors, proven failures, and zero, one and several lifts are reached
+    assert outcomes == {"error", "proven", 0, 1, 2}
 
 
 def test_lifts_are_written_in_blocks(monkeypatch):
@@ -551,23 +623,69 @@ def test_lifts_are_written_in_blocks(monkeypatch):
     assert "".join(writes) == lift_lines(path, 4, 2 * block + 1)
 
 
-def test_lifts_memo_stays_at_its_cap(monkeypatch, capsys):
-    # the 40,000 lifts of w2 over CP^2 at bound 40000 each have their own
-    # coefficient; the memo of term texts stops at TEXT_MEMO_CAP of them
-    memos = []
+def spy_tail_texts(monkeypatch):
+    """The length of every list of texts the lift writer builds: tail
+    texts come only from _tail_texts, and each prefix holds one head."""
+    sizes = []
+    real = cli._tail_texts
 
-    def text(names, coeffs, memo=None):
-        memos.append(memo)
-        return gradedring.text(names, coeffs, memo)
+    def tail_texts(*args):
+        texts = real(*args)
+        sizes.append(len(texts))
+        return texts
 
-    monkeypatch.setattr(cli, "text", text)
+    monkeypatch.setattr(cli, "_tail_texts", tail_texts)
+    return sizes
+
+
+def test_lifts_writer_holds_at_most_a_tail_of_texts(monkeypatch, capsys,
+                                                   families, tmp_path):
+    # the 40,000 lifts of w2 over CP^2 at bound 40000 lie on one axis,
+    # each with its own coefficient: the writer builds their texts in
+    # slices of _TAIL_TEXTS, never all at once
+    sizes = spy_tail_texts(monkeypatch)
     path = CORPUS_DIR / "cp2.json"
     code, out, _ = run(capsys, "lifts", str(path), "--class", "w2",
                        "--bound", "40000")
     assert code == 0
     assert out == lift_lines(path, 2, 40000)
-    assert len(memos) == 40000 and all(m is memos[0] for m in memos)
-    assert len(memos[0]) == gradedring.TEXT_MEMO_CAP
+    tail = cli._TAIL_TEXTS
+    assert sizes == [tail] * (40000 // tail) + [40000 % tail]
+    # two axes of the 99 even values in [-99, 99]: the last is the tail,
+    # built once as whole lines for the prefix 0 and once to follow the
+    # 98 other prefixes
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(families.space_doc("lines", families.line_sum(
+        families.cp_product([2, 2]), [(2, 0), (0, 2)]))))
+    sizes.clear()
+    code, out, _ = run(capsys, "lifts", str(path), "--class", "w2",
+                       "--bound", "99")
+    assert (code, out) == (0, lift_lines(path, 2, 99))
+    assert out.count("\n") == 99 * 99 and sizes == [99, 99]
+
+
+def test_lifts_of_a_million_on_one_axis_are_written_in_slices(monkeypatch):
+    # LIFT_CAP = 10^6 odd multiples of a at bound 999999: no list of
+    # texts and no write holds more than its cap, and every line comes
+    # out once, in order
+    sizes = spy_tail_texts(monkeypatch)
+    seen = {"lines": 0, "largest": 0, "first": None, "last": None}
+
+    class Stream:
+        def write(self, text):
+            lines = text.splitlines()
+            seen["lines"] += len(lines)
+            seen["largest"] = max(seen["largest"], len(lines))
+            seen["first"] = seen["first"] or lines[0]
+            seen["last"] = lines[-1]
+
+    monkeypatch.setattr("sys.stdout", Stream())
+    assert main(["lifts", str(CORPUS_DIR / "cp2.json"), "--class", "w2",
+                 "--bound", "999999"]) == 0
+    assert seen == {"lines": 10 ** 6, "largest": cli._BLOCK_LINES,
+                    "first": "-999999*a", "last": "999999*a"}
+    tail = cli._TAIL_TEXTS
+    assert sizes == [tail] * (10 ** 6 // tail) + [10 ** 6 % tail]
 
 
 @pytest.mark.parametrize("argv", [("check",), ("lifts", "--class", "w2")])

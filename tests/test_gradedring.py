@@ -38,7 +38,7 @@ from acso.gradedring import (
 )
 from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
-from acso.spacefile import space_file_from_doc
+from acso.spacefile import matrix_map, space_file_from_doc
 
 from conftest import CORPUS_DIR, replace
 
@@ -366,10 +366,20 @@ SIGN_OF_LHS = odd_rule_fixture((0, 0, 1, 1), (1, 0, 0, 1))
 SIGN_OF_RHS = odd_rule_fixture((1, 0, 0, 1), (0, 0, 1, 1))
 
 
+# a*b -> a^2 and a^2*b^2 -> e with a^2, b^2 -> 0: degrees 4 and 6 have
+# no basis monomials, and the rules disagree on a^2*b^2 in degree 8,
+# whose basis is e
+DISAGREE_NEXT_TO_EMPTY = RingPresentation(
+    0, 8, (Generator("a", 2), Generator("b", 2), Generator("e", 8)),
+    (RewriteRule((2, 0, 0), ()), RewriteRule((1, 1, 0), ((1, (2, 0, 0)),)),
+     RewriteRule((0, 2, 0), ()), RewriteRule((2, 2, 0), ((1, (0, 0, 1)),))))
+
+
 def hand_fixtures(corpus):
     """Presentations that fail construction, each in its own way, the two
-    rules that fix a rewriting sign, and the mod-4 ring of s1xwu, whose
-    rule has a right-hand side."""
+    rules that fix a rewriting sign, the mod-4 ring of s1xwu, whose rule
+    has a right-hand side, and rules in degrees without basis monomials,
+    where only the termination of rewriting can fail."""
     two = (Generator("a", 2), Generator("b", 2))
     yield RingPresentation(  # a rewrite cycle
         0, 4, two, (RewriteRule((2, 0), ((1, (0, 2)),)),
@@ -377,6 +387,18 @@ def hand_fixtures(corpus):
     yield RingPresentation(  # an inconsistent overlap
         0, 6, two, (RewriteRule((2, 0), ()),
                     RewriteRule((2, 1), ((1, (0, 3)),))))
+    # a rewrite cycle in degree 4, which a*b -> 0 leaves without a basis
+    yield RingPresentation(
+        0, 4, two, (RewriteRule((2, 0), ((1, (0, 2)),)),
+                    RewriteRule((1, 1), ()),
+                    RewriteRule((0, 2), ((1, (2, 0)),))))
+    # the overlap above in degree 6, which a*b^2, b^3 -> 0 leave without a
+    # basis: a^2*b rewrites to 0 and to b^3, and both are 0 there
+    yield RingPresentation(
+        0, 6, two, (RewriteRule((2, 0), ()),
+                    RewriteRule((2, 1), ((1, (0, 3)),)),
+                    RewriteRule((1, 2), ()), RewriteRule((0, 3), ())))
+    yield DISAGREE_NEXT_TO_EMPTY
     yield RingPresentation(0, 2, (Generator("t", 1),))  # an odd square
     yield LIVE_ODD_SQUARE
     yield ORDER_THREE_TIMES_FREE
@@ -498,6 +520,43 @@ def test_confluence_check_is_capped_before_any_comparison(monkeypatch):
     with pytest.raises(TableTooLarge, match=r"^confluence check of more than "
                        r"165 multiples by 10 rules exceeds the cap 1659$"):
         GradedRing(pres)
+
+
+def test_confluence_compares_rules_only_where_a_basis_is(corpus,
+                                                        monkeypatch):
+    # s1xwu's mod-4 ring has one rule with a right-hand side,
+    # zeta2*zeta3 -> 2 mu4, with 35 multiples in degrees 5-12.  33 of
+    # them, all in degrees 7-12 where the basis is empty, take a second
+    # rule; none is compared, and every multiple is still normalised
+    pres = corpus["s1xwu"].bundle.rings.mod4.presentation
+    ring = GradedRing(pres)
+    rule = next(r for r in pres.rules if r.rhs)
+    budget = pres.cutoff - ring._exp_degree(rule.lhs)
+    multiples = {tuple(l + e for l, e in zip(rule.lhs, rest))
+                 for rest in ring._all_monomials(budget, 10 ** 6)}
+    overlaps = {m for m in multiples
+                if sum(all(l <= e for l, e in zip(r.lhs, m))
+                       for r in pres.rules) > 1}
+    assert len(multiples) == 35 and len(overlaps) == 33
+    assert {ring._exp_degree(m) for m in overlaps} == set(range(7, 13))
+    assert all(not ring.basis(d) for d in range(7, 13))
+    compared, normalised = set(), set()
+    rewrite, normal_form = GradedRing._rewrite, GradedRing._normal_form
+
+    def spy_rewrite(self, exps, r):
+        if r is not self._first_rule(exps):
+            compared.add(exps)
+        return rewrite(self, exps, r)
+
+    def spy_normal_form(self, exps):
+        normalised.add(exps)
+        return normal_form(self, exps)
+
+    monkeypatch.setattr(GradedRing, "_rewrite", spy_rewrite)
+    monkeypatch.setattr(GradedRing, "_normal_form", spy_normal_form)
+    assert GradedRing(pres) == ring
+    assert compared == set()
+    assert multiples <= normalised
 
 
 def test_basis_names_are_shared_with_derived_rings():
@@ -946,6 +1005,15 @@ def system_outcome(map_class, system_class, rings, mats):
         return type(exc), str(exc)
 
 
+def sparse_map(name, source, target, shift, matrices=None):
+    """The column map of dense IntMatrix matrices, per source degree,
+    read as a space file's rows are: row count and nonzero entries."""
+    return matrix_map(name, source, target, shift, {
+        d: (M.rows, [{i: M[i, j] for i in range(M.rows) if M[i, j]}
+                     for j in range(M.cols)])
+        for d, M in (matrices or {}).items()})
+
+
 def dense_matrix(m, d):
     """The map m in source degree d as a dense IntMatrix, from its columns."""
     columns = m.columns[d]
@@ -962,7 +1030,7 @@ def assert_same_system(rings, mats, rng, got=None):
     against the dense reference built from mats: the same refusal, or
     equal maps with equal images of random elements."""
     if got is None:
-        got = system_outcome(CoefficientMap, RingSystem, rings, mats)
+        got = system_outcome(sparse_map, RingSystem, rings, mats)
     ref = system_outcome(DenseMap, DenseSystem, rings, mats)
     if isinstance(ref, tuple):
         assert got == ref
@@ -1052,6 +1120,10 @@ MAP_FIXTURES = [
      "identity beta . rho2 = 0 fails in degree 2"),
     ({"theta2": {2: IntMatrix.from_rows([[1, 0], [0, 1]])}},
      "map theta2 does not respect additive orders in degree 2"),
+    # degrees are checked in ascending order: the order law in degree 1
+    # fails before the shape of degree 2 is looked at
+    ({"theta2": {2: IntMatrix.from_rows([[2]]), 1: IntMatrix.from_rows([[1]])}},
+     "map theta2 does not respect additive orders in degree 1"),
     ({"rho2": {2: IntMatrix.from_rows([[1, 0]])}},
      "map rho2: matrix in degree 2 should be 2x3, got 1x2"),
     ({"beta": {3: IntMatrix.zero(0, 0)}},
@@ -1080,7 +1152,7 @@ def test_twice_beta_law_is_checked():
     # after construction
     rings = torsion_rings()
     mats = torsion_matrices()
-    system = system_outcome(CoefficientMap, RingSystem, rings, mats)
+    system = system_outcome(sparse_map, RingSystem, rings, mats)
     ref = system_outcome(DenseMap, DenseSystem, rings, mats)
     system.beta.columns[1] = ({1: 1},)
     ref.beta.matrices[1] = IntMatrix.from_rows([[0], [1], [0]])
@@ -1125,7 +1197,7 @@ def test_maps_match_dense_reference(corpus):
                 for m, degrees in doc["maps"].items()}
         rings = system_rings(system)
         assert assert_same_system(rings, mats, rng) == "accepted", name
-        assert system_outcome(CoefficientMap, RingSystem, rings, mats) \
+        assert system_outcome(sparse_map, RingSystem, rings, mats) \
             == system
     # the shared form of every family and corpus file, built fresh so that
     # no column of its scale maps has been read
@@ -1134,7 +1206,7 @@ def test_maps_match_dense_reference(corpus):
         rings = system_rings(system)
         mats = shared_matrices(rings)
         assert assert_same_system(rings, mats, rng) == "accepted"
-        columns = system_outcome(CoefficientMap, RingSystem, rings, mats)
+        columns = system_outcome(sparse_map, RingSystem, rings, mats)
         for name, _, _, _ in MAP_SIGNATURES:
             assert_scale_map_matches_columns(getattr(system, name),
                                              getattr(columns, name), rng)
@@ -1162,8 +1234,8 @@ def scale_outcome(rings, scales, mats, columns=()):
     columns built as column maps from mats instead, or the error that
     refuses them."""
     try:
-        maps = {name: CoefficientMap(name, rings[src], rings[tgt], shift,
-                                     mats[name])
+        maps = {name: sparse_map(name, rings[src], rings[tgt], shift,
+                                 mats[name])
                 if name in columns else
                 CoefficientMap.scaled_identity(name, rings[src], rings[tgt],
                                                scales[name], shift)
@@ -1252,7 +1324,7 @@ def random_systems(corpus):
     """
     rng = random.Random(2025)
     systems = [
-        system_outcome(CoefficientMap, RingSystem, torsion_rings(),
+        system_outcome(sparse_map, RingSystem, torsion_rings(),
                        torsion_matrices()),
         corpus["s1xwu"].bundle.rings,
         free_and_z4_system(),
@@ -1265,7 +1337,7 @@ def random_systems(corpus):
         rings, base = rng.choice(pools)
         mats = random_matrices(rng, rings, base)
         outcome = assert_same_system(rings, mats, rng)
-        yield outcome, (system_outcome(CoefficientMap, RingSystem, rings, mats)
+        yield outcome, (system_outcome(sparse_map, RingSystem, rings, mats)
                         if outcome == "accepted" else None)
 
 
@@ -1390,15 +1462,14 @@ def free_and_z4_system():
     ident = IntMatrix.from_rows([[1, 0], [0, 1]])
     return RingSystem(
         integral, mod2, mod4,
-        rho2=CoefficientMap("rho2", integral, mod2, 0, {0: one, 2: ident}),
-        rho4=CoefficientMap("rho4", integral, mod4, 0, {0: one, 2: ident}),
-        theta2=CoefficientMap("theta2", mod2, mod4, 0,
-                              {0: two, 1: two,
-                               2: IntMatrix.from_rows([[2, 0], [0, 2]])}),
-        rho24=CoefficientMap("rho24", mod4, mod2, 0,
-                             {0: one, 1: one, 2: ident}),
-        beta=CoefficientMap("beta", mod2, integral, 1,
-                            {1: IntMatrix.from_rows([[0], [2]])}))
+        rho2=sparse_map("rho2", integral, mod2, 0, {0: one, 2: ident}),
+        rho4=sparse_map("rho4", integral, mod4, 0, {0: one, 2: ident}),
+        theta2=sparse_map("theta2", mod2, mod4, 0,
+                          {0: two, 1: two,
+                           2: IntMatrix.from_rows([[2, 0], [0, 2]])}),
+        rho24=sparse_map("rho24", mod4, mod2, 0, {0: one, 1: one, 2: ident}),
+        beta=sparse_map("beta", mod2, integral, 1,
+                        {1: IntMatrix.from_rows([[0], [2]])}))
 
 
 def test_lifts_match_box_scan(corpus):
@@ -1466,11 +1537,11 @@ def test_lifts_match_class_test(corpus):
             classes = [data.w_class(d)] + basis_elements(data.rings.mod2, d)
             for u in classes:
                 assert_lifts_match_class_test(data.rings, u, range(5))
-    torsion = system_outcome(CoefficientMap, RingSystem, torsion_rings(),
+    torsion = system_outcome(sparse_map, RingSystem, torsion_rings(),
                              torsion_matrices())
     # beta(y) = 2t leaves the laws intact once rho2 kills x
     kernel = system_outcome(
-        CoefficientMap, RingSystem, torsion_rings(),
+        sparse_map, RingSystem, torsion_rings(),
         torsion_matrices(rho2={1: IntMatrix.from_rows([[0]])},
                          rho4={1: IntMatrix.from_rows([[2]])},
                          beta={1: IntMatrix.from_rows([[0], [2], [0]])}))
@@ -1565,8 +1636,8 @@ def free_system(n, rho2_rows):
     rows = {0: one, 2: IntMatrix.from_rows(rho2_rows)}
     return RingSystem(
         integral, mod2, mod4,
-        rho2=CoefficientMap("rho2", integral, mod2, 0, rows),
-        rho4=CoefficientMap("rho4", integral, mod4, 0, rows),
+        rho2=sparse_map("rho2", integral, mod2, 0, rows),
+        rho4=sparse_map("rho4", integral, mod4, 0, rows),
         theta2=CoefficientMap.scaled_identity("theta2", mod2, mod4, 2),
         rho24=CoefficientMap.scaled_identity("rho24", mod4, mod2),
         beta=CoefficientMap("beta", mod2, integral, 1))
@@ -1744,11 +1815,11 @@ def test_solves_match_smith_and_sq1_references(corpus, monkeypatch):
         assert_solves_match_references(RingSystem.with_reduction_defaults(pres))
     # the Z/4 and Z/3 torsion fixtures, and the one where rho2 kills x
     kernel = system_outcome(
-        CoefficientMap, RingSystem, torsion_rings(),
+        sparse_map, RingSystem, torsion_rings(),
         torsion_matrices(rho2={1: IntMatrix.from_rows([[0]])},
                          rho4={1: IntMatrix.from_rows([[2]])},
                          beta={1: IntMatrix.from_rows([[0], [2], [0]])}))
-    for system in (system_outcome(CoefficientMap, RingSystem, torsion_rings(),
+    for system in (system_outcome(sparse_map, RingSystem, torsion_rings(),
                                   torsion_matrices()),
                    kernel, free_and_z4_system()):
         assert_solves_match_references(system)

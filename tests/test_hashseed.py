@@ -5,7 +5,9 @@ on demand, maps keep sparse columns as dicts, and every mod-2 equation is
 solved over F2 from them; no iteration order may reach stdout, stderr or
 the exit code.  This runs a fixed command list under PYTHONHASHSEED 0 and
 1, one process per seed with every command run through acso.cli.main,
-and compares the results.  It also runs the block writer of `acso lifts`
+and compares the results; the last command lists lifts of w2 from two
+parity spreads, merged on their coefficient tuples, the one command
+with more than one spread.  It also runs the block writer of `acso lifts`
 as two processes, one with PYTHONUNBUFFERED=1 and one without.  The CI
 step "Reports are byte-identical across hash seeds" runs this module.
 """
@@ -16,7 +18,7 @@ import pathlib
 import subprocess
 import sys
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, kernel_space
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -73,7 +75,10 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
     # 8,000 lifts take several blocks of `acso lifts` output
     commands.append(["lifts", "--class", "w4", "--bound", "20",
                      str(spaces["lines_rank8"])])
-    assert len(commands) == 129
+    # lifts from two spreads, merged on their coefficient tuples
+    commands.append(["lifts", "--class", "w2", "--bound", "3",
+                     str(kernel_space(tmp_path))])
+    assert len(commands) == 130
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     procs = [subprocess.Popen([sys.executable, "-c", RUNNER],
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -88,9 +93,10 @@ def test_outputs_do_not_depend_on_the_hash_seed(families, tmp_path):
     # the two usage errors of every space file went through argparse
     usage = [code for code, out, err in first if err.startswith("usage: acso")]
     assert usage == [1] * 32
-    code, out, err = first[-1]
+    code, out, err = first[-2]
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 8000
+    assert first[-1][0] == 0 and len(first[-1][1].splitlines()) == 84
 
 
 def test_lifts_output_does_not_depend_on_buffering(families, tmp_path):

@@ -13,7 +13,6 @@ from acso.gradedring import (
     DegreeError,
     Generator,
     GradedRing,
-    IntMatrix,
     RewriteRule,
     RingPresentation,
     RingSystem,
@@ -24,7 +23,7 @@ from acso.gradedring import (
     quotients,
 )
 from acso import obstruct
-from acso.intlin import AbelianGroupDescriptor
+from acso.intlin import AbelianGroupDescriptor, IntMatrix
 from acso.spacefile import load_space_file, space_file_from_doc
 from acso.obstruct import (
     BudgetExceeded,
@@ -63,13 +62,12 @@ def torsion_top_system(cutoff=12, degree=11):
     mod4 = GradedRing(RingPresentation(
         modulus=4, cutoff=cutoff,
         generators=(Generator("tau4", degree, order=2),), rules=()))
-    one = IntMatrix.from_rows([[1]])
+    one = [{0: 1}]
     return RingSystem(
         integral, mod2, mod4,
         rho2=CoefficientMap("rho2", integral, mod2, 0, {0: one, degree: one}),
         rho4=CoefficientMap("rho4", integral, mod4, 0, {0: one, degree: one}),
-        theta2=CoefficientMap("theta2", mod2, mod4, 0,
-                              {0: IntMatrix.from_rows([[2]])}),
+        theta2=CoefficientMap("theta2", mod2, mod4, 0, {0: [{0: 2}]}),
         rho24=CoefficientMap("rho24", mod4, mod2, 0, {0: one, degree: one}),
         beta=CoefficientMap("beta", mod2, integral, 1, {}))
 

@@ -1,9 +1,15 @@
 """Space file format: parsing and validation."""
 
+import collections
 import json
+import random
+import re
 
 import pytest
 
+from acso import spacefile
+from acso.gradedring import MAP_SIGNATURES, GradedRing, RingError
+from acso.intlin import IntMatrix
 from acso.obstruct import DataValidationError
 from acso.spacefile import (
     SCHEMA_VERSION,
@@ -13,7 +19,8 @@ from acso.spacefile import (
     space_file_from_text,
 )
 
-from conftest import CORPUS_DIR, DATA_DIR
+from conftest import CORPUS_DIR, DATA_DIR, kernel_space
+from test_gradedring import DenseMap, DenseSystem, dense_matrix
 
 
 def cp2_doc() -> dict:
@@ -151,3 +158,187 @@ def test_from_text_uses_default_name():
     del doc["name"]
     sf = space_file_from_text(json.dumps(doc), default_name="fallback")
     assert sf.name == "fallback"
+
+
+# -- integer-keyed sections ------------------------------------------------
+
+
+def s1xwu_doc() -> dict:
+    return json.loads((CORPUS_DIR / "s1xwu.json").read_text())
+
+
+@pytest.mark.parametrize("doc, section, keys, message", [
+    (s1xwu_doc, ("bundle", "w"), ("2", "02"),
+     "bundle.w: index 2 given twice, as '2' and '02'"),
+    (cp2_doc, ("bundle", "p"), ("1", "+1"),
+     "bundle.p: index 1 given twice, as '1' and '+1'"),
+    (s1xwu_doc, ("maps", "rho2"), ("3", " 3"),
+     "maps.rho2: degree 3 given twice, as '3' and ' 3'"),
+    (s1xwu_doc, ("bundle", "w"), ("3", "0" * 70 + "3"),
+     "bundle.w: index 3 given twice, as '3' and '%s..."
+     % ("0" * 63)),
+])
+def test_two_keys_of_one_index_are_refused(doc, section, keys, message):
+    # int() reads each pair of keys as one index; neither may silently
+    # replace the other
+    doc = doc()
+    entries = doc[section[0]][section[1]]
+    entries[keys[1]] = entries[keys[0]]
+    with pytest.raises(SpaceFileError) as info:
+        space_file_from_doc(doc)
+    assert str(info.value) == message
+
+
+def test_duplicate_index_fixture_is_refused_by_the_command(capsys):
+    # the fixture is s1xwu (obstructed, exit 2) with w2 given again as 0
+    # under "02"; letting the later key win made it clear (exit 0)
+    from acso.cli import main
+    assert main(["check", str(DATA_DIR / "duplicate_index.json")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: bundle.w: index 2 given twice, as "
+                              "'2' and '02'\n")
+    doc = json.loads((DATA_DIR / "duplicate_index.json").read_text())
+    del doc["bundle"]["w"]["02"]
+    assert space_file_from_doc(doc).bundle.w == load_space_file(
+        CORPUS_DIR / "s1xwu.json").bundle.w
+
+
+# -- map rows against the dense reference -----------------------------------
+
+
+def reference_matrix(ring_rows: int, ring_cols: int, rows, what: str):
+    """How map rows were read before they went straight into columns: a
+    dense IntMatrix, the zero matrix of the degree's shape for no rows."""
+    if not isinstance(rows, list):
+        raise SpaceFileError("%s must be a list of rows" % what)
+    entries = []
+    for r in rows:
+        if not isinstance(r, list):
+            raise SpaceFileError("%s rows must be lists" % what)
+        entries.append([spacefile._int(v, what + " entry") for v in r])
+    try:
+        return IntMatrix.from_rows(entries) if entries else \
+            IntMatrix.zero(ring_rows, ring_cols)
+    except ValueError as exc:
+        raise SpaceFileError("%s: %s" % (what, exc)) from None
+
+
+def reference_maps(doc: dict):
+    """The explicit-form maps of doc read through reference_matrix into
+    DenseMap and checked by DenseSystem: {name: {degree: IntMatrix}}, or
+    the message that refuses them."""
+    moduli = {"integral": 0, "mod2": 2, "mod4": 4}
+    rings = {label: GradedRing(spacefile._presentation(
+                 doc["rings"][label], modulus, "rings." + label))
+             for label, modulus in moduli.items()}
+    maps = {}
+    try:
+        for name, src_key, tgt_key, shift in MAP_SIGNATURES:
+            if name not in doc["maps"]:
+                continue
+            src, tgt = rings[src_key], rings[tgt_key]
+            mats = {}
+            for dkey, rows in spacefile._require_dict(
+                    doc["maps"][name], "maps.%s" % name).items():
+                d = spacefile._int(dkey, "maps.%s degree" % name)
+                td = d + shift
+                if d < 0 or d > src.cutoff or td < 0 or td > tgt.cutoff:
+                    raise SpaceFileError("maps.%s: degree %d out of range"
+                                         % (name, d))
+                mats[d] = reference_matrix(len(tgt.basis(td)),
+                                           len(src.basis(d)), rows,
+                                           "maps.%s[%d]" % (name, d))
+            maps[name] = DenseMap(name, src, tgt, shift, mats)
+        system = DenseSystem(rings["integral"], rings["mod2"], rings["mod4"],
+                             **maps)
+    except (SpaceFileError, RingError) as exc:
+        return str(exc)
+    return {name: getattr(system, name).matrices for name, *_ in
+            MAP_SIGNATURES}
+
+
+def read_maps(doc: dict):
+    """The maps spacefile reads from doc, as reference_maps gives them."""
+    try:
+        system = spacefile._ring_system(doc)
+    except SpaceFileError as exc:
+        return str(exc)
+    return {name: {d: dense_matrix(getattr(system, name), d)
+                   for d in getattr(system, name).columns}
+            for name, *_ in MAP_SIGNATURES}
+
+
+def mutate_rows(rng, rows):
+    """rows with one change a file might carry, or rows as they are."""
+    rows = json.loads(json.dumps(rows))
+    roll = rng.randrange(11)
+    if roll == 0 or not rows or not isinstance(rows, list):
+        return rows
+    i = rng.randrange(len(rows))
+    if roll == 1:
+        return []
+    if roll == 2:
+        return [[]]
+    if roll == 3:
+        return rng.choice(("x", 3, {"0": 1}))
+    if roll == 4:
+        rows[i] = rng.choice(("x", 1, None))
+    elif not isinstance(rows[i], list):
+        pass
+    elif roll == 5:
+        rows[i] = rows[i] + [rng.choice(("1", 0))]
+    elif roll == 6:
+        rows.append(list(rows[i]))
+    elif roll == 7 and len(rows) > 1:
+        del rows[i]
+    elif roll == 8 and rows[i]:
+        rows[i] = rows[i][:-1]
+    elif rows[i]:
+        j = rng.randrange(len(rows[i]))
+        rows[i][j] = rng.choice(("1", "2", "3", "-1", "0", 2, "y", 1.5,
+                                 True, "4" * 70))
+    return rows
+
+
+def test_map_rows_match_the_dense_reference(tmp_path):
+    # s1xwu and the kernel space with random changes to their map rows,
+    # degrees and keys: the same refusal, or the same maps, as reading
+    # the rows into dense matrices did
+    rng = random.Random(23)
+    bases = [s1xwu_doc(), json.loads(kernel_space(tmp_path).read_text())]
+    # theta2 breaks the order law in degree 1 and has the wrong shape in
+    # degree 3: degree 1 is refused first, whichever key comes first
+    for theta2 in ({"1": [["1"]], "3": [["0"]]}, {"3": [["0"]], "1": [["1"]]}):
+        doc = s1xwu_doc()
+        doc["maps"]["theta2"].update(theta2)
+        assert read_maps(doc) == reference_maps(doc) == (
+            "map theta2 does not respect additive orders in degree 1")
+    outcomes = collections.Counter()
+    for _ in range(400):
+        doc = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(sorted(doc["maps"]) + ["sq1"])
+            degrees = doc["maps"].setdefault(name, {})
+            roll = rng.random()
+            if roll < 0.7 and degrees:
+                key = rng.choice(sorted(degrees))
+                degrees[key] = mutate_rows(rng, degrees[key])
+            elif roll < 0.8:
+                degrees[str(rng.choice((-1, 1, 2, 3, 5, 12, 13)))] = [["1"]]
+            elif roll < 0.9 and degrees:
+                del degrees[rng.choice(sorted(degrees))]
+            else:
+                degrees[rng.choice(("x", "2.0", ""))] = []
+        want = reference_maps(doc)
+        assert read_maps(doc) == want, doc["maps"]
+        outcomes[want if isinstance(want, str) else "accepted"] += 1
+    kinds = {re.sub(r"^maps?\.? ?\w+(\[\d+\])?|-?\d+|, got .*", "", k)
+             for k in outcomes}
+    # acceptance and every way to refuse rows are reached
+    assert {"accepted", " must be a list of rows", " rows must be lists",
+            " entry must be an integer or decimal string",
+            " entry must be an integer", ": ragged rows",
+            ": matrix in degree  should be x",
+            " does not respect additive orders in degree ",
+            " degree must be an integer or decimal string",
+            ": degree  out of range"} <= kinds, kinds
