@@ -67,7 +67,7 @@ def cmd_check(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "json":
-        sys.stdout.write(render_json(report, sf.name))
+        render_json(report, sf.name, sys.stdout.write)
     else:
         sys.stdout.write(render_text(report, sf.name))
     return exit_code(report)

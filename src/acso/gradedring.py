@@ -72,7 +72,9 @@ class NoIntegralLift(RingError):
 
 class TableTooLarge(RingError):
     """A ring's checks could visit more than TABLE_CAP pairs of monomials,
-    or test more than TABLE_CAP pairs of a rule and a multiple of a rule."""
+    or its confluence check would take more than TABLE_CAP steps: a normal
+    form per multiple of a rule, and a test per rule and multiple in the
+    degrees with basis monomials."""
 
 
 class TooManyLifts(RingError):
@@ -81,13 +83,11 @@ class TooManyLifts(RingError):
 
 # the most pairs of basis monomials (the entries of a dense product table)
 # that the construction checks of a ring may visit, T^10 (616,666) fitting,
-# and the most (multiple, rule) tests of its confluence check
+# and the most steps of its confluence check (normal forms and rule tests)
 TABLE_CAP = 10 ** 6
 # the most lifts lift_spreads spreads over a bound, so the most that
 # lift_coefficients and integral_lifts return or `acso lifts` writes
 LIFT_CAP = 10 ** 6
-# the most term texts one memo of `text` keeps, whatever the coefficients
-TEXT_MEMO_CAP = 4096
 # the most characters of an offending value that an error message quotes
 QUOTE_CAP = 64
 
@@ -225,7 +225,7 @@ class GradedRing:
 
     Construction refuses a cutoff with more than TABLE_CAP degree pairs,
     enumerates monomial bases while counting the pairs of the monomials
-    found so far against TABLE_CAP, counts the tests of the confluence
+    found so far against TABLE_CAP, counts the steps of the confluence
     check against TABLE_CAP before it verifies that the rewrite rules are
     confluent inside the truncation, and checks graded commutativity and
     the additive orders on the pairs of basis monomials where they can
@@ -457,30 +457,36 @@ class GradedRing:
         # disagree or leave the basis; the multiples s*lhs of the others
         # are normalised in order of degree, then exponents, and compared
         # under every other applicable rule where their degree has basis
-        # monomials.  Each multiple is tested against every rule, on that
-        # rule's support, so more than TABLE_CAP tests are refused before
-        # any multiple is normalised
+        # monomials.  The work, one normal form per multiple and, where a
+        # basis is, one test per rule, on that rule's support, is counted
+        # before any multiple is normalised, and more than TABLE_CAP is
+        # refused
         rules = self.presentation.rules
-        limit = TABLE_CAP // max(1, len(rules))
         multiples = set()
-        by_budget: dict = {}  # budget -> _all_monomials(budget, limit)
+        by_budget: dict = {}  # budget -> _all_monomials(budget, TABLE_CAP)
         for rule in rules:
             if rule.rhs:
                 budget = self.cutoff - self._exp_degree(rule.lhs)
                 if budget not in by_budget:
-                    by_budget[budget] = self._all_monomials(budget, limit)
+                    by_budget[budget] = self._all_monomials(budget, TABLE_CAP)
                 rests = by_budget[budget]
                 if rests is not None:
                     multiples.update(
                         tuple(l + s for l, s in zip(rule.lhs, rest))
                         for rest in rests)
-                if rests is None or len(multiples) > limit:
+                if rests is None or len(multiples) > TABLE_CAP:
                     raise TableTooLarge(
-                        "confluence check of more than %d multiples by %d "
-                        "rules exceeds the cap %d"
-                        % (limit, len(rules), TABLE_CAP))
+                        "confluence check of more than %d multiples exceeds "
+                        "the cap %d" % (TABLE_CAP, TABLE_CAP))
         empty = {d for d, basis in self._basis.items() if not basis}
-        for d, exps in sorted((self._exp_degree(m), m) for m in multiples):
+        multiples = [(self._exp_degree(m), m) for m in multiples]
+        compared = sum(d not in empty for d, _ in multiples)
+        if len(multiples) + compared * len(rules) > TABLE_CAP:
+            raise TableTooLarge(
+                "confluence check of %d multiples, %d of them tested by %d "
+                "rules, exceeds the cap %d"
+                % (len(multiples), compared, len(rules), TABLE_CAP))
+        for d, exps in sorted(multiples):
             # the normal form, by the first applicable rule, is the
             # termination check; in a degree without basis monomials every
             # vector is (), so no comparison there can fail
@@ -873,31 +879,16 @@ def leading(t: str) -> str:
     return t[3:] if t[1] == "+" else "-" + t[3:]
 
 
-def text(names: Sequence[str], coeffs: Sequence[int],
-         memo: dict | None = None) -> str:
+def text(names: Sequence[str], coeffs: Sequence[int]) -> str:
     """The text of the element with these coefficients over these names.
 
     The nonzero terms come in basis order as `3*a*b`, `a` or `-a`, joined
     by " + " or " - "; the degree-0 monomial `1` shows its coefficient
     alone, and an element without terms is `0`.  Each term is built with
     the sign that joins it to the one before, and only the first term's
-    sign is then fixed.  A memo, when given, keeps the terms by (index,
-    coefficient) for later calls over the same names, up to TEXT_MEMO_CAP
-    of them, so memory stays flat however many coefficients occur.
+    sign is then fixed.
     """
-    terms = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if memo is None:
-            terms.append(term(names[i], c))
-            continue
-        t = memo.get((i, c))
-        if t is None:
-            t = term(names[i], c)
-            if len(memo) < TEXT_MEMO_CAP:
-                memo[i, c] = t
-        terms.append(t)
+    terms = [term(names[i], c) for i, c in enumerate(coeffs) if c]
     if not terms:
         return "0"
     terms[0] = leading(terms[0])

@@ -576,12 +576,16 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     is computed whole.  Sums are reduced at the torsion coordinates once,
     at the end.
 
-    The check rho4(q) = 0 and the pairing of q run once per candidate, on
-    the coefficients; a failing check raises DivisibilityViolation.  A
-    record holds one element per lift, shared by every record with that
-    class, the element of its q, shared by every record with that value,
-    and a status, that of q = 0 read once per search; no record solves
-    4x = q: the witness is made once, for the printed verdict.
+    The check rho4(q) = 0 and the pairing of q run once per value of q, on
+    its reduced coefficients, when the value first occurs, so the first
+    candidate whose q fails raises DivisibilityViolation.  A record holds
+    one element per lift, made when the first record holding it is
+    recorded and shared by every record with that class, and the element,
+    status and pairing of its q, shared by every record with that value;
+    the status of q = 0 is read once per search.  A solved class is thus
+    never made for the lifts of its lift set that no candidate takes.  No
+    record solves 4x = q: the witness is made once, for the printed
+    verdict.
     Deterministic: candidates come out in lexicographic order of their
     coefficient vectors.
 
@@ -636,80 +640,96 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
               and pairing.degree == top else None)
     rho4 = None if above else rings.rho4.image(top)
     records = []
-    seen = {}  # the element and status of each value of q
-    for classes, q in _admissible_candidates(data, lift_sets, k_final):
+    seen = {}  # each value of q -> (its element, status, pairing)
+
+    def record(classes, q):
         for i, o in torsion:
             q[i] %= o
         key = tuple(q)
-        q_element = seen.get(key)
-        if q_element is None:
-            q_element = seen[key] = (_element(integral, top, key),
-                                     "NonZero" if any(key) else zero)
-        if any(rho4(q)):
-            _divisible(data, q_element[0])
-        records.append(CandidateRecord(
-            ChernCandidate(classes), *q_element,
-            None if values is None else sum(map(operator.mul, q, values))))
+        shared = seen.get(key)
+        if shared is None:
+            q_element = _element(integral, top, key)
+            if any(rho4(key)):
+                _divisible(data, q_element)
+            shared = seen[key] = (
+                q_element, "NonZero" if any(key) else zero,
+                None if values is None else sum(map(operator.mul, key,
+                                                    values)))
+        records.append(CandidateRecord(ChernCandidate(classes), *shared))
+
+    _admissible_candidates(data, lift_sets, k_final, record)
     return SearchOutcome(bound=bound, rule=rule,
                          enumerated=math.prod(len(lifts) for lifts in lift_sets),
                          records=tuple(records), complete=complete)
 
 
 def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
-                           k: int):
-    # (classes, coefficients of the top class q_k before reduction), in
-    # lexicographic order.  Every even index 2j below n = rank/2 has j
-    # below the final index, so identity j fixes c_2j; it reads only
-    # c_1..c_2j, so the prefix alone, c_2j being zero, gives r.  Lift-set
-    # membership keeps rho2(c_2j) = w_4j, the bound and the lexicographic
-    # order of the solutions of 2x = -r.  The last level evaluates q_k per
-    # prefix where survey_candidates says so.
+                           k: int, record) -> None:
+    # calls record(classes, coefficients of the top class q_k before
+    # reduction) per candidate, in lexicographic order.  Every even index
+    # 2j below n = rank/2 has j below the final index, so identity j fixes
+    # c_2j; it reads only c_1..c_2j, so the prefix alone, c_2j being zero,
+    # gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the bound and
+    # the lexicographic order of the solutions of 2x = -r.  The last level
+    # evaluates q_k per prefix where survey_candidates says so.  A lift's
+    # element is made, once per level, when a candidate holding it is
+    # recorded; a prefix resolves its elements at the last level.
     integral = data.rings.integral
     last = len(lift_sets)
-    elements = [{c: _element(integral, 2 * i, c) for c in lifts}
-                for i, lifts in enumerate(lift_sets, start=1)]
+    members = [None if i % 2 else set(lifts)
+               for i, lifts in enumerate(lift_sets, start=1)]
+    elements = [{} for _ in lift_sets]  # per level: coefficients -> element
     per_prefix = k >= 2 and data.rank % 4 == 0
     unit, euler = (1,), data.euler.coeffs
     times_c1 = {}  # c_1 -> columns of -2 c_1 from degree 4k-2 to 4k
 
-    def extend(prefix, classes):
+    def element(i, c):
+        x = elements[i - 1].get(c)
+        if x is None:
+            x = elements[i - 1][c] = _element(integral, 2 * i, c)
+        return x
+
+    def extend(prefix):
         i = len(prefix) + 1
-        members = elements[i - 1]
         if i % 2:
-            choices = members.items()
+            choices = lift_sets[i - 1]
         else:
             orders = integral.orders(2 * i)
             r = square_sum(data, (unit,) + prefix, i // 2)
             y = [-x % o if o else -x for x, o in zip(r, orders)]
-            choices = [(c, members[c]) for c in quotients(2, y, orders)
-                       if c in members]
+            choices = [c for c in quotients(2, y, orders)
+                       if c in members[i - 1]]
         if i < last:
-            for c, x in choices:
-                yield from extend(prefix + (c,), classes + (x,))
-        elif per_prefix:
-            size = len(integral.orders(2 * i))
-            q0 = square_sum(data, (unit,) + prefix + ((0,) * size, euler), k)
-            c1 = prefix[0]
-            columns = times_c1.get(c1)
-            if columns is None:
-                columns = times_c1[c1] = [
-                    [(t, -2 * v) for t, v in enumerate(product(
-                        integral, 2, c1, 2 * i,
-                        [int(j == s) for s in range(size)])) if v]
-                    for j in range(size)]
-            for c, x in choices:
-                q = list(q0)
-                for xj, column in zip(c, columns):
-                    if xj:
-                        for t, v in column:
-                            q[t] += xj * v
-                yield classes + (x,), q
-        else:
-            for c, x in choices:
-                yield classes + (x,), square_sum(
-                    data, (unit,) + prefix + (c, euler), k)
+            for c in choices:
+                extend(prefix + (c,))
+            return
+        if not choices:
+            return
+        head = tuple(element(j, c) for j, c in enumerate(prefix, start=1))
+        if not per_prefix:
+            for c in choices:
+                record(head + (element(i, c),), square_sum(
+                    data, (unit,) + prefix + (c, euler), k))
+            return
+        size = len(integral.orders(2 * i))
+        q0 = square_sum(data, (unit,) + prefix + ((0,) * size, euler), k)
+        c1 = prefix[0]
+        columns = times_c1.get(c1)
+        if columns is None:
+            columns = times_c1[c1] = [
+                [(t, -2 * v) for t, v in enumerate(product(
+                    integral, 2, c1, 2 * i,
+                    [int(j == s) for s in range(size)])) if v]
+                for j in range(size)]
+        for c in choices:
+            q = list(q0)
+            for xj, column in zip(c, columns):
+                if xj:
+                    for t, v in column:
+                        q[t] += xj * v
+            record(head + (element(i, c),), q)
 
-    return extend((), ())
+    extend(())
 
 
 def _definite_form_certificate(data: BundleData, bound: int) -> str | None:

@@ -15,19 +15,24 @@ object of the report is written as its "key": value entries, listed in
 sorted key order and laid out by _join.  Strings go through the same
 encode_basestring_ascii that json.dumps uses and integers through
 int.__repr__, so a string or integer field that holds another type
-raises TypeError.  A class's
-terms follow its ring's basis_string_order.  The search section holds
-one record per admissible Chern candidate and so nearly all of a large
-report; records share one element object per class and per value of q,
-so the terms object of each is written once per render and reused, and
-the text of each q is joined from terms kept per render by `text`.
+raises TypeError.  A class's terms follow its ring's
+basis_string_order.
+
+The search section holds one record per admissible Chern candidate and
+so nearly all of a large report.  Records share one element object per
+lift and per value of q, so each "ci": entry is written once per
+(element, position) and the rest of a record, its pairing, q object and
+status, once per (q element, status, pairing); a record is then joined
+from shared strings.  The records and the vanishing candidates are
+joined in blocks of _BLOCK, and `acso check` writes the report piece by
+piece, so it never holds the whole text.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
-from .gradedring import text
 from .obstruct import (
     BundleData,
     ChernCandidate,
@@ -64,11 +69,20 @@ def _join(items: list, indent: str, brackets: str) -> str:
             + "\n" + indent + brackets[1])
 
 
-def render_json(report: ObstructionReport, name: str = "") -> str:
+# records, or vanishing candidates, per piece of a JSON report
+_BLOCK = 256
+# stands in for a list that is written in pieces: every string of a report
+# is written escaped, so no other "\0" occurs in it
+_HOLE = "\0"
+
+
+def render_json(report: ObstructionReport, name: str = "",
+                write=None) -> str | None:
+    """The JSON report; with `write`, it is passed to write in pieces, none
+    holding more than _BLOCK records or vanishing candidates, and None is
+    returned."""
     tables: dict = {}   # (ring id, degree) -> ((index, '"name": "'), ...)
     keys: dict = {}     # class count -> ((i - 1, '"ci": '), ...)
-    memo: dict = {}     # (element id, indent) -> terms object
-    texts: dict = {}    # (ring id, degree) -> text memo of a q's terms
 
     def terms(x, ind: str) -> str:
         table = tables.get((id(x.ring), x.degree))
@@ -99,7 +113,9 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
         return "null" if v is None else _join(verdict_entries(v, ind), ind,
                                               "{}")
 
-    def candidate(cand: ChernCandidate, ind: str) -> str:
+    def candidate(cand: ChernCandidate, ind: str, written: dict) -> str:
+        # written keeps each "ci": entry by (element id, i): candidates
+        # share one element per lift, and one element may sit at two i
         classes = cand.classes
         order = keys.get(len(classes))
         if order is None:
@@ -107,39 +123,48 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
                 (i - 1, '"c%d": ' % i)
                 for i in sorted(range(1, len(classes) + 1), key="c{}".format))
         inner = ind + "  "
-        return _join([key + shared_terms(classes[i], inner)
-                      for i, key in order], ind, "{}")
+        entries = []
+        for i, key in order:
+            x = classes[i]
+            entry = written.get((id(x), i))
+            if entry is None:
+                entry = written[id(x), i] = key + terms(x, inner)
+            entries.append(entry)
+        return _join(entries, ind, "{}")
 
-    def shared_terms(x, ind: str) -> str:
-        # terms(x, ind), written once per element object
-        written = memo.get((id(x), ind))
-        if written is None:
-            written = memo[id(x), ind] = terms(x, ind)
-        return written
+    def records(search: SearchOutcome, ind: str):
+        # each record joined from its candidate and the rest of it, which
+        # is written once per (q element id, status, pairing)
+        inner = ind + "  "
+        sep = ",\n" + inner
+        written: dict = {}
+        rests: dict = {}
+        for r in search.records:
+            key = (id(r.q), r.status, r.pairing)
+            rest = rests.get(key)
+            if rest is None:
+                rest = rests[key] = (
+                    sep + '"pairing": ' + ("null" if r.pairing is None
+                                           else _encode_str(str(r.pairing)))
+                    + sep + '"q": ' + element(r.q, inner)
+                    + sep + '"status": ' + _encode_str(r.status)
+                    + "\n" + ind + "}")
+            yield ("{\n" + inner + '"candidate": '
+                   + candidate(r.candidate, inner, written) + rest)
 
-    def q_text(q) -> str:
-        # str(q), its terms kept per piece for the q of later records
-        piece = texts.get((id(q.ring), q.degree))
-        if piece is None:
-            piece = texts[id(q.ring), q.degree] = {}
-        return text(q.ring.basis_strings(q.degree), q.coeffs, piece)
+    def blocks(items, ind: str):
+        # the pieces of _join(list(items), ind, "[]"), _BLOCK items each
+        inner = "\n" + ind + "  "
+        first = opening = "[" + inner
+        while True:
+            block = list(itertools.islice(items, _BLOCK))
+            if not block:
+                break
+            yield opening + ("," + inner).join(block)
+            opening = "," + inner
+        yield "[]" if opening == first else "\n" + ind + "]"
 
     def search_section(search: SearchOutcome, ind: str) -> str:
-        i1 = ind + "  "  # search entries
-        i2 = i1 + "  "   # records and vanishing candidates
-        i3 = i2 + "  "   # record entries
-        # one record's layout, its values left as %-placeholders
-        record = _join([
-            '"candidate": %s', '"pairing": %s',
-            '"q": ' + _join(['"degree": %d', '"terms": %s', '"text": %s'],
-                            i3, "{}"),
-            '"status": %s'], i2, "{}")
-        records = [record % (
-            candidate(r.candidate, i3),
-            "null" if r.pairing is None else _encode_str(str(r.pairing)),
-            r.q.degree, shared_terms(r.q, i3 + "  "),
-            _encode_str(q_text(r.q)), _encode_str(r.status))
-            for r in search.records]
         no_lift = search.no_lift_degree
         return _join([
             '"admissible": ' + _int(search.admissible),
@@ -148,10 +173,7 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
             '"enumerated": ' + _int(search.enumerated),
             '"no_lift_degree": ' + ("null" if no_lift is None
                                     else _int(no_lift)),
-            '"records": ' + _join(records, i1, "[]"),
-            '"vanishing": ' + _join([candidate(c, i2)
-                                     for c in search.vanishing], i1, "[]")],
-            ind, "{}")
+            '"records": ' + _HOLE, '"vanishing": ' + _HOLE], ind, "{}")
 
     i1, i2 = "  ", "    "  # report entries, and the rows of its lists
     theorem1 = []
@@ -164,7 +186,7 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
           for c in report.wu_checks]
     base, rule, search = (report.base_dimension, report.final_rule,
                           report.search)
-    return _join([
+    doc = _join([
         '"base_dimension": ' + ("null" if base is None else _int(base)),
         '"ehresmann_w7": ' + verdict(dict(report.theorem1).get(1), i1),
         '"existence": ' + _encode_str(report.existence),
@@ -184,6 +206,22 @@ def render_json(report: ObstructionReport, name: str = "") -> str:
         '"status": ' + _encode_str(report.status),
         '"theorem1": ' + _join(theorem1, i1, "[]"),
         '"wu": ' + _join(wu, i1, "[]")], "", "{}") + "\n"
+    if search is None:
+        pieces = [doc]
+    else:
+        # the lists of the search entries (at i2) hold rows at i3
+        i3 = i2 + "  "
+        head, middle, tail = doc.split(_HOLE)
+        written: dict = {}
+        pieces = itertools.chain(
+            [head], blocks(records(search, i3), i2), [middle],
+            blocks((candidate(c, i3, written) for c in search.vanishing), i2),
+            [tail])
+    if write is None:
+        return "".join(pieces)
+    for piece in pieces:
+        write(piece)
+    return None
 
 
 def _verdict_line(label: str, v: Verdict, note: str) -> str:

@@ -260,8 +260,9 @@ def test_check_oversized_ring_is_refused_before_enumeration(
 def test_check_confluence_work_is_refused_before_any_comparison(
         monkeypatch, tmp_path, capsys):
     # 14 degree-2 generators, cutoff 12, g_i g_j -> 0 (i < j), g_i^2 -> g_0^2
-    # (i >= 1) and g_0^3 -> 0: 16 basis monomials, but the 13 rules with a
-    # right-hand side have tens of thousands of multiples, each to be
+    # (i >= 1) and g_0^3 -> 0, and a free degree-2 generator h, so that
+    # every even degree has basis monomials: the 13 rules with a
+    # right-hand side have 40,066 multiples, each to be normalised and
     # tested against all 105 rules
     n = 14
     names = ["g%d" % i for i in range(n)]
@@ -273,7 +274,8 @@ def test_check_confluence_work_is_refused_before_any_comparison(
     doc = {"schema_version": 1, "name": "squares",
            "rings": {"shared": {
                "cutoff": 12,
-               "generators": [{"name": g, "degree": 2} for g in names],
+               "generators": [{"name": g, "degree": 2}
+                              for g in names + ["h"]],
                "relations": relations}},
            "bundle": {"rank": 2, "w": {}, "p": {}, "euler": {}}}
     path = tmp_path / "squares.json"
@@ -287,8 +289,8 @@ def test_check_confluence_work_is_refused_before_any_comparison(
     code, out, err = run(capsys, "check", str(path))
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (
-        1, "", "error: confluence check of more than 9523 multiples by 105 "
-               "rules exceeds the cap 1000000\n")
+        1, "", "error: confluence check of 40066 multiples, 40066 of them "
+               "tested by 105 rules, exceeds the cap 1000000\n")
 
 
 def test_check_huge_base_dimension_is_one_gap(tmp_path, capsys):

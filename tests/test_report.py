@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 
+from acso.cli import main
 from acso.gradedring import Generator, GradedRing, RingPresentation
 from acso.obstruct import (
     CandidateRecord,
@@ -22,7 +25,7 @@ from acso.report import (
     exit_code,
     render_json,
 )
-from acso.spacefile import space_file_from_doc
+from acso.spacefile import load_space_file, space_file_from_doc
 
 from conftest import replace
 
@@ -279,3 +282,77 @@ def test_search_writer_orders_terms_by_monomial_name(cp2):
     assert q["text"] == "5*a^9*b - 6*a^10"
     assert list(report_doc(report)["search"]["vanishing"][0]["c1"]) == \
         ["a*b", "a^2", "b^2", "uv"]
+
+
+def test_search_writer_shares_a_q_under_different_statuses_and_pairings(cp2):
+    # one q element in nine (status, pairing) pairs, each pair twice, and
+    # a second element with the same coefficients
+    q, x = top([2, -1]), mixed(RING, 4, 0)
+    pairs = [(status, pairing) for status in ("Zero", "NonZero", "Inconclusive")
+             for pairing in (None, 0, -3)]
+    records = [record([x], q, status, pairing)
+               for status, pairing in pairs + pairs[::-1]]
+    records.append(record([x], top([2, -1]), "Zero", None))
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    written = report_doc(report)["search"]["records"]
+    assert [(r["status"], r["pairing"]) for r in written[:9]] == [
+        (s, None if p is None else str(p)) for s, p in pairs]
+
+
+def test_search_writer_places_one_element_at_two_positions(cp2):
+    x, y = mixed(RING, 4, 3), mixed(RING, 4, 4)
+    records = [record([x, y, x], top([1, 0])),
+               record([y, x, x], top([1, 0]), "NonZero"),
+               record([x, x, y], top([0, 1])),
+               record([y, y, y], top([0, 1]))]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    candidates = report_doc(report)["search"]["vanishing"]
+    terms = x.term_strings(), y.term_strings()
+    assert [[c["c%d" % i] for i in (1, 2, 3)] for c in candidates] == [
+        [terms[0], terms[1], terms[0]], [terms[0], terms[0], terms[1]],
+        [terms[1], terms[1], terms[1]]]
+
+
+def rows(piece):
+    # records and vanishing candidates are the rows at indent 6
+    return piece.count("\n      {")
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 511, 512, 513, 642])
+def test_search_writer_writes_records_in_blocks(cp2, count):
+    # four classes and four values of q shared by all records; every fifth
+    # record is NonZero, so 642 records have 513 vanishing candidates
+    classes = [mixed(RING, 4, i) for i in range(4)]
+    qs = [top([j, 1]) for j in range(4)]
+    records = [record([classes[i % 4], classes[i // 4 % 4]], qs[i % 3],
+                      "NonZero" if i % 5 == 0 else "Zero",
+                      i % 4 if i % 7 else None)
+               for i in range(count)]
+    report = synthetic(cp2, records)
+    assert_matches_reference(report)
+    pieces = []
+    assert render_json(report, "synthetic", pieces.append) is None
+    assert "".join(pieces) == render_json(report, "synthetic")
+    assert all(rows(p) <= 256 for p in pieces)
+    vanishing = len(report.search.vanishing)
+    assert sum(map(rows, pieces)) == count + vanishing
+    # pieces: the head, full blocks, the closing of each list, the middle
+    # and the tail
+    assert len(pieces) == 5 + -(-count // 256) + -(-vanishing // 256)
+
+
+def test_check_writes_the_json_report_in_blocks(cp2_sums, tmp_path,
+                                                monkeypatch):
+    # 3 CP^2 # 3 reversed CP^2 at bound 3: 4,096 records in 16 blocks and
+    # 384 vanishing candidates in two
+    path = tmp_path / "cp2_sum.json"
+    path.write_text(json.dumps(cp2_sums(3, 3)))
+    sf = load_space_file(path)
+    expected = reference_json(acs_verdict(sf.bundle, bound=3), sf.name)
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["check", str(path), "--bound", "3", "--format", "json"]) == 0
+    assert "".join(writes) == expected
+    assert [rows(w) for w in writes] == [0] + [256] * 16 + [0, 0, 256, 128, 0, 0]

@@ -264,3 +264,65 @@ def test_three_cp2_sum_three_reversed_at_bound_six(cp2_sums, tmp_path):
     assert code == 0
     assert ("search: bound 6, 46656 enumerated, 46656 admissible, "
             "4800 vanishing") in out
+
+
+# -- the elements of the records -----------------------------------------
+
+
+# (spec, bound): ranks 6, 8 and 12, whose even-index classes are solved
+ELEMENT_CASES = [
+    (("lines", (2, 2), ((1, 0), (0, 1), (1, 1))), 5),
+    (("lines", (2, 2), ((1, 1), (1, -1), (2, 1))), 4),
+    (("lines", (2, 2), ((1, 0), (0, 1), (1, -1), (0, 2))), 3),
+    (("tangent", (2, 2)), 3),
+    (("tangent", (6,)), 6),
+    (("corpus", "s8_rank6"), 3),
+]
+
+
+@pytest.mark.parametrize("spec, bound", ELEMENT_CASES)
+def test_survey_builds_an_element_per_class_its_records_hold(
+        families, monkeypatch, spec, bound):
+    data = _bundle(families, spec)
+    built = []
+
+    def spy(ring, degree, coeffs):
+        built.append((degree, coeffs))
+        return gradedring._element(ring, degree, coeffs)
+
+    monkeypatch.setattr(obstruct, "_element", spy)
+    outcome = survey_candidates(data, bound)
+    records = outcome.records
+    assert records
+    n = data.rank // 2
+    for i in range(2, n, 2):
+        held = {r.candidate.classes[i - 1].coeffs for r in records}
+        made = [c for d, c in built if d == 2 * i]
+        assert sorted(made) == sorted(held), i
+    # one element per lift at each index, and one per value of q
+    for i in range(n - 1):
+        shared = {}
+        for r in records:
+            x = r.candidate.classes[i]
+            assert shared.setdefault(x.coeffs, x) is x
+    shared = {}
+    for r in records:
+        assert shared.setdefault(r.q.coeffs, r.q) is r.q
+    top = 8 if data.rank == 6 else data.rank
+    assert sum(d == top for d, _ in built) == len(shared)
+
+
+def test_survey_of_a_rank_six_line_sum_builds_eighteen_elements(
+        families, monkeypatch):
+    # O(1,0) + O(0,1) + O(1,1) over CP^2 x CP^2 at bound 5: lift sets of
+    # 25 c1 and 216 c2, but the 9 records hold 9 c1, 5 c2 and 4 values of q
+    data = _bundle(families, ELEMENT_CASES[0][0])
+    built = []
+
+    def spy(ring, degree, coeffs):
+        built.append(degree)
+        return gradedring._element(ring, degree, coeffs)
+
+    monkeypatch.setattr(obstruct, "_element", spy)
+    assert len(survey_candidates(data, 5).records) == 9
+    assert sorted(built) == [2] * 9 + [4] * 5 + [8] * 4
