@@ -47,7 +47,7 @@ import math
 import re
 from collections.abc import Iterator, Mapping, Sequence
 
-from .intlin import Frozen, set_field
+from .intlin import Frozen
 
 
 class RingError(Exception):
@@ -113,20 +113,19 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class Generator(Frozen):
-    """Ring generator: additive order 0 means infinite order."""
+    """Ring generator: additive order 0, the default, means infinite order."""
 
     __slots__ = ("name", "degree", "order")
+    _defaults = {"order": 0}
 
-    def __init__(self, name: str, degree: int, order: int = 0):
-        if not _NAME_RE.match(name):
-            raise ValueError("bad generator name %s" % quote(name))
-        if degree < 1:
+    def __init__(self, *args, **kwargs):
+        Frozen.__init__(self, *args, **kwargs)
+        if not _NAME_RE.match(self.name):
+            raise ValueError("bad generator name %s" % quote(self.name))
+        if self.degree < 1:
             raise ValueError("generator degree must be positive")
-        if order < 0 or order == 1:
+        if self.order < 0 or self.order == 1:
             raise ValueError("generator order must be 0 or >= 2")
-        set_field(self, "name", name)
-        set_field(self, "degree", degree)
-        set_field(self, "order", order)
 
 
 class RewriteRule(Frozen):
@@ -140,8 +139,7 @@ class RewriteRule(Frozen):
         rhs = tuple((int(c), tuple(int(e) for e in m)) for c, m in rhs)
         if not any(lhs):
             raise ValueError("rewrite rule with trivial left-hand side")
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
+        Frozen.__init__(self, lhs, rhs)
 
 
 class RingPresentation(Frozen):
@@ -150,10 +148,7 @@ class RingPresentation(Frozen):
     def __init__(self, modulus: int, cutoff: int,
                  generators: tuple[Generator, ...],
                  rules: tuple[RewriteRule, ...] = ()):
-        set_field(self, "modulus", modulus)
-        set_field(self, "cutoff", cutoff)
-        set_field(self, "generators", tuple(generators))
-        set_field(self, "rules", tuple(rules))
+        Frozen.__init__(self, modulus, cutoff, tuple(generators), tuple(rules))
         if modulus not in (0, 2, 4):
             raise ValueError("modulus must be 0, 2, or 4")
         if cutoff < 0:
@@ -1283,14 +1278,13 @@ class RingSystem:
 
 
 class LiftSearch(Frozen):
-    """Integral preimages under rho2 found within a coefficient bound."""
+    """Integral preimages under rho2 found within a coefficient bound.
+
+    `lifts` is a tuple of RingElements; `no_lift_proven` defaults to False.
+    """
 
     __slots__ = ("lifts", "no_lift_proven")
-
-    def __init__(self, lifts: tuple[RingElement, ...],
-                 no_lift_proven: bool = False):
-        set_field(self, "lifts", lifts)
-        set_field(self, "no_lift_proven", no_lift_proven)
+    _defaults = {"no_lift_proven": False}
 
 
 def divide_by(n: int, y: RingElement) -> tuple[RingElement, ...]:

@@ -15,15 +15,47 @@ from collections.abc import Iterable, Sequence
 class Frozen:
     """Base of the immutable value classes, whose fields are their __slots__.
 
+    The constructor takes the fields as a signature would, by position in
+    slot order or by name; a field left out takes its value from the
+    class's _defaults dict, whose values every such instance shares and
+    so are immutable.  Too many values, a field given twice, an unknown
+    name or a missing field without a default raise TypeError.  A class
+    defines __init__ only to check or convert its arguments, and stores
+    them with one call of Frozen.__init__.
+
     Assigning or deleting a field raises AttributeError.  Equality,
     hashing and repr go field by field, in slot order: two instances are
     equal when they are of one class and their field tuples are equal, a
     comparison with any other class is NotImplemented, and the hash is
-    that of the field tuple.  Each subclass stores its fields from a
-    hand-written __init__ through `set_field`.
+    that of the field tuple.
     """
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError("%s() takes %d arguments but %d were given"
+                            % (self.__class__.__qualname__, len(names),
+                               len(args)))
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if kwargs or len(args) < len(names):
+            cls, defaults = self.__class__.__qualname__, self._defaults
+            rest = names[len(args):]
+            for name in kwargs:
+                if name not in rest:
+                    raise TypeError("%s() got %s %r" % (cls, (
+                        "multiple values for argument" if name in names
+                        else "an unexpected keyword argument"), name))
+            for name in rest:
+                if name in kwargs:
+                    set_field(self, name, kwargs[name])
+                elif name in defaults:
+                    set_field(self, name, defaults[name])
+                else:
+                    raise TypeError("%s() missing argument %r" % (cls, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -171,11 +203,6 @@ class SmithDecomposition(Frozen):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
     __slots__ = ("U", "D", "V")
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        set_field(self, "U", U)
-        set_field(self, "D", D)
-        set_field(self, "V", V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -389,8 +416,7 @@ class AbelianGroupDescriptor(Frozen):
             if prev is not None and t % prev:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = t
-        set_field(self, "free_rank", free_rank)
-        set_field(self, "torsion_factors", factors)
+        Frozen.__init__(self, free_rank, factors)
 
     @classmethod
     def trivial(cls) -> "AbelianGroupDescriptor":

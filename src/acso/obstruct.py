@@ -64,23 +64,22 @@ _STATUSES = ("Zero", "NonZero", "Inconclusive")
 class Verdict(Frozen):
     """Outcome of one obstruction test.
 
-    `witness` is a representative of the obstruction (or of the class that
-    forces it nonzero); `denominator` is the integer l with l*o = computed
-    class, when the test has that shape.
+    `status` is "Zero", "NonZero" or "Inconclusive".  `witness` is a
+    representative of the obstruction (or of the class that forces it
+    nonzero); `denominator` is the integer l with l*o = computed class,
+    when the test has that shape.  Both default to None, `note` to "".
     """
 
     __slots__ = ("status", "witness", "denominator", "note")
+    _defaults = {"witness": None, "denominator": None, "note": ""}
 
-    def __init__(self, status: str, witness: RingElement | None = None,
-                 denominator: int | None = None, note: str = "") -> None:
-        if status not in _STATUSES:
-            raise ValueError("unknown verdict status %r" % (status,))
-        if status == "NonZero" and (witness is None or witness.is_zero):
+    def __init__(self, *args, **kwargs) -> None:
+        Frozen.__init__(self, *args, **kwargs)
+        if self.status not in _STATUSES:
+            raise ValueError("unknown verdict status %r" % (self.status,))
+        if self.status == "NonZero" and (self.witness is None
+                                         or self.witness.is_zero):
             raise ValueError("NonZero verdict requires a nonzero witness")
-        set_field(self, "status", status)
-        set_field(self, "witness", witness)
-        set_field(self, "denominator", denominator)
-        set_field(self, "note", note)
 
 
 def canonical_witness(x: RingElement) -> RingElement:
@@ -93,18 +92,12 @@ def canonical_witness(x: RingElement) -> RingElement:
 class WuCheck(Frozen):
     """Result of checking Wu's formula for one m.
 
-    `status` is "ok", "failed" or "skipped".
+    `status` is "ok", "failed" or "skipped"; `discrepancy` (a RingElement,
+    default None) and `note` (default "") say why.
     """
 
     __slots__ = ("m", "status", "discrepancy", "note")
-
-    def __init__(self, m: int, status: str,
-                 discrepancy: RingElement | None = None,
-                 note: str = "") -> None:
-        set_field(self, "m", m)
-        set_field(self, "status", status)
-        set_field(self, "discrepancy", discrepancy)
-        set_field(self, "note", note)
+    _defaults = {"discrepancy": None, "note": ""}
 
 
 class Pairing(Frozen):
@@ -117,8 +110,7 @@ class Pairing(Frozen):
     __slots__ = ("degree", "values")
 
     def __init__(self, degree: int, values: Iterable[int]) -> None:
-        set_field(self, "degree", int(degree))
-        set_field(self, "values", tuple(int(v) for v in values))
+        Frozen.__init__(self, int(degree), tuple(int(v) for v in values))
 
     def pair(self, x: RingElement) -> int:
         if x.degree != self.degree:
@@ -387,6 +379,7 @@ class ChernCandidate(Frozen):
 
     __slots__ = ("classes",)
 
+    # made once per candidate: a store by hand costs half of Frozen's
     def __init__(self, classes: Iterable[RingElement]) -> None:
         set_field(self, "classes", tuple(classes))
 
@@ -504,6 +497,7 @@ class CandidateRecord(Frozen):
 
     __slots__ = ("candidate", "q", "status", "pairing")
 
+    # made once per candidate: a store by hand costs half of Frozen's
     def __init__(self, candidate: ChernCandidate, q: RingElement,
                  status: str, pairing: int | None) -> None:
         set_field(self, "candidate", candidate)
@@ -513,20 +507,18 @@ class CandidateRecord(Frozen):
 
 
 class SearchOutcome(Frozen):
-    """Everything one enumeration of Chern candidates established."""
+    """Everything one enumeration of Chern candidates established.
+
+    `bound` and `rule` are required; `enumerated` defaults to 0, `records`
+    (a CandidateRecord per admissible candidate) to (), `no_lift_degree`
+    (the degree of a w class with no integral lift) to None and `complete`
+    to False.
+    """
 
     __slots__ = ("bound", "rule", "enumerated", "records", "no_lift_degree",
                  "complete")
-
-    def __init__(self, bound: int, rule: str, enumerated: int = 0,
-                 records: tuple = (), no_lift_degree: int | None = None,
-                 complete: bool = False) -> None:
-        set_field(self, "bound", bound)
-        set_field(self, "rule", rule)
-        set_field(self, "enumerated", enumerated)
-        set_field(self, "records", records)
-        set_field(self, "no_lift_degree", no_lift_degree)
-        set_field(self, "complete", complete)
+    _defaults = {"enumerated": 0, "records": (), "no_lift_degree": None,
+                 "complete": False}
 
     @property
     def admissible(self) -> int:
@@ -689,7 +681,11 @@ def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
             x = elements[i - 1][c] = _element(integral, 2 * i, c)
         return x
 
-    def extend(prefix):
+    # depth first on a stack of its own, so that the rank/2 - 1 levels take
+    # no frames of the caller's; children go on reversed, come off in order
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
         i = len(prefix) + 1
         if i % 2:
             choices = lift_sets[i - 1]
@@ -700,17 +696,17 @@ def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
             choices = [c for c in quotients(2, y, orders)
                        if c in members[i - 1]]
         if i < last:
-            for c in choices:
-                extend(prefix + (c,))
-            return
+            for c in reversed(choices):
+                stack.append(prefix + (c,))
+            continue
         if not choices:
-            return
+            continue
         head = tuple(element(j, c) for j, c in enumerate(prefix, start=1))
         if not per_prefix:
             for c in choices:
                 record(head + (element(i, c),), square_sum(
                     data, (unit,) + prefix + (c, euler), k))
-            return
+            continue
         size = len(integral.orders(2 * i))
         q0 = square_sum(data, (unit,) + prefix + ((0,) * size, euler), k)
         c1 = prefix[0]
@@ -728,8 +724,6 @@ def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
                     for t, v in column:
                         q[t] += xj * v
             record(head + (element(i, c),), q)
-
-    extend(())
 
 
 def _definite_form_certificate(data: BundleData, bound: int) -> str | None:
@@ -924,24 +918,6 @@ class ObstructionReport(Frozen):
     __slots__ = ("rank", "base_dimension", "first", "theorem1", "final",
                  "search", "sole_obstruction", "wu_checks", "gaps", "notes",
                  "status", "existence")
-
-    def __init__(self, rank: int, base_dimension: int | None, first: Verdict,
-                 theorem1: tuple, final: Verdict | None,
-                 search: SearchOutcome | None,
-                 sole_obstruction: bool, wu_checks: tuple, gaps: tuple,
-                 notes: tuple, status: str, existence: str) -> None:
-        set_field(self, "rank", rank)
-        set_field(self, "base_dimension", base_dimension)
-        set_field(self, "first", first)
-        set_field(self, "theorem1", theorem1)
-        set_field(self, "final", final)
-        set_field(self, "search", search)
-        set_field(self, "sole_obstruction", sole_obstruction)
-        set_field(self, "wu_checks", wu_checks)
-        set_field(self, "gaps", gaps)
-        set_field(self, "notes", notes)
-        set_field(self, "status", status)
-        set_field(self, "existence", existence)
 
     @property
     def final_rule(self) -> str | None:

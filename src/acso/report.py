@@ -21,11 +21,12 @@ basis_string_order.
 The search section holds one record per admissible Chern candidate and
 so nearly all of a large report.  Records share one element object per
 lift and per value of q, so each "ci": entry is written once per
-(element, position) and the rest of a record, its pairing, q object and
-status, once per (q element, status, pairing); a record is then joined
-from shared strings.  The records and the vanishing candidates are
-joined in blocks of _BLOCK, and `acso check` writes the report piece by
-piece, so it never holds the whole text.
+(element, position) and block, and the rest of a record, its pairing, q
+object and status, once per (q element, status, pairing); a record is
+then joined from shared strings.  The records and the vanishing
+candidates are joined in blocks of _BLOCK, and `acso check` writes the
+report piece by piece, so it holds neither the whole text nor a class
+entry per record.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def render_json(report: ObstructionReport, name: str = "",
                                               "{}")
 
     def candidate(cand: ChernCandidate, ind: str, written: dict) -> str:
-        # written keeps each "ci": entry by (element id, i): candidates
-        # share one element per lift, and one element may sit at two i
+        # written keeps each "ci": entry by (element id, i) for one block:
+        # candidates share one element per lift, and one element may sit
+        # at two i
         classes = cand.classes
         order = keys.get(len(classes))
         if order is None:
@@ -132,12 +134,11 @@ def render_json(report: ObstructionReport, name: str = "",
             entries.append(entry)
         return _join(entries, ind, "{}")
 
-    def records(search: SearchOutcome, ind: str):
+    def records(search: SearchOutcome, ind: str, written: dict):
         # each record joined from its candidate and the rest of it, which
         # is written once per (q element id, status, pairing)
         inner = ind + "  "
         sep = ",\n" + inner
-        written: dict = {}
         rests: dict = {}
         for r in search.records:
             key = (id(r.q), r.status, r.pairing)
@@ -152,11 +153,14 @@ def render_json(report: ObstructionReport, name: str = "",
             yield ("{\n" + inner + '"candidate": '
                    + candidate(r.candidate, inner, written) + rest)
 
-    def blocks(items, ind: str):
-        # the pieces of _join(list(items), ind, "[]"), _BLOCK items each
+    def blocks(items, ind: str, written: dict):
+        # the pieces of _join(list(items), ind, "[]"), _BLOCK items each;
+        # the "ci": entries that items keep in written last one block, as
+        # at rank 4 nearly every record has a c1 of its own
         inner = "\n" + ind + "  "
         first = opening = "[" + inner
         while True:
+            written.clear()
             block = list(itertools.islice(items, _BLOCK))
             if not block:
                 break
@@ -212,10 +216,12 @@ def render_json(report: ObstructionReport, name: str = "",
         # the lists of the search entries (at i2) hold rows at i3
         i3 = i2 + "  "
         head, middle, tail = doc.split(_HOLE)
-        written: dict = {}
+        in_records: dict = {}
+        in_vanishing: dict = {}
         pieces = itertools.chain(
-            [head], blocks(records(search, i3), i2), [middle],
-            blocks((candidate(c, i3, written) for c in search.vanishing), i2),
+            [head], blocks(records(search, i3, in_records), i2, in_records),
+            [middle], blocks((candidate(c, i3, in_vanishing)
+                              for c in search.vanishing), i2, in_vanishing),
             [tail])
     if write is None:
         return "".join(pieces)

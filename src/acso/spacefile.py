@@ -27,7 +27,7 @@ from .gradedring import (
     parse_exponents,
     quote,
 )
-from .intlin import Frozen, set_field
+from .intlin import Frozen
 from .obstruct import BundleData, DataValidationError, Pairing
 
 SCHEMA_VERSION = 1
@@ -294,11 +294,8 @@ class SpaceFile(Frozen):
 
     def __init__(self, name: str, bundle: BundleData, description: str = "",
                  expectations: Mapping | None = None) -> None:
-        set_field(self, "name", name)
-        set_field(self, "bundle", bundle)
-        set_field(self, "description", description)
-        set_field(self, "expectations",
-                  {} if expectations is None else expectations)
+        Frozen.__init__(self, name, bundle, description,
+                        {} if expectations is None else expectations)
 
 
 def space_file_from_doc(doc, default_name: str = "") -> SpaceFile:

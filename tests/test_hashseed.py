@@ -9,8 +9,8 @@ and compares the results; the second-to-last command lists lifts of w2
 from two parity spreads, merged on their coefficient tuples, the one
 command with more than one spread, and the last writes a JSON report of
 4,096 records in 16 blocks.  It also runs the block writer of `acso lifts`
-as two processes, one with PYTHONUNBUFFERED=1 and one without.  The CI
-step "Reports are byte-identical across hash seeds" runs this module.
+as two processes, one with PYTHONUNBUFFERED=1 and one without.  The
+tier-1 suite collects this module, so CI runs it with every other test.
 """
 
 import json

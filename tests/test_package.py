@@ -146,6 +146,64 @@ def test_value_classes_keep_their_defaults():
     assert RewriteRule([2], [("1", ["2"])]) == RewriteRule((2,), ((1, (2,)),))
 
 
+# a class without a constructor of its own, one with defaults too, and one
+# whose constructor checks its fields and stores them through Frozen's
+CONTRACT = [(ObstructionReport, tuple(REPORT.values())),
+            (SearchOutcome, (3, "rule", 1, (), None, True)),
+            (Verdict, ("NonZero", X, 4, "q != 0"))]
+
+
+@pytest.mark.parametrize("cls, args", CONTRACT,
+                         ids=[c[0].__name__ for c in CONTRACT])
+def test_value_class_constructors_refuse_as_a_signature_does(cls, args):
+    name, fields = cls.__name__, cls.__slots__
+    required = [f for f in fields if f not in cls._defaults]
+    with pytest.raises(TypeError) as error:
+        cls(*args, None)
+    assert str(error.value) == "%s() takes %d arguments but %d were given" % (
+        name, len(fields), len(fields) + 1)
+    with pytest.raises(TypeError) as error:
+        cls(*args[:1], **{fields[0]: args[0]})
+    assert str(error.value) == ("%s() got multiple values for argument %r"
+                                % (name, fields[0]))
+    with pytest.raises(TypeError) as error:
+        cls(*args, colour=1)
+    assert str(error.value) == ("%s() got an unexpected keyword argument "
+                                "'colour'" % name)
+    # the last required field, left out by position and by keyword
+    last = fields.index(required[-1])
+    with pytest.raises(TypeError) as error:
+        cls(*args[:last])
+    assert str(error.value) == "%s() missing argument %r" % (name,
+                                                            fields[last])
+    with pytest.raises(TypeError) as error:
+        cls(**{f: v for f, v in zip(fields, args) if f != fields[last]})
+    assert str(error.value) == "%s() missing argument %r" % (name,
+                                                            fields[last])
+    # every field given once, in any mix of positions and keywords
+    whole = cls(*args)
+    for split in range(len(fields) + 1):
+        assert cls(*args[:split], **dict(zip(fields[split:],
+                                             args[split:]))) == whole
+
+
+def test_value_classes_fill_any_omitted_field_from_their_defaults():
+    assert Verdict("Zero", note="n") == Verdict("Zero", None, None, "n")
+    assert SearchOutcome(3, "r", complete=True) == SearchOutcome(
+        3, "r", 0, (), None, True)
+    assert WuCheck(status="ok", m=1) == WuCheck(1, "ok", None, "")
+
+
+def test_defaults_share_no_mutable_value_between_instances():
+    # every instance that leaves a field out holds the one default object,
+    # so a default must be immutable; SpaceFile's {} comes from its __init__
+    for cls, *_ in VALUES:
+        for field, value in cls._defaults.items():
+            assert field in cls.__slots__, (cls, field)
+            assert (value is None or value == ()
+                    or type(value) in (bool, int, str)), (cls, field)
+
+
 def test_report_final_rule_is_the_rule_of_its_search():
     report = ObstructionReport(**REPORT)
     assert report.final_rule == SEARCH.rule == "rule"

@@ -326,3 +326,52 @@ def test_survey_of_a_rank_six_line_sum_builds_eighteen_elements(
     monkeypatch.setattr(obstruct, "_element", spy)
     assert len(survey_candidates(data, 5).records) == 9
     assert sorted(built) == [2] * 9 + [4] * 5 + [8] * 4
+
+
+# -- the walk over the levels --------------------------------------------
+
+
+def test_the_survey_walk_does_not_use_the_callers_stack(tmp_path, capsys):
+    # rank 1400 over a ring with no generators: 699 levels of one lift
+    # each, which a walk recursing once per level cannot take from a
+    # caller 400 frames deep
+    path = tmp_path / "r1400.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": "r1400",
+        "rings": {"shared": {"cutoff": 1400, "generators": []}},
+        "bundle": {"rank": 1400, "euler": {}}}))
+
+    def deep(frames):
+        return deep(frames - 1) if frames else main(["check", str(path)])
+
+    assert deep(400) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "status: clear (exit 0)" in out
+    assert "search: bound 10, 1 enumerated, 1 admissible, 1 vanishing" in out
+
+
+# -- a solved class whose lift set is listed whole -----------------------
+
+
+def test_a_solved_class_lists_every_lift_of_its_w_class(tmp_path, capsys):
+    # rank 8 with every class zero over (S^4)^6: six degree-4 generators
+    # x_i with x_i^2 = 0.  c2 is solved from q_1 = 0, yet every lift of
+    # w4 = 0 within the bound is listed to test membership: 7^6 at bound
+    # 6, and 11^6 at the default bound 10, which exceeds LIFT_CAP
+    gens = ["x%d" % i for i in range(1, 7)]
+    path = tmp_path / "s4_power_6.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": "s4_power_6",
+        "rings": {"shared": {
+            "cutoff": 8,
+            "generators": [{"name": g, "degree": 4} for g in gens],
+            "relations": [{"lhs": g + "^2", "rhs": {}} for g in gens]}},
+        "bundle": {"rank": 8, "euler": {}}}))
+    assert main(["check", str(path), "--bound", "6"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "status: clear (exit 0)" in out
+    assert ("search: bound 6, 117649 enumerated, 1 admissible, "
+            "1 vanishing") in out
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: 1771561 lifts in degree 4 exceed the cap 1000000\n")
