@@ -8,7 +8,10 @@ with Koszul signs, so odd-degree generators anticommute the way graded
 commutativity demands.
 
 Only basis monomials are enumerated: an exponent prefix stops growing as
-soon as a rule divides it.  Confluence is checked only on the multiples
+soon as a rule divides it.  A pure power of a generator caps its
+exponent, and every other rule is tested once per prefix, on its
+support; each prefix carries the mask of its odd exponents, which the
+sign checks read.  Confluence is checked only on the multiples
 of rules with a right-hand side, since every other reducible monomial
 rewrites to 0: each multiple is normalised, which shows that rewriting
 terminates, and its other applicable rules are compared only in degrees
@@ -29,10 +32,13 @@ rho4, theta2, rho24, the Bockstein beta, and Sq^1) and checks the
 compatibilities between them, e.g. theta2(rho2(z)) = rho4(2z).  Maps
 given degree by degree are stored as sparse columns, and the laws are
 checked column by column.  For a torsion-free presentation the
-reductions are derived from the integral ring, which is built once, and
-every map is a scale times the identity on the one shared basis (the
-zero map for beta and Sq^1): it stores the scale, and the laws are
-checked on the scales, once per degree and distinct target order.  The
+reductions are derived from the integral ring, which is built once: they
+share its basis, basis names and product memo, whose terms over Z each
+product reduces mod 2 or mod 4, so a pair of basis monomials is
+multiplied once for all three rings.  Every map is then a scale times
+the identity on the one shared basis (the zero map for beta and Sq^1):
+it stores the scale, and the laws are checked on the scales, once per
+degree and distinct target order.  The
 operations at the bottom of the module (divide_by and its coefficient
 form quotients, integral lifts, Pontryagin squares) are what the
 obstruction evaluator consumes; the mod-2 equations among them are
@@ -170,6 +176,19 @@ class RingPresentation(Frozen):
     def _exp_degree(self, exps) -> int:
         return sum(e * g.degree for e, g in zip(exps, self.generators))
 
+    def with_modulus(self, modulus: int) -> "RingPresentation":
+        """This presentation over another modulus, 0, 2 or 4.
+
+        The checks of the constructor do not read the modulus beyond its
+        range, so they are not run again.
+        """
+        if modulus not in (0, 2, 4):
+            raise ValueError("modulus must be 0, 2, or 4")
+        copy = object.__new__(RingPresentation)
+        Frozen.__init__(copy, modulus, self.cutoff, self.generators,
+                        self.rules)
+        return copy
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
@@ -226,7 +245,10 @@ class GradedRing:
     the additive orders on the pairs of basis monomials where they can
     fail.  A presentation that survives construction is safe to compute
     in.  Products of basis monomials are computed on demand and memoised
-    (_product_terms).
+    (_product_terms); the derived mod-m rings of a torsion-free ring
+    (_reduction) share the memo, which holds the integral terms.  Element
+    texts are mapped to coefficients by basis name (basis_string_index)
+    where they are canonical, and parsed and rewritten otherwise.
     """
 
     def __init__(self, presentation: RingPresentation):
@@ -238,12 +260,14 @@ class GradedRing:
             for rule in presentation.rules)
         self._basis_names: dict = {}
         self._name_order: dict = {}
+        self._name_index: dict = {}
         self._nf_cache: dict = {}
         self._nf_active: set = set()
-        self._masks: dict = {}  # degree -> odd-exponent masks of its basis
         self._products: dict = {}  # (d1, i, d2, j) -> sparse product terms
         self._check_cutoff()
         self._enumerate_monomials()
+        # the orders _product_terms reduces the memoised terms by
+        self._product_orders = self._orders
         try:
             self._check_confluence()
         except RecursionError:
@@ -287,56 +311,69 @@ class GradedRing:
 
     def _enumerate_monomials(self):
         # extend exponent prefixes one generator at a time, each carrying
-        # its degree and additive order.  A rule whose last nonzero
-        # exponent belongs to generator k divides a tuple exactly when it
-        # divides the tuple's prefix through k.  Raising that exponent
-        # keeps the rule dividing, and an order of 1 stays 1, so a prefix
-        # stops growing at the first exponent that makes it reducible or
-        # zero: only basis monomials are built, in lexicographic order.
-        # Each prefix padded with zeros is a distinct basis monomial m, so
-        # the pairs of the prefixes are among the pairs _check_table may
+        # its degree, additive order and odd-exponent mask.  A rule whose
+        # last nonzero exponent l belongs to generator k divides a tuple
+        # exactly when it divides the tuple's prefix through k.  Raising
+        # that exponent keeps the rule dividing, and an order of 1 stays
+        # 1, so a prefix stops growing at the first exponent that makes it
+        # reducible or zero: only basis monomials are built, in
+        # lexicographic order.  A pure power g_k^l caps the exponent of g_k
+        # below l; any other rule is tested once per prefix, on the rest of
+        # its support, and caps the exponent below l when it holds.  Each
+        # prefix padded with zeros is a distinct basis monomial m, so the
+        # pairs of the prefixes are among the pairs _check_table may
         # visit, which hold 1*m for every m: too many pairs show before the
         # basis is done
+        caps = [self.cutoff + 1] * len(self._degrees)
         ending: list[list] = [[] for _ in self._degrees]
-        for rule in self.presentation.rules:
-            last = max(k for k, l in enumerate(rule.lhs) if l)
-            ending[last].append(rule.lhs[:last + 1])
-        prefixes: list = [((), 0, self.modulus)]
-        for step, gen_order, lhss in zip(self._degrees, self._gen_orders,
-                                         ending):
+        for _, support in self._supports:
+            *rest, (last, l) = support
+            if rest:
+                ending[last].append((rest, l))
+            else:
+                caps[last] = min(caps[last], l)
+        prefixes: list = [((), 0, self.modulus, 0)]
+        for k, (step, gen_order, cap, rules) in enumerate(
+                zip(self._degrees, self._gen_orders, caps, ending)):
+            bit = self._odd[k] << k
             grown = []
-            for exps, d, order in prefixes:
-                grown.append((exps + (0,), d, order))
+            for exps, d, order, mask in prefixes:
+                grown.append((exps + (0,), d, order, mask))
                 order = math.gcd(order, gen_order)
                 if order == 1:
                     continue
-                for e in range(1, (self.cutoff - d) // step + 1):
-                    ext = exps + (e,)
-                    if any(all(l <= x for l, x in zip(lhs, ext))
-                           for lhs in lhss):
-                        break
-                    grown.append((ext, d + e * step, order))
+                stop = min(cap, (self.cutoff - d) // step + 1)
+                for rest, l in rules:
+                    if l < stop and all(exps[j] >= x for j, x in rest):
+                        stop = l
+                odd = mask | bit
+                grown.extend([(exps + (e,), d + e * step, order,
+                               odd if e & 1 else mask)
+                              for e in range(1, stop)])
                 if len(grown) > TABLE_CAP:
                     raise _table_too_large(len(grown))
             self._check_table_size(grown)
             prefixes = grown
         basis: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
         orders: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
-        for exps, d, order in prefixes:
+        masks: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
+        for exps, d, order, mask in prefixes:
             basis[d].append(exps)
             orders[d].append(order)
+            masks[d].append(mask)
         self._basis = {d: tuple(v) for d, v in basis.items()}
         self._orders = {d: tuple(v) for d, v in orders.items()}
+        self._masks = {d: tuple(v) for d, v in masks.items()}
         self._torsion = {d: tuple((i, o) for i, o in enumerate(v) if o)
                          for d, v in orders.items()}
         self._index = {d: {m: i for i, m in enumerate(b)}
                        for d, b in self._basis.items()}
 
     def _check_table_size(self, monomials):
-        # the pairs with degree sum <= cutoff among (exps, degree, order)
-        # basis monomials
+        # the pairs with degree sum <= cutoff among the basis monomials,
+        # given as (exps, degree, order, mask)
         sizes = [0] * (self.cutoff + 1)
-        for _, d, _ in monomials:
+        for _, d, _, _ in monomials:
             sizes[d] += 1
         # below[k]: the number of those monomials of degree <= k
         below = list(itertools.accumulate(sizes))
@@ -359,16 +396,6 @@ class GradedRing:
                     if a[i] and self._odd[i]:
                         s += a[i] * bj
         return -1 if s & 1 else 1
-
-    def _parity_masks(self, degree: int) -> list[int]:
-        # per basis monomial: the bits i of odd generators with an odd exponent
-        out = self._masks.get(degree)
-        if out is None:
-            out = self._masks[degree] = [
-                sum(1 << i for i, (e, o) in enumerate(zip(exps, self._odd))
-                    if e & o)
-                for exps in self._basis[degree]]
-        return out
 
     def _apply_rule(self, exps, rule):
         rem = tuple(e - l for e, l in zip(exps, rule.lhs))
@@ -407,11 +434,12 @@ class GradedRing:
                 acc[m2] = acc.get(m2, 0) + coeff * c2
         return acc
 
-    def _terms(self, degree: int, combo: Mapping) -> tuple:
+    def _terms(self, degree: int, combo: Mapping, orders=None) -> tuple:
         # the nonzero (index, coefficient) pairs of combo in the degree
-        # basis, in index order; the monomials of combo are distinct, so
-        # each gives at most one pair
-        orders = self._orders[degree]
+        # basis, each reduced by its order in `orders`, by default the
+        # ring's own, in index order; the monomials of combo are distinct,
+        # so each gives at most one pair
+        orders = (self._orders if orders is None else orders)[degree]
         index = self._index[degree]
         out = []
         for mon, c in combo.items():
@@ -518,7 +546,7 @@ class GradedRing:
             support = [k for k, l in enumerate(rule.lhs) if l]
             if not rule.rhs and len(support) == 1 and rule.lhs[support[0]] <= 2:
                 dead |= 1 << support[0]
-        masks = {d: self._parity_masks(d) for d in self._basis}
+        masks = self._masks
         order_sets = {d: set(orders) for d, orders in self._orders.items()}
 
         def may_fail(factor, d):
@@ -566,33 +594,37 @@ class GradedRing:
     def _reduction(self, modulus: int) -> "GradedRing":
         """The mod-`modulus` ring of this torsion-free integral ring.
 
-        It is built without rewriting.  Rewriting never reduces a
-        coefficient and only _terms does, so every normal form mod m is
-        the integral one reduced: basis, index, odd-exponent masks and
-        normal forms are shared, every order is m (so every coordinate is
-        a torsion coordinate), and _terms reduces a product mod m the
-        first time its pair is asked.  The checks that passed over Z
-        therefore hold mod m.
+        It is built without rewriting, and without the presentation's
+        checks, which passed over Z and do not read the modulus.
+        Rewriting never reduces a coefficient and only _terms does, so
+        every normal form mod m is the integral one reduced: basis, index,
+        odd-exponent masks, basis names and normal forms are shared, and
+        every order is m (so every coordinate is a torsion coordinate).
+        The product memo is shared too: it holds the integral terms of
+        each pair, which every integral order, 0, leaves unreduced, and
+        product's caller reduces the sum mod m, so each pair is computed
+        once for Z, Z/2 and Z/4.  The checks that passed over Z therefore
+        hold mod m.
         """
         # attributes are set one by one, as in __init__: copying __dict__
         # would give both rings slower attribute access on the hot path
         ring = object.__new__(GradedRing)
-        pres = self.presentation
-        ring._set_presentation(RingPresentation(
-            modulus, pres.cutoff, pres.generators, pres.rules))
+        ring._set_presentation(self.presentation.with_modulus(modulus))
         ring._supports = self._supports
         ring._basis_names = self._basis_names
         ring._name_order = self._name_order
+        ring._name_index = self._name_index
         ring._nf_cache = self._nf_cache
         ring._nf_active = set()
+        ring._products = self._products
         ring._masks = self._masks
-        ring._products = {}
         ring._basis = self._basis
         ring._orders = {d: (modulus,) * len(basis)
                         for d, basis in self._basis.items()}
-        ring._torsion = {d: tuple((i, modulus) for i in range(len(basis)))
-                         for d, basis in self._basis.items()}
+        ring._torsion = {d: tuple(enumerate(orders))
+                         for d, orders in ring._orders.items()}
         ring._index = self._index
+        ring._product_orders = self._orders
         return ring
 
     # -- public API --------------------------------------------------------
@@ -629,6 +661,20 @@ class GradedRing:
                 sorted(range(len(names)), key=names.__getitem__))
         return order
 
+    def basis_string_index(self, degree: int) -> dict[str, int]:
+        """{name: index} over the names of the degree-d basis.
+
+        Computed once per degree and shared with the derived mod-m rings,
+        as basis_strings is; from_terms and the pairing of a space file
+        look canonical names up in it.
+        """
+        index = self._name_index.get(degree)
+        if index is None:
+            names = self.basis_strings(degree)
+            index = self._name_index[degree] = dict(
+                zip(names, range(len(names))))
+        return index
+
     def _check_degree(self, degree: int):
         if not 0 <= degree <= self.cutoff:
             raise DegreeError("degree %d outside [0, %d]" % (degree, self.cutoff))
@@ -659,11 +705,19 @@ class GradedRing:
         """Build an element from {monomial string: coefficient}.
 
         The normal form of each monomial, times its coefficient, is added
-        into one coefficient list, which is reduced once at the end.
+        into one coefficient list, which is reduced once at the end.  A
+        monomial written as the name of a basis monomial of the degree is
+        its own normal form, so it is looked up, not parsed; any other
+        spelling is parsed and rewritten.
         """
         self._check_degree(degree)
         coeffs = [0] * len(self._basis[degree])
+        named = self.basis_string_index(degree)
         for text, coeff in terms.items():
+            k = named.get(text)
+            if k is not None:
+                coeffs[k] += int(coeff)
+                continue
             try:
                 exps = parse_exponents(self.names, text)
             except ValueError as exc:
@@ -681,7 +735,9 @@ class GradedRing:
         # basis monomial i of degree d1 times basis monomial j of degree
         # d2, d1 + d2 <= cutoff: the Koszul sign times the normal form of
         # the exponent sum, as sparse (index, coefficient) terms in degree
-        # d1 + d2, computed the first time the pair is asked and memoised
+        # d1 + d2, computed the first time the pair is asked and memoised.
+        # A derived ring shares the memo of its integral ring, so the terms
+        # are reduced by the integral orders, all 0: not at all
         key = (d1, i, d2, j)
         terms = self._products.get(key)
         if terms is not None:
@@ -690,7 +746,8 @@ class GradedRing:
         nf = self._normal_form(tuple([x + y for x, y in zip(a, b)]))
         if self._koszul(a, b) < 0:
             nf = {m: -c for m, c in nf.items()}
-        terms = self._products[key] = self._terms(d1 + d2, nf)
+        terms = self._products[key] = self._terms(d1 + d2, nf,
+                                                  self._product_orders)
         return terms
 
     def __eq__(self, other):
@@ -1243,9 +1300,10 @@ class RingSystem:
         """System for a torsion-free integral ring: reductions are literal.
 
         Only the integral ring is built from the presentation.  The mod-2
-        and mod-4 rings are reduced from it: they share its basis, index
-        and normal forms, each of their products is the integral one
-        reduced mod 2 or mod 4 when it is first asked, and they compare
+        and mod-4 rings are reduced from it: they share its basis, index,
+        basis names and normal forms, and its product memo, whose integral
+        terms each product reduces mod 2 or mod 4, so a pair of basis
+        monomials is multiplied once for the three rings; and they compare
         equal to rings built from the presentation with the modulus
         swapped.  Every map is a scale map on that one basis: rho2, rho4
         and rho24 scale by 1, theta2 by 2, and the Bockstein and Sq^1 are

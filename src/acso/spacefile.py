@@ -275,13 +275,14 @@ def _bundle(doc: dict, rings: RingSystem) -> BundleData:
         degree = _int(pd.get("degree"), "pairing.degree")
         if degree < 0 or degree > rings.integral.cutoff:
             raise SpaceFileError("pairing.degree %d out of range" % degree)
-        basis = list(rings.integral.basis_strings(degree))
-        values = [0] * len(basis)
+        index = rings.integral.basis_string_index(degree)
+        values = [0] * len(index)
         for mon, v in _terms(pd.get("values"), "pairing.values").items():
-            if mon not in basis:
+            k = index.get(mon)
+            if k is None:
                 raise SpaceFileError("pairing.values names unknown monomial %s"
                                      % quote(mon))
-            values[basis.index(mon)] = v
+            values[k] = v
         pairing = Pairing(degree, values)
     return BundleData(rank, rings, w, p, euler, pairing=pairing,
                       base_dimension=dim)

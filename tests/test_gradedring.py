@@ -11,6 +11,7 @@ import time
 import pytest
 
 from acso import gradedring
+from acso.cli import main
 from acso.gradedring import (
     CoefficientMap,
     ConfluenceError,
@@ -38,9 +39,10 @@ from acso.gradedring import (
 )
 from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
-from acso.spacefile import matrix_map, space_file_from_doc
+from acso.spacefile import load_space_file, matrix_map, space_file_from_doc
 
 from conftest import CORPUS_DIR, replace
+import ring_reference
 
 
 def truncated_polynomial(name: str, degree: int, power: int, cutoff: int,
@@ -494,6 +496,135 @@ def test_enumeration_stops_at_the_cap(monkeypatch):
         GradedRing(replace(pres, cutoff=13))
 
 
+def test_table_cap_refusals_keep_their_counts(monkeypatch):
+    # the counts of both refusals of the enumeration are those of the
+    # enumeration that tested every rule at every exponent: T^11 after its
+    # last generator, and three free degree-2 generators at cutoff 400
+    # after the first two, whose 20,301 monomials give 70,058,751 pairs
+    free = RingPresentation(0, 400, tuple(Generator("x%d" % i, 2)
+                                          for i in range(3)))
+    two = [k // 2 + 1 if k % 2 == 0 else 0 for k in range(401)]
+    pairs = sum(n * sum(two[:401 - d]) for d, n in enumerate(two))
+    assert pairs == 70058751
+    sizes = []
+    check_table_size = GradedRing._check_table_size
+
+    def spy(self, monomials):
+        sizes.append(len(monomials))
+        return check_table_size(self, monomials)
+
+    monkeypatch.setattr(GradedRing, "_check_table_size", spy)
+    for pres, entries in ((truncated_product("t", 1, [1] * 11, 11), 2449868),
+                          (free, pairs)):
+        message = ("product table of at least %d entries exceeds the cap "
+                   "1000000" % entries)
+        for cls in (GradedRing, ring_reference.ParentEnumerationRing):
+            assert outcome(cls, pres) == (TableTooLarge, message)
+    assert sizes == [2 ** k for k in range(1, 12)] + [201, 20301]
+
+
+class EnumerationOnly:
+    """Mixin: construction stops after the cutoff check and enumeration."""
+
+    def _check_confluence(self):
+        pass
+
+    def _check_table(self):
+        pass
+
+
+class EnumeratedRing(EnumerationOnly, GradedRing):
+    pass
+
+
+class EnumeratedParentRing(EnumerationOnly,
+                           ring_reference.ParentEnumerationRing):
+    pass
+
+
+class EnumeratedBoxScanRing(EnumerationOnly, BoxScanRing):
+    pass
+
+
+def odd_masks(ring):
+    """Per degree, the odd-exponent mask of each basis monomial, from the
+    basis alone: bit i for an odd exponent of an odd-degree generator."""
+    return {d: tuple(sum(1 << i for i, (e, g) in enumerate(zip(m, ring._degrees))
+                         if e & g & 1) for m in basis)
+            for d, basis in ring._basis.items()}
+
+
+def enumeration(cls, pres):
+    """Basis, orders and odd-exponent masks of pres, or the refusal of its
+    enumeration; a ring that keeps no masks gets them from its basis."""
+    try:
+        ring = cls(pres)
+    except RingError as exc:
+        return type(exc), str(exc)
+    masks = getattr(ring, "_masks", None)
+    if masks is None:
+        masks = odd_masks(ring)
+    return (ring._basis, ring._orders,
+            {d: tuple(v) for d, v in masks.items()})
+
+
+def random_monomial_presentation(draw):
+    """1-4 generators of degree 1-4 and order 0, 2, 3 or 4, modulus 0, 2
+    or 4, cutoff 0-10, and monomial rules: up to three with a support of
+    two or more generators, maybe x^2 and x^3 of one generator, maybe one
+    rule twice, in any order."""
+    from hypothesis import strategies as st
+    n = draw(st.integers(1, 4))
+    gens = tuple(Generator("g%d" % k, draw(st.integers(1, 4)),
+                           draw(st.sampled_from((0, 2, 3, 4))))
+                 for k in range(n))
+    lhss = []
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=n, unique=True))
+            lhss.append(tuple(draw(st.integers(1, 3)) if k in support else 0
+                              for k in range(n)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        lhss += [tuple(p if j == k else 0 for j in range(n)) for p in (2, 3)]
+    if lhss and draw(st.booleans()):
+        lhss.append(draw(st.sampled_from(lhss)))
+    lhss = draw(st.permutations(lhss))
+    return RingPresentation(draw(st.sampled_from((0, 2, 4))),
+                            draw(st.integers(0, 10)), gens,
+                            tuple(RewriteRule(lhs) for lhs in lhss))
+
+
+def test_enumeration_matches_box_scan_and_parent():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    seen = collections.Counter()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        pres = random_monomial_presentation(data.draw)
+        # a cap of 25 pairs refuses about half of the draws, mid-way
+        cap = data.draw(st.sampled_from((gradedring.TABLE_CAP, 25)))
+        saved, gradedring.TABLE_CAP = gradedring.TABLE_CAP, cap
+        try:
+            got = enumeration(EnumeratedRing, pres)
+            assert got == enumeration(EnumeratedParentRing, pres), pres
+            if cap == saved:
+                assert got == enumeration(EnumeratedBoxScanRing, pres), pres
+        finally:
+            gradedring.TABLE_CAP = saved
+        seen["refused" if got[0] is TableTooLarge else
+             "masked" if any(any(v) for v in got[2].values()) else
+             "built"] += 1
+        rules = [r.lhs for r in pres.rules]
+        seen["repeated rule"] += len(set(rules)) < len(rules)
+
+    check()
+    assert min(seen.values()) > 10, seen
+
+
 def test_confluence_check_is_capped_before_any_comparison(monkeypatch):
     # four degree-2 generators, cutoff 12, g_i g_j -> 0 (i < j),
     # g_i^2 -> g_0^2 (i >= 1) and g_0^3 -> 0: 10 rules, and the 3 with a
@@ -580,6 +711,10 @@ def test_basis_names_are_shared_with_derived_rings():
         assert [names[i] for i in order] == sorted(names)
         assert system.mod2.basis_string_order(d) is order
         assert system.mod4.basis_string_order(d) is order
+        index = system.integral.basis_string_index(d)
+        assert index == {n: i for i, n in enumerate(names)}
+        assert system.mod2.basis_string_index(d) is index
+        assert system.mod4.basis_string_index(d) is index
 
 
 def family_and_corpus_systems(corpus, F):
@@ -2036,3 +2171,120 @@ def test_from_terms_matches_repeated_addition(corpus):
             outcomes[got[0] if isinstance(got[0], type) else "element"] += 1
     assert outcomes["element"] > 500
     assert outcomes[DegreeError] > 100 and outcomes[RingError] > 20
+
+
+def spelled_terms(ring, degree):
+    """Term dicts in one degree, by kind: each canonical basis name with
+    coefficients inside and beyond the additive orders, all of them at
+    once; other spellings of basis monomials (factors reversed, `g^1`,
+    padded, `g*g`); reducible monomials; basis names of other degrees; an
+    unknown name; and a canonical name next to a bad one, either way.
+    Other spellings come alone and next to the canonical name."""
+    names = ring.basis_strings(degree)
+    coefficients = (1, -1, 2, 3, 5, -7, 10 ** 20, "6")
+    cases = {"canonical": [{n: c} for n in names for c in coefficients]}
+    cases["canonical"].append(
+        {n: coefficients[i % 8] for i, n in enumerate(names)})
+    other = ["%s " % n for n in names] + [" %s" % n for n in names]
+    other += ["*".join(reversed(n.split("*"))) for n in names if "*" in n]
+    for g, d in zip(ring.names, ring._degrees):
+        if d == degree:
+            other.append("%s^1" % g)
+        if 2 * d == degree:
+            other.append("%s*%s" % (g, g))
+    cases["other spelling"] = [{t: 3} for t in other]
+    # a basis monomial named and spelled otherwise in one dict
+    cases["other spelling"] += [{n: 2, "%s " % n: 3} for n in names] + \
+        [{" %s" % n: 3, n: 2} for n in names]
+    tuples = ring._all_monomials(ring.cutoff, gradedring.TABLE_CAP)
+    cases["reducible"] = [
+        {format_exponents(ring.names, m): 3} for m in tuples
+        if ring._exp_degree(m) == degree and m not in ring._index[degree]]
+    cases["other degree"] = [{n: 1} for d in range(ring.cutoff + 1)
+                             if d != degree for n in ring.basis_strings(d)]
+    cases["unknown"] = [{"nosuch": 1}]
+    bad = (cases["other degree"] + cases["unknown"])[0]
+    cases["mixed"] = [{**{n: 1}, **bad} for n in names] + \
+        [{**bad, **{n: 1}} for n in names]
+    return cases
+
+
+def test_from_terms_matches_the_parse_of_every_term(corpus):
+    # the integral, mod-2 and mod-4 rings of a shared-form file with two
+    # generators and of s1xwu, which has torsion and explicit rings
+    kinds = collections.Counter()
+    for name in ("s2xs4", "s1xwu"):
+        system = corpus[name].bundle.rings
+        for ring in (system.integral, system.mod2, system.mod4):
+            for degree in range(ring.cutoff + 1):
+                for kind, cases in spelled_terms(ring, degree).items():
+                    for terms in cases:
+                        got = from_terms_outcome(GradedRing.from_terms, ring,
+                                                 degree, terms)
+                        assert got == from_terms_outcome(
+                            ring_reference.from_terms, ring, degree,
+                            terms), (ring, degree, terms)
+                        kinds[kind, got[0] if isinstance(got[0], type)
+                              else "element"] += 1
+    assert {kind for kind, _ in kinds} == {
+        "canonical", "other spelling", "reducible", "other degree",
+        "unknown", "mixed"}
+    assert kinds["canonical", "element"] > 300, kinds
+    assert kinds["other spelling", "element"] > 50, kinds
+    assert kinds["reducible", "element"] > 50, kinds
+    assert kinds["other degree", DegreeError] > 50, kinds
+    assert kinds["unknown", RingError] > 20, kinds
+
+
+def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
+                                              monkeypatch, capsys):
+    # `acso check` on shared-form files: the mod-2 and mod-4 rings read
+    # the integral ring's memo, so w2 * w2 mod 2 (rho2(p1) = w2^2) and the
+    # square of w2's lift over Z (its Pontryagin square) compute their
+    # common pairs once
+    # a system is told by the basis its three rings share
+    computed = collections.Counter()
+    asked = collections.defaultdict(set)  # (system, modulus) -> pairs read
+    bases = {}  # keeps every basis alive, so that no two share an id
+
+    def system_of(ring):
+        bases[id(ring._basis)] = ring._basis
+        return id(ring._basis)
+
+    product_terms, product = GradedRing._product_terms, gradedring.product
+
+    def spy_product_terms(self, d1, i, d2, j):
+        computed[system_of(self), d1, i, d2, j] += 1
+        return product_terms(self, d1, i, d2, j)
+
+    def spy_product(ring, d1, a, d2, b):
+        asked[system_of(ring), ring.modulus].update(
+            (d1, i, d2, j) for i, x in enumerate(a) if x
+            for j, y in enumerate(b) if y)
+        return product(ring, d1, a, d2, b)
+
+    monkeypatch.setattr(GradedRing, "_product_terms", spy_product_terms)
+    monkeypatch.setattr(gradedring, "product", spy_product)
+    F = families
+    paths = [CORPUS_DIR / ("%s.json" % name)
+             for name in ("cp2", "cp2bar", "hp2", "s2xs4", "s4")]
+    for i, bundle in enumerate([F.tangent_cp_product([2, 2]),
+                                F.line_sum(F.torus(4), [[1, 0, 1, 1]]),
+                                F.line_sum(F.cp_product([1, 2]),
+                                           [[1, 1], [1, 2]])]):
+        paths.append(tmp_path / ("family%d.json" % i))
+        paths[-1].write_text(json.dumps(F.space_doc("family%d" % i, bundle)))
+    shared = 0
+    for path in paths:
+        system = load_space_file(path).bundle.rings
+        for ring in (system.mod2, system.mod4):
+            assert ring._products is system.integral._products
+            assert ring.basis_string_index(2) is \
+                system.integral.basis_string_index(2)
+        assert main(["check", "--bound", "3", str(path)]) in (0, 2, 3)
+        capsys.readouterr()
+    assert max(computed.values()) == 1
+    for (system, modulus), pairs in asked.items():
+        if modulus:
+            shared += len(pairs & asked.get((system, 0), set()))
+    assert shared > 10, shared

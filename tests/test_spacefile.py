@@ -105,6 +105,46 @@ def test_unknown_monomial_rejected():
         space_file_from_doc(doc)
 
 
+def s2xs4_doc() -> dict:
+    return json.loads((CORPUS_DIR / "s2xs4.json").read_text())
+
+
+@pytest.mark.parametrize("values, shown", [
+    ({"b*a": "1"}, "'b*a'"),          # a*b spelled the other way round
+    ({"a*b ": "1"}, "'a*b '"),
+    ({"a^1*b": "1"}, "'a^1*b'"),
+    ({"a*b": "1", "b": "1"}, "'b'"),  # a basis name of degree 4
+    ({"q": "1", "a*b": "1"}, "'q'"),
+    ({"x" * 70: "1"}, "'%s..." % ("x" * 63)),
+])
+def test_pairing_values_take_canonical_names_only(tmp_path, capsys, values,
+                                                  shown):
+    # every key of pairing.values must be the name of a basis monomial of
+    # the pairing's degree, as the ring writes it; anything else, even a
+    # spelling that from_terms would read, is refused by name
+    from acso.cli import main
+    doc = s2xs4_doc()
+    doc["bundle"]["pairing"]["values"] = values
+    message = "pairing.values names unknown monomial %s" % shown
+    with pytest.raises(SpaceFileError) as info:
+        space_file_from_doc(doc)
+    assert str(info.value) == message
+    path = tmp_path / "s2xs4.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_pairing_values_are_read_by_basis_name():
+    doc = s2xs4_doc()
+    doc["bundle"]["pairing"] = {"degree": 6, "values": {"a*b": "-1"}}
+    assert space_file_from_doc(doc).bundle.pairing.values == (-1,)
+    doc["bundle"]["pairing"] = {"degree": 4, "values": {"b": "5"}}
+    assert space_file_from_doc(doc).bundle.pairing.values == (5,)
+    doc["bundle"]["pairing"] = {"degree": 2, "values": {}}
+    assert space_file_from_doc(doc).bundle.pairing.values == (0,)
+
+
 def test_unknown_generator_in_relation():
     doc = cp2_doc()
     doc["rings"]["shared"]["relations"].append({"lhs": "q^2", "rhs": {}})
