@@ -2,12 +2,14 @@
 and basis-name lookups.
 
 `ParentEnumerationRing._enumerate_monomials` and `_check_table_size` are
-verbatim copies of `GradedRing`'s at the change that made the
-enumeration cap exponents by pure powers and test every other rule once
-per prefix: each exponent of each prefix is tested against every rule
-that ends at its generator, on the whole prefix.  The odd-exponent masks
-that the enumeration now carries were computed afterwards, per degree,
-by `_parity_masks`, which is kept too and filled in for every degree.
+copies of `GradedRing`'s at the change that made the enumeration cap
+exponents by pure powers and test every other rule once per prefix: each
+exponent of each prefix is tested against every rule that ends at its
+generator, on the whole prefix.  They differ only in reading TABLE_CAP
+from `acso.gradedring` at call time, so that a test patching the cap
+there patches it here too.  The odd-exponent masks that the enumeration
+now carries were computed afterwards, per degree, by `_parity_masks`,
+which is kept as it was and called for every degree at the end.
 `from_terms` is `GradedRing.from_terms` at that change, which parsed and
 rewrote every term, canonical basis names included.  Tests compare the
 ring under test with these copies outcome by outcome and message by
