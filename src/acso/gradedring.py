@@ -204,9 +204,15 @@ def format_exponents(names: Sequence[str], exps: Sequence[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_exponents(names: Sequence[str], text: str) -> tuple[int, ...]:
-    """Inverse of format_exponents; raises ValueError on unknown names."""
-    index = {n: i for i, n in enumerate(names)}
+def parse_exponents(names: Sequence[str], text: str,
+                    index: Mapping[str, int] | None = None) -> tuple[int, ...]:
+    """Inverse of format_exponents; raises ValueError on unknown names.
+
+    `index` is {name: position} over `names`, built here when not given;
+    a caller parsing many monomials over one list of names builds it once.
+    """
+    if index is None:
+        index = {n: i for i, n in enumerate(names)}
     exps = [0] * len(names)
     text = text.strip()
     if text == "1":
@@ -562,6 +568,8 @@ class GradedRing:
             for d2 in range(self.cutoff + 1 - d1):
                 d = d1 + d2
                 orders = self._orders[d]
+                if not (orders and masks[d2]):
+                    continue  # no pair, or every product is ()
                 for i, odd, o_left in rows:
                     sign_test = odd & ~dead and may_fail(2, d)
                     order_test = o_left and may_fail(o_left, d)
@@ -874,17 +882,22 @@ def product(ring: GradedRing, d1: int, a: Sequence[int], d2: int,
     by their degrees and coefficients, not yet reduced.
 
     This is the one product loop: RingElement.__mul__ reduces its result,
-    and the Chern-candidate survey adds products up before reducing once.
-    Each pair of nonzero coefficients adds their product times the terms
-    of its pair of basis monomials, which are computed on first use.
+    and bundle validation and the Chern-candidate survey add products up
+    before reducing once.  Each pair of nonzero coefficients adds their product times the terms
+    of its pair of basis monomials, which are computed on first use.  In
+    a degree without basis monomials every vector is (), so the product
+    is [] whatever the factors, and no pair is normalised.
     """
     d = d1 + d2
     if d > ring.cutoff:
         raise DegreeError(
             "product degree %d exceeds cutoff %d" % (d, ring.cutoff))
+    size = len(ring._basis[d])
+    if not size:
+        return []
     products = ring._products
     right = [(j, y) for j, y in enumerate(b) if y]
-    coeffs = [0] * len(ring._basis[d])
+    coeffs = [0] * size
     for i, x in enumerate(a):
         if not x:
             continue
@@ -1063,11 +1076,17 @@ class CoefficientMap:
                     raise RingError(
                         "rings do not share a monomial basis in degree %d" % d)
         # column j is s e_j, killed by its source order o when o s = 0
-        # modulo its row's order t, which depends on (o, t) alone
+        # modulo its row's order t, which depends on (o, t) alone; a
+        # column of infinite order is killed by nothing, so a degree
+        # without source torsion checks nothing
         checked: set = set()
         for d in self._span:
-            pairs = set(zip(source._orders[d], target._orders[d])) - checked
-            if any(o and _norm_coeff(o * s, t) for o, t in pairs):
+            torsion = source._torsion[d]
+            if not torsion:
+                continue
+            t_orders = target._orders[d]
+            pairs = {(o, t_orders[i]) for i, o in torsion} - checked
+            if any(_norm_coeff(o * s, t) for o, t in pairs):
                 raise RingError(
                     "map %s does not respect additive orders in degree %d"
                     % (self.name, d))

@@ -28,14 +28,12 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .gradedring import (
     DegreeError,
-    NoIntegralLift,
     RingElement,
     RingSystem,
     _element,
     any_integral_lift,
     divide_by,
     lift_coefficients,
-    pontryagin_square,
     product,
     quotients,
 )
@@ -131,7 +129,13 @@ class BundleData:
     validates the classical identities: w_1 = 0, w_i = 0 above the rank,
     p_k = 0 above rank/2, rho_2(p_k) = w_{2k}^2, rho_2(e) = w_rank, and
     Wu's formula for every m in range (skipped, with a note, when w_{2m}
-    has no integral lift).
+    has no integral lift).  The identities are checked on coefficient
+    tuples, with the product kernel and each map's image, and reduced
+    once; an element is made only for the discrepancy of a failing one.
+    An identity lives in one degree of one ring, the mod-2 ring for the
+    reductions and the mod-4 ring for Wu's formula.  Where that degree
+    has no basis monomials both sides are (), so the identity holds
+    vacuously and is not computed.
     """
 
     def __init__(self, rank: int, rings: RingSystem,
@@ -232,16 +236,32 @@ class BundleData:
             raise DataValidationError("the Euler class has degree %d, expected %d"
                                       % (self.euler.degree, self.rank))
 
-        diff = rings.rho2(self.euler) - self.w_class(self.rank)
-        if not diff.is_zero:
-            raise DataValidationError(
-                "rho2(e) != w%d, discrepancy %s" % (self.rank, diff))
-        for k in range(1, cutoff // 4 + 1):
-            w2k = self.w_class(2 * k)
-            diff = rings.rho2(self.p_class(k)) - w2k * w2k
-            if not diff.is_zero:
+        # each identity is checked on coefficient tuples and reduced once;
+        # a degree of its ring without basis monomials holds only (), so
+        # the identity holds there vacuously and is not computed
+        mod2, rho2 = rings.mod2, rings.rho2
+        if mod2._basis[self.rank]:
+            diff = rho2.image(self.rank)(self.euler.coeffs)
+            if self.rank in self.w:
+                diff = _minus(diff, self.w[self.rank].coeffs)
+            wrong = _discrepancy(mod2, self.rank, diff)
+            if wrong is not None:
                 raise DataValidationError(
-                    "rho2(p%d) != w%d^2, discrepancy %s" % (k, 2 * k, diff))
+                    "rho2(e) != w%d, discrepancy %s" % (self.rank, wrong))
+        for k in range(1, cutoff // 4 + 1):
+            d = 4 * k
+            if not mod2._basis[d]:
+                continue
+            pk, w2k = self.p.get(k), self.w.get(2 * k)
+            diff = ([0] * len(mod2._basis[d]) if pk is None
+                    else rho2.image(d)(pk.coeffs))
+            if w2k is not None:
+                diff = _minus(diff, product(mod2, 2 * k, w2k.coeffs,
+                                            2 * k, w2k.coeffs))
+            wrong = _discrepancy(mod2, d, diff)
+            if wrong is not None:
+                raise DataValidationError(
+                    "rho2(p%d) != w%d^2, discrepancy %s" % (k, 2 * k, wrong))
 
         if self.pairing is not None:
             deg = self.pairing.degree
@@ -268,29 +288,64 @@ class BundleData:
         self.wu_checks = tuple(checks)
 
 
+def _minus(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return [x - y for x, y in zip(a, b)]
+
+
+def _discrepancy(ring, degree: int, diff: list[int]) -> RingElement | None:
+    # the element of diff, reduced at the torsion coordinates, or None when
+    # it is zero: an element is made only for an identity that fails
+    for i, o in ring._torsion[degree]:
+        diff[i] %= o
+    return _element(ring, degree, tuple(diff)) if any(diff) else None
+
+
 def validate_wu_formula(data: BundleData, m: int) -> WuCheck:
     """Check P(w_{2m}) = rho4(p_m) + theta2(sum_{j<m} w_{2j} w_{4m-2j}).
 
-    P is the Pontryagin square.  When w_{2m} admits no integral lift the
-    square is not computed here and the check is skipped with a note.
+    P is the Pontryagin square, rho4 of the square of any integral lift.
+    When w_{2m} admits no integral lift the square is not defined and the
+    check is skipped with a note; a zero w_{2m} lifts to 0, whose square
+    is 0.  The formula lives in degree 4m of the mod-4 ring: where that
+    degree has no basis monomials, both sides are () and the check is
+    "ok" without computing either, once w_{2m} is known to lift.
+    Otherwise both sides are summed on coefficient tuples, with the
+    product kernel and each map's image, and reduced once; an element is
+    made only for the discrepancy of a failing check.
     """
     if m < 1 or 4 * m > data.cutoff:
         raise ValueError("m=%d out of range for cutoff %d" % (m, data.cutoff))
     rings = data.rings
-    w2m = data.w_class(2 * m)
-    try:
-        lhs = pontryagin_square(rings, w2m)
-    except NoIntegralLift:
+    d = 4 * m
+    w2m = data.w.get(2 * m)
+    lift = None if w2m is None else any_integral_lift(rings, w2m)
+    if w2m is not None and lift is None:
         return WuCheck(m, "skipped",
                        note="w%d has no integral lift" % (2 * m))
-    acc = rings.mod2.zero(4 * m)
-    for j in range(m):
-        acc = acc + data.w_class(2 * j) * data.w_class(4 * m - 2 * j)
-    rhs = rings.rho4(data.p_class(m)) + rings.theta2(acc)
-    diff = lhs - rhs
-    if diff.is_zero:
+    mod4 = rings.mod4
+    if not mod4._basis[d]:
         return WuCheck(m, "ok")
-    return WuCheck(m, "failed", discrepancy=diff,
+    image = rings.rho4.image(d)
+    diff = ([0] * len(mod4._basis[d]) if lift is None else
+            image(product(rings.integral, 2 * m, lift.coeffs,
+                          2 * m, lift.coeffs)))
+    if m in data.p:
+        diff = _minus(diff, image(data.p[m].coeffs))
+    # the sum over j < m, whose j = 0 term is 1 * w_{4m}
+    w = data.w
+    acc = list(w[d].coeffs) if d in w else [0] * len(rings.mod2._basis[d])
+    for j in range(1, m):
+        left, right = w.get(2 * j), w.get(d - 2 * j)
+        if left is not None and right is not None:
+            terms = product(rings.mod2, 2 * j, left.coeffs,
+                            d - 2 * j, right.coeffs)
+            acc = [x + y for x, y in zip(acc, terms)]
+    if any(acc):
+        diff = _minus(diff, rings.theta2.image(d)(acc))
+    wrong = _discrepancy(mod4, d, diff)
+    if wrong is None:
+        return WuCheck(m, "ok")
+    return WuCheck(m, "failed", discrepancy=wrong,
                    note="Pontryagin square of w%d disagrees with p%d" % (2 * m, m))
 
 

@@ -109,6 +109,7 @@ def _presentation(section, modulus: int, what: str) -> RingPresentation:
                                    "generator degree"),
                               _int(g.get("order", 0), "generator order")))
     names = [g.name for g in gens]
+    index = {n: i for i, n in enumerate(names)}
     rules = []
     for rel in _require_list(section.get("relations", []),
                              what + ".relations"):
@@ -116,8 +117,8 @@ def _presentation(section, modulus: int, what: str) -> RingPresentation:
         _check_keys(rel, _REL_KEYS, what + ".relations[]")
         lhs_text = str(_required(rel, "lhs", what + ".relations[]"))
         try:
-            lhs = parse_exponents(names, lhs_text)
-            rhs = tuple((c, parse_exponents(names, mon))
+            lhs = parse_exponents(names, lhs_text, index)
+            rhs = tuple((c, parse_exponents(names, mon, index))
                         for mon, c in sorted(_terms(rel.get("rhs"),
                                                     what + ".rhs").items()))
         except ValueError as exc:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from acso import gradedring
+from acso import gradedring, obstruct
 from acso.cli import main
 from acso.gradedring import (
     CoefficientMap,
@@ -862,6 +862,48 @@ def test_product_beyond_cutoff_raises(proj_plane_ring):
     assert (a2 * a2).is_zero  # degree 8 still lives in the ring
     with pytest.raises(DegreeError):
         a2 * a2 * a2  # degree 12 does not
+
+
+def test_product_into_a_degree_without_basis_normalises_nothing(
+        monkeypatch):
+    # a * a^2 lands in degree 6, where Z[a]/(a^3) has no basis monomials:
+    # the product is () at once, without normalising a^3 or memoising it
+    r = GradedRing(truncated_polynomial("a", 2, 3, 8))
+    assert r.basis(6) == () and r.basis(8) == ()
+    normalised = []
+    product_terms = GradedRing._product_terms
+
+    def spy(self, d1, i, d2, j):
+        normalised.append((d1, i, d2, j))
+        return product_terms(self, d1, i, d2, j)
+
+    monkeypatch.setattr(GradedRing, "_product_terms", spy)
+    assert gradedring.product(r, 2, (1,), 4, (5,)) == []
+    assert gradedring.product(r, 4, (-3,), 4, (2,)) == []
+    a = r.from_terms(2, {"a": 1})
+    assert (a * (a * a)).coeffs == ()
+    assert normalised == [(2, 0, 2, 0)]  # a * a, in degree 4
+    assert list(r._products) == [(2, 0, 2, 0)]
+    with pytest.raises(DegreeError):
+        gradedring.product(r, 6, (), 4, (1,))  # beyond the cutoff still
+
+
+def test_parse_exponents_reads_the_same_with_a_given_index():
+    # spacefile._presentation builds the name index once per presentation
+    names = ("a", "b", "c_1")
+    index = {n: i for i, n in enumerate(names)}
+    for text in ("1", " 1 ", "a", "a*b", "b * a^2", "c_1^3*a", "a*a",
+                 "a^ 2", "d", "a^0", "a^-1", "a^x", "a*", "", "A"):
+        try:
+            expected = parse_exponents(names, text)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = parse_exponents(names, text, index)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, text
+    assert parse_exponents(names, "b * a^2", index) == (2, 1, 0)
 
 
 def test_mixed_degree_addition_rejected(proj_plane_ring):
@@ -2241,7 +2283,8 @@ def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
     # `acso check` on shared-form files: the mod-2 and mod-4 rings read
     # the integral ring's memo, so w2 * w2 mod 2 (rho2(p1) = w2^2) and the
     # square of w2's lift over Z (its Pontryagin square) compute their
-    # common pairs once
+    # common pairs once.  Bundle validation calls the product kernel
+    # through acso.obstruct's binding, so both bindings are spied on
     # a system is told by the basis its three rings share
     computed = collections.Counter()
     asked = collections.defaultdict(set)  # (system, modulus) -> pairs read
@@ -2265,6 +2308,7 @@ def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
 
     monkeypatch.setattr(GradedRing, "_product_terms", spy_product_terms)
     monkeypatch.setattr(gradedring, "product", spy_product)
+    monkeypatch.setattr(obstruct, "product", spy_product)
     F = families
     paths = [CORPUS_DIR / ("%s.json" % name)
              for name in ("cp2", "cp2bar", "hp2", "s2xs4", "s4")]

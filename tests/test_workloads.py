@@ -9,10 +9,13 @@ must pass its check, so a regression that a marker would hide fails.
 """
 
 import contextlib
+import importlib
 import io
+import sys
 
 import pytest
 
+from acso import cli
 from acso.cli import main
 
 from conftest import BENCH_DIR
@@ -40,3 +43,30 @@ def test_workload_round_passes_its_checks(workloads, name, tmp_path):
                 code = exc.code
         assert err.getvalue() == "", op.key
         op.check(code, out.getvalue())
+
+
+def test_every_traced_layer_resolves_in_acso():
+    # bench/tracing.py binds its layers by name, so a renamed function or
+    # method must show here, not only in a traced benchmark run
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    for layer, targets in tracing.LAYERS.items():
+        for target in targets:
+            owner = importlib.import_module(target[0])
+            if len(target) == 3:
+                owner = vars(getattr(owner, target[1]))
+                assert callable(owner.get(target[2])), (layer, target)
+            else:
+                assert callable(getattr(owner, target[1], None)), \
+                    (layer, target)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(tracer.bindings[layer] for layer in tracing.LAYERS), \
+            tracer.bindings
+    finally:
+        tracer.uninstall()
+    assert cli.main is main  # the originals are back
