@@ -28,7 +28,7 @@ exponent tuples or the pairs of basis monomials.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
-rho4, theta2, rho24, the Bockstein beta, and Sq^1) and checks the
+rho4, theta2, rho24 and the Bockstein beta) and checks the
 compatibilities between them, e.g. theta2(rho2(z)) = rho4(2z).  Maps
 given degree by degree are stored as sparse columns, and the laws are
 checked column by column.  For a torsion-free presentation the
@@ -36,7 +36,7 @@ reductions are derived from the integral ring, which is built once: they
 share its basis, basis names and product memo, whose terms over Z each
 product reduces mod 2 or mod 4, so a pair of basis monomials is
 multiplied once for all three rings.  Every map is then a scale times
-the identity on the one shared basis (the zero map for beta and Sq^1):
+the identity on the one shared basis (the zero map for beta):
 it stores the scale, and the laws are checked on the scales, once per
 degree and distinct target order.  The
 operations at the bottom of the module (divide_by and its coefficient
@@ -998,8 +998,8 @@ class CoefficientMap:
     {row: coefficient}, one per source basis monomial, which is what a
     space file's rows are read into.  They are normalised here, and the
     map must send each source monomial of finite order o to a target
-    element killed by o.  Building, applying, composing and comparing
-    maps costs time linear in the nonzero entries, and the lift solver
+    element killed by o.  Building, applying and comparing maps
+    costs time linear in the nonzero entries, and the lift solver
     reads the columns of rho2 directly.
 
     A scale map (scaled_identity) is `scale` times the identity on a
@@ -1077,16 +1077,14 @@ class CoefficientMap:
                         "rings do not share a monomial basis in degree %d" % d)
         # column j is s e_j, killed by its source order o when o s = 0
         # modulo its row's order t, which depends on (o, t) alone; a
-        # column of infinite order is killed by nothing, so a degree
-        # without source torsion checks nothing
+        # column of infinite order is killed by nothing, so its pairs and
+        # a degree without source torsion check nothing
         checked: set = set()
         for d in self._span:
-            torsion = source._torsion[d]
-            if not torsion:
+            if not source._torsion[d]:
                 continue
-            t_orders = target._orders[d]
-            pairs = {(o, t_orders[i]) for i, o in torsion} - checked
-            if any(_norm_coeff(o * s, t) for o, t in pairs):
+            pairs = set(zip(source._orders[d], target._orders[d])) - checked
+            if any(o and _norm_coeff(o * s, t) for o, t in pairs):
                 raise RingError(
                     "map %s does not respect additive orders in degree %d"
                     % (self.name, d))
@@ -1150,20 +1148,6 @@ class CoefficientMap:
         return apply
 
     @classmethod
-    def compose(cls, name: str, outer: "CoefficientMap",
-                inner: "CoefficientMap") -> "CoefficientMap":
-        if outer.source != inner.target:
-            raise RingError("composition mismatch: %s after %s"
-                            % (outer.name, inner.name))
-        cols = {}
-        for d, columns in inner.columns.items():
-            mid = outer.columns.get(d + inner.shift)
-            if mid is not None:
-                cols[d] = [_combine(mid, col) for col in columns]
-        return cls(name, inner.source, outer.target,
-                   inner.shift + outer.shift, cols)
-
-    @classmethod
     def scaled_identity(cls, name: str, source: GradedRing, target: GradedRing,
                         scale: int = 1, shift: int = 0) -> "CoefficientMap":
         """`scale` times the identity on the basis that source and target
@@ -1187,7 +1171,6 @@ MAP_SIGNATURES = (
     ("theta2", "mod2", "mod4", 0),
     ("rho24", "mod4", "mod2", 0),
     ("beta", "mod2", "integral", 1),
-    ("sq1", "mod2", "mod2", 1),
 )
 
 
@@ -1199,13 +1182,12 @@ class RingSystem:
 
         theta2 . rho2 = rho4 . (2 id)      rho24 . rho4 = rho2
         2 beta = 0                          beta . rho2 = 0
-        rho2 . beta = sq1
 
     degree by degree on every basis monomial, in that order.  When any map
     is a column map, each law is checked column by column: both sides of
     it, applied to one source monomial, are composed from sparse columns,
     reduced by the target orders and compared, so the check costs time
-    linear in the nonzero coefficients.  When all six are scale maps, as
+    linear in the nonzero coefficients.  When all five are scale maps, as
     with_reduction_defaults builds them, each law is checked on the
     scales, once per degree and distinct target order: theta2 . rho2 =
     rho4 . 2 holds when the scales give theta2 * rho2 = 2 * rho4 modulo
@@ -1219,7 +1201,7 @@ class RingSystem:
     def __init__(self, integral: GradedRing, mod2: GradedRing, mod4: GradedRing,
                  rho2: CoefficientMap, rho4: CoefficientMap,
                  theta2: CoefficientMap, rho24: CoefficientMap,
-                 beta: CoefficientMap, sq1: CoefficientMap | None = None):
+                 beta: CoefficientMap):
         self.integral = integral
         self.mod2 = mod2
         self.mod4 = mod4
@@ -1228,8 +1210,6 @@ class RingSystem:
         self.theta2 = theta2
         self.rho24 = rho24
         self.beta = beta
-        self.sq1 = sq1 if sq1 is not None else CoefficientMap.compose(
-            "sq1", rho2, beta)
         self.validate()
 
     def validate(self) -> None:
@@ -1249,7 +1229,7 @@ class RingSystem:
             return
         rho2, rho4 = self.rho2.columns, self.rho4.columns
         theta2, rho24 = self.theta2.columns, self.rho24.columns
-        beta, sq1 = self.beta.columns, self.sq1.columns
+        beta = self.beta.columns
         for d in range(self.integral.cutoff + 1):
             self._expect(d, "theta2 . rho2 = rho4 . 2",
                          ((_combine(theta2[d], r),
@@ -1266,10 +1246,6 @@ class RingSystem:
             self._expect(d + 1, "2 beta = 0",
                          (({i: 2 * c for i, c in b.items()}, {})
                           for b in beta[d]), up)
-            self._expect(d + 1, "rho2 . beta = sq1",
-                         ((_combine(rho2[d + 1], b), s)
-                          for b, s in zip(beta[d], sq1[d])),
-                         self.mod2.orders(d + 1))
             self._expect(d + 1, "beta . rho2 = 0",
                          ((_combine(beta[d], r), {}) for r in rho2[d]), up)
 
@@ -1288,13 +1264,13 @@ class RingSystem:
         # holds its scale reduced by row j's order; the unreduced scale
         # differs by a multiple of a target order, or, inside a
         # composition, by the outer scale times a multiple of its source
-        # order, which the outer map's order check kills.  beta and sq1
-        # have shift 1, so their scale is 0 and their three laws compare 0
-        # with 0.  A degree without basis monomials has no orders and
-        # checks nothing, as it has no columns
+        # order, which the outer map's order check kills.  beta has
+        # shift 1, so its scale is 0 and its two laws compare 0 with 0.
+        # A degree without basis monomials has no orders and checks
+        # nothing, as it has no columns
         r2, r4, t2, r24 = (self.rho2.scale, self.rho4.scale,
                            self.theta2.scale, self.rho24.scale)
-        b, s1 = self.beta.scale, self.sq1.scale
+        b = self.beta.scale
         cutoff = self.integral.cutoff
         for d in range(cutoff + 1):
             self._expect_scale(d, "theta2 . rho2 = rho4 . 2",
@@ -1305,8 +1281,6 @@ class RingSystem:
                 break
             up = self.integral._orders[d + 1]
             self._expect_scale(d + 1, "2 beta = 0", 2 * b, up)
-            self._expect_scale(d + 1, "rho2 . beta = sq1",
-                               r2 * b - s1, self.mod2._orders[d + 1])
             self._expect_scale(d + 1, "beta . rho2 = 0", b * r2, up)
 
     @staticmethod
@@ -1325,9 +1299,9 @@ class RingSystem:
         monomials is multiplied once for the three rings; and they compare
         equal to rings built from the presentation with the modulus
         swapped.  Every map is a scale map on that one basis: rho2, rho4
-        and rho24 scale by 1, theta2 by 2, and the Bockstein and Sq^1 are
-        the zero maps of shift 1, as they must be without 2-torsion.  The
-        five laws are checked on these scales (RingSystem).
+        and rho24 scale by 1, theta2 by 2, and the Bockstein is the zero
+        map of shift 1, as it must be without 2-torsion.  The four laws
+        are checked on these scales (RingSystem).
         """
         if presentation.modulus != 0:
             raise RingError("expected an integral presentation")
@@ -1342,8 +1316,7 @@ class RingSystem:
                    scaled("rho4", integral, mod4),
                    scaled("theta2", mod2, mod4, 2),
                    scaled("rho24", mod4, mod2),
-                   scaled("beta", mod2, integral, 0, 1),
-                   scaled("sq1", mod2, mod2, 0, 1))
+                   scaled("beta", mod2, integral, 0, 1))
 
     def __eq__(self, other):
         return (isinstance(other, RingSystem)
@@ -1351,7 +1324,7 @@ class RingSystem:
                 and self.mod2 == other.mod2 and self.mod4 == other.mod4
                 and self.rho2 == other.rho2 and self.rho4 == other.rho4
                 and self.theta2 == other.theta2 and self.rho24 == other.rho24
-                and self.beta == other.beta and self.sq1 == other.sq1)
+                and self.beta == other.beta)
 
 
 class LiftSearch(Frozen):

@@ -535,10 +535,12 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
 
 
 def _witness(q: RingElement) -> RingElement:
-    # the printed witness of a nonzero q = 4o: a solution of 4x = q, or q
-    # itself when there is none, up to sign
-    solutions = divide_by(4, q)
-    return canonical_witness(solutions[0] if solutions else q)
+    # the printed witness of a nonzero q = 4o: the first solution of
+    # 4x = q in divide_by's order, or q itself when there is none, up to
+    # sign
+    first = next(quotients(4, q.coeffs, q.ring.orders(q.degree)), None)
+    return canonical_witness(
+        q if first is None else _element(q.ring, q.degree, first))
 
 
 # -- candidate enumeration ---------------------------------------------
@@ -910,10 +912,11 @@ def construct_w4m_lift(data: BundleData, m: int,
     for j in range(1, m):
         rhs = rhs - 2 * (lifts[j - 1] * lifts[2 * m - j - 1])
 
-    w4m = data.w_class(4 * m)
-    for x in divide_by(2, rhs):
-        if rings.rho2(x) == w4m:
-            return x
+    w4m = data.w_class(4 * m).coeffs
+    reduce = rings.rho2.image(4 * m)
+    for c in quotients(2, rhs.coeffs, rhs.ring.orders(4 * m)):
+        if tuple(reduce(c)) == w4m:
+            return _element(rhs.ring, 4 * m, c)
     raise NoSolution("no integral lift of w%d arises from the given classes"
                      % (4 * m))
 

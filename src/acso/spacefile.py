@@ -221,8 +221,6 @@ def _ring_system(doc: dict) -> RingSystem:
     maps = {}
     for name, src_key, tgt_key, shift in MAP_SIGNATURES:
         if name not in maps_doc:
-            if name == "sq1":
-                continue
             raise SpaceFileError("'maps' is missing %r" % name)
         src, tgt = built[src_key], built[tgt_key]
         what = "maps.%s" % name
@@ -240,9 +238,7 @@ def _ring_system(doc: dict) -> RingSystem:
             raise SpaceFileError(str(exc)) from None
     try:
         return RingSystem(built["integral"], built["mod2"], built["mod4"],
-                          rho2=maps["rho2"], rho4=maps["rho4"],
-                          theta2=maps["theta2"], rho24=maps["rho24"],
-                          beta=maps["beta"], sq1=maps.get("sq1"))
+                          **maps)
     except RingError as exc:
         raise SpaceFileError(str(exc)) from None
 

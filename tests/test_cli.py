@@ -793,6 +793,24 @@ def test_corpus_flags_broken_files(tmp_path, capsys):
     assert "failed to run" in out
 
 
+def test_a_sq1_map_is_an_unknown_key(tmp_path, capsys):
+    # the explicit form takes rho2, rho4, theta2, rho24 and beta alone:
+    # thm1_w7 with its Sq^1 = rho2 . beta spelled out is refused, in text
+    # and in JSON, and fails alone in a corpus run
+    doc = json.loads((DATA_DIR / "thm1_w7.json").read_text())
+    doc["maps"]["sq1"] = {"6": [["1"]]}
+    path = tmp_path / "sq1.json"
+    path.write_text(json.dumps(doc))
+    shutil.copy(DATA_DIR / "thm1_w7.json", tmp_path / "thm1_w7.json")
+    message = "'maps' has unknown keys: sq1"
+    for fmt in ("text", "json"):
+        assert run(capsys, "check", "--format", fmt, str(path)) == (
+            1, "", "error: %s\n" % message)
+    assert run(capsys, "corpus", "--run", "--dir", str(tmp_path)) == (
+        1, "sq1: MISMATCH\n  failed to run: %s\nthm1_w7: ok\n"
+           "2 cases, 1 mismatches\n" % message, "")
+
+
 def test_corpus_reports_undecodable_file_and_runs_the_rest(tmp_path, capsys):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
     shutil.copy(CORPUS_DIR / "cp2.json", tmp_path / "cp2.json")

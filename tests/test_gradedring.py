@@ -1048,14 +1048,6 @@ def test_broken_square_map_rejected():
             beta=CoefficientMap("beta", mod2, integral, 1))
 
 
-def test_compose_shifts_add(proj_plane_system):
-    sys = proj_plane_system
-    both = CoefficientMap.compose("rho24 rho4", sys.rho24, sys.rho4)
-    a = sys.integral.from_terms(2, {"a": 1})
-    assert both(a) == sys.rho2(a)
-    assert both.shift == 0
-
-
 # -- sparse maps against the dense reference ------------------------------------
 
 
@@ -1104,14 +1096,6 @@ class DenseMap:
                 % (name, sorted(given)))
 
     @classmethod
-    def compose(cls, name, outer, inner):
-        mats = {d: outer.matrices[d + inner.shift] @ M
-                for d, M in inner.matrices.items()
-                if d + inner.shift in outer.matrices}
-        return cls(name, inner.source, outer.target,
-                   inner.shift + outer.shift, mats)
-
-    @classmethod
     def scaled_identity(cls, name, source, target, scale=1):
         mats = {}
         for d in range(min(source.cutoff, target.cutoff) + 1):
@@ -1125,12 +1109,10 @@ class DenseSystem:
     """Reference RingSystem: every law checked by dense products."""
 
     def __init__(self, integral, mod2, mod4, rho2, rho4, theta2, rho24,
-                 beta, sq1=None):
+                 beta):
         self.integral, self.mod2, self.mod4 = integral, mod2, mod4
         self.rho2, self.rho4, self.theta2 = rho2, rho4, theta2
         self.rho24, self.beta = rho24, beta
-        self.sq1 = sq1 if sq1 is not None else DenseMap.compose(
-            "sq1", rho2, beta)
         self.validate()
 
     def validate(self):
@@ -1146,9 +1128,6 @@ class DenseSystem:
                 B = self.beta.matrices[d]
                 self.expect(d + 1, self.integral, self.scale(B, 2),
                             IntMatrix.zero(B.rows, B.cols), "2 beta = 0")
-                self.expect(d + 1, self.mod2,
-                            self.rho2.matrices[d + 1] @ B,
-                            self.sq1.matrices[d], "rho2 . beta = sq1")
                 R = self.rho2.matrices[d]
                 self.expect(d + 1, self.integral, B @ R,
                             IntMatrix.zero(B.rows, R.cols), "beta . rho2 = 0")
@@ -1174,7 +1153,7 @@ def system_outcome(map_class, system_class, rings, mats):
     """The system the map matrices give, or the error that refuses them.
 
     rings maps "integral", "mod2", "mod4" to rings; mats maps each map
-    name to its {degree: IntMatrix}, and sq1 may be left out.
+    name to its {degree: IntMatrix}.
     """
     try:
         maps = {name: map_class(name, rings[src], rings[tgt], shift,
@@ -1295,8 +1274,6 @@ MAP_FIXTURES = [
      "identity theta2 . rho2 = rho4 . 2 fails in degree 2"),
     ({"rho24": {2: IntMatrix.from_rows([[0, 0], [0, 1]])}},
      "identity rho24 . rho4 = rho2 fails in degree 2"),
-    ({"sq1": {1: IntMatrix.from_rows([[1], [0]])}},
-     "identity rho2 . beta = sq1 fails in degree 2"),
     # beta(y) = 2t is killed by 2, but beta(rho2(x)) = 2t
     ({"beta": {1: IntMatrix.from_rows([[0], [2], [0]])}},
      "identity beta . rho2 = 0 fails in degree 2"),
@@ -1395,9 +1372,9 @@ def test_maps_match_dense_reference(corpus):
         assert columns == system and system == columns
 
 
-# the scales with_reduction_defaults gives the six maps
+# the scales with_reduction_defaults gives the five maps
 SHIPPED_SCALES = {"rho2": 1, "rho4": 1, "theta2": 2, "rho24": 1,
-                  "beta": 0, "sq1": 0}
+                  "beta": 0}
 # (changed scales, what every shared form gives them)
 SCALE_MUTATIONS = [
     ({}, "accepted"),
@@ -1443,12 +1420,12 @@ def test_scale_laws_match_dense_reference(corpus):
                            for d in range(pres.cutoff + 1)
                            for n in [len(rings["integral"].basis(d))]}
                     for name, _, _, shift in MAP_SIGNATURES if not shift}
-            mats["beta"] = mats["sq1"] = {}
+            mats["beta"] = {}
             for columns in ((), ("beta",)):
                 got = scale_outcome(rings, scales, mats, columns)
                 assert assert_same_system(rings, mats, rng, got) == expected, \
                     (pres, changes, columns)
-        # beta and sq1 shift degrees, so only their zero map is a scale map
+        # beta shifts degrees, so only its zero map is a scale map
         for name, src, tgt, shift in MAP_SIGNATURES[4:]:
             for scale in (1, 2, -1):
                 with pytest.raises(RingError) as exc:
@@ -1468,8 +1445,6 @@ def random_matrices(rng, rings, base):
     for name, src, _, _ in gradedring.MAP_SIGNATURES:
         degrees = dict(base[name])
         roll = rng.random()
-        if name == "sq1" and roll < 0.3:
-            continue
         if roll < 0.5:
             pass
         elif roll < 0.75 and degrees:
@@ -1534,7 +1509,6 @@ def test_maps_match_dense_reference_on_random_systems(corpus):
         "accepted",
         "identity theta2 . rho2 = rho4 . 2",
         "identity rho24 . rho4 = rho2",
-        "identity rho2 . beta = sq1",
         "identity beta . rho2 = 0",
     }, kinds
     assert any(k.endswith("additive orders") for k in kinds), kinds
@@ -1918,10 +1892,12 @@ def w4m_rhs(data, m, lifts):
 def sq1_w4m_lift(data, m, lifts):
     # the reference construct_w4m_lift: a half x of the right side whose
     # reduction misses w_4m is corrected by beta(y), where y solves
-    # sq1(y) = rho2(x) + w_4m over Z modulo the order-2 relations
+    # sq1(y) = rho2(x) + w_4m over Z modulo the order-2 relations, with
+    # Sq^1 = rho2 . beta composed from the dense matrices of the two maps
     rings = data.rings
     w4m = data.w_class(4 * m)
-    sq1 = dense_matrix(rings.sq1, 4 * m - 1)
+    sq1 = (dense_matrix(rings.rho2, 4 * m)
+           @ dense_matrix(rings.beta, 4 * m - 1))
     orders = rings.mod2.orders(4 * m)
     system = IntMatrix.from_rows([list(row) + [o if k == i else 0
                                                for k, o in enumerate(orders)]

@@ -311,6 +311,22 @@ def test_canonical_witness_sign(cp2):
     assert canonical_witness(ring.zero(4)) == ring.zero(4)
 
 
+def test_witness_is_the_first_quarter():
+    # a report prints the first solution of 4x = q in divide_by's order, or
+    # q itself when there is none; here 4x = 4y has the solutions y and
+    # y + tau, and 4x = 2y has none
+    ring = GradedRing(RingPresentation(
+        modulus=0, cutoff=2,
+        generators=(Generator("y", 2), Generator("tau", 2, order=2)),
+        rules=()))
+    y, tau = ring.from_terms(2, {"y": 1}), ring.from_terms(2, {"tau": 1})
+    assert divide_by(4, 4 * y) == (y, y + tau)
+    assert obstruct._witness(4 * y) == canonical_witness(y)
+    assert obstruct._witness(-4 * y) == canonical_witness(-y) == y
+    assert divide_by(4, 2 * y) == ()
+    assert obstruct._witness(2 * y) == canonical_witness(2 * y)
+
+
 def test_verdict_validation(cp2):
     with pytest.raises(ValueError):
         Verdict("Maybe")

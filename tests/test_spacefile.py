@@ -357,8 +357,8 @@ def test_map_rows_match_the_dense_reference(tmp_path):
     for _ in range(400):
         doc = json.loads(json.dumps(rng.choice(bases)))
         for _ in range(rng.randint(1, 3)):
-            name = rng.choice(sorted(doc["maps"]) + ["sq1"])
-            degrees = doc["maps"].setdefault(name, {})
+            name = rng.choice(sorted(doc["maps"]))
+            degrees = doc["maps"][name]
             roll = rng.random()
             if roll < 0.7 and degrees:
                 key = rng.choice(sorted(degrees))
