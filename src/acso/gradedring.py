@@ -50,6 +50,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from collections.abc import Iterator, Mapping, Sequence
 
@@ -1445,6 +1446,46 @@ def _range_size(r: range) -> int:
     return max(0, (r.stop - r.start + r.step - 1) // r.step)
 
 
+def _spread_system(system: RingSystem, u: RingElement, bound: int):
+    # None when u has no integral lift; otherwise (values, positions,
+    # solved): per coordinate its values of parity 0 and of parity 1, the
+    # bit of its parity in a solution of the parity system (None for a
+    # coordinate that takes its first values, whatever its parity), and
+    # _solve_mod2's answer, None when no lift lies within the bound
+    if bound < 0:
+        raise ValueError("negative bound")
+    orders, seen, solved = _lift_parities(system, u)
+    if solved is None:
+        return None
+    if bound == 0:
+        orders, seen, solved = _lift_parities(system, u, free=False)
+    values = [(range(o),) * 2 if o % 2 else
+              (range(0, o, 2), range(1, o, 2)) if o else
+              (range(-bound + bound % 2, bound + 1, 2),
+               range(-bound + (bound + 1) % 2, bound + 1, 2))
+              for o in orders]
+    bit_of = dict(zip(seen, range(len(seen))))
+    return values, [bit_of.get(j) for j in range(len(orders))], solved
+
+
+def _spreads(values, positions, solved) -> Iterator[list]:
+    # the axes of each parity solution, in Gray-code order: one kernel
+    # vector changes per step
+    if solved is None:
+        return
+    particular, kernel = solved
+    p = particular
+    for step in range(1 << len(kernel)):
+        if step:
+            p ^= kernel[(step & -step).bit_length() - 1]
+        yield [pair[0] if k is None else pair[p >> k & 1]
+               for pair, k in zip(values, positions)]
+
+
+def _spread_size(axes) -> int:
+    return math.prod(map(_range_size, axes))
+
+
 def lift_spreads(system: RingSystem, u: RingElement,
                  bound: int) -> list[list[range]] | None:
     """The lifts of u with free coefficients in [-bound, bound], as spreads.
@@ -1465,43 +1506,63 @@ def lift_spreads(system: RingSystem, u: RingElement,
     TooManyLifts is raised as soon as it exceeds the cap, so a refusal
     comes before any lift.  Spreads of different parities are disjoint.
     """
-    if bound < 0:
-        raise ValueError("negative bound")
-    orders, seen, solved = _lift_parities(system, u)
-    if solved is None:
+    found = _spread_system(system, u, bound)
+    if found is None:
         return None
-    if bound == 0:
-        orders, seen, solved = _lift_parities(system, u, free=False)
-        if solved is None:
-            return []
-    # the values of each coordinate with parity 0 and with parity 1; a
-    # coordinate outside `seen` takes the first, whatever its parity
-    values = [(range(o),) * 2 if o % 2 else
-              (range(0, o, 2), range(1, o, 2)) if o else
-              (range(-bound + bound % 2, bound + 1, 2),
-               range(-bound + (bound + 1) % 2, bound + 1, 2))
-              for o in orders]
-    bit_of = dict(zip(seen, range(len(seen))))
-    positions = [bit_of.get(j) for j in range(len(orders))]
-    particular, kernel = solved
+    values, positions, solved = found
+    last = 0 if solved is None else (1 << len(solved[1])) - 1
     spreads = []
     count = 0
-    p = particular
-    total = 1 << len(kernel)
-    for step in range(total):
-        if step:  # Gray code: one kernel vector changes per step
-            p ^= kernel[(step & -step).bit_length() - 1]
-        axes = [pair[0] if k is None else pair[p >> k & 1]
-                for pair, k in zip(values, positions)]
-        size = math.prod(_range_size(axis) for axis in axes)
+    for step, axes in enumerate(_spreads(values, positions, solved)):
+        size = _spread_size(axes)
         count += size
         if count > LIFT_CAP:
             raise TooManyLifts("%s%d lifts in degree %d exceed the cap %d"
-                               % ("" if step == total - 1 else "at least ",
+                               % ("" if step == last else "at least ",
                                   count, u.degree, LIFT_CAP))
         if size:
             spreads.append(axes)
     return spreads
+
+
+def lift_test(system: RingSystem, u: RingElement, bound: int):
+    """The lifts of u with free coefficients in [-bound, bound], as a
+    count and a membership test, without listing them.
+
+    None exactly when lift_spreads returns None; otherwise (count, test),
+    count being the number of lifts, the total size of lift_spreads'
+    spreads, and test(coeffs) whether a tuple of reduced coefficients is
+    one of them.  The test looks up the spread of the parities of the
+    coordinates the parity system solves for, and checks each coordinate
+    against its range there; a coordinate the system solves for ranges
+    over values of one parity.  Each parity solution is a spread of at
+    least one lift, so when the solutions alone exceed LIFT_CAP,
+    TooManyLifts is raised before any is visited; the lifts themselves
+    are not capped.
+    """
+    found = _spread_system(system, u, bound)
+    if found is None:
+        return None
+    values, positions, solved = found
+    if solved is not None and 1 << len(solved[1]) > LIFT_CAP:
+        raise TooManyLifts("at least %d lifts in degree %d exceed the cap %d"
+                           % (1 << len(solved[1]), u.degree, LIFT_CAP))
+    spreads = list(_spreads(values, positions, solved))
+    count = sum(map(_spread_size, spreads))
+    if len(spreads) == 1:  # its ranges of step 2 check the parities too
+        [axes] = spreads
+        return count, lambda coeffs: all(map(range.__contains__, axes,
+                                             coeffs))
+    # the parity of a solved coordinate is that of every value of its axis
+    mask = [int(k is not None) for k in positions]
+    spreads = {tuple([axis.start & m for axis, m in zip(axes, mask)]): axes
+               for axes in spreads}
+
+    def test(coeffs) -> bool:
+        axes = spreads.get(tuple(map(operator.and_, coeffs, mask)))
+        return axes is not None and all(map(range.__contains__, axes, coeffs))
+
+    return count, test
 
 
 def lift_coefficients(system: RingSystem, u: RingElement,
@@ -1527,9 +1588,10 @@ def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch
     same LIFT_CAP refusal; no_lift_proven is True exactly when it finds
     the congruences unsolvable.  No command calls it: `acso lifts` builds
     its lines from the axes of lift_spreads, and the Chern-candidate
-    survey reads the tuples of lift_coefficients and makes one element
-    per lift itself.  `str()` of its elements is what `acso lifts` must
-    print, so the tests hold the command's output against it.
+    survey walks those axes itself, keeping a lift as its index in the
+    spreads and making no element for it.  `str()` of its elements is
+    what `acso lifts` must print, so the tests hold the command's output
+    against it.
     """
     coeffs = lift_coefficients(system, u, bound)
     if coeffs is None:

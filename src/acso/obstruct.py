@@ -22,8 +22,12 @@ what was proven, what failed, and what stayed out of reach.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 import operator
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
 
 from .gradedring import (
@@ -33,11 +37,12 @@ from .gradedring import (
     _element,
     any_integral_lift,
     divide_by,
-    lift_coefficients,
+    lift_spreads,
+    lift_test,
     product,
     quotients,
 )
-from .intlin import AbelianGroupDescriptor, Frozen, IntMatrix, set_field
+from .intlin import AbelianGroupDescriptor, Frozen, IntMatrix
 
 
 class DataValidationError(Exception):
@@ -434,9 +439,8 @@ class ChernCandidate(Frozen):
 
     __slots__ = ("classes",)
 
-    # made once per candidate: a store by hand costs half of Frozen's
     def __init__(self, classes: Iterable[RingElement]) -> None:
-        set_field(self, "classes", tuple(classes))
+        Frozen.__init__(self, tuple(classes))
 
     def chern(self, data: BundleData, i: int) -> RingElement:
         n = data.rank // 2
@@ -554,22 +558,212 @@ class CandidateRecord(Frozen):
 
     __slots__ = ("candidate", "q", "status", "pairing")
 
-    # made once per candidate: a store by hand costs half of Frozen's
-    def __init__(self, candidate: ChernCandidate, q: RingElement,
-                 status: str, pairing: int | None) -> None:
-        set_field(self, "candidate", candidate)
-        set_field(self, "q", q)
-        set_field(self, "status", status)
-        set_field(self, "pairing", pairing)
+
+class _Lifts:
+    """The lifts of an odd index, as the spreads of lift_spreads.
+
+    A lift is known by its index: the number of lifts in the spreads
+    before its own, plus its place in its spread's product of axes, the
+    last axis running fastest.  walk() gives every (coefficients, index)
+    in lexicographic order of the coefficients, and self[index] the
+    (ring, degree, coefficients) of one lift.  An index walked once per
+    prefix, past the first, is listed once instead: listed() keeps the
+    walk, and self[index] then reads it.
+    """
+
+    __slots__ = ("ring", "degree", "spreads", "starts", "size", "_listed",
+                 "_by_index")
+
+    def __init__(self, ring, degree: int, spreads: list) -> None:
+        self.ring, self.degree, self.spreads = ring, degree, spreads
+        self.starts = []
+        self.size = 0
+        for axes in spreads:
+            self.starts.append(self.size)
+            self.size += math.prod(map(len, axes))
+        self._listed = self._by_index = None
+
+    def walk(self):
+        # each spread's product is sorted and the spreads are disjoint, so
+        # no two indices are ever compared
+        if len(self.spreads) == 1:
+            return zip(itertools.product(*self.spreads[0]), itertools.count())
+        return heapq.merge(*(
+            zip(itertools.product(*axes), itertools.count(start))
+            for axes, start in zip(self.spreads, self.starts)))
+
+    def listed(self) -> tuple:
+        if self._listed is None:
+            self._listed = tuple(self.walk())
+            self._by_index = [None] * self.size
+            for coeffs, index in self._listed:
+                self._by_index[index] = coeffs
+        return self._listed
+
+    def __getitem__(self, index: int) -> tuple:
+        if self._by_index is not None:
+            return self.ring, self.degree, self._by_index[index]
+        s = bisect.bisect_right(self.starts, index) - 1
+        index -= self.starts[s]
+        coeffs = []
+        for axis in reversed(self.spreads[s]):
+            index, j = divmod(index, len(axis))
+            coeffs.append(axis[j])
+        coeffs.reverse()
+        return self.ring, self.degree, tuple(coeffs)
+
+
+class _Classes:
+    """The distinct classes that records hold at one index, each once:
+    index(key, item) numbers an item by its key, and self[i] is item i,
+    a (ring, degree, coefficients) triple."""
+
+    __slots__ = ("items", "_numbers")
+
+    def __init__(self) -> None:
+        self.items = []
+        self._numbers = {}
+
+    def index(self, key, item: tuple) -> int:
+        i = self._numbers.get(key)
+        if i is None:
+            i = self._numbers[key] = len(self.items)
+            self.items.append(item)
+        return i
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.items[i]
+
+
+class RecordColumns(Sequence):
+    """The records of a survey as columns, read as a tuple of
+    CandidateRecords, each built when it is read.
+
+    A candidate has one class per entry of `levels`, which gives the
+    (ring, degree, coefficients) of a class by its index.  The records
+    come in runs that share every class but the last: run p starts at
+    record starts[p], and heads[l][p] is the index of its class at level
+    l.  last[r] is the index of record r's last class and q[r] that of
+    its entry in `values`, a list of (q element, status, pairing).  A
+    view equals the tuple of its records.
+    """
+
+    __slots__ = ("levels", "heads", "starts", "last", "q", "values",
+                 "_vanishing")
+
+    def __init__(self, levels: list) -> None:
+        self.levels = levels
+        self.heads = [array("l") for _ in levels[1:]]
+        self.starts = array("l")
+        self.last = array("l")
+        self.q = array("l")
+        self.values = []
+        self._vanishing = None
+
+    @classmethod
+    def of(cls, records) -> "RecordColumns":
+        """records itself when it is a view, else a view of the tuple of
+        CandidateRecords, each class and q numbered by its value."""
+        if isinstance(records, cls):
+            return records
+        size = len(records[0].candidate.classes) if records else 0
+        out = cls([_Classes() for _ in range(size)])
+        values = _Classes()
+        run = None
+        for r in records:
+            numbers = [level.index((id(x.ring), x.degree, x.coeffs),
+                                   (x.ring, x.degree, x.coeffs))
+                       for level, x in zip(out.levels, r.candidate.classes)]
+            if numbers[:-1] != run:
+                run = numbers[:-1]
+                out.starts.append(len(out.q))
+                for column, i in zip(out.heads, run):
+                    column.append(i)
+            out.last.append(numbers[-1] if numbers else 0)
+            q = r.q
+            out.q.append(values.index(
+                (id(q.ring), q.degree, q.coeffs, r.status, r.pairing),
+                (q, r.status, r.pairing)))
+        out.values = values.items
+        return out
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def run(self, r: int) -> int:
+        """The run that holds record r."""
+        return bisect.bisect_right(self.starts, r) - 1
+
+    def classes(self, r: int) -> list:
+        """The (ring, degree, coefficients) of each class of record r."""
+        p = self.run(r)
+        indices = [column[p] for column in self.heads] + [self.last[r]]
+        return [level[i] for level, i in zip(self.levels, indices)]
+
+    def candidate(self, r: int) -> ChernCandidate:
+        return ChernCandidate([_element(*c) for c in self.classes(r)])
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return tuple(self[i] for i in range(*r.indices(len(self))))
+        if r < 0:
+            r += len(self)
+        if not 0 <= r < len(self):
+            raise IndexError("record index out of range")
+        return CandidateRecord(self.candidate(r), *self.values[self.q[r]])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, RecordColumns)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def status_counts(self) -> dict:
+        """The number of records with each status that some record has."""
+        counts: dict = {}
+        for i, (_, status, _) in enumerate(self.values):
+            counts[status] = counts.get(status, 0) + self.q.count(i)
+        return counts
+
+    def positions(self, status: str) -> list:
+        """The indices of the records with this status, in order."""
+        wanted = [i for i, v in enumerate(self.values) if v[1] == status]
+        if len(wanted) != 1:
+            wanted = set(wanted)
+            return [r for r, i in enumerate(self.q) if i in wanted]
+        column, i, found, r = self.q, wanted[0], [], -1
+        for _ in range(column.count(i)):
+            r = column.index(i, r + 1)
+            found.append(r)
+        return found
+
+    @property
+    def vanishing(self) -> tuple:
+        """The candidates of the records with status "Zero", made once."""
+        if self._vanishing is None:
+            self._vanishing = tuple(map(self.candidate,
+                                        self.positions("Zero")))
+        return self._vanishing
 
 
 class SearchOutcome(Frozen):
     """Everything one enumeration of Chern candidates established.
 
     `bound` and `rule` are required; `enumerated` defaults to 0, `records`
-    (a CandidateRecord per admissible candidate) to (), `no_lift_degree`
-    (the degree of a w class with no integral lift) to None and `complete`
-    to False.
+    (a sequence of CandidateRecords, one per admissible candidate: a
+    RecordColumns view from survey_candidates) to (), `no_lift_degree`
+    (the degree of a w class with no integral lift) to None and
+    `complete` to False.  `admissible` and `vanishing` read the records
+    as columns.
     """
 
     __slots__ = ("bound", "rule", "enumerated", "records", "no_lift_degree",
@@ -583,7 +777,7 @@ class SearchOutcome(Frozen):
 
     @property
     def vanishing(self) -> tuple:
-        return tuple(r.candidate for r in self.records if r.status == "Zero")
+        return RecordColumns.of(self.records).vanishing
 
 
 # a candidate search predicted to build more candidates than this raises
@@ -606,16 +800,18 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     """Find the Chern candidates within `bound` and test each one.
 
     Candidates are built depth-first in index order, on coefficient
-    tuples.  An odd-index class c_i ranges over the integral lifts of w_2i
-    whose free coefficients lie in [-bound, bound], read from
-    lift_coefficients.
-    An even-index class c_2j is solved, not enumerated: Massey's
-    intermediate identity q_j = 0 (j below the final index) contains it
-    only as 2 c_2j, so c_2j runs over the solutions of 2 c_2j = -r, r
-    being q_j with c_2j set to zero, that are lifts of w_4j within the
-    bound.  Every candidate built thus reduces to w and satisfies the
-    intermediate identities by construction, and only its top-degree
-    class is evaluated, by square_sum, the formula chern_square_sum uses.
+    tuples.  An odd-index class c_i ranges over the integral lifts of
+    w_2i whose free coefficients lie in [-bound, bound]: the spreads of
+    lift_spreads, walked in lexicographic order, a lift being known by
+    its index in them.  An even-index class c_2j is solved, not
+    enumerated: Massey's intermediate identity q_j = 0 (j below the final
+    index) contains it only as 2 c_2j, so c_2j runs over the solutions of
+    2 c_2j = -r, r being q_j with c_2j set to zero, that are lifts of
+    w_4j within the bound, each tested by lift_test, so that its lift set
+    is never listed.  Every candidate built thus reduces to w and
+    satisfies the intermediate identities by construction, and only its
+    top-degree class is evaluated, by square_sum, the formula
+    chern_square_sum uses.
 
     At rank 4k with k >= 2 the last class c_{2k-1} enters q only as
     -2 c_1 c_{2k-1}, so each lift x of it gets q = q0 - 2 M x, q0 being
@@ -627,14 +823,14 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
 
     The check rho4(q) = 0 and the pairing of q run once per value of q, on
     its reduced coefficients, when the value first occurs, so the first
-    candidate whose q fails raises DivisibilityViolation.  A record holds
-    one element per lift, made when the first record holding it is
-    recorded and shared by every record with that class, and the element,
-    status and pairing of its q, shared by every record with that value;
-    the status of q = 0 is read once per search.  A solved class is thus
-    never made for the lifts of its lift set that no candidate takes.  No
-    record solves 4x = q: the witness is made once, for the printed
-    verdict.
+    candidate whose q fails raises DivisibilityViolation.  The records
+    are RecordColumns: per candidate, the index of each class in its
+    level (a lift's index in its spreads, a solved class's number among
+    those the records hold) and of its value of q, whose element, status
+    and pairing are kept once; the status of q = 0 is read once per
+    search.  Only the q elements are made here, and the elements of the
+    vanishing candidates when they are read.  No record solves 4x = q:
+    the witness is made once, for the printed verdict.
     Deterministic: candidates come out in lexicographic order of their
     coefficient vectors.
 
@@ -656,21 +852,31 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     rings = data.rings
     integral = rings.integral
 
-    lift_sets = []
+    levels = []  # per index: its _Lifts (odd) or _Classes (solved)
+    tests = []   # per index: None (odd) or lift_test's test (solved)
+    sizes = []   # per index: the size of its lift set
     for i in range(1, n):
-        found = lift_coefficients(rings, data.w_class(2 * i), bound)
+        found = (lift_spreads if i % 2 else lift_test)(
+            rings, data.w_class(2 * i), bound)
         if found is None:
             return SearchOutcome(bound=bound, rule=rule, no_lift_degree=2 * i,
                                  complete=True)
-        lift_sets.append(tuple(found))
+        if i % 2:
+            levels.append(_Lifts(integral, 2 * i, found))
+            sizes.append(levels[-1].size)
+            tests.append(None)
+        else:
+            levels.append(_Classes())
+            sizes.append(found[0])
+            tests.append(found[1])
     complete = all(o != 0
                    for i in range(1, n)
                    for o in integral.orders(2 * i))
 
     predicted = 1
-    for i, lifts in enumerate(lift_sets, start=1):
+    for i, size in enumerate(sizes, start=1):
         if i % 2:
-            predicted *= len(lifts)
+            predicted *= size
         else:
             predicted *= 2 ** sum(1 for o in integral.orders(2 * i)
                                   if o and o % 2 == 0)
@@ -688,99 +894,115 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     values = (pairing.values if pairing is not None
               and pairing.degree == top else None)
     rho4 = None if above else rings.rho4.image(top)
-    records = []
-    seen = {}  # each value of q -> (its element, status, pairing)
+    records = RecordColumns(levels)
 
-    def record(classes, q):
-        for i, o in torsion:
-            q[i] %= o
+    def number(q):
+        # the index in records.values of a new value of q, once checked
         key = tuple(q)
-        shared = seen.get(key)
-        if shared is None:
-            q_element = _element(integral, top, key)
-            if any(rho4(key)):
-                _divisible(data, q_element)
-            shared = seen[key] = (
-                q_element, "NonZero" if any(key) else zero,
-                None if values is None else sum(map(operator.mul, key,
-                                                    values)))
-        records.append(CandidateRecord(ChernCandidate(classes), *shared))
+        q_element = _element(integral, top, key)
+        if any(rho4(key)):
+            _divisible(data, q_element)
+        records.values.append((
+            q_element, "NonZero" if any(key) else zero,
+            None if values is None else sum(map(operator.mul, key, values))))
+        index = seen[key] = len(records.values) - 1
+        return index
 
-    _admissible_candidates(data, lift_sets, k_final, record)
+    seen = {}  # each value of q -> its index in records.values
+    _admissible_candidates(data, levels, tests, k_final, records, torsion,
+                           seen, number)
     return SearchOutcome(bound=bound, rule=rule,
-                         enumerated=math.prod(len(lifts) for lifts in lift_sets),
-                         records=tuple(records), complete=complete)
+                         enumerated=math.prod(sizes), records=records,
+                         complete=complete)
 
 
-def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
-                           k: int, record) -> None:
-    # calls record(classes, coefficients of the top class q_k before
-    # reduction) per candidate, in lexicographic order.  Every even index
-    # 2j below n = rank/2 has j below the final index, so identity j fixes
-    # c_2j; it reads only c_1..c_2j, so the prefix alone, c_2j being zero,
-    # gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the bound and
-    # the lexicographic order of the solutions of 2x = -r.  The last level
-    # evaluates q_k per prefix where survey_candidates says so.  A lift's
-    # element is made, once per level, when a candidate holding it is
-    # recorded; a prefix resolves its elements at the last level.
+def _admissible_candidates(data: BundleData, levels: list, tests: list,
+                           k: int, records: RecordColumns, torsion,
+                           seen: dict, number) -> None:
+    # appends every candidate to records, in lexicographic order: seen
+    # gives the index of the value of its top class q_k, from the
+    # coefficients reduced at the torsion coordinates, and number that of
+    # a value seen lacks.  Every even index 2j below n = rank/2 has j
+    # below the final index, so identity j fixes c_2j; it reads only
+    # c_1..c_2j, so the prefix alone, c_2j being zero, gives r.  The test
+    # of its lift set keeps rho2(c_2j) = w_4j and the bound, and the
+    # solutions of 2x = -r come in lexicographic order.  The last level
+    # evaluates q_k per prefix where survey_candidates says so, and its
+    # records form one run of the columns.
     integral = data.rings.integral
-    last = len(lift_sets)
-    members = [None if i % 2 else set(lifts)
-               for i, lifts in enumerate(lift_sets, start=1)]
-    elements = [{} for _ in lift_sets]  # per level: coefficients -> element
+    last = len(levels)
     per_prefix = k >= 2 and data.rank % 4 == 0
     unit, euler = (1,), data.euler.coeffs
-    times_c1 = {}  # c_1 -> columns of -2 c_1 from degree 4k-2 to 4k
+    # c_1 -> the entries (column, row, value) of -2 c_1 from degree 4k-2
+    # to 4k
+    times_c1 = {}
+    prefix, heads = [], []  # coefficients and indices of c_1..c_{i-1}
+    last_column, q_column = records.last, records.q
 
-    def element(i, c):
-        x = elements[i - 1].get(c)
-        if x is None:
-            x = elements[i - 1][c] = _element(integral, 2 * i, c)
-        return x
-
-    # depth first on a stack of its own, so that the rank/2 - 1 levels take
-    # no frames of the caller's; children go on reversed, come off in order
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        i = len(prefix) + 1
+    def choices(i):
+        # (coefficients, index) of each c_i after the prefix, in order; the
+        # first index is walked once, and streamed
+        level = levels[i - 1]
+        if i == 1:
+            return level.walk()
         if i % 2:
-            choices = lift_sets[i - 1]
-        else:
-            orders = integral.orders(2 * i)
-            r = square_sum(data, (unit,) + prefix, i // 2)
-            y = [-x % o if o else -x for x, o in zip(r, orders)]
-            choices = [c for c in quotients(2, y, orders)
-                       if c in members[i - 1]]
+            return iter(level.listed())
+        orders = integral.orders(2 * i)
+        r = square_sum(data, [unit] + prefix, i // 2)
+        y = [-x % o if o else -x for x, o in zip(r, orders)]
+        test = tests[i - 1]
+        return iter([(c, level.index(c, (integral, 2 * i, c)))
+                     for c in quotients(2, y, orders) if test(c)])
+
+    # depth first on a stack of iterators of its own, so that the rank/2
+    # - 1 levels take no frames of the caller's
+    stack = [choices(1)]
+    while stack:
+        i = len(stack)
         if i < last:
-            for c in reversed(choices):
-                stack.append(prefix + (c,))
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                continue
+            del prefix[i - 1:], heads[i - 1:]
+            prefix.append(step[0])
+            heads.append(step[1])
+            stack.append(choices(i + 1))
             continue
-        if not choices:
-            continue
-        head = tuple(element(j, c) for j, c in enumerate(prefix, start=1))
+        start = len(q_column)
+        c = [unit] + prefix
         if not per_prefix:
-            for c in choices:
-                record(head + (element(i, c),), square_sum(
-                    data, (unit,) + prefix + (c, euler), k))
-            continue
-        size = len(integral.orders(2 * i))
-        q0 = square_sum(data, (unit,) + prefix + ((0,) * size, euler), k)
-        c1 = prefix[0]
-        columns = times_c1.get(c1)
-        if columns is None:
-            columns = times_c1[c1] = [
-                [(t, -2 * v) for t, v in enumerate(product(
-                    integral, 2, c1, 2 * i,
-                    [int(j == s) for s in range(size)])) if v]
-                for j in range(size)]
-        for c in choices:
-            q = list(q0)
-            for xj, column in zip(c, columns):
-                if xj:
-                    for t, v in column:
-                        q[t] += xj * v
-            record(head + (element(i, c),), q)
+            for x, index in stack.pop():
+                q = square_sum(data, c + [x, euler], k)
+                for t, o in torsion:
+                    q[t] %= o
+                value = seen.get(tuple(q))
+                last_column.append(index)
+                q_column.append(number(q) if value is None else value)
+        else:
+            size = len(integral.orders(2 * i))
+            q0 = square_sum(data, c + [(0,) * size, euler], k)
+            c1 = prefix[0]
+            entries = times_c1.get(c1)
+            if entries is None:
+                entries = times_c1[c1] = [
+                    (j, t, -2 * v) for j in range(size)
+                    for t, v in enumerate(product(
+                        integral, 2, c1, 2 * i,
+                        [int(j == s) for s in range(size)])) if v]
+            for x, index in stack.pop():
+                q = q0[:]
+                for j, t, v in entries:
+                    q[t] += x[j] * v
+                for t, o in torsion:
+                    q[t] %= o
+                value = seen.get(tuple(q))
+                last_column.append(index)
+                q_column.append(number(q) if value is None else value)
+        if len(q_column) > start:
+            records.starts.append(start)
+            for column, index in zip(records.heads, heads):
+                column.append(index)
 
 
 def _definite_form_certificate(data: BundleData, bound: int) -> str | None:
@@ -828,8 +1050,9 @@ def _definite_form_certificate(data: BundleData, bound: int) -> str | None:
 
 
 def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
-    """The final verdict from the record statuses; a NonZero one makes
-    here, once, the one witness it prints."""
+    """The final verdict from the record statuses, read from the columns
+    of the records without building one; a NonZero one makes here, once,
+    the one witness it prints."""
     rule = outcome.rule
     if outcome.no_lift_degree is not None:
         i2 = outcome.no_lift_degree
@@ -839,20 +1062,21 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
                        denominator=4,
                        note="%s: w%d admits no integral lift, so no reduction "
                             "reaches this degree" % (rule, i2))
-    statuses = [r.status for r in outcome.records]
-    if "Zero" in statuses:
-        count = statuses.count("Zero")
+    records = RecordColumns.of(outcome.records)
+    tested = len(records)
+    counts = records.status_counts()
+    if "Zero" in counts:
         return Verdict("Zero", denominator=4,
                        note="%s: obstruction vanishes for %d of %d candidates"
-                            % (rule, count, len(statuses)))
-    if "Inconclusive" in statuses:
+                            % (rule, counts["Zero"], tested))
+    if "Inconclusive" in counts:
         return Verdict("Inconclusive", denominator=4,
                        note="%s: no vanishing candidate, but some verdicts are "
-                            "inconclusive (%d tested)" % (rule, len(statuses)))
+                            "inconclusive (%d tested)" % (rule, tested))
     # every candidate within the bound, if there is any, is NonZero
     certificate = None if outcome.complete else \
         _definite_form_certificate(data, outcome.bound)
-    if not statuses and certificate is None:
+    if not tested and certificate is None:
         return Verdict("Inconclusive", denominator=4,
                        note="%s: no admissible candidates within bound %d"
                             % (rule, outcome.bound))
@@ -861,20 +1085,21 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
                        note="%s: nonzero obstruction for every candidate within "
                             "bound %d (%d tested), but candidates outside it "
                             "are not ruled out"
-                            % (rule, outcome.bound, len(statuses)))
-    if statuses:
-        q = outcome.records[0].q
+                            % (rule, outcome.bound, tested))
+    if tested:
+        q = records.values[records.q[0]][0]
     else:
         # only the rank-4 certificate gets here: no c1 lies within the
         # bound, so none vanishes, and the q of any lift is a witness
         lift = any_integral_lift(data.rings, data.w_class(2))
         q = _top_class(data, ChernCandidate((lift,)), 1)
     note = ("%s: nonzero obstruction for every candidate (%d tested%s)"
-            % (rule, len(statuses),
+            % (rule, tested,
                "" if certificate is None else "; " + certificate))
-    pairings = {r.pairing for r in outcome.records}
+    # every value of q is that of some record
+    pairings = {pairing for _, _, pairing in records.values}
     if len(pairings) == 1 and None not in pairings:
-        note += "; q pairs to %d" % outcome.records[0].pairing
+        note += "; q pairs to %d" % pairings.pop()
     return Verdict("NonZero", witness=_witness(q), denominator=4, note=note)
 
 

@@ -19,25 +19,32 @@ raises TypeError.  A class's terms follow its ring's
 basis_string_order.
 
 The search section holds one record per admissible Chern candidate and
-so nearly all of a large report.  Records share one element object per
-lift and per value of q, so each "ci": entry is written once per
-(element, position) and block, and the rest of a record, its pairing, q
-object and status, once per (q element, status, pairing); a record is
-then joined from shared strings.  The records and the vanishing
-candidates are joined in blocks of _BLOCK, and `acso check` writes the
-report piece by piece, so it holds neither the whole text nor a class
-entry per record.
+so nearly all of a large report.  The survey keeps its records as
+columns (obstruct.RecordColumns): the index of each class in its level
+and of each value of q, the records coming in runs that share every
+class but the last.  So the text of a candidate around its last class
+entry is written once per run, each "ci": entry once per block, made
+from the class's coefficients, and the rest of a record, its pairing,
+q object and status, once per value of q; no record and no element of
+a class is made.  The records and the vanishing candidates are written
+in blocks of _BLOCK, and `acso check` writes the report piece by piece,
+so it holds neither the whole text nor a class entry per record.  A
+search built by hand with a tuple of records is written through the
+same columns (RecordColumns.of).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 
+from .gradedring import text
 from .obstruct import (
     BundleData,
     ChernCandidate,
     ObstructionReport,
+    RecordColumns,
     SearchOutcome,
     Verdict,
 )
@@ -83,22 +90,33 @@ def render_json(report: ObstructionReport, name: str = "",
     holding more than _BLOCK records or vanishing candidates, and None is
     returned."""
     tables: dict = {}   # (ring id, degree) -> ((index, '"name": "'), ...)
-    keys: dict = {}     # class count -> ((i - 1, '"ci": '), ...)
+    layouts: dict = {}  # class count -> (levels ahead of the last, behind)
 
-    def terms(x, ind: str) -> str:
-        table = tables.get((id(x.ring), x.degree))
+    def layout(size: int) -> tuple:
+        # the levels before the last class of a candidate with this many,
+        # in the order of their keys (c1, c10, c11, c2, ...), split at the
+        # place of the last
+        found = layouts.get(size)
+        if found is None:
+            order = sorted(range(size), key=lambda level: "c%d" % (level + 1))
+            split = order.index(size - 1) if size else 0
+            found = layouts[size] = order[:split], order[split + 1:]
+        return found
+
+    def terms(ring, degree: int, coeffs, ind: str) -> str:
+        table = tables.get((id(ring), degree))
         if table is None:
-            names = x.ring.basis_strings(x.degree)
-            table = tables[id(x.ring), x.degree] = tuple(
+            names = ring.basis_strings(degree)
+            table = tables[id(ring), degree] = tuple(
                 (i, _encode_str(names[i]) + ': "')
-                for i in x.ring.basis_string_order(x.degree))
-        coeffs = x.coeffs
+                for i in ring.basis_string_order(degree))
         return _join([p + str(coeffs[i]) + '"' for i, p in table if coeffs[i]],
                      ind, "{}")
 
     def element(x, ind: str) -> str:
         return _join(['"degree": ' + _int(x.degree),
-                      '"terms": ' + terms(x, ind + "  "),
+                      '"terms": ' + terms(x.ring, x.degree, x.coeffs,
+                                          ind + "  "),
                       '"text": ' + _encode_str(str(x))], ind, "{}")
 
     def verdict_entries(v: Verdict, ind: str) -> list:
@@ -114,56 +132,82 @@ def render_json(report: ObstructionReport, name: str = "",
         return "null" if v is None else _join(verdict_entries(v, ind), ind,
                                               "{}")
 
-    def candidate(cand: ChernCandidate, ind: str, written: dict) -> str:
-        # written keeps each "ci": entry by (element id, i) for one block:
-        # candidates share one element per lift, and one element may sit
-        # at two i
-        classes = cand.classes
-        order = keys.get(len(classes))
-        if order is None:
-            order = keys[len(classes)] = tuple(
-                (i - 1, '"c%d": ' % i)
-                for i in sorted(range(1, len(classes) + 1), key="c{}".format))
+    def rows(records: RecordColumns, positions, ind: str, whole: bool):
+        # lists of at most _BLOCK rows at this indent: the records at the
+        # ascending positions, or (whole False) their candidates alone.
+        # A run of records shares every class but the last, so the text of
+        # a candidate around its last class entry is written once per run
+        # in a block, and each "ci": entry once per block, from its
+        # coefficients
+        positions = iter(positions)
+        block = list(itertools.islice(positions, _BLOCK))
+        if not block:
+            return
+        levels, heads, starts = records.levels, records.heads, records.starts
+        last, qs, values = records.last, records.q, records.values
+        size = len(levels)
+        ahead, behind = layout(size)
         inner = ind + "  "
-        entries = []
-        for i, key in order:
-            x = classes[i]
-            entry = written.get((id(x), i))
-            if entry is None:
-                entry = written[id(x), i] = key + terms(x, inner)
-            entries.append(entry)
-        return _join(entries, ind, "{}")
-
-    def records(search: SearchOutcome, ind: str, written: dict):
-        # each record joined from its candidate and the rest of it, which
-        # is written once per (q element id, status, pairing)
-        inner = ind + "  "
+        at = inner if whole else ind  # the indent of the candidate object
+        deeper = at + "  "
+        between = ",\n" + deeper
+        opening = ('{\n' + inner + '"candidate": ' if whole else "") + (
+            "{\n" + deeper if size else "{}")
+        closing = "\n" + at + "}" if size else ""
         sep = ",\n" + inner
-        rests: dict = {}
-        for r in search.records:
-            key = (id(r.q), r.status, r.pairing)
-            rest = rests.get(key)
-            if rest is None:
-                rest = rests[key] = (
-                    sep + '"pairing": ' + ("null" if r.pairing is None
-                                           else _encode_str(str(r.pairing)))
-                    + sep + '"q": ' + element(r.q, inner)
-                    + sep + '"status": ' + _encode_str(r.status)
-                    + "\n" + ind + "}")
-            yield ("{\n" + inner + '"candidate": '
-                   + candidate(r.candidate, inner, written) + rest)
+        written: dict = {}  # (level, index) -> "ci": entry, for one block
+        lasts: dict = {}  # index -> entry of the last class, likewise
+        rests: dict = {}  # value index -> the rest of a record
 
-    def blocks(items, ind: str, written: dict):
-        # the pieces of _join(list(items), ind, "[]"), _BLOCK items each;
-        # the "ci": entries that items keep in written last one block, as
-        # at rank 4 nearly every record has a c1 of its own
+        def entry(level: int, index: int) -> str:
+            text = written.get((level, index))
+            if text is None:
+                ring, degree, coeffs = levels[level][index]
+                text = written[level, index] = (
+                    '"c%d": ' % (level + 1) + terms(ring, degree, coeffs,
+                                                    deeper))
+            return text
+
+        runs, total = len(starts), len(qs)
+        while block:
+            written.clear()
+            lasts.clear()
+            out = []
+            end = 0  # the texts of a run are made again in each block
+            for r in block:
+                if r >= end:
+                    run = bisect.bisect_right(starts, r) - 1
+                    end = starts[run + 1] if run + 1 < runs else total
+                    before, after = opening, closing
+                    for level in ahead:
+                        before += entry(level, heads[level][run]) + between
+                    for level in reversed(behind):
+                        after = between + entry(level, heads[level][run]) \
+                            + after
+                index, value = last[r], qs[r]
+                text = lasts.get(index)
+                if text is None:
+                    text = lasts[index] = (entry(size - 1, index) if size
+                                           else "")
+                tail = rests.get(value)
+                if tail is None:
+                    q, status, pairing = values[value]
+                    tail = rests[value] = (
+                        sep + '"pairing": ' + (
+                            "null" if pairing is None
+                            else _encode_str(str(pairing)))
+                        + sep + '"q": ' + element(q, inner)
+                        + sep + '"status": ' + _encode_str(status)
+                        + "\n" + ind + "}") if whole else ""
+                out.append(before + text + after + tail)
+            yield out
+            block = list(itertools.islice(positions, _BLOCK))
+
+    def blocks(lists, ind: str):
+        # the pieces of a JSON list at this indent, one per list of rows
         inner = "\n" + ind + "  "
         first = opening = "[" + inner
-        while True:
-            written.clear()
-            block = list(itertools.islice(items, _BLOCK))
-            if not block:
-                break
+        for block in lists:
             yield opening + ("," + inner).join(block)
             opening = "," + inner
         yield "[]" if opening == first else "\n" + ind + "]"
@@ -216,12 +260,11 @@ def render_json(report: ObstructionReport, name: str = "",
         # the lists of the search entries (at i2) hold rows at i3
         i3 = i2 + "  "
         head, middle, tail = doc.split(_HOLE)
-        in_records: dict = {}
-        in_vanishing: dict = {}
+        records = RecordColumns.of(search.records)
         pieces = itertools.chain(
-            [head], blocks(records(search, i3, in_records), i2, in_records),
-            [middle], blocks((candidate(c, i3, in_vanishing)
-                              for c in search.vanishing), i2, in_vanishing),
+            [head], blocks(rows(records, range(len(records)), i3, True), i2),
+            [middle], blocks(rows(records, records.positions("Zero"), i3,
+                                  False), i2),
             [tail])
     if write is None:
         return "".join(pieces)
@@ -239,9 +282,12 @@ def _verdict_line(label: str, v: Verdict, note: str) -> str:
     return " -- ".join(parts)
 
 
-def _candidate_text(cand: ChernCandidate) -> str:
-    return ", ".join("c%d = %s" % (i, ci)
-                     for i, ci in enumerate(cand.classes, start=1)) or "(none)"
+def _candidate_text(classes: list) -> str:
+    # the classes as (ring, degree, coefficients), written as str() of
+    # their elements would be
+    return ", ".join("c%d = %s" % (i, text(ring.basis_strings(degree), coeffs))
+                     for i, (ring, degree, coeffs)
+                     in enumerate(classes, start=1)) or "(none)"
 
 
 def render_text(report: ObstructionReport, name: str = "") -> str:
@@ -269,16 +315,20 @@ def render_text(report: ObstructionReport, name: str = "") -> str:
                                    v.note.removeprefix(rule + ": ")))
     search = report.search
     if search is not None:
+        # the counts and the vanishing records, read from the columns
+        records = RecordColumns.of(search.records)
+        vanishing = records.positions("Zero")
         if search.no_lift_degree is not None:
             lines.append("search: w%d admits no integral lift"
                          % search.no_lift_degree)
         else:
             lines.append("search: bound %d, %d enumerated, %d admissible, "
                          "%d vanishing"
-                         % (search.bound, search.enumerated, search.admissible,
-                            len(search.vanishing)))
-        for cand in search.vanishing:
-            lines.append("  vanishing candidate: %s" % _candidate_text(cand))
+                         % (search.bound, search.enumerated, len(records),
+                            len(vanishing)))
+        for r in vanishing:
+            lines.append("  vanishing candidate: %s"
+                         % _candidate_text(records.classes(r)))
     if report.gaps:
         lines.append("gaps:")
         for g in report.gaps:

@@ -1,6 +1,6 @@
 """The Chern-candidate survey as it was, before it worked on coefficients.
 
-A verbatim copy of `survey_candidates`, `_admissible_candidates` and the
+A copy of `survey_candidates`, `_admissible_candidates` and the
 element-level `chern_square_sum` from `acso.obstruct` at the change that
 moved the survey onto coefficient tuples, except that CANDIDATE_CAP is
 read from `acso.obstruct` at call time, so that a test patching the cap
@@ -8,13 +8,19 @@ there patches it here too (LIFT_CAP is read by `integral_lifts`).  This
 copy builds a `RingElement` per lift and per candidate and evaluates
 each top class through element products; tests/test_survey.py compares
 the survey against it, outcome by outcome and refusal by refusal.
+
+One rule changed since: the lift set of a solved even-index class is
+not listed, so LIFT_CAP no longer refuses it.  Here its size and its
+refusal come from `lift_test`, and a solution x of 2x = -r is taken when
+rho2(x) = w and every free coefficient lies within the bound, which
+tests membership without the spreads that `lift_test` reads.
 """
 
 import math
 from collections.abc import Sequence
 
 from acso import obstruct
-from acso.gradedring import RingElement, divide_by, integral_lifts
+from acso.gradedring import RingElement, divide_by, integral_lifts, lift_test
 from acso.obstruct import (
     BudgetExceeded,
     BundleData,
@@ -86,13 +92,20 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     n = rank // 2
     rings = data.rings
 
-    lift_sets = []
+    lift_sets = []  # the lifts of an odd index, the lift count of a solved one
     for i in range(1, n):
-        found = integral_lifts(rings, data.w_class(2 * i), bound)
-        if found.no_lift_proven:
-            return SearchOutcome(bound=bound, rule=rule, no_lift_degree=2 * i,
-                                 complete=True)
-        lift_sets.append(found.lifts)
+        if i % 2:
+            found = integral_lifts(rings, data.w_class(2 * i), bound)
+            if found.no_lift_proven:
+                return SearchOutcome(bound=bound, rule=rule,
+                                     no_lift_degree=2 * i, complete=True)
+            lift_sets.append(found.lifts)
+        else:
+            solved = lift_test(rings, data.w_class(2 * i), bound)
+            if solved is None:
+                return SearchOutcome(bound=bound, rule=rule,
+                                     no_lift_degree=2 * i, complete=True)
+            lift_sets.append(solved[0])
     complete = all(o != 0
                    for i in range(1, n)
                    for o in rings.integral.orders(2 * i))
@@ -112,28 +125,34 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     zero = ("Inconclusive" if top <= data.cutoff and _annihilated_by(
         rings.integral.orders(top), 4) else "Zero")
     records = []
-    for cand, q in _admissible_candidates(data, lift_sets, k_final):
+    for cand, q in _admissible_candidates(data, lift_sets, k_final, bound):
         q = _divisible(data, q)
         records.append(CandidateRecord(cand, q, zero if q.is_zero else
                                        "NonZero", data.pair(q)))
     return SearchOutcome(bound=bound, rule=rule,
-                         enumerated=math.prod(len(lifts) for lifts in lift_sets),
+                         enumerated=math.prod(
+                             len(lifts) if i % 2 else lifts
+                             for i, lifts in enumerate(lift_sets, start=1)),
                          records=tuple(records), complete=complete)
 
 
-def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
-                           k: int):
+def _admissible_candidates(data: BundleData, lift_sets: Sequence,
+                           k: int, bound: int):
     # (candidate, its unchecked top class q_k), in lexicographic order.
     # Every even index 2j below n = rank/2 has j below the final index, so
     # identity j fixes c_2j; it reads only c_1..c_2j, so the prefix with
-    # c_2j = 0 gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the
-    # bound and the lexicographic order of divide_by's solutions.  The
-    # last level evaluates q_k per prefix where survey_candidates says so.
+    # c_2j = 0 gives r.  Testing rho2(c_2j) = w_4j and the bound keeps
+    # the lexicographic order of divide_by's solutions.  The last level
+    # evaluates q_k per prefix where survey_candidates says so.
     integral = data.rings.integral
     last = len(lift_sets)
-    members = {i: {x.coeffs for x in lift_sets[i - 1]}
-               for i in range(2, last + 1, 2)}
     per_prefix = k >= 2 and data.rank % 4 == 0
+
+    def member(x, i):
+        orders = integral.orders(2 * i)
+        return (data.rings.rho2(x) == data.w_class(2 * i)
+                and all(abs(c) <= bound
+                        for c, o in zip(x.coeffs, orders) if o == 0))
 
     def without_last(prefix, j):
         # q_j of the prefix extended by a zero class
@@ -146,7 +165,7 @@ def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
             choices = lift_sets[i - 1]
         else:
             r = without_last(prefix, i // 2)
-            choices = [x for x in divide_by(2, -r) if x.coeffs in members[i]]
+            choices = [x for x in divide_by(2, -r) if member(x, i)]
         if i < last:
             for x in choices:
                 yield from extend(prefix + (x,))

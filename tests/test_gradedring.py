@@ -34,6 +34,7 @@ from acso.gradedring import (
     format_exponents,
     integral_lifts,
     lift_coefficients,
+    lift_test,
     parse_exponents,
     pontryagin_square,
 )
@@ -1833,6 +1834,65 @@ def test_lift_cap_counts_parity_solutions(monkeypatch):
     with pytest.raises(TooManyLifts,
                        match=r"^at least 3 lifts in degree 2 exceed the cap 2$"):
         integral_lifts(system, u, 1)
+
+
+def assert_lift_test_matches_listing(system, u, bounds):
+    # the count and the membership test of lift_test against the listed
+    # lifts, on a box two wider than the bound at each free coordinate
+    orders = system.integral.orders(u.degree)
+    for bound in bounds:
+        found = integral_lifts(system, u, bound)
+        tested = lift_test(system, u, bound)
+        assert (tested is None) == found.no_lift_proven, (u, bound)
+        if tested is None:
+            continue
+        count, test = tested
+        lifts = {x.coeffs for x in found.lifts}
+        assert count == len(lifts), (u, bound)
+        box = [range(-bound - 2, bound + 3) if o == 0 else range(o)
+               for o in orders]
+        for c in itertools.product(*box):
+            assert test(c) == (c in lifts), (u, bound, c)
+
+
+def test_lift_test_matches_the_listed_lifts(corpus):
+    for sf in corpus.values():
+        data = sf.bundle
+        for d in range(min(data.cutoff, 6) + 1):
+            for u in [data.w_class(d)] + basis_elements(data.rings.mod2, d):
+                assert_lift_test_matches_listing(data.rings, u, range(3))
+    system = free_and_z4_system()
+    for d in (1, 2):
+        for u in every_class(system.mod2, d):
+            assert_lift_test_matches_listing(system, u, range(4))
+    for rows in ([[1, 1, 0], [0, 1, 1]], [[1, 0, 0]]):
+        system = free_system(3, rows)
+        for u in every_class(system.mod2, 2):
+            assert_lift_test_matches_listing(system, u, range(3))
+
+
+def test_lift_test_caps_parity_solutions_not_lifts(monkeypatch):
+    # four parity solutions of 1, 2, 4 and 2 lifts at bound 1: lift_test
+    # counts the 9 under a cap of 4, which the listing exceeds, and
+    # refuses only when the solutions alone exceed the cap
+    system = free_system(3, [[1, 0, 0]])
+    u = system.mod2.zero(2)
+    monkeypatch.setattr(gradedring, "LIFT_CAP", 4)
+    assert lift_test(system, u, 1)[0] == 9
+    with pytest.raises(TooManyLifts):
+        integral_lifts(system, u, 1)
+    monkeypatch.setattr(gradedring, "LIFT_CAP", 3)
+    with pytest.raises(TooManyLifts,
+                       match=r"^at least 4 lifts in degree 2 exceed the cap 3$"):
+        lift_test(system, u, 1)
+    # 2^21 solutions are refused before any is visited
+    monkeypatch.undo()
+    system = free_system(22, [[1] + [0] * 21])
+    start = time.perf_counter()
+    with pytest.raises(TooManyLifts, match=r"^at least 2097152 lifts"):
+        lift_test(system, system.mod2.zero(2), 1)
+    assert time.perf_counter() - start < 1
+    assert lift_test(system, system.mod2.zero(2), 0)[0] == 1
 
 
 def test_lift_coefficients_refuses_before_the_first_lift(monkeypatch,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from acso.obstruct import (
     CandidateRecord,
     ChernCandidate,
     ObstructionReport,
+    RecordColumns,
     SearchOutcome,
     Verdict,
     acs_verdict,
@@ -341,6 +343,54 @@ def test_search_writer_writes_records_in_blocks(cp2, count):
     # pieces: the head, full blocks, the closing of each list, the middle
     # and the tail
     assert len(pieces) == 5 + -(-count // 256) + -(-vanishing // 256)
+
+
+def run_records(count, size):
+    """count records of size classes in runs that share all but the last
+    class, of lengths 1, 2, 100, 200, 3, 1, 2, ..., so that runs cross
+    the block edges; a class of size 1 leaves one run."""
+    pool = [mixed(RING, 4, i) for i in range(6)]
+    qs = [top([j, 1]) for j in range(3)] + [RING.zero(20)]
+    lengths = itertools.cycle([1, 2, 100, 200, 3])
+    records = []
+    for run in itertools.count():
+        head = [pool[(run + level) % 6] for level in range(size - 1)]
+        for _ in range(next(lengths)):
+            i = len(records)
+            if i == count:
+                return records
+            records.append(record(head + [pool[i % 5]], qs[i % 4],
+                                  "Zero" if i % 4 == 3 else "NonZero",
+                                  i % 3 or None))
+
+
+@pytest.mark.parametrize("count", [255, 256, 257, 513])
+@pytest.mark.parametrize("size", [1, 2, 11])
+def test_search_writer_walks_columns_run_by_run(cp2, count, size):
+    # records as columns: one class (rank 4, an empty prefix), two, and
+    # eleven, whose keys sort as c1, c10, c11, c2, ...
+    records = run_records(count, size)
+    columns = RecordColumns.of(tuple(records))
+    heads = [tuple(map(id, r.candidate.classes[:-1])) for r in records]
+    assert len(columns.starts) == 1 + sum(
+        a != b for a, b in zip(heads, heads[1:]))
+    if size > 1 and count > 256:  # a run holds records 255 and 256
+        assert columns.run(255) == columns.run(256)
+    assert columns == tuple(records) and hash(columns) == hash(tuple(records))
+    report = synthetic(cp2, records)
+    as_columns = replace(report, search=replace(report.search,
+                                                records=columns))
+    assert as_columns == report
+    expected = reference_json(report, "synthetic")
+    assert render_json(as_columns, "synthetic") == expected
+    pieces = []
+    render_json(as_columns, "synthetic", pieces.append)
+    assert "".join(pieces) == expected
+    vanishing = count // 4
+    assert [rows(p) for p in pieces] == (
+        [0] + [256] * (count // 256) + [count % 256] * (count % 256 > 0)
+        + [0, 0] + [256] * (vanishing // 256)
+        + [vanishing % 256] * (vanishing % 256 > 0) + [0, 0])
 
 
 def test_check_writes_the_json_report_in_blocks(cp2_sums, tmp_path,

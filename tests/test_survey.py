@@ -33,12 +33,15 @@ from acso.obstruct import (
     BundleData,
     DivisibilityViolation,
     Pairing,
+    acs_verdict,
     survey_candidates,
 )
+from acso.report import render_json
 from acso.spacefile import load_space_file, space_file_from_doc
 
-from conftest import CORPUS_DIR, cp2_sum_doc
+from conftest import CORPUS_DIR, cp2_sum_doc, replace
 import survey_reference as reference
+from test_report import reference_json
 from test_obstruct import z2_in_degree_four_bundle, z4_in_degree_eight_bundle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -266,10 +269,12 @@ def test_three_cp2_sum_three_reversed_at_bound_six(cp2_sums, tmp_path):
             "4800 vanishing") in out
 
 
-# -- the elements of the records -----------------------------------------
+# -- the elements and texts of the records -------------------------------
 
 
-# (spec, bound): ranks 6, 8 and 12, whose even-index classes are solved
+# (spec, bound): ranks 6, 8 and 12, whose even-index classes are solved;
+# the tangent bundle of CP^2 x CP^2 at bound 5 writes 432 records in two
+# blocks, which share the lifts of c3
 ELEMENT_CASES = [
     (("lines", (2, 2), ((1, 0), (0, 1), (1, 1))), 5),
     (("lines", (2, 2), ((1, 1), (1, -1), (2, 1))), 4),
@@ -277,46 +282,116 @@ ELEMENT_CASES = [
     (("tangent", (2, 2)), 3),
     (("tangent", (6,)), 6),
     (("corpus", "s8_rank6"), 3),
+    (("tangent", (2, 2)), 5),
 ]
 
 
-@pytest.mark.parametrize("spec, bound", ELEMENT_CASES)
-def test_survey_builds_an_element_per_class_its_records_hold(
-        families, monkeypatch, spec, bound):
-    data = _bundle(families, spec)
+def _spied_survey(monkeypatch, data, bound):
+    """The survey's outcome and the (degree, coefficients) of every
+    element it made."""
     built = []
 
     def spy(ring, degree, coeffs):
         built.append((degree, coeffs))
         return gradedring._element(ring, degree, coeffs)
 
-    monkeypatch.setattr(obstruct, "_element", spy)
-    outcome = survey_candidates(data, bound)
+    with monkeypatch.context() as mp:
+        mp.setattr(obstruct, "_element", spy)
+        outcome = survey_candidates(data, bound)
+    return outcome, built
+
+
+def _texts_per_piece(monkeypatch, data, outcome):
+    """The JSON report of the outcome in pieces, each with the (level,
+    index) of every class text the writer built for it, in order."""
+    reads = []
+
+    def spy(cls):
+        read = cls.__getitem__
+
+        def spied(self, index):
+            reads.append((id(self), index))
+            return read(self, index)
+
+        monkeypatch.setattr(cls, "__getitem__", spied)
+
+    spy(obstruct._Lifts)
+    spy(obstruct._Classes)
+    pieces = []
+
+    def write(piece):
+        pieces.append((piece, list(reads)))
+        reads.clear()
+
+    report = replace(acs_verdict(data, outcome.bound), search=outcome)
+    render_json(report, "spied", write)
+    monkeypatch.undo()
+    return report, pieces
+
+
+def _classes_held(records, positions):
+    # the (level, index) of every class the records at positions hold
+    held = set()
+    for r in positions:
+        run = records.run(r)
+        held.update((id(level), column[run]) for level, column
+                    in zip(records.levels, records.heads))
+        held.add((id(records.levels[-1]), records.last[r]))
+    return held
+
+
+@pytest.mark.parametrize("spec, bound", ELEMENT_CASES)
+def test_survey_builds_an_element_per_class_its_records_hold(
+        families, monkeypatch, spec, bound):
+    # the survey makes one element per value of q and none for a class;
+    # the JSON writer builds the text of each class that the records (or
+    # vanishing candidates) of a block hold once in that block
+    data = _bundle(families, spec)
+    outcome, built = _spied_survey(monkeypatch, data, bound)
     records = outcome.records
     assert records
-    n = data.rank // 2
-    for i in range(2, n, 2):
-        held = {r.candidate.classes[i - 1].coeffs for r in records}
-        made = [c for d, c in built if d == 2 * i]
-        assert sorted(made) == sorted(held), i
-    # one element per lift at each index, and one per value of q
-    for i in range(n - 1):
-        shared = {}
-        for r in records:
-            x = r.candidate.classes[i]
-            assert shared.setdefault(x.coeffs, x) is x
-    shared = {}
-    for r in records:
-        assert shared.setdefault(r.q.coeffs, r.q) is r.q
     top = 8 if data.rank == 6 else data.rank
-    assert sum(d == top for d, _ in built) == len(shared)
+    assert sorted(built) == sorted((top, q.coeffs)
+                                   for q, _, _ in records.values)
+    report, pieces = _texts_per_piece(monkeypatch, data, outcome)
+    assert "".join(p for p, _ in pieces) == reference_json(report, "spied")
+    vanishing = records.positions("Zero")
+    blocks = [range(len(records))[i:i + 256]
+              for i in range(0, len(records), 256)]
+    blocks += [vanishing[i:i + 256] for i in range(0, len(vanishing), 256)]
+    texts = [read for _, read in pieces if read]
+    assert len(texts) == len(blocks)
+    for read, block in zip(texts, blocks):
+        assert len(read) == len(set(read))
+        assert set(read) == _classes_held(records, block)
 
 
 def test_survey_of_a_rank_six_line_sum_builds_eighteen_elements(
         families, monkeypatch):
     # O(1,0) + O(0,1) + O(1,1) over CP^2 x CP^2 at bound 5: lift sets of
-    # 25 c1 and 216 c2, but the 9 records hold 9 c1, 5 c2 and 4 values of q
+    # 25 c1 and 216 c2, but the 9 records hold 9 c1, 5 c2 and 4 values of
+    # q.  Once an element each, these are now 4 elements of q, made by
+    # the survey, and 14 class texts, built by the JSON writer in the one
+    # block of records
     data = _bundle(families, ELEMENT_CASES[0][0])
+    outcome, built = _spied_survey(monkeypatch, data, 5)
+    assert len(outcome.records) == 9
+    assert sorted(d for d, _ in built) == [8] * 4
+    _, pieces = _texts_per_piece(monkeypatch, data, outcome)
+    c1, c2 = map(id, outcome.records.levels)
+    read = [read for _, read in pieces if read][0]
+    assert sorted(level for level, _ in read) == sorted([c1] * 9 + [c2] * 5)
+
+
+def test_a_report_builds_no_record(cp2_sums, tmp_path, monkeypatch, capsys):
+    # 3 CP^2 # 3 reversed CP^2 at bound 3: 4,096 records and 384
+    # vanishing candidates.  Neither writer builds a CandidateRecord or an
+    # element of a class: both read the classes from the columns
+    path = tmp_path / "cp2_sum.json"
+    path.write_text(json.dumps(cp2_sums(3, 3)))
+    records = []
+    monkeypatch.setattr(obstruct.CandidateRecord, "__init__",
+                        lambda self, *a: records.append(a))
     built = []
 
     def spy(ring, degree, coeffs):
@@ -324,8 +399,15 @@ def test_survey_of_a_rank_six_line_sum_builds_eighteen_elements(
         return gradedring._element(ring, degree, coeffs)
 
     monkeypatch.setattr(obstruct, "_element", spy)
-    assert len(survey_candidates(data, 5).records) == 9
-    assert sorted(built) == [2] * 9 + [4] * 5 + [8] * 4
+    for form in ("text", "json"):
+        built.clear()
+        assert main(["check", str(path), "--bound", "3", "--format",
+                     form]) == 0
+        out = capsys.readouterr().out
+        assert records == []
+        assert ("4096 admissible, 384 vanishing" in out if form == "text"
+                else '"admissible": 4096' in out)
+        assert 2 not in built
 
 
 # -- the walk over the levels --------------------------------------------
@@ -350,14 +432,15 @@ def test_the_survey_walk_does_not_use_the_callers_stack(tmp_path, capsys):
     assert "search: bound 10, 1 enumerated, 1 admissible, 1 vanishing" in out
 
 
-# -- a solved class whose lift set is listed whole -----------------------
+# -- a solved class is tested, not listed --------------------------------
 
 
-def test_a_solved_class_lists_every_lift_of_its_w_class(tmp_path, capsys):
+def test_a_solved_class_is_tested_without_its_lift_set(tmp_path, capsys):
     # rank 8 with every class zero over (S^4)^6: six degree-4 generators
-    # x_i with x_i^2 = 0.  c2 is solved from q_1 = 0, yet every lift of
-    # w4 = 0 within the bound is listed to test membership: 7^6 at bound
-    # 6, and 11^6 at the default bound 10, which exceeds LIFT_CAP
+    # x_i with x_i^2 = 0.  c2 is solved from q_1 = 0, and its one solution
+    # is tested against the spreads of w4 = 0, which are never listed: 7^6
+    # lifts at bound 6, and 11^6 at the default bound 10, above LIFT_CAP
+    # but refused no longer.  The witness is c = (0, 0, 0), q = 0
     gens = ["x%d" % i for i in range(1, 7)]
     path = tmp_path / "s4_power_6.json"
     path.write_text(json.dumps({
@@ -367,11 +450,11 @@ def test_a_solved_class_lists_every_lift_of_its_w_class(tmp_path, capsys):
             "generators": [{"name": g, "degree": 4} for g in gens],
             "relations": [{"lhs": g + "^2", "rhs": {}} for g in gens]}},
         "bundle": {"rank": 8, "euler": {}}}))
-    assert main(["check", str(path), "--bound", "6"]) == 0
-    out, err = capsys.readouterr()
-    assert err == "" and "status: clear (exit 0)" in out
-    assert ("search: bound 6, 117649 enumerated, 1 admissible, "
-            "1 vanishing") in out
-    assert main(["check", str(path)]) == 1
-    assert capsys.readouterr() == (
-        "", "error: 1771561 lifts in degree 4 exceed the cap 1000000\n")
+    for bound, lifts in ((["--bound", "6"], 117649), ([], 1771561)):
+        assert main(["check", str(path)] + bound) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "status: clear (exit 0)" in out
+        assert ("search: bound %s, %d enumerated, 1 admissible, "
+                "1 vanishing" % (bound[-1] if bound else 10, lifts)) in out
+        assert "vanishing candidate: c1 = 0, c2 = 0, c3 = 0" in out
+        assert "obstruction vanishes for 1 of 1 candidates" in out
