@@ -1549,10 +1549,6 @@ def lift_test(system: RingSystem, u: RingElement, bound: int):
                            % (1 << len(solved[1]), u.degree, LIFT_CAP))
     spreads = list(_spreads(values, positions, solved))
     count = sum(map(_spread_size, spreads))
-    if len(spreads) == 1:  # its ranges of step 2 check the parities too
-        [axes] = spreads
-        return count, lambda coeffs: all(map(range.__contains__, axes,
-                                             coeffs))
     # the parity of a solved coordinate is that of every value of its axis
     mask = [int(k is not None) for k in positions]
     spreads = {tuple([axis.start & m for axis, m in zip(axes, mask)]): axes

@@ -568,10 +568,11 @@ class _Lifts:
     in lexicographic order of the coefficients, and self[index] the
     (ring, degree, coefficients) of one lift.  An index walked once per
     prefix, past the first, is listed once instead: listed() keeps the
-    walk, and self[index] then reads it.
+    lifts by index and their indices in walk order, gives the walk from
+    them, and self[index] then reads them.
     """
 
-    __slots__ = ("ring", "degree", "spreads", "starts", "size", "_listed",
+    __slots__ = ("ring", "degree", "spreads", "starts", "size", "_order",
                  "_by_index")
 
     def __init__(self, ring, degree: int, spreads: list) -> None:
@@ -581,24 +582,23 @@ class _Lifts:
         for axes in spreads:
             self.starts.append(self.size)
             self.size += math.prod(map(len, axes))
-        self._listed = self._by_index = None
+        self._order = self._by_index = None
 
     def walk(self):
         # each spread's product is sorted and the spreads are disjoint, so
         # no two indices are ever compared
-        if len(self.spreads) == 1:
-            return zip(itertools.product(*self.spreads[0]), itertools.count())
         return heapq.merge(*(
             zip(itertools.product(*axes), itertools.count(start))
             for axes, start in zip(self.spreads, self.starts)))
 
-    def listed(self) -> tuple:
-        if self._listed is None:
-            self._listed = tuple(self.walk())
+    def listed(self):
+        if self._order is None:
+            self._order = array("l")
             self._by_index = [None] * self.size
-            for coeffs, index in self._listed:
+            for coeffs, index in self.walk():
+                self._order.append(index)
                 self._by_index[index] = coeffs
-        return self._listed
+        return zip(map(self._by_index.__getitem__, self._order), self._order)
 
     def __getitem__(self, index: int) -> tuple:
         if self._by_index is not None:
@@ -728,23 +728,28 @@ class RecordColumns(Sequence):
         return repr(tuple(self))
 
     def status_counts(self) -> dict:
-        """The number of records with each status that some record has."""
+        """The number of records with each status that some record has.
+
+        Only q = 0 has a status other than NonZero in a survey, so the
+        records of each value of another status are counted, and the
+        rest are NonZero.
+        """
         counts: dict = {}
         for i, (_, status, _) in enumerate(self.values):
-            counts[status] = counts.get(status, 0) + self.q.count(i)
+            if status != "NonZero":
+                counts[status] = counts.get(status, 0) + self.q.count(i)
+        nonzero = len(self) - sum(counts.values())
+        if nonzero:
+            counts["NonZero"] = nonzero
         return counts
 
     def positions(self, status: str) -> list:
         """The indices of the records with this status, in order."""
-        wanted = [i for i, v in enumerate(self.values) if v[1] == status]
-        if len(wanted) != 1:
-            wanted = set(wanted)
-            return [r for r, i in enumerate(self.q) if i in wanted]
-        column, i, found, r = self.q, wanted[0], [], -1
-        for _ in range(column.count(i)):
-            r = column.index(i, r + 1)
-            found.append(r)
-        return found
+        wanted = {i for i, v in enumerate(self.values) if v[1] == status}
+        if not wanted:
+            return []
+        return list(itertools.compress(range(len(self)),
+                                       map(wanted.__contains__, self.q)))
 
     @property
     def vanishing(self) -> tuple:
@@ -946,7 +951,7 @@ def _admissible_candidates(data: BundleData, levels: list, tests: list,
         if i == 1:
             return level.walk()
         if i % 2:
-            return iter(level.listed())
+            return level.listed()
         orders = integral.orders(2 * i)
         r = square_sum(data, [unit] + prefix, i // 2)
         y = [-x % o if o else -x for x, o in zip(r, orders)]

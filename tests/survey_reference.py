@@ -10,17 +10,20 @@ each top class through element products; tests/test_survey.py compares
 the survey against it, outcome by outcome and refusal by refusal.
 
 One rule changed since: the lift set of a solved even-index class is
-not listed, so LIFT_CAP no longer refuses it.  Here its size and its
-refusal come from `lift_test`, and a solution x of 2x = -r is taken when
-rho2(x) = w and every free coefficient lies within the bound, which
-tests membership without the spreads that `lift_test` reads.
+not listed, so LIFT_CAP no longer refuses its lifts, only its parity
+solutions, one or more lifts each.  Here that set is still listed by
+`integral_lifts`, with LIFT_CAP lifted for the call, and the refusal is
+made when the parity patterns of its lifts outnumber the cap: the free
+and even-order coordinates, whose parities rho2 sees, take both
+parities within any bound from 1 and only 0 at bound 0, exactly as in
+the parity system, so the lifts show each of its solutions.
 """
 
 import math
 from collections.abc import Sequence
 
-from acso import obstruct
-from acso.gradedring import RingElement, divide_by, integral_lifts, lift_test
+from acso import gradedring, obstruct
+from acso.gradedring import RingElement, TooManyLifts, divide_by, integral_lifts
 from acso.obstruct import (
     BudgetExceeded,
     BundleData,
@@ -92,20 +95,14 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     n = rank // 2
     rings = data.rings
 
-    lift_sets = []  # the lifts of an odd index, the lift count of a solved one
+    lift_sets = []
     for i in range(1, n):
-        if i % 2:
-            found = integral_lifts(rings, data.w_class(2 * i), bound)
-            if found.no_lift_proven:
-                return SearchOutcome(bound=bound, rule=rule,
-                                     no_lift_degree=2 * i, complete=True)
-            lift_sets.append(found.lifts)
-        else:
-            solved = lift_test(rings, data.w_class(2 * i), bound)
-            if solved is None:
-                return SearchOutcome(bound=bound, rule=rule,
-                                     no_lift_degree=2 * i, complete=True)
-            lift_sets.append(solved[0])
+        found = (integral_lifts if i % 2 else _solved_lifts)(
+            rings, data.w_class(2 * i), bound)
+        if found.no_lift_proven:
+            return SearchOutcome(bound=bound, rule=rule, no_lift_degree=2 * i,
+                                 complete=True)
+        lift_sets.append(found.lifts)
     complete = all(o != 0
                    for i in range(1, n)
                    for o in rings.integral.orders(2 * i))
@@ -125,34 +122,46 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     zero = ("Inconclusive" if top <= data.cutoff and _annihilated_by(
         rings.integral.orders(top), 4) else "Zero")
     records = []
-    for cand, q in _admissible_candidates(data, lift_sets, k_final, bound):
+    for cand, q in _admissible_candidates(data, lift_sets, k_final):
         q = _divisible(data, q)
         records.append(CandidateRecord(cand, q, zero if q.is_zero else
                                        "NonZero", data.pair(q)))
     return SearchOutcome(bound=bound, rule=rule,
-                         enumerated=math.prod(
-                             len(lifts) if i % 2 else lifts
-                             for i, lifts in enumerate(lift_sets, start=1)),
+                         enumerated=math.prod(len(lifts) for lifts in lift_sets),
                          records=tuple(records), complete=complete)
 
 
-def _admissible_candidates(data: BundleData, lift_sets: Sequence,
-                           k: int, bound: int):
+def _solved_lifts(rings, w, bound: int):
+    # integral_lifts of w without its LIFT_CAP refusal, refused instead
+    # when the parity solutions of rho2(x) = w outnumber the cap
+    cap = gradedring.LIFT_CAP
+    gradedring.LIFT_CAP = math.inf
+    try:
+        found = integral_lifts(rings, w, bound)
+    finally:
+        gradedring.LIFT_CAP = cap
+    orders = rings.integral.orders(w.degree)
+    parities = {tuple(c & 1 for c, o in zip(x.coeffs, orders) if o % 2 == 0)
+                for x in found.lifts}
+    if len(parities) > cap:
+        raise TooManyLifts("at least %d lifts in degree %d exceed the cap %d"
+                           % (len(parities), w.degree, cap))
+    return found
+
+
+def _admissible_candidates(data: BundleData, lift_sets: Sequence[tuple],
+                           k: int):
     # (candidate, its unchecked top class q_k), in lexicographic order.
     # Every even index 2j below n = rank/2 has j below the final index, so
     # identity j fixes c_2j; it reads only c_1..c_2j, so the prefix with
-    # c_2j = 0 gives r.  Testing rho2(c_2j) = w_4j and the bound keeps
-    # the lexicographic order of divide_by's solutions.  The last level
-    # evaluates q_k per prefix where survey_candidates says so.
+    # c_2j = 0 gives r.  Lift-set membership keeps rho2(c_2j) = w_4j, the
+    # bound and the lexicographic order of divide_by's solutions.  The
+    # last level evaluates q_k per prefix where survey_candidates says so.
     integral = data.rings.integral
     last = len(lift_sets)
+    members = {i: {x.coeffs for x in lift_sets[i - 1]}
+               for i in range(2, last + 1, 2)}
     per_prefix = k >= 2 and data.rank % 4 == 0
-
-    def member(x, i):
-        orders = integral.orders(2 * i)
-        return (data.rings.rho2(x) == data.w_class(2 * i)
-                and all(abs(c) <= bound
-                        for c, o in zip(x.coeffs, orders) if o == 0))
 
     def without_last(prefix, j):
         # q_j of the prefix extended by a zero class
@@ -165,7 +174,7 @@ def _admissible_candidates(data: BundleData, lift_sets: Sequence,
             choices = lift_sets[i - 1]
         else:
             r = without_last(prefix, i // 2)
-            choices = [x for x in divide_by(2, -r) if member(x, i)]
+            choices = [x for x in divide_by(2, -r) if x.coeffs in members[i]]
         if i < last:
             for x in choices:
                 yield from extend(prefix + (x,))
