@@ -586,7 +586,11 @@ class _Lifts:
 
     def walk(self):
         # each spread's product is sorted and the spreads are disjoint, so
-        # no two indices are ever compared
+        # no two indices are ever compared.  heapq.merge passes every
+        # lift through a generator even for one spread, a cost that the
+        # corpus workload of the benchmark measures
+        if len(self.spreads) == 1:
+            return zip(itertools.product(*self.spreads[0]), itertools.count())
         return heapq.merge(*(
             zip(itertools.product(*axes), itertools.count(start))
             for axes, start in zip(self.spreads, self.starts)))
