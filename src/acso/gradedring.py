@@ -18,9 +18,12 @@ terminates, and its other applicable rules are compared only in degrees
 with basis monomials, since elsewhere every vector is 0.  No product
 table is built: the product of two basis monomials is computed the
 first time the pair is asked and kept, as the sparse terms of the Koszul
-sign times the normal form of the exponent sum; normal forms are kept
-per exponent tuple, so pairs with one sum share one.  Elements reduce
-only their torsion coordinates.  The checks of graded commutativity and
+sign times the normal form of the exponent sum.  That sum is looked up
+in the basis, which holds every irreducible monomial of additive order
+other than 1, and is 0 when it is not there, unless a rule has a
+right-hand side: only then is it rewritten, and rewritten normal forms
+are kept per exponent tuple, so pairs with one sum share one.  Elements
+reduce only their torsion coordinates.  The checks of graded commutativity and
 additive orders look up only the pairs on which they can fail, so
 building an exterior algebra computes no product at all.  Construction
 scales with the basis rather than with the truncated set of all
@@ -252,10 +255,13 @@ class GradedRing:
     the additive orders on the pairs of basis monomials where they can
     fail.  A presentation that survives construction is safe to compute
     in.  Products of basis monomials are computed on demand and memoised
-    (_product_terms); the derived mod-m rings of a torsion-free ring
-    (_reduction) share the memo, which holds the integral terms.  Element
-    texts are mapped to coefficients by basis name (basis_string_index)
-    where they are canonical, and parsed and rewritten otherwise.
+    (_product_terms): an exponent sum is looked up in the basis, and only
+    rewritten (_normal_form) when it is not there and some rule has a
+    right-hand side; otherwise it is 0.  The derived mod-m rings of a
+    torsion-free ring (_reduction) share the memo, which holds the
+    integral terms.  Element texts are mapped to coefficients by basis
+    name (basis_string_index) where they are canonical, and parsed and
+    rewritten otherwise.
     """
 
     def __init__(self, presentation: RingPresentation):
@@ -273,8 +279,10 @@ class GradedRing:
         self._products: dict = {}  # (d1, i, d2, j) -> sparse product terms
         self._check_cutoff()
         self._enumerate_monomials()
-        # the orders _product_terms reduces the memoised terms by
+        # the orders _product_terms reduces the memoised terms by, and
+        # whether a product outside the basis can be anything but 0
         self._product_orders = self._orders
+        self._rewrites = any(rule.rhs for rule in presentation.rules)
         try:
             self._check_confluence()
         except RecursionError:
@@ -414,6 +422,10 @@ class GradedRing:
         return out
 
     def _normal_form(self, exps) -> dict:
+        """{basis monomial: coefficient} equal to the monomial exps,
+        unreduced: exps itself when no rule divides it (0 at order 1),
+        0 at once when the first rule that does has no right-hand side,
+        else the rewritten terms' normal forms added up and kept."""
         cached = self._nf_cache.get(exps)
         if cached is not None:
             return cached
@@ -424,6 +436,8 @@ class GradedRing:
         rule = self._first_rule(exps)
         if rule is None:
             result = {} if self._order_of(exps) == 1 else {exps: 1}
+        elif not rule.rhs:
+            return {}
         else:
             self._nf_active.add(exps)
             try:
@@ -634,6 +648,7 @@ class GradedRing:
                          for d, orders in ring._orders.items()}
         ring._index = self._index
         ring._product_orders = self._orders
+        ring._rewrites = self._rewrites
         return ring
 
     # -- public API --------------------------------------------------------
@@ -745,18 +760,30 @@ class GradedRing:
         # d2, d1 + d2 <= cutoff: the Koszul sign times the normal form of
         # the exponent sum, as sparse (index, coefficient) terms in degree
         # d1 + d2, computed the first time the pair is asked and memoised.
-        # A derived ring shares the memo of its integral ring, so the terms
-        # are reduced by the integral orders, all 0: not at all
+        # The basis holds every irreducible monomial of additive order
+        # other than 1 up to the cutoff, so a sum found in it is its own
+        # normal form, and one that is not is 0 unless some rule has a
+        # right-hand side: only then is it rewritten.  A derived ring
+        # shares the memo of its integral ring, so the terms are reduced
+        # by the integral orders, all 0: not at all
         key = (d1, i, d2, j)
         terms = self._products.get(key)
         if terms is not None:
             return terms
         a, b = self._basis[d1][i], self._basis[d2][j]
-        nf = self._normal_form(tuple([x + y for x, y in zip(a, b)]))
-        if self._koszul(a, b) < 0:
-            nf = {m: -c for m, c in nf.items()}
-        terms = self._products[key] = self._terms(d1 + d2, nf,
-                                                  self._product_orders)
+        d, exps = d1 + d2, tuple([x + y for x, y in zip(a, b)])
+        k = self._index[d].get(exps)
+        if k is not None:
+            terms = ((k, _norm_coeff(self._koszul(a, b),
+                                     self._product_orders[d][k])),)
+        elif not self._rewrites:
+            terms = ()
+        else:
+            nf = self._normal_form(exps)
+            if self._koszul(a, b) < 0:
+                nf = {m: -c for m, c in nf.items()}
+            terms = self._terms(d, nf, self._product_orders)
+        self._products[key] = terms
         return terms
 
     def __eq__(self, other):

@@ -36,6 +36,7 @@ same columns (RecordColumns.of).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 
@@ -84,24 +85,23 @@ _BLOCK = 256
 _HOLE = "\0"
 
 
+@functools.cache
+def _layout(size: int) -> tuple:
+    # the levels before the last class of a candidate with this many, in
+    # the order of their keys (c1, c10, c11, c2, ...), split at the place
+    # of the last.  Kept across reports, one entry per class count, as a
+    # report of one record would otherwise sort them again
+    order = sorted(range(size), key=lambda level: "c%d" % (level + 1))
+    split = order.index(size - 1) if size else 0
+    return tuple(order[:split]), tuple(order[split + 1:])
+
+
 def render_json(report: ObstructionReport, name: str = "",
                 write=None) -> str | None:
     """The JSON report; with `write`, it is passed to write in pieces, none
     holding more than _BLOCK records or vanishing candidates, and None is
     returned."""
     tables: dict = {}   # (ring id, degree) -> ((index, '"name": "'), ...)
-    layouts: dict = {}  # class count -> (levels ahead of the last, behind)
-
-    def layout(size: int) -> tuple:
-        # the levels before the last class of a candidate with this many,
-        # in the order of their keys (c1, c10, c11, c2, ...), split at the
-        # place of the last
-        found = layouts.get(size)
-        if found is None:
-            order = sorted(range(size), key=lambda level: "c%d" % (level + 1))
-            split = order.index(size - 1) if size else 0
-            found = layouts[size] = order[:split], order[split + 1:]
-        return found
 
     def terms(ring, degree: int, coeffs, ind: str) -> str:
         table = tables.get((id(ring), degree))
@@ -146,7 +146,7 @@ def render_json(report: ObstructionReport, name: str = "",
         levels, heads, starts = records.levels, records.heads, records.starts
         last, qs, values = records.last, records.q, records.values
         size = len(levels)
-        ahead, behind = layout(size)
+        ahead, behind = _layout(size)
         inner = ind + "  "
         at = inner if whole else ind  # the indent of the candidate object
         deeper = at + "  "

@@ -11,9 +11,13 @@ there patches it here too.  The odd-exponent masks that the enumeration
 now carries were computed afterwards, per degree, by `_parity_masks`,
 which is kept as it was and called for every degree at the end.
 `from_terms` is `GradedRing.from_terms` at that change, which parsed and
-rewrote every term, canonical basis names included.  Tests compare the
-ring under test with these copies outcome by outcome and message by
-message.
+rewrote every term, canonical basis names included.
+`ParentProductRing._product_terms` and `_normal_form` are copies of
+`GradedRing`'s before products of basis monomials were looked up: every
+exponent sum was rewritten to its normal form, whether it was a basis
+monomial or the ring had no rule with a right-hand side, and a rule
+without one was applied like any other.  Tests compare the ring under
+test with these copies outcome by outcome and message by message.
 """
 
 import itertools
@@ -21,11 +25,13 @@ import math
 
 from acso import gradedring
 from acso.gradedring import (
+    ConfluenceError,
     DegreeError,
     GradedRing,
     RingError,
     _reduced,
     _table_too_large,
+    format_exponents,
     parse_exponents,
     quote,
 )
@@ -118,3 +124,47 @@ def from_terms(self, degree, terms):
         for k, v in self._terms(degree, self._normal_form(exps)):
             coeffs[k] += c * v
     return _reduced(self, degree, coeffs)
+
+
+class ParentProductRing(GradedRing):
+    """A GradedRing that rewrites the exponent sum of every product of
+    basis monomials, as it did; its reductions do the same."""
+
+    def _normal_form(self, exps) -> dict:
+        cached = self._nf_cache.get(exps)
+        if cached is not None:
+            return cached
+        if exps in self._nf_active:
+            raise ConfluenceError(
+                "rewriting does not terminate at %s"
+                % format_exponents(self.names, exps))
+        rule = self._first_rule(exps)
+        if rule is None:
+            result = {} if self._order_of(exps) == 1 else {exps: 1}
+        else:
+            self._nf_active.add(exps)
+            try:
+                acc = self._rewrite(exps, rule)
+            finally:
+                self._nf_active.discard(exps)
+            result = {m: c for m, c in acc.items() if c}
+        self._nf_cache[exps] = result
+        return result
+
+    def _product_terms(self, d1: int, i: int, d2: int, j: int) -> tuple:
+        key = (d1, i, d2, j)
+        terms = self._products.get(key)
+        if terms is not None:
+            return terms
+        a, b = self._basis[d1][i], self._basis[d2][j]
+        nf = self._normal_form(tuple([x + y for x, y in zip(a, b)]))
+        if self._koszul(a, b) < 0:
+            nf = {m: -c for m, c in nf.items()}
+        terms = self._products[key] = self._terms(d1 + d2, nf,
+                                                  self._product_orders)
+        return terms
+
+    def _reduction(self, modulus: int) -> GradedRing:
+        ring = GradedRing._reduction(self, modulus)
+        ring.__class__ = ParentProductRing
+        return ring

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from acso import gradedring, obstruct
+from acso import gradedring, obstruct, spacefile
 from acso.cli import main
 from acso.gradedring import (
     CoefficientMap,
@@ -42,7 +42,7 @@ from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
 from acso.spacefile import load_space_file, matrix_map, space_file_from_doc
 
-from conftest import CORPUS_DIR, replace
+from conftest import CORPUS_DIR, DATA_DIR, replace
 import ring_reference
 
 
@@ -475,6 +475,113 @@ def test_construction_matches_reference_on_random_presentations():
     # the draw reaches every outcome
     assert set(kinds) == {"ring", SignRuleError, ConfluenceError, RingError}, \
         kinds
+
+
+def dense_pairs(ring):
+    """Every (d1, i, d2, j) with d1 + d2 <= cutoff, in the order of a
+    dense table."""
+    return [(d1, i, d2, j) for d1 in range(ring.cutoff + 1)
+            for d2 in range(ring.cutoff + 1 - d1)
+            for i in range(len(ring._basis[d1]))
+            for j in range(len(ring._basis[d2]))]
+
+
+def assert_products_match_parent(ring, parent, kinds):
+    """Every pair's memo entry in ring equals the parent's, and so does
+    every normal form the parent computed; kinds counts the pairs and
+    normal forms by the way ring reaches them."""
+    for key in dense_pairs(ring):
+        got = ring._product_terms(*key)
+        assert got == parent._product_terms(*key), (ring, key)
+        d1, i, d2, j = key
+        a, b = ring._basis[d1][i], ring._basis[d2][j]
+        exps = tuple(x + y for x, y in zip(a, b))
+        if exps in ring._index[d1 + d2]:
+            kinds["hit" if got[0][1] == ring._koszul(a, b)
+                  else "hit, sign reduced"] += 1
+        elif not ring._rewrites:
+            kinds["miss, no right-hand side"] += 1
+        else:
+            kinds["rewritten" if got else "rewritten to 0"] += 1
+    assert ring._products == parent._products
+    for exps, normal in parent._nf_cache.items():
+        assert ring._normal_form(exps) == normal, (ring, exps)
+        first = ring._first_rule(exps)
+        kinds["normal form" if first is None or first.rhs
+              else "normal form, no right-hand side"] += 1
+
+
+def built(cls, pres):
+    try:
+        return cls(pres)
+    except RingError as exc:
+        return type(exc), str(exc)
+
+
+def assert_presentation_matches_parent(pres, kinds):
+    """The ring of pres, and for a torsion-free integral pres each of
+    its reductions, each taken from a fresh integral ring so that the
+    reduction multiplies first, against the parent's."""
+    ring = built(GradedRing, pres)
+    parent = built(ring_reference.ParentProductRing, pres)
+    if isinstance(ring, tuple):
+        assert ring == parent, pres
+        return
+    assert_products_match_parent(ring, parent, kinds)
+    if pres.modulus or any(g.order for g in pres.generators):
+        return
+    for m in (2, 4):
+        derived = GradedRing(pres)._reduction(m)
+        assert vars(derived).keys() == vars(ring).keys()
+        assert_products_match_parent(
+            derived, ring_reference.ParentProductRing(pres)._reduction(m),
+            kinds)
+        kinds["derived"] += 1
+
+
+def test_products_match_the_parent_on_random_presentations():
+    # the draws of test_construction_matches_reference_on_random_presentations
+    rng = random.Random(2024)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        assert_presentation_matches_parent(random_presentation(rng), kinds)
+    assert min(kinds.values()) > 20, kinds
+    assert len(kinds) == 8, kinds
+
+
+def test_products_match_the_parent_on_every_file_ring():
+    kinds = collections.Counter()
+    paths = sorted(CORPUS_DIR.glob("*.json")) + sorted(DATA_DIR.glob("*.json"))
+    for path in paths:
+        rings = json.loads(path.read_text())["rings"]
+        moduli = {"shared": 0, "integral": 0, "mod2": 2, "mod4": 4}
+        for label, section in rings.items():
+            pres = spacefile._presentation(section, moduli[label], label)
+            assert_presentation_matches_parent(pres, kinds)
+    assert min(kinds.values()) > 10, kinds
+    assert len(kinds) == 8, kinds
+
+
+def test_s1xwu_products_keep_rewritten_and_reduced_terms(corpus):
+    # mod 4, zeta2*zeta3 is no basis monomial, yet its rule has the
+    # right-hand side 2 mu4, so the product is rewritten, not 0.  Mod 2,
+    # z3*tb is the basis monomial tb*z3 with Koszul sign -1, which the
+    # memo holds reduced by the order 2, as 1
+    rings = corpus["s1xwu"].bundle.rings
+    mod4 = GradedRing(rings.mod4.presentation)
+    zeta2 = mod4.from_terms(2, {"zeta2": 1})
+    zeta3 = mod4.from_terms(3, {"zeta3": 1})
+    two_mu4 = mod4.from_terms(5, {"mu4": 2})
+    assert gradedring.product(mod4, 2, zeta2.coeffs, 3, zeta3.coeffs) == \
+        list(two_mu4.coeffs) == [2]
+    assert zeta2 * zeta3 == two_mu4
+    mod2 = GradedRing(rings.mod2.presentation)
+    i = mod2.basis_string_index(3)["z3"]
+    j = mod2.basis_string_index(1)["tb"]
+    k = mod2.basis_string_index(4)["tb*z3"]
+    assert mod2._koszul(mod2.basis(3)[i], mod2.basis(1)[j]) == -1
+    assert mod2._product_terms(3, i, 1, j) == ((k, 1),)
+    assert mod2._products[3, i, 1, j] == ((k, 1),)
 
 
 def test_product_table_cap():
@@ -2312,6 +2419,60 @@ def test_from_terms_matches_the_parse_of_every_term(corpus):
     assert kinds["reducible", "element"] > 50, kinds
     assert kinds["other degree", DegreeError] > 50, kinds
     assert kinds["unknown", RingError] > 20, kinds
+
+
+def test_check_rewrites_no_product_after_construction(
+        families, cp2_sums, tmp_path, monkeypatch, capsys):
+    # T^6 has monomial relations alone, so its products are looked up or
+    # 0 and no normal form is computed at all.  The cp2 sums have
+    # relations a_i^2 -> a_1^2 and b_j^2 -> -a_1^2, whose multiples the
+    # confluence check rewrites while the ring is built; after that every
+    # product is a basis monomial, a normal form kept from that check, or
+    # a mixed product whose rule has no right-hand side, so nothing is
+    # rewritten again
+    F = families
+    torus = tmp_path / "t6_line.json"
+    torus.write_text(json.dumps(F.space_doc(
+        "t6_line", F.line_sum(F.torus(6), [[1, 0, 1, 1, 0, 1]]))))
+    cp2_sum = tmp_path / "cp2_sum_3_3.json"
+    cp2_sum.write_text(json.dumps(cp2_sums(3, 3)))
+
+    def no_normal_form(self, exps):
+        raise AssertionError("a normal form was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GradedRing, "_normal_form", no_normal_form)
+        for argv in (["check", str(torus)],
+                     ["check", "--bound", "3", "--format", "json",
+                      str(torus)]):
+            assert main(argv) == 0
+            assert "clear" in capsys.readouterr().out
+    building = []
+    check_confluence, rewrite = GradedRing._check_confluence, \
+        GradedRing._rewrite
+
+    def spy_check_confluence(self):
+        building.append(self)
+        try:
+            return check_confluence(self)
+        finally:
+            building.pop()
+
+    rewritten = []
+
+    def spy_rewrite(self, exps, rule):
+        if not building:
+            raise AssertionError("rewrote %s after construction" % (exps,))
+        rewritten.append(exps)
+        return rewrite(self, exps, rule)
+
+    monkeypatch.setattr(GradedRing, "_check_confluence", spy_check_confluence)
+    monkeypatch.setattr(GradedRing, "_rewrite", spy_rewrite)
+    for form in ("text", "json"):
+        assert main(["check", "--bound", "3", "--format", form,
+                     str(cp2_sum)]) == 0
+        assert "clear" in capsys.readouterr().out
+    assert rewritten  # the spy saw the confluence check rewrite
 
 
 def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
