@@ -512,6 +512,7 @@ def assert_products_match_parent(ring, parent, kinds):
 
 
 def built(cls, pres):
+    """The ring of pres, or its construction error."""
     try:
         return cls(pres)
     except RingError as exc:
