@@ -22,7 +22,6 @@ from .gradedring import (
     Generator,
     GradedRing,
     LiftSearch,
-    NoIntegralLift,
     RewriteRule,
     RingElement,
     RingError,
@@ -32,8 +31,6 @@ from .gradedring import (
     any_integral_lift,
     divide_by,
     integral_lifts,
-    lift_coefficients,
-    pontryagin_square,
 )
 from .obstruct import (
     BudgetExceeded,
@@ -71,10 +68,9 @@ __all__ = [
     "AbelianGroupDescriptor", "IntMatrix", "SmithDecomposition",
     "hermite_basis", "smith_normal_form", "solve_integer_linear",
     "CoefficientMap", "ConfluenceError", "DegreeError", "Generator",
-    "GradedRing", "LiftSearch", "NoIntegralLift", "RewriteRule",
-    "RingElement", "RingError", "RingPresentation", "RingSystem",
-    "SignRuleError", "any_integral_lift", "divide_by", "integral_lifts",
-    "lift_coefficients", "pontryagin_square",
+    "GradedRing", "LiftSearch", "RewriteRule", "RingElement", "RingError",
+    "RingPresentation", "RingSystem", "SignRuleError", "any_integral_lift",
+    "divide_by", "integral_lifts",
     "BudgetExceeded", "BundleData", "ChernCandidate", "DataValidationError",
     "DivisibilityViolation", "NoSolution", "ObstructionReport", "Pairing",
     "SearchOutcome", "Verdict", "WuCheck", "acs_verdict",

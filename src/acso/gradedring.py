@@ -41,11 +41,15 @@ product reduces mod 2 or mod 4, so a pair of basis monomials is
 multiplied once for all three rings.  Every map is then a scale times
 the identity on the one shared basis (the zero map for beta):
 it stores the scale, and the laws are checked on the scales, once per
-degree and distinct target order.  The
-operations at the bottom of the module (divide_by and its coefficient
-form quotients, integral lifts, Pontryagin squares) are what the
-obstruction evaluator consumes; the mod-2 equations among them are
-solved over F2 from the columns of rho2, built per degree when read.
+degree and distinct target order.
+
+The obstruction evaluator reads the operations at the bottom of the
+module: quotients, every x with n*x = y on coefficients (divide_by makes
+their elements); any_integral_lift; lift_spreads, the lifts of a mod-2
+class within a bound as spreads of coordinate ranges; and lift_test, a
+count and a membership test of the same lifts, which lists none.  Their
+mod-2 equations are solved over F2 from the columns of rho2, built per
+degree when read.
 """
 
 from __future__ import annotations
@@ -76,10 +80,6 @@ class SignRuleError(RingError):
     """A product of basis monomials violates graded commutativity."""
 
 
-class NoIntegralLift(RingError):
-    """A mod-2 class has no integral preimage."""
-
-
 class TableTooLarge(RingError):
     """A ring's checks could visit more than TABLE_CAP pairs of monomials,
     or its confluence check would take more than TABLE_CAP steps: a normal
@@ -96,7 +96,8 @@ class TooManyLifts(RingError):
 # and the most steps of its confluence check (normal forms and rule tests)
 TABLE_CAP = 10 ** 6
 # the most lifts lift_spreads spreads over a bound, so the most that
-# lift_coefficients and integral_lifts return or `acso lifts` writes
+# integral_lifts returns or `acso lifts` writes; lift_test refuses only
+# more parity solutions than this, since it lists no lift
 LIFT_CAP = 10 ** 6
 # the most characters of an offending value that an error message quotes
 QUOTE_CAP = 64
@@ -1456,7 +1457,7 @@ def _lift_parities(system: RingSystem, u: RingElement, free: bool = True):
 def any_integral_lift(system: RingSystem, u: RingElement) -> RingElement | None:
     """One integral x with rho2(x) = u, or None when provably none exists.
 
-    x is the particular solution of the parity system of integral_lifts:
+    x is the particular solution of the parity system of lift_spreads:
     each coordinate rho2 sees is 0 or 1, and the others are 0.
     """
     orders, seen, solved = _lift_parities(system, u)
@@ -1588,51 +1589,25 @@ def lift_test(system: RingSystem, u: RingElement, bound: int):
     return count, test
 
 
-def lift_coefficients(system: RingSystem, u: RingElement,
-                      bound: int) -> Iterator[tuple] | None:
-    """The coefficients of the lifts of u with free ones in [-bound, bound].
-
-    None when lift_spreads finds none can exist, with its LIFT_CAP
-    refusal; otherwise an iterator over the coefficient tuples of the
-    lifts in lexicographic order.  Each spread's product of ascending
-    ranges is sorted and the spreads are disjoint, so merging them yields
-    every lift once and in order, one at a time.
-    """
-    spreads = lift_spreads(system, u, bound)
-    if spreads is None:
-        return None
-    return heapq.merge(*(itertools.product(*axes) for axes in spreads))
-
-
 def integral_lifts(system: RingSystem, u: RingElement, bound: int) -> LiftSearch:
     """All lifts of u with free coefficients in [-bound, bound].
 
-    One element per tuple of lift_coefficients, in its order, with the
-    same LIFT_CAP refusal; no_lift_proven is True exactly when it finds
-    the congruences unsolvable.  No command calls it: `acso lifts` builds
-    its lines from the axes of lift_spreads, and the Chern-candidate
-    survey walks those axes itself, keeping a lift as its index in the
-    spreads and making no element for it.  `str()` of its elements is
-    what `acso lifts` must print, so the tests hold the command's output
-    against it.
+    One element per lift of lift_spreads, with its LIFT_CAP refusal, in
+    lexicographic order of the coefficients: each spread's product of
+    ascending ranges is sorted and the spreads are disjoint, so merging
+    them yields every lift once.  no_lift_proven is True exactly when
+    lift_spreads finds the congruences unsolvable.  No command calls it:
+    `acso lifts` builds its lines from the axes of lift_spreads, and the
+    Chern-candidate survey walks those axes itself, keeping a lift as its
+    index in the spreads and making no element for it.  `str()` of its
+    elements is what `acso lifts` must print, so the tests hold the
+    command's output against it.
     """
-    coeffs = lift_coefficients(system, u, bound)
-    if coeffs is None:
+    spreads = lift_spreads(system, u, bound)
+    if spreads is None:
         return LiftSearch(lifts=(), no_lift_proven=True)
     ring, degree = system.integral, u.degree
-    return LiftSearch(lifts=tuple(_element(ring, degree, c) for c in coeffs),
-                      no_lift_proven=False)
-
-
-def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:
-    """rho4 of the square of any integral lift of u.
-
-    On classes that lift, the value is independent of the chosen lift:
-    (x + 2k)^2 = x^2 + 4(kx + k^2) and the correction dies mod 4.
-    Raises NoIntegralLift when u has no integral preimage.
-    """
-    lift = any_integral_lift(system, u)
-    if lift is None:
-        raise NoIntegralLift(
-            "no integral lift in degree %d" % u.degree)
-    return system.rho4(lift * lift)
+    return LiftSearch(lifts=tuple(
+        _element(ring, degree, c)
+        for c in heapq.merge(*(itertools.product(*axes) for axes in spreads))),
+        no_lift_proven=False)

@@ -604,6 +604,15 @@ class _Lifts:
                 self._by_index[index] = coeffs
         return zip(map(self._by_index.__getitem__, self._order), self._order)
 
+    @property
+    def predicted(self) -> int:
+        return self.size
+
+    def choices(self, data: BundleData, prefix: list):
+        # the first level is walked once, and streamed; a later one is
+        # walked once per prefix, so it is listed
+        return self.listed() if prefix else self.walk()
+
     def __getitem__(self, index: int) -> tuple:
         if self._by_index is not None:
             return self.ring, self.degree, self._by_index[index]
@@ -637,6 +646,36 @@ class _Classes:
 
     def __getitem__(self, i: int) -> tuple:
         return self.items[i]
+
+
+class _Solved(_Classes):
+    """The solutions of an even index c_2j, numbered as _Classes numbers
+    the classes the records hold.
+
+    Identity j reads only c_1..c_2j and holds c_2j only as 2 c_2j, so the
+    prefix alone, c_2j being zero, gives r, and choices() gives each
+    solution of 2x = -r that lift_test's test keeps, a lift of w_4j
+    within the bound, in lexicographic order.  `size` is the size of the
+    lift set, which is never listed; `predicted` is 2^e, the most
+    solutions 2x = y can have, e counting the torsion coordinates of even
+    order.
+    """
+
+    __slots__ = ("ring", "degree", "size", "predicted", "_test")
+
+    def __init__(self, ring, degree: int, found: tuple) -> None:
+        _Classes.__init__(self)
+        self.ring, self.degree = ring, degree
+        self.size, self._test = found
+        self.predicted = 2 ** sum(1 for o in ring.orders(degree)
+                                  if o and o % 2 == 0)
+
+    def choices(self, data: BundleData, prefix: list):
+        orders = self.ring.orders(self.degree)
+        r = square_sum(data, [(1,)] + prefix, self.degree // 4)
+        y = [-x % o if o else -x for x, o in zip(r, orders)]
+        return iter([(c, self.index(c, (self.ring, self.degree, c)))
+                     for c in quotients(2, y, orders) if self._test(c)])
 
 
 class RecordColumns(Sequence):
@@ -808,47 +847,51 @@ def _final_criterion(rank: int) -> tuple[int, str] | None:
 def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
     """Find the Chern candidates within `bound` and test each one.
 
-    Candidates are built depth-first in index order, on coefficient
-    tuples.  An odd-index class c_i ranges over the integral lifts of
-    w_2i whose free coefficients lie in [-bound, bound]: the spreads of
-    lift_spreads, walked in lexicographic order, a lift being known by
-    its index in them.  An even-index class c_2j is solved, not
-    enumerated: Massey's intermediate identity q_j = 0 (j below the final
-    index) contains it only as 2 c_2j, so c_2j runs over the solutions of
-    2 c_2j = -r, r being q_j with c_2j set to zero, that are lifts of
-    w_4j within the bound, each tested by lift_test, so that its lift set
-    is never listed.  Every candidate built thus reduces to w and
-    satisfies the intermediate identities by construction, and only its
-    top-degree class is evaluated, by square_sum, the formula
-    chern_square_sum uses.
+    The survey's plan is its list of levels, one per index i below
+    rank/2, each of one of two kinds:
 
-    At rank 4k with k >= 2 the last class c_{2k-1} enters q only as
-    -2 c_1 c_{2k-1}, so each lift x of it gets q = q0 - 2 M x, q0 being
-    the class with c_{2k-1} = 0 and M the matrix of multiplication by c_1
-    from degree 4k-2 to 4k; q0 is made once per prefix c_1..c_{2k-2}, M
-    once per c_1.  At ranks 4 and 6 q is quadratic in the last class and
-    is computed whole.  Sums are reduced at the torsion coordinates once,
-    at the end.
+      * an odd index is a _Lifts: the integral lifts of w_2i whose free
+        coefficients lie in [-bound, bound], the spreads of lift_spreads,
+        a lift being known by its index in them.  The first level is
+        walked once, in lexicographic order of the coefficients, and
+        streamed; a later one is listed once and read once per prefix;
+      * an even index is a _Solved, not enumerated: Massey's intermediate
+        identity q_j = 0 (j below the final index) holds c_2j only as
+        2 c_2j, so per prefix c_2j runs over the solutions of 2 c_2j = -r,
+        r being q_j with c_2j set to zero, that lift_test's test accepts
+        as lifts of w_4j within the bound; its lift set is never listed.
+
+    Each level carries its degree, `size`, the size of its lift set, and
+    `predicted`, its factor of the work: the size for a _Lifts, and for a
+    _Solved the 2^e solutions that 2x = y can have when its piece has e
+    torsion coordinates of even order.  `enumerated` is the product of
+    the sizes, which is reported but never iterated, and BudgetExceeded
+    is raised before the walk when the product of the predictions exceeds
+    CANDIDATE_CAP.  `complete` holds when no level has a free coordinate,
+    so that the bound cut nothing off.
+
+    The walk is depth first, on coefficient tuples, on a stack of its own.
+    Every candidate it builds reduces to w and satisfies the intermediate
+    identities by construction, and only its top-degree class q is
+    evaluated, by square_sum, the formula chern_square_sum uses; at rank
+    4k with k >= 2 the last class c_{2k-1} enters q only as
+    -2 c_1 c_{2k-1}, so each lift x of it gets q = q0 - 2 M x, q0 being the
+    class with c_{2k-1} = 0, made once per prefix, and M the matrix of
+    multiplication by c_1 from degree 4k-2 to 4k, made once per c_1.
+    Sums are reduced at the torsion coordinates once, at the end.
 
     The check rho4(q) = 0 and the pairing of q run once per value of q, on
     its reduced coefficients, when the value first occurs, so the first
     candidate whose q fails raises DivisibilityViolation.  The records
-    are RecordColumns: per candidate, the index of each class in its
-    level (a lift's index in its spreads, a solved class's number among
-    those the records hold) and of its value of q, whose element, status
-    and pairing are kept once; the status of q = 0 is read once per
-    search.  Only the q elements are made here, and the elements of the
-    vanishing candidates when they are read.  No record solves 4x = q:
-    the witness is made once, for the printed verdict.
+    are RecordColumns over the levels: per candidate, the index of each
+    class in its level (a lift's index in its spreads, a solved class's
+    number among those the records hold) and of its value of q, whose
+    element, status and pairing are kept once; the status of q = 0 is
+    read once per search.  Only the q elements are made here, and the
+    elements of the vanishing candidates when they are read.  No record
+    solves 4x = q: the witness is made once, for the printed verdict.
     Deterministic: candidates come out in lexicographic order of their
     coefficient vectors.
-
-    `enumerated` is the size of the product of the lift sets, which is
-    reported but never iterated.  The work is predicted before the search
-    starts: the product of the odd-index lift-set sizes times, for each
-    solved class, the 2^e solutions that 2x = y can have when its piece
-    has e torsion coordinates of even order.  BudgetExceeded is raised
-    when the prediction exceeds CANDIDATE_CAP.
     """
     rank = data.rank
     final = _final_criterion(rank)
@@ -856,44 +899,25 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
         raise ValueError("no top-degree criterion for rank %d" % rank)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    k_final, rule = final
-    n = rank // 2
+    k, rule = final
     rings = data.rings
     integral = rings.integral
 
-    levels = []  # per index: its _Lifts (odd) or _Classes (solved)
-    tests = []   # per index: None (odd) or lift_test's test (solved)
-    sizes = []   # per index: the size of its lift set
-    for i in range(1, n):
+    levels = []
+    for i in range(1, rank // 2):
         found = (lift_spreads if i % 2 else lift_test)(
             rings, data.w_class(2 * i), bound)
         if found is None:
             return SearchOutcome(bound=bound, rule=rule, no_lift_degree=2 * i,
                                  complete=True)
-        if i % 2:
-            levels.append(_Lifts(integral, 2 * i, found))
-            sizes.append(levels[-1].size)
-            tests.append(None)
-        else:
-            levels.append(_Classes())
-            sizes.append(found[0])
-            tests.append(found[1])
-    complete = all(o != 0
-                   for i in range(1, n)
-                   for o in integral.orders(2 * i))
-
-    predicted = 1
-    for i, size in enumerate(sizes, start=1):
-        if i % 2:
-            predicted *= size
-        else:
-            predicted *= 2 ** sum(1 for o in integral.orders(2 * i)
-                                  if o and o % 2 == 0)
-    if predicted > CANDIDATE_CAP:
+        levels.append((_Lifts if i % 2 else _Solved)(integral, 2 * i, found))
+    complete = all(o != 0 for level in levels
+                   for o in integral.orders(level.degree))
+    if math.prod(level.predicted for level in levels) > CANDIDATE_CAP:
         raise BudgetExceeded("candidate enumeration exceeded the cap %d"
                              % CANDIDATE_CAP)
     # the status of q = 0; no q exists above the cutoff
-    top = 4 * k_final
+    top = 4 * k
     above = top > data.cutoff
     zero = ("Inconclusive" if not above and _annihilated_by(
         integral.orders(top), 4) else "Zero")
@@ -904,6 +928,7 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
               and pairing.degree == top else None)
     rho4 = None if above else rings.rho4.image(top)
     records = RecordColumns(levels)
+    last_column, q_column = records.last, records.q
 
     def number(q):
         # the index in records.values of a new value of q, once checked
@@ -918,57 +943,19 @@ def survey_candidates(data: BundleData, bound: int = 10) -> SearchOutcome:
         return index
 
     seen = {}  # each value of q -> its index in records.values
-    _admissible_candidates(data, levels, tests, k_final, records, torsion,
-                           seen, number)
-    return SearchOutcome(bound=bound, rule=rule,
-                         enumerated=math.prod(sizes), records=records,
-                         complete=complete)
-
-
-def _admissible_candidates(data: BundleData, levels: list, tests: list,
-                           k: int, records: RecordColumns, torsion,
-                           seen: dict, number) -> None:
-    # appends every candidate to records, in lexicographic order: seen
-    # gives the index of the value of its top class q_k, from the
-    # coefficients reduced at the torsion coordinates, and number that of
-    # a value seen lacks.  Every even index 2j below n = rank/2 has j
-    # below the final index, so identity j fixes c_2j; it reads only
-    # c_1..c_2j, so the prefix alone, c_2j being zero, gives r.  The test
-    # of its lift set keeps rho2(c_2j) = w_4j and the bound, and the
-    # solutions of 2x = -r come in lexicographic order.  The last level
-    # evaluates q_k per prefix where survey_candidates says so, and its
-    # records form one run of the columns.
-    integral = data.rings.integral
-    last = len(levels)
-    per_prefix = k >= 2 and data.rank % 4 == 0
-    unit, euler = (1,), data.euler.coeffs
+    linear = k >= 2 and rank % 4 == 0
+    size = len(integral.orders(levels[-1].degree))
     # c_1 -> the entries (column, row, value) of -2 c_1 from degree 4k-2
-    # to 4k
+    # to 4k, where q is linear in the last class
     times_c1 = {}
+    unit, euler = (1,), data.euler.coeffs
     prefix, heads = [], []  # coefficients and indices of c_1..c_{i-1}
-    last_column, q_column = records.last, records.q
-
-    def choices(i):
-        # (coefficients, index) of each c_i after the prefix, in order; the
-        # first index is walked once, and streamed
-        level = levels[i - 1]
-        if i == 1:
-            return level.walk()
-        if i % 2:
-            return level.listed()
-        orders = integral.orders(2 * i)
-        r = square_sum(data, [unit] + prefix, i // 2)
-        y = [-x % o if o else -x for x, o in zip(r, orders)]
-        test = tests[i - 1]
-        return iter([(c, level.index(c, (integral, 2 * i, c)))
-                     for c in quotients(2, y, orders) if test(c)])
-
     # depth first on a stack of iterators of its own, so that the rank/2
     # - 1 levels take no frames of the caller's
-    stack = [choices(1)]
+    stack = [levels[0].choices(data, prefix)]
     while stack:
         i = len(stack)
-        if i < last:
+        if i < len(levels):
             step = next(stack[-1], None)
             if step is None:
                 stack.pop()
@@ -976,20 +963,12 @@ def _admissible_candidates(data: BundleData, levels: list, tests: list,
             del prefix[i - 1:], heads[i - 1:]
             prefix.append(step[0])
             heads.append(step[1])
-            stack.append(choices(i + 1))
+            stack.append(levels[i].choices(data, prefix))
             continue
+        # the last level: its records form one run of the columns
         start = len(q_column)
         c = [unit] + prefix
-        if not per_prefix:
-            for x, index in stack.pop():
-                q = square_sum(data, c + [x, euler], k)
-                for t, o in torsion:
-                    q[t] %= o
-                value = seen.get(tuple(q))
-                last_column.append(index)
-                q_column.append(number(q) if value is None else value)
-        else:
-            size = len(integral.orders(2 * i))
+        if linear:
             q0 = square_sum(data, c + [(0,) * size, euler], k)
             c1 = prefix[0]
             entries = times_c1.get(c1)
@@ -999,19 +978,25 @@ def _admissible_candidates(data: BundleData, levels: list, tests: list,
                     for t, v in enumerate(product(
                         integral, 2, c1, 2 * i,
                         [int(j == s) for s in range(size)])) if v]
-            for x, index in stack.pop():
+        for x, index in stack.pop():
+            if linear:
                 q = q0[:]
                 for j, t, v in entries:
                     q[t] += x[j] * v
-                for t, o in torsion:
-                    q[t] %= o
-                value = seen.get(tuple(q))
-                last_column.append(index)
-                q_column.append(number(q) if value is None else value)
+            else:
+                q = square_sum(data, c + [x, euler], k)
+            for t, o in torsion:
+                q[t] %= o
+            value = seen.get(tuple(q))
+            last_column.append(index)
+            q_column.append(number(q) if value is None else value)
         if len(q_column) > start:
             records.starts.append(start)
             for column, index in zip(records.heads, heads):
                 column.append(index)
+    return SearchOutcome(bound=bound, rule=rule,
+                         enumerated=math.prod(level.size for level in levels),
+                         records=records, complete=complete)
 
 
 def _definite_form_certificate(data: BundleData, bound: int) -> str | None:
@@ -1237,8 +1222,11 @@ def acs_verdict(data: BundleData, bound: int = 10) -> ObstructionReport:
 
     `status` summarizes the tests that ran; `existence` additionally
     accounts for the degrees no implemented criterion covers (`gaps`), so
-    a clear run with gaps stays "undetermined".
+    a clear run with gaps stays "undetermined".  A negative bound raises
+    ValueError whether or not a search would run.
     """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     rank = data.rank
     n = rank // 2
     cutoff = data.cutoff

@@ -399,6 +399,24 @@ def test_check_divisibility_violation_is_an_error(monkeypatch, capsys):
     assert err.splitlines() == ["error: q = 2*a^2 is not divisible by 4"]
 
 
+def test_check_refuses_a_negative_bound_on_every_file(capsys):
+    # the bound is refused before any criterion runs, also where no search
+    # would run (s6, s2xs4 and s1xwu); the two files whose load fails
+    # keep their own message
+    load_failures = set()
+    paths = sorted(CORPUS_DIR.glob("*.json")) + sorted(DATA_DIR.glob("*.json"))
+    for path in paths:
+        code, _, err = run(capsys, "check", str(path))
+        if code == 1:
+            load_failures.add(path.stem)
+        else:
+            err = "error: bound must be nonnegative\n"
+        for form in ("text", "json"):
+            assert run(capsys, "check", str(path), "--bound", "-1",
+                       "--format", form) == (1, "", err), path.name
+    assert load_failures == {"bad_reduction", "duplicate_index"}
+
+
 # -- lifts ---------------------------------------------------------------
 
 

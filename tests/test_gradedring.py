@@ -18,7 +18,6 @@ from acso.gradedring import (
     DegreeError,
     Generator,
     GradedRing,
-    NoIntegralLift,
     RewriteRule,
     MAP_SIGNATURES,
     RingElement,
@@ -33,10 +32,9 @@ from acso.gradedring import (
     divide_by,
     format_exponents,
     integral_lifts,
-    lift_coefficients,
+    lift_spreads,
     lift_test,
     parse_exponents,
-    pontryagin_square,
 )
 from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
@@ -44,6 +42,7 @@ from acso.spacefile import load_space_file, matrix_map, space_file_from_doc
 
 from conftest import CORPUS_DIR, DATA_DIR, replace
 import ring_reference
+from validation_reference import NoIntegralLift, pontryagin_square
 
 
 def truncated_polynomial(name: str, degree: int, power: int, cutoff: int,
@@ -2003,22 +2002,29 @@ def test_lift_test_caps_parity_solutions_not_lifts(monkeypatch):
     assert lift_test(system, system.mod2.zero(2), 0)[0] == 1
 
 
-def test_lift_coefficients_refuses_before_the_first_lift(monkeypatch,
-                                                        s1xwu):
-    # the count is checked when the iterator is made, so `acso lifts`
-    # prints nothing before a refusal; the coefficient tuples then come
-    # one at a time, in the order of the lifts integral_lifts collects
+def test_lift_spreads_refuse_before_the_first_lift(monkeypatch, s1xwu):
+    # the count is checked before a spread is returned, so `acso lifts`
+    # prints nothing before a refusal.  The four spreads of 0 are
+    # disjoint and each product is sorted, but one after another they are
+    # not: integral_lifts merges them into every lift once, in
+    # lexicographic order
     system = free_system(3, [[1, 0, 0]])
     u = system.mod2.zero(2)
-    stream = lift_coefficients(system, u, 1)
-    first = next(stream)
-    assert (first,) + tuple(stream) == tuple(
-        x.coeffs for x in integral_lifts(system, u, 1).lifts)
+    spreads = lift_spreads(system, u, 1)
+    assert len(spreads) == 4
+    listed = [c for axes in spreads for c in itertools.product(*axes)]
+    assert len(set(listed)) == len(listed) == 9
+    assert listed != sorted(listed)
+    assert tuple(x.coeffs for x in integral_lifts(system, u, 1).lifts) == (
+        tuple(sorted(listed)))
     monkeypatch.setattr(gradedring, "LIFT_CAP", 8)
     with pytest.raises(TooManyLifts):
-        lift_coefficients(system, u, 1)
+        lift_spreads(system, u, 1)
+    with pytest.raises(TooManyLifts):
+        integral_lifts(system, u, 1)
     z2 = s1xwu.rings.mod2.from_terms(2, {"z2": 1})
-    assert lift_coefficients(s1xwu.rings, z2, 4) is None
+    assert lift_spreads(s1xwu.rings, z2, 4) is None
+    assert integral_lifts(s1xwu.rings, z2, 4).no_lift_proven
 
 
 def test_lift_failure_is_proven(s1xwu):

@@ -10,6 +10,7 @@ two spreads, and k CP^2 # l reversed CP^2, the rank-4 family of
 conftest.py, whose exit codes are pinned here too.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -411,6 +412,39 @@ def test_a_report_builds_no_record(cp2_sums, tmp_path, monkeypatch, capsys):
 
 
 # -- the walk over the levels --------------------------------------------
+
+
+def _walks_and_listings(monkeypatch, data, bound):
+    """The records of a survey, and per level the calls of walk() and of
+    listed() on it; listed() walks its level on its first call."""
+    calls = collections.Counter()
+    for name in ("walk", "listed"):
+        def spied(self, method=getattr(obstruct._Lifts, name), name=name):
+            calls[id(self), name] += 1
+            return method(self)
+
+        monkeypatch.setattr(obstruct._Lifts, name, spied)
+    records = survey_candidates(data, bound).records
+    monkeypatch.undo()
+    return records, [(calls[id(level), "walk"], calls[id(level), "listed"])
+                     for level in records.levels]
+
+
+def test_the_first_level_is_streamed_and_later_ones_walked_once(
+        families, cp2_sums, monkeypatch):
+    # the first lift set is walked once and never listed, so a rank-4
+    # survey holds no list of its lifts; a later one is reached once per
+    # prefix but walked once, when it is first listed.  The tangent bundle
+    # of CP^2 x CP^2 at bound 3 reaches c3 from 12 prefixes (c1, c2)
+    records, calls = _walks_and_listings(
+        monkeypatch, space_file_from_doc(cp2_sums(3, 3)).bundle, 2)
+    assert len(records) == 2 ** 6 and calls == [(1, 0)]
+    records, calls = _walks_and_listings(
+        monkeypatch, _bundle(families, ("tangent", (2, 2))), 3)
+    assert len(records) == 192
+    assert [type(level) for level in records.levels] == [
+        obstruct._Lifts, obstruct._Solved, obstruct._Lifts]
+    assert calls == [(1, 0), (0, 0), (1, 12)]
 
 
 def test_the_survey_walk_does_not_use_the_callers_stack(tmp_path, capsys):

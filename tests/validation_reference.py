@@ -11,7 +11,9 @@ ring of the identity has no basis monomials.  Element products go through
 `RingElement.__mul__` did; the Pontryagin square goes through
 `pontryagin_square`, which squares the lift with `mul`.  Tests compare
 `BundleData` against `ParentBundleData` check by check and message by
-message.
+message.  `pontryagin_square` and its `NoIntegralLift` live only here
+since the package stopped using them; the squaring tests of
+test_gradedring.py import them from here.
 """
 
 from collections.abc import Sequence
@@ -19,8 +21,8 @@ from collections.abc import Sequence
 from acso.gradedring import (
     DegreeError,
     GradedRing,
-    NoIntegralLift,
     RingElement,
+    RingError,
     RingSystem,
     _reduced,
     any_integral_lift,
@@ -64,7 +66,17 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
                     product(x.ring, x.degree, x.coeffs, y.degree, y.coeffs))
 
 
+class NoIntegralLift(RingError):
+    """A mod-2 class has no integral preimage."""
+
+
 def pontryagin_square(system: RingSystem, u: RingElement) -> RingElement:
+    """rho4 of the square of any integral lift of u.
+
+    On classes that lift, the value is independent of the chosen lift:
+    (x + 2k)^2 = x^2 + 4(kx + k^2) and the correction dies mod 4.
+    Raises NoIntegralLift when u has no integral preimage.
+    """
     lift = any_integral_lift(system, u)
     if lift is None:
         raise NoIntegralLift(
