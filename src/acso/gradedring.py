@@ -260,9 +260,12 @@ class GradedRing:
     rewritten (_normal_form) when it is not there and some rule has a
     right-hand side; otherwise it is 0.  The derived mod-m rings of a
     torsion-free ring (_reduction) share the memo, which holds the
-    integral terms.  Element texts are mapped to coefficients by basis
-    name (basis_string_index) where they are canonical, and parsed and
-    rewritten otherwise.
+    integral terms.  The names of each degree's basis are kept in one
+    table (_names), also shared: the names and their index are built
+    together, and the sorted order of the names only when it is first
+    read, so loading and plain text sort nothing.  Element texts are
+    mapped to coefficients by basis name (basis_string_index) where they
+    are canonical, and parsed and rewritten otherwise.
     """
 
     def __init__(self, presentation: RingPresentation):
@@ -272,9 +275,7 @@ class GradedRing:
         self._supports = tuple(
             (rule, tuple((k, l) for k, l in enumerate(rule.lhs) if l))
             for rule in presentation.rules)
-        self._basis_names: dict = {}
-        self._name_order: dict = {}
-        self._name_index: dict = {}
+        self._names: dict = {}  # degree -> [names, order or None, index]
         self._nf_cache: dict = {}
         self._nf_active: set = set()
         self._products: dict = {}  # (d1, i, d2, j) -> sparse product terms
@@ -635,9 +636,7 @@ class GradedRing:
         ring = object.__new__(GradedRing)
         ring._set_presentation(self.presentation.with_modulus(modulus))
         ring._supports = self._supports
-        ring._basis_names = self._basis_names
-        ring._name_order = self._name_order
-        ring._name_index = self._name_index
+        ring._names = self._names
         ring._nf_cache = self._nf_cache
         ring._nf_active = set()
         ring._products = self._products
@@ -662,43 +661,44 @@ class GradedRing:
         self._check_degree(degree)
         return self._orders[degree]
 
+    def _name_table(self, degree: int) -> list:
+        # [names, sorted order or None, {name: index}] of the degree-d basis
+        table = self._names.get(degree)
+        if table is None:
+            names = tuple(format_exponents(self.names, m)
+                          for m in self.basis(degree))
+            table = self._names[degree] = [
+                names, None, dict(zip(names, range(len(names))))]
+        return table
+
     def basis_strings(self, degree: int) -> tuple[str, ...]:
         """Names of the degree-d basis monomials, computed once per degree.
 
         The derived mod-m rings share them with their integral ring.
         """
-        names = self._basis_names.get(degree)
-        if names is None:
-            names = self._basis_names[degree] = tuple(
-                format_exponents(self.names, m) for m in self.basis(degree))
-        return names
+        return self._name_table(degree)[0]
 
     def basis_string_order(self, degree: int) -> tuple[int, ...]:
         """Indices of the degree-d basis sorted by their monomial names.
 
-        Computed once per degree and shared with the derived mod-m rings,
-        as basis_strings is; reports and space files list terms this way.
+        Sorted the first time it is read, then kept in the name table and
+        shared with the derived mod-m rings; reports and space files list
+        terms this way.
         """
-        order = self._name_order.get(degree)
-        if order is None:
-            names = self.basis_strings(degree)
-            order = self._name_order[degree] = tuple(
-                sorted(range(len(names)), key=names.__getitem__))
-        return order
+        table = self._name_table(degree)
+        if table[1] is None:
+            names = table[0]
+            table[1] = tuple(sorted(range(len(names)), key=names.__getitem__))
+        return table[1]
 
     def basis_string_index(self, degree: int) -> dict[str, int]:
         """{name: index} over the names of the degree-d basis.
 
-        Computed once per degree and shared with the derived mod-m rings,
-        as basis_strings is; from_terms and the pairing of a space file
-        look canonical names up in it.
+        Built with the names and shared with the derived mod-m rings;
+        from_terms and the pairing of a space file look canonical names up
+        in it.
         """
-        index = self._name_index.get(degree)
-        if index is None:
-            names = self.basis_strings(degree)
-            index = self._name_index[degree] = dict(
-                zip(names, range(len(names))))
-        return index
+        return self._name_table(degree)[2]
 
     def _check_degree(self, degree: int):
         if not 0 <= degree <= self.cutoff:

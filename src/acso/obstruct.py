@@ -517,11 +517,6 @@ def _divisible(data: BundleData, q: RingElement) -> RingElement:
     return q
 
 
-def _top_class(data: BundleData, cand: ChernCandidate, k: int) -> RingElement:
-    # the top-degree class q_k = 4o of a candidate known to be valid
-    return _divisible(data, chern_square_sum(data, cand, k))
-
-
 def theorem2_class(data: BundleData, cand: ChernCandidate):
     """Massey Theorem II class for rank 4k:
 
@@ -534,7 +529,7 @@ def theorem2_class(data: BundleData, cand: ChernCandidate):
         raise ValueError("Theorem II applies to ranks divisible by 4, got %d"
                          % data.rank)
     validate_candidate(data, cand)
-    q = _top_class(data, cand, data.rank // 4)
+    q = _divisible(data, chern_square_sum(data, cand, data.rank // 4))
     return q, divide_by(4, q)
 
 
@@ -688,11 +683,13 @@ class RecordColumns(Sequence):
     record starts[p], and heads[l][p] is the index of its class at level
     l.  last[r] is the index of record r's last class and q[r] that of
     its entry in `values`, a list of (q element, status, pairing).  A
-    view equals the tuple of its records.
+    view equals the tuple of its records.  The positions of the records
+    of a status are found in one pass over q when first asked for and
+    kept, so the verdict and both report writers read one list.
     """
 
     __slots__ = ("levels", "heads", "starts", "last", "q", "values",
-                 "_vanishing")
+                 "_positions", "_vanishing")
 
     def __init__(self, levels: list) -> None:
         self.levels = levels
@@ -701,6 +698,7 @@ class RecordColumns(Sequence):
         self.last = array("l")
         self.q = array("l")
         self.values = []
+        self._positions = {}
         self._vanishing = None
 
     @classmethod
@@ -770,29 +768,16 @@ class RecordColumns(Sequence):
     def __repr__(self):
         return repr(tuple(self))
 
-    def status_counts(self) -> dict:
-        """The number of records with each status that some record has.
-
-        Only q = 0 has a status other than NonZero in a survey, so the
-        records of each value of another status are counted, and the
-        rest are NonZero.
-        """
-        counts: dict = {}
-        for i, (_, status, _) in enumerate(self.values):
-            if status != "NonZero":
-                counts[status] = counts.get(status, 0) + self.q.count(i)
-        nonzero = len(self) - sum(counts.values())
-        if nonzero:
-            counts["NonZero"] = nonzero
-        return counts
-
     def positions(self, status: str) -> list:
-        """The indices of the records with this status, in order."""
-        wanted = {i for i, v in enumerate(self.values) if v[1] == status}
-        if not wanted:
-            return []
-        return list(itertools.compress(range(len(self)),
-                                       map(wanted.__contains__, self.q)))
+        """The indices of the records with this status, in order: one
+        pass over the q column per status, kept for the later readers."""
+        found = self._positions.get(status)
+        if found is None:
+            wanted = {i for i, v in enumerate(self.values) if v[1] == status}
+            found = [] if not wanted else list(itertools.compress(
+                range(len(self)), map(wanted.__contains__, self.q)))
+            self._positions[status] = found
+        return found
 
     @property
     def vanishing(self) -> tuple:
@@ -1058,12 +1043,12 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
                             "reaches this degree" % (rule, i2))
     records = RecordColumns.of(outcome.records)
     tested = len(records)
-    counts = records.status_counts()
-    if "Zero" in counts:
+    vanishing = len(records.positions("Zero"))
+    if vanishing:
         return Verdict("Zero", denominator=4,
                        note="%s: obstruction vanishes for %d of %d candidates"
-                            % (rule, counts["Zero"], tested))
-    if "Inconclusive" in counts:
+                            % (rule, vanishing, tested))
+    if records.positions("Inconclusive"):
         return Verdict("Inconclusive", denominator=4,
                        note="%s: no vanishing candidate, but some verdicts are "
                             "inconclusive (%d tested)" % (rule, tested))
@@ -1086,7 +1071,8 @@ def _aggregate_final(data: BundleData, outcome: SearchOutcome) -> Verdict:
         # only the rank-4 certificate gets here: no c1 lies within the
         # bound, so none vanishes, and the q of any lift is a witness
         lift = any_integral_lift(data.rings, data.w_class(2))
-        q = _top_class(data, ChernCandidate((lift,)), 1)
+        q = _divisible(data, chern_square_sum(
+            data, ChernCandidate((lift,)), 1))
     note = ("%s: nonzero obstruction for every candidate (%d tested%s)"
             % (rule, tested,
                "" if certificate is None else "; " + certificate))
@@ -1143,16 +1129,14 @@ def construct_w4m_lift(data: BundleData, m: int,
 # -- homotopy of SO(2n)/U(n) --------------------------------------------
 
 
-_STABLE_BY_RESIDUE = {
-    0: "torsion",   # Z/2
-    1: "zero",
-    2: "free",      # Z
-    3: "zero",
-    4: "zero",
-    5: "zero",
-    6: "free",      # Z
-    7: "torsion",   # Z/2
-}
+# the stable groups pi_q(SO(2n)/U(n)), q <= 2n-2, that are not zero, by
+# q mod 8; every other residue has _TRIVIAL.  The descriptors are
+# immutable, so every call shares them
+_STABLE = {2: AbelianGroupDescriptor.free(1),
+           6: AbelianGroupDescriptor.free(1),
+           7: AbelianGroupDescriptor.cyclic(2),
+           0: AbelianGroupDescriptor.cyclic(2)}
+_TRIVIAL = AbelianGroupDescriptor.trivial()
 
 
 def homotopy_group(n: int, q: int) -> AbelianGroupDescriptor:
@@ -1160,19 +1144,15 @@ def homotopy_group(n: int, q: int) -> AbelianGroupDescriptor:
 
     Below the top (q <= 2n-2) the groups are stable and 8-periodic:
     Z in degrees 2 and 6 mod 8, Z/2 in degrees 7 and 0 mod 8, zero
-    otherwise.  At q = 2n-1 the answer depends on n mod 4.
+    otherwise.  They are read from one module table of shared
+    descriptors.  At q = 2n-1 the answer depends on n mod 4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q < 1 or q > 2 * n - 1:
         raise ValueError("q=%d outside the computed range 1..%d" % (q, 2 * n - 1))
     if q <= 2 * n - 2:
-        kind = _STABLE_BY_RESIDUE[q % 8]
-        if kind == "free":
-            return AbelianGroupDescriptor.free(1)
-        if kind == "torsion":
-            return AbelianGroupDescriptor.cyclic(2)
-        return AbelianGroupDescriptor.trivial()
+        return _STABLE.get(q % 8, _TRIVIAL)
     r = n % 4
     if r == 0:
         return AbelianGroupDescriptor(free_rank=1, torsion_factors=(2,))

@@ -137,8 +137,9 @@ def render_json(report: ObstructionReport, name: str = "",
         # ascending positions, or (whole False) their candidates alone.
         # A run of records shares every class but the last, so the text of
         # a candidate around its last class entry is written once per run
-        # in a block, and each "ci": entry once per block, from its
-        # coefficients
+        # in a block.  Each "ci": entry, the last class's included, is
+        # written once per block from its coefficients, into one cache
+        # keyed by (level, index)
         positions = iter(positions)
         block = list(itertools.islice(positions, _BLOCK))
         if not block:
@@ -156,7 +157,6 @@ def render_json(report: ObstructionReport, name: str = "",
         closing = "\n" + at + "}" if size else ""
         sep = ",\n" + inner
         written: dict = {}  # (level, index) -> "ci": entry, for one block
-        lasts: dict = {}  # index -> entry of the last class, likewise
         rests: dict = {}  # value index -> the rest of a record
 
         def entry(level: int, index: int) -> str:
@@ -171,7 +171,6 @@ def render_json(report: ObstructionReport, name: str = "",
         runs, total = len(starts), len(qs)
         while block:
             written.clear()
-            lasts.clear()
             out = []
             end = 0  # the texts of a run are made again in each block
             for r in block:
@@ -184,11 +183,8 @@ def render_json(report: ObstructionReport, name: str = "",
                     for level in reversed(behind):
                         after = between + entry(level, heads[level][run]) \
                             + after
-                index, value = last[r], qs[r]
-                text = lasts.get(index)
-                if text is None:
-                    text = lasts[index] = (entry(size - 1, index) if size
-                                           else "")
+                value = qs[r]
+                text = entry(size - 1, last[r]) if size else ""
                 tail = rests.get(value)
                 if tail is None:
                     q, status, pairing = values[value]

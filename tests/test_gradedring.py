@@ -38,6 +38,7 @@ from acso.gradedring import (
 )
 from acso.intlin import IntMatrix, solve_integer_linear
 from acso.obstruct import BundleData, NoSolution, construct_w4m_lift
+from acso.report import render_json, render_text
 from acso.spacefile import load_space_file, matrix_map, space_file_from_doc
 
 from conftest import CORPUS_DIR, DATA_DIR, replace
@@ -823,6 +824,54 @@ def test_basis_names_are_shared_with_derived_rings():
         assert index == {n: i for i, n in enumerate(names)}
         assert system.mod2.basis_string_index(d) is index
         assert system.mod4.basis_string_index(d) is index
+
+
+def test_names_are_sorted_only_where_terms_are_listed(
+        cp2_sums, tmp_path, monkeypatch):
+    # a degree's sorted name order is built the first time it is read:
+    # loading a shared-form file, the verdict and the text report sort no
+    # names, and the JSON report sorts them once per degree it writes
+    # terms in, the mod-m rings sharing the integral ring's table.  The
+    # names sort is gradedring's only sort with a key
+    keyed = []
+
+    def counted_sorted(iterable, *, key=None, reverse=False):
+        if key is not None:
+            keyed.append(key)
+        return sorted(iterable, key=key, reverse=reverse)
+
+    def degrees(doc) -> set:
+        # the degree of every class in a JSON report: of each element
+        # object, and 2i of each "ci" entry of a candidate
+        if isinstance(doc, list):
+            return set().union(*map(degrees, doc))
+        if not isinstance(doc, dict):
+            return set()
+        found = {doc["degree"]} if "terms" in doc else set()
+        for key, value in doc.items():
+            if key in ("candidate", "vanishing"):
+                for candidate in value if key == "vanishing" else [value]:
+                    found |= {2 * int(c[1:]) for c in candidate}
+            else:
+                found |= degrees(value)
+        return found
+
+    cp2_sum = tmp_path / "cp2_sum_3_3.json"
+    cp2_sum.write_text(json.dumps(cp2_sums(3, 3)))
+    paths = [p for p in sorted(CORPUS_DIR.glob("*.json"))
+             if "shared" in json.loads(p.read_text())["rings"]] + [cp2_sum]
+    monkeypatch.setattr(gradedring, "sorted", counted_sorted, raising=False)
+    sorts = {}
+    for path in paths:
+        keyed.clear()
+        sf = load_space_file(path)
+        report = obstruct.acs_verdict(sf.bundle, bound=2)
+        render_text(report, sf.name)
+        assert keyed == [], path.name
+        written = degrees(json.loads(render_json(report, sf.name)))
+        assert len(keyed) == len(written), path.name
+        sorts[path.stem] = len(keyed)
+    assert sorts["cp2_sum_3_3"] == 2 and sorts["hp2"] > 0, sorts
 
 
 def family_and_corpus_systems(corpus, F):

@@ -10,6 +10,7 @@ from typing import Optional
 
 import pytest
 
+from acso import obstruct
 from acso.cli import main
 from acso.gradedring import Generator, GradedRing, RingPresentation
 from acso.obstruct import (
@@ -406,3 +407,26 @@ def test_check_writes_the_json_report_in_blocks(cp2_sums, tmp_path,
     assert main(["check", str(path), "--bound", "3", "--format", "json"]) == 0
     assert "".join(writes) == expected
     assert [rows(w) for w in writes] == [0] + [256] * 16 + [0, 0, 256, 128, 0, 0]
+
+
+def test_each_report_lists_the_vanishing_records_in_one_pass(
+        cp2_sums, tmp_path, monkeypatch, capsys):
+    # the verdict, the vanishing candidates and the writer of either
+    # format read the positions of the Zero records from one pass over
+    # the q column of the 4,096 records, kept on the view
+    path = tmp_path / "cp2_sum.json"
+    path.write_text(json.dumps(cp2_sums(3, 3)))
+    passes = []
+    compress = obstruct.itertools.compress
+
+    def counted(data, selectors):
+        passes.append(len(data))
+        return compress(data, selectors)
+
+    monkeypatch.setattr(obstruct.itertools, "compress", counted)
+    for form in ("text", "json"):
+        passes.clear()
+        assert main(["check", str(path), "--bound", "3", "--format",
+                     form]) == 0
+        assert passes == [4096], form
+    assert "384 vanishing" in capsys.readouterr().out
