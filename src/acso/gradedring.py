@@ -18,16 +18,21 @@ terminates, and its other applicable rules are compared only in degrees
 with basis monomials, since elsewhere every vector is 0.  No product
 table is built: the product of two basis monomials is computed the
 first time the pair is asked and kept, as the sparse terms of the Koszul
-sign times the normal form of the exponent sum.  That sum is looked up
+sign times the normal form of the exponent sum; the sign is read off
+the odd-exponent masks of the two monomials, kept per basis monomial,
+and rewriting signs with the same rule.  That sum is looked up
 in the basis, which holds every irreducible monomial of additive order
 other than 1, and is 0 when it is not there, unless a rule has a
 right-hand side: only then is it rewritten, and rewritten normal forms
-are kept per exponent tuple, so pairs with one sum share one.  Elements
-reduce only their torsion coordinates.  The checks of graded commutativity and
-additive orders look up only the pairs on which they can fail, so
-building an exterior algebra computes no product at all.  Construction
-scales with the basis rather than with the truncated set of all
-exponent tuples or the pairs of basis monomials.
+are kept per exponent tuple, so pairs with one sum share one.  Two
+kernels add those terms up over coefficient vectors: product multiplies
+two classes, and square squares a class of even degree, visiting each
+unordered pair of basis monomials once (mod 2 only the diagonal).
+Elements reduce only their torsion coordinates.  The checks of graded
+commutativity and additive orders look up only the pairs on which they
+can fail, so building an exterior algebra computes no product at all.
+Construction scales with the basis rather than with the truncated set
+of all exponent tuples or the pairs of basis monomials.
 
 On top of single rings, a RingSystem bundles an integral ring with its
 mod-2 and mod-4 reductions plus the standard coefficient maps (rho2,
@@ -245,6 +250,24 @@ def _norm_coeff(c: int, order: int) -> int:
     return c % order if order else c
 
 
+def _mask_sign(a: int, b: int) -> int:
+    """The Koszul sign that puts sorted(a)*sorted(b) into sorted(a + b),
+    from the odd-exponent masks a and b of the two monomials.
+
+    The sign is (-1)^s, s the sum of a_i b_j over odd generators i > j.
+    Only its parity counts, and a_i b_j is odd exactly when a_i and b_j
+    both are, so s has the parity of the number of pairs i > j with bit i
+    of mask a and bit j of mask b: per set bit j of b, the bits of a
+    above j.
+    """
+    s = 0
+    while b:
+        low = b & -b
+        s += (a & -(low << 1)).bit_count()
+        b ^= low
+    return -1 if s & 1 else 1
+
+
 class GradedRing:
     """Graded-commutative ring truncated above a degree cutoff.
 
@@ -350,6 +373,7 @@ class GradedRing:
             else:
                 caps[last] = min(caps[last], l)
         prefixes: list = [((), 0, self.modulus, 0)]
+        counts = [1] + [0] * self.cutoff  # the prefixes of each degree
         for k, (step, gen_order, cap, rules) in enumerate(
                 zip(self._degrees, self._gen_orders, caps, ending)):
             bit = self._odd[k] << k
@@ -367,9 +391,11 @@ class GradedRing:
                 grown.extend([(exps + (e,), d + e * step, order,
                                odd if e & 1 else mask)
                               for e in range(1, stop)])
+                for t in range(d + step, d + stop * step, step):
+                    counts[t] += 1
                 if len(grown) > TABLE_CAP:
                     raise _table_too_large(len(grown))
-            self._check_table_size(grown)
+            self._check_table_size(counts)
             prefixes = grown
         basis: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
         orders: dict[int, list] = {d: [] for d in range(self.cutoff + 1)}
@@ -386,12 +412,9 @@ class GradedRing:
         self._index = {d: {m: i for i, m in enumerate(b)}
                        for d, b in self._basis.items()}
 
-    def _check_table_size(self, monomials):
-        # the pairs with degree sum <= cutoff among the basis monomials,
-        # given as (exps, degree, order, mask)
-        sizes = [0] * (self.cutoff + 1)
-        for _, d, _, _ in monomials:
-            sizes[d] += 1
+    def _check_table_size(self, sizes):
+        # the pairs with degree sum <= cutoff among basis monomials
+        # counted per degree, sizes[d] of degree d
         # below[k]: the number of those monomials of degree <= k
         below = list(itertools.accumulate(sizes))
         entries = sum(n * below[self.cutoff - d] for d, n in enumerate(sizes))
@@ -406,13 +429,12 @@ class GradedRing:
 
     def _koszul(self, a, b) -> int:
         # sign putting sorted(a)*sorted(b) into sorted(a + b)
-        s = 0
-        for j, bj in enumerate(b):
-            if bj and self._odd[j]:
-                for i in range(j + 1, len(a)):
-                    if a[i] and self._odd[i]:
-                        s += a[i] * bj
-        return -1 if s & 1 else 1
+        return _mask_sign(self._odd_mask(a), self._odd_mask(b))
+
+    def _odd_mask(self, exps) -> int:
+        # bit i for an odd exponent of an odd-degree generator i
+        return sum((e & o) << i
+                   for i, (e, o) in enumerate(zip(exps, self._odd)))
 
     def _apply_rule(self, exps, rule):
         rem = tuple(e - l for e, l in zip(exps, rule.lhs))
@@ -775,13 +797,13 @@ class GradedRing:
         d, exps = d1 + d2, tuple([x + y for x, y in zip(a, b)])
         k = self._index[d].get(exps)
         if k is not None:
-            terms = ((k, _norm_coeff(self._koszul(a, b),
-                                     self._product_orders[d][k])),)
+            sign = _mask_sign(self._masks[d1][i], self._masks[d2][j])
+            terms = ((k, _norm_coeff(sign, self._product_orders[d][k])),)
         elif not self._rewrites:
             terms = ()
         else:
             nf = self._normal_form(exps)
-            if self._koszul(a, b) < 0:
+            if _mask_sign(self._masks[d1][i], self._masks[d2][j]) < 0:
                 nf = {m: -c for m, c in nf.items()}
             terms = self._terms(d, nf, self._product_orders)
         self._products[key] = terms
@@ -910,12 +932,16 @@ def product(ring: GradedRing, d1: int, a: Sequence[int], d2: int,
     """The coefficients of the product of two homogeneous elements, given
     by their degrees and coefficients, not yet reduced.
 
-    This is the one product loop: RingElement.__mul__ reduces its result,
-    and bundle validation and the Chern-candidate survey add products up
-    before reducing once.  Each pair of nonzero coefficients adds their product times the terms
-    of its pair of basis monomials, which are computed on first use.  In
-    a degree without basis monomials every vector is (), so the product
-    is [] whatever the factors, and no pair is normalised.
+    This is one of the two product loops, beside `square`, which squares
+    an even-degree class: RingElement.__mul__ and the products of two
+    classes (w_2j w_{4m-2j} in Wu's formula, c_i c_{2j-i} in square_sum,
+    c_1 times a unit vector in the survey) use this one, and only
+    RingElement.__mul__ reduces its result; the others add products up
+    before reducing once.  Each pair of nonzero coefficients adds their
+    product times the terms of its pair of basis monomials, which are
+    computed on first use.  In a degree without basis monomials every
+    vector is (), so the product is [] whatever the factors, and no pair
+    is normalised.
     """
     d = d1 + d2
     if d > ring.cutoff:
@@ -937,6 +963,51 @@ def product(ring: GradedRing, d1: int, a: Sequence[int], d2: int,
             xy = x * y
             for k, v in terms:
                 coeffs[k] += xy * v
+    return coeffs
+
+
+def square(ring: GradedRing, d: int, a: Sequence[int]) -> list[int]:
+    """The coefficients of the square of a class of even degree d, given
+    by its coefficients, not yet reduced: product(ring, d, a, d, a) at the
+    free coordinates, and that modulo the order at the torsion ones.
+
+    Bundle validation squares w_2k (rho2(p_k) = w_2k^2) and the integral
+    lift of w_2m (its Pontryagin square), and square_sum squares c_j,
+    for chern_square_sum and the survey; each reduces the result at the
+    torsion coordinates, or maps it through a map that respects additive
+    orders, before reading it.  It visits the pairs i <= j of nonzero
+    coefficients once each: a_i^2 T_ii on the diagonal and 2 a_i a_j T_ij
+    off it, T_ij being the terms of basis monomials i and j.  This is
+    exact.  As d is even, T_ij and T_ji share a normal form, and their
+    Koszul signs differ by (-1)^D, D counting the odd generators with an
+    odd exponent in both monomials.  Where D is even, T_ji = T_ij.  Where
+    D is odd, T_ji = -T_ij, and the ring's construction checks refused
+    it unless 2 T_ij = 0, so T_ij is 0 at the free coordinates and
+    a_i a_j (T_ij + T_ji) and 2 a_i a_j T_ij are both 0 modulo each
+    torsion order.  A derived mod-m ring reads the memo of its
+    torsion-free integral ring, whose check left T_ij = 0 there.  Mod 2
+    every order is 2, so the cross terms vanish and only the diagonal is
+    visited.
+    """
+    if d % 2:
+        raise DegreeError("square takes an even degree, not %d" % d)
+    if 2 * d > ring.cutoff:
+        raise DegreeError(
+            "product degree %d exceeds cutoff %d" % (2 * d, ring.cutoff))
+    size = len(ring._basis[2 * d])
+    if not size:
+        return []
+    products = ring._products
+    nonzero = [(i, x) for i, x in enumerate(a) if x]
+    coeffs = [0] * size
+    for (i, x), (j, y) in (itertools.combinations_with_replacement(nonzero, 2)
+                           if ring.modulus != 2 else zip(nonzero, nonzero)):
+        terms = products.get((d, i, d, j))
+        if terms is None:
+            terms = ring._product_terms(d, i, d, j)
+        xy = x * y if i == j else 2 * x * y
+        for k, v in terms:
+            coeffs[k] += xy * v
     return coeffs
 
 
@@ -1406,6 +1477,8 @@ def _solve_mod2(columns: Columns, u: Sequence[int], variables: Sequence[int]):
     Bit k of p is the parity of coordinate variables[k].  Returns None
     when there is no solution, else a particular solution and a basis of
     the kernel, as bit masks, from Gauss-Jordan elimination on the rows.
+    Each row is reduced by the pivots at its own set bits: a pivot row
+    holds no other pivot bit, so clearing one sets none.
     """
     rows = [0] * len(u)
     for k, j in enumerate(variables):
@@ -1415,8 +1488,12 @@ def _solve_mod2(columns: Columns, u: Sequence[int], variables: Sequence[int]):
     pivots: dict = {}  # pivot bit -> (row mask, right side), fully reduced
     for mask, b in zip(rows, u):
         b &= 1
-        for bit, (pm, pb) in pivots.items():
-            if mask & bit:
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            if bit in pivots:
+                pm, pb = pivots[bit]
                 mask ^= pm
                 b ^= pb
         if not mask:

@@ -41,6 +41,7 @@ from .gradedring import (
     lift_test,
     product,
     quotients,
+    square,
 )
 from .intlin import AbelianGroupDescriptor, Frozen, IntMatrix
 
@@ -135,8 +136,9 @@ class BundleData:
     p_k = 0 above rank/2, rho_2(p_k) = w_{2k}^2, rho_2(e) = w_rank, and
     Wu's formula for every m in range (skipped, with a note, when w_{2m}
     has no integral lift).  The identities are checked on coefficient
-    tuples, with the product kernel and each map's image, and reduced
-    once; an element is made only for the discrepancy of a failing one.
+    tuples, with the product kernels (`square` for the squares) and each
+    map's image, and reduced once; an element is made only for the
+    discrepancy of a failing one.
     An identity lives in one degree of one ring, the mod-2 ring for the
     reductions and the mod-4 ring for Wu's formula.  Where that degree
     has no basis monomials both sides are (), so the identity holds
@@ -261,8 +263,7 @@ class BundleData:
             diff = ([0] * len(mod2._basis[d]) if pk is None
                     else rho2.image(d)(pk.coeffs))
             if w2k is not None:
-                diff = _minus(diff, product(mod2, 2 * k, w2k.coeffs,
-                                            2 * k, w2k.coeffs))
+                diff = _minus(diff, square(mod2, 2 * k, w2k.coeffs))
             wrong = _discrepancy(mod2, d, diff)
             if wrong is not None:
                 raise DataValidationError(
@@ -315,8 +316,9 @@ def validate_wu_formula(data: BundleData, m: int) -> WuCheck:
     degree has no basis monomials, both sides are () and the check is
     "ok" without computing either, once w_{2m} is known to lift.
     Otherwise both sides are summed on coefficient tuples, with the
-    product kernel and each map's image, and reduced once; an element is
-    made only for the discrepancy of a failing check.
+    product kernels (`square` for the lift's square) and each map's
+    image, and reduced once; an element is made only for the discrepancy
+    of a failing check.
     """
     if m < 1 or 4 * m > data.cutoff:
         raise ValueError("m=%d out of range for cutoff %d" % (m, data.cutoff))
@@ -332,8 +334,7 @@ def validate_wu_formula(data: BundleData, m: int) -> WuCheck:
         return WuCheck(m, "ok")
     image = rings.rho4.image(d)
     diff = ([0] * len(mod4._basis[d]) if lift is None else
-            image(product(rings.integral, 2 * m, lift.coeffs,
-                          2 * m, lift.coeffs)))
+            image(square(rings.integral, 2 * m, lift.coeffs)))
     if m in data.p:
         diff = _minus(diff, image(data.p[m].coeffs))
     # the sum over j < m, whose j = 0 term is 1 * w_{4m}
@@ -486,7 +487,9 @@ def chern_square_sum(data: BundleData, cand: ChernCandidate,
 def square_sum(data: BundleData, c: Sequence[Sequence[int]],
                j: int) -> list[int]:
     """The coefficients of q_j, not yet reduced, where c[i] holds those of
-    c_i and a class past the end of c is zero.
+    c_i and a class past the end of c is zero.  c_j^2 is taken by
+    `square`, so at a torsion coordinate the result is q_j only modulo
+    the order, and every caller reduces it there.
 
     Chern classes have even degree, so c_i c_{2j-i} = c_{2j-i} c_i and the
     sum folds to (-1)^j (c_j^2 - p_j) + 2 sum_{i<j} (-1)^i c_i c_{2j-i},
@@ -494,7 +497,7 @@ def square_sum(data: BundleData, c: Sequence[Sequence[int]],
     chern_square_sum and the candidate survey both evaluate it.
     """
     ring = data.rings.integral
-    q = product(ring, 2 * j, c[j], 2 * j, c[j])
+    q = square(ring, 2 * j, c[j])
     sign = -1 if j % 2 else 1
     if j and j not in data.p:  # p_j = 0: no zero element is made for it
         q = [sign * x for x in q]

@@ -16,8 +16,13 @@ rewrote every term, canonical basis names included.
 `GradedRing`'s before products of basis monomials were looked up: every
 exponent sum was rewritten to its normal form, whether it was a basis
 monomial or the ring had no rule with a right-hand side, and a rule
-without one was applied like any other.  Tests compare the ring under
-test with these copies outcome by outcome and message by message.
+without one was applied like any other.  Its `_koszul` is the loop over
+exponent tuples that signed every product and rewriting step before
+signs were read off the odd-exponent masks, so the parent ring signs with
+its own copy.  `solve_mod2` is `_solve_mod2` of `acso.gradedring` before
+each row was reduced by the pivots at its own set bits: it tests every
+pivot.  Tests compare the ring under test with these copies outcome by
+outcome and message by message.
 """
 
 import itertools
@@ -151,6 +156,16 @@ class ParentProductRing(GradedRing):
         self._nf_cache[exps] = result
         return result
 
+    def _koszul(self, a, b) -> int:
+        # sign putting sorted(a)*sorted(b) into sorted(a + b)
+        s = 0
+        for j, bj in enumerate(b):
+            if bj and self._odd[j]:
+                for i in range(j + 1, len(a)):
+                    if a[i] and self._odd[i]:
+                        s += a[i] * bj
+        return -1 if s & 1 else 1
+
     def _product_terms(self, d1: int, i: int, d2: int, j: int) -> tuple:
         key = (d1, i, d2, j)
         terms = self._products.get(key)
@@ -168,3 +183,41 @@ class ParentProductRing(GradedRing):
         ring = GradedRing._reduction(self, modulus)
         ring.__class__ = ParentProductRing
         return ring
+
+
+def solve_mod2(columns, u, variables):
+    """Parities p with sum_k p_k columns[variables[k]] = u over F2.
+
+    Bit k of p is the parity of coordinate variables[k].  Returns None
+    when there is no solution, else a particular solution and a basis of
+    the kernel, as bit masks, from Gauss-Jordan elimination on the rows.
+    """
+    rows = [0] * len(u)
+    for k, j in enumerate(variables):
+        for i, x in columns[j].items():
+            if x & 1:
+                rows[i] |= 1 << k
+    pivots: dict = {}  # pivot bit -> (row mask, right side), fully reduced
+    for mask, b in zip(rows, u):
+        b &= 1
+        for bit, (pm, pb) in pivots.items():
+            if mask & bit:
+                mask ^= pm
+                b ^= pb
+        if not mask:
+            if b:
+                return None
+            continue
+        bit = mask & -mask
+        for q, (pm, pb) in pivots.items():
+            if pm & bit:
+                pivots[q] = (pm ^ mask, pb ^ b)
+        pivots[bit] = (mask, b)
+    particular = sum(bit for bit, (_, b) in pivots.items() if b)
+    kernel = []
+    for k in range(len(variables)):
+        free = 1 << k
+        if free not in pivots:
+            kernel.append(free | sum(bit for bit, (pm, _) in pivots.items()
+                                     if pm & free))
+    return particular, kernel

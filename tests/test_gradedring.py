@@ -1,9 +1,11 @@
 """Graded ring layer: presentations, products, coefficient maps, lifts."""
 
 import collections
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import time
@@ -563,6 +565,110 @@ def test_products_match_the_parent_on_every_file_ring():
     assert len(kinds) == 8, kinds
 
 
+def assert_squares_match_products(ring, rng, kinds):
+    """square(ring, d, a) equals product(ring, d, a, d, a) once both are
+    reduced at the torsion coordinates, for a random dense and a random
+    sparse a in every even d with 2d <= cutoff; kinds counts the rings by
+    modulus, the squares whose unreduced coordinates differ (only a
+    torsion coordinate may), and the cross pairs i < j of nonzero
+    coefficients whose odd-exponent masks share an odd number of bits."""
+    kinds["modulus %d" % ring.modulus] += 1
+    for d in range(0, ring.cutoff // 2 + 1, 2):
+        masks = ring._masks[d]
+        for density in (1, 0.3):
+            a = [rng.randint(-5, 5) if rng.random() < density else 0
+                 for _ in masks]
+            got = gradedring.square(ring, d, a)
+            want = gradedring.product(ring, d, a, d, a)
+            if got != want:
+                kinds["unreduced coordinates differ"] += 1
+            for i, o in ring._torsion[2 * d]:
+                got[i] %= o
+                want[i] %= o
+            assert got == want, (ring, d, a)
+            kinds["odd overlap"] += sum(
+                (masks[i] & masks[j]).bit_count() & 1
+                for i, j in itertools.combinations(range(len(a)), 2)
+                if a[i] and a[j])
+
+
+def assert_squares_and_signs_match(pres, rng, kinds):
+    """For the ring of pres, and for a torsion-free integral pres also
+    its mod-2 and mod-4 reductions, squares match products
+    (assert_squares_match_products); and the sign read off the
+    odd-exponent masks equals the parent's loop over exponent tuples on
+    every pair of basis monomials, as does every rule application on
+    every monomial the parent normalises when it multiplies every pair."""
+    ring = built(GradedRing, pres)
+    if isinstance(ring, tuple):
+        return
+    rings = [ring]
+    if not (pres.modulus or any(g.order for g in pres.generators)):
+        rings += [ring._reduction(2), ring._reduction(4)]
+    for each in rings:
+        assert_squares_match_products(each, rng, kinds)
+    parent = ring_reference.ParentProductRing(pres)
+    for d1, i, d2, j in dense_pairs(ring):
+        a, b = ring._basis[d1][i], ring._basis[d2][j]
+        assert gradedring._mask_sign(ring._masks[d1][i], ring._masks[d2][j]) \
+            == parent._koszul(a, b), (pres, a, b)
+        parent._product_terms(d1, i, d2, j)
+        kinds["pair"] += 1
+    for exps in parent._nf_cache:
+        for rule, support in ring._supports:
+            if all(exps[k] >= l for k, l in support):
+                assert ring._apply_rule(exps, rule) == \
+                    parent._apply_rule(exps, rule), (pres, exps, rule)
+                kinds["rule with a right-hand side" if rule.rhs
+                      else "rule without one"] += 1
+
+
+def random_odd_presentation(rng):
+    """2-4 generators of degree 1 or 3 and order 0, 2 or 4, modulus 0, 2
+    or 4, cutoff 4-8, and maybe g^2 = 0 or g^3 = 0 for one generator: the
+    squares of degree 2 and 4 meet monomials that share an odd exponent
+    of an odd generator, whose products are killed by 2."""
+    n = rng.randint(2, 4)
+    gens = tuple(Generator("g%d" % k, rng.choice((1, 1, 3)),
+                           rng.choice((0, 2, 2, 4))) for k in range(n))
+    rules = ()
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        rules = (RewriteRule(tuple(rng.randint(2, 3) if j == k else 0
+                                   for j in range(n))),)
+    return RingPresentation(rng.choice((0, 2, 4)), rng.randint(4, 8), gens,
+                            rules)
+
+
+def test_squares_and_signs_match_on_random_presentations():
+    # the draws of test_products_match_the_parent_on_random_presentations,
+    # then draws on odd generators alone, which those seldom combine
+    rng, draw = random.Random(2024), random.Random(33)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        assert_squares_and_signs_match(random_presentation(rng), draw, kinds)
+    for _ in range(300):
+        assert_squares_and_signs_match(random_odd_presentation(rng), draw,
+                                       kinds)
+    assert min(kinds.values()) > 20, kinds
+    assert len(kinds) == 8, kinds
+
+
+def test_squares_and_signs_match_on_every_file_ring():
+    rng = random.Random(33)
+    kinds = collections.Counter()
+    paths = sorted(CORPUS_DIR.glob("*.json")) + sorted(DATA_DIR.glob("*.json"))
+    for path in paths:
+        rings = json.loads(path.read_text())["rings"]
+        moduli = {"shared": 0, "integral": 0, "mod2": 2, "mod4": 4}
+        for label, section in rings.items():
+            pres = spacefile._presentation(section, moduli[label], label)
+            assert_squares_and_signs_match(pres, rng, kinds)
+    assert all(kinds[kind] > 10 for kind in (
+        "modulus 0", "modulus 2", "modulus 4", "pair",
+        "rule with a right-hand side", "rule without one")), kinds
+
+
 def test_s1xwu_products_keep_rewritten_and_reduced_terms(corpus):
     # mod 4, zeta2*zeta3 is no basis monomial, yet its rule has the
     # right-hand side 2 mu4, so the product is rewritten, not 0.  Mod 2,
@@ -609,7 +715,9 @@ def test_table_cap_refusals_keep_their_counts(monkeypatch):
     # the counts of both refusals of the enumeration are those of the
     # enumeration that tested every rule at every exponent: T^11 after its
     # last generator, and three free degree-2 generators at cutoff 400
-    # after the first two, whose 20,301 monomials give 70,058,751 pairs
+    # after the first two, whose 20,301 monomials give 70,058,751 pairs.
+    # The check after each generator reads the enumeration's running
+    # count of prefixes per degree, whose total the spy records
     free = RingPresentation(0, 400, tuple(Generator("x%d" % i, 2)
                                           for i in range(3)))
     two = [k // 2 + 1 if k % 2 == 0 else 0 for k in range(401)]
@@ -618,9 +726,9 @@ def test_table_cap_refusals_keep_their_counts(monkeypatch):
     sizes = []
     check_table_size = GradedRing._check_table_size
 
-    def spy(self, monomials):
-        sizes.append(len(monomials))
-        return check_table_size(self, monomials)
+    def spy(self, counts):
+        sizes.append(sum(counts))
+        return check_table_size(self, counts)
 
     monkeypatch.setattr(GradedRing, "_check_table_size", spy)
     for pres, entries in ((truncated_product("t", 1, [1] * 11, 11), 2449868),
@@ -1932,6 +2040,44 @@ def test_solve_mod2_matches_brute_force():
     assert set(kinds) == {"none", "kernel", "unique"}, kinds
 
 
+def test_solve_mod2_matches_the_parent():
+    # up to 20 variables and 30 rows, built from up to 12 random rows
+    # over the columns: later rows are sums of earlier ones, zero rows or
+    # fresh rows, and u is the image of a random parity vector, flipped
+    # at one row half of the time, so some systems are inconsistent.  The
+    # parent's solver answers the same, kernel vectors in the same order
+    rng = random.Random(33)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        n, rows = rng.randint(0, 20), rng.randint(0, 30)
+        base = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+        masks = []
+        for _ in range(rows):
+            kind = rng.choice(("sum", "sum", "zero", "fresh"))
+            if kind == "zero":
+                masks.append(0)
+            elif kind == "fresh" or not masks:
+                masks.append(rng.choice(base))
+            else:
+                masks.append(functools.reduce(
+                    operator.xor, rng.sample(masks, rng.randint(1, len(masks)))))
+        # entries 0-3 in the columns, even where the row mask has no bit
+        columns = [{i: 2 * rng.randint(0, 1) + (m >> k & 1)
+                    for i, m in enumerate(masks)
+                    if m >> k & 1 or rng.random() < 0.2} for k in range(n)]
+        p = rng.getrandbits(n)
+        u = [(m & p).bit_count() % 2 + 2 * rng.randint(0, 1) for m in masks]
+        if rows and rng.random() < 0.5:
+            u[rng.randrange(rows)] += 1
+        variables = rng.sample(range(n), n)
+        solved = gradedring._solve_mod2(columns, u, variables)
+        assert solved == ring_reference.solve_mod2(columns, u, variables), \
+            (columns, u, variables)
+        kinds["none" if solved is None else
+              "kernel" if solved[1] else "unique"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
 def free_system(n, rho2_rows):
     """H^2 free of rank n over Z and of rank len(rho2_rows) mod 2 and 4.
 
@@ -2536,8 +2682,9 @@ def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
     # `acso check` on shared-form files: the mod-2 and mod-4 rings read
     # the integral ring's memo, so w2 * w2 mod 2 (rho2(p1) = w2^2) and the
     # square of w2's lift over Z (its Pontryagin square) compute their
-    # common pairs once.  Bundle validation calls the product kernel
-    # through acso.obstruct's binding, so both bindings are spied on
+    # common pairs once.  Bundle validation calls the product kernels
+    # through acso.obstruct's bindings, so both bindings of each are
+    # spied on.  square reads the pairs i <= j, and mod 2 only i = j
     # a system is told by the basis its three rings share
     computed = collections.Counter()
     asked = collections.defaultdict(set)  # (system, modulus) -> pairs read
@@ -2548,6 +2695,7 @@ def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
         return id(ring._basis)
 
     product_terms, product = GradedRing._product_terms, gradedring.product
+    square = gradedring.square
 
     def spy_product_terms(self, d1, i, d2, j):
         computed[system_of(self), d1, i, d2, j] += 1
@@ -2559,9 +2707,17 @@ def test_derived_rings_share_one_product_memo(corpus, families, tmp_path,
             for j, y in enumerate(b) if y)
         return product(ring, d1, a, d2, b)
 
+    def spy_square(ring, d, a):
+        asked[system_of(ring), ring.modulus].update(
+            (d, i, d, j) for i, x in enumerate(a) if x
+            for j, y in enumerate(a) if y and i <= j
+            and (i == j or ring.modulus != 2))
+        return square(ring, d, a)
+
     monkeypatch.setattr(GradedRing, "_product_terms", spy_product_terms)
-    monkeypatch.setattr(gradedring, "product", spy_product)
-    monkeypatch.setattr(obstruct, "product", spy_product)
+    for module in (gradedring, obstruct):
+        monkeypatch.setattr(module, "product", spy_product)
+        monkeypatch.setattr(module, "square", spy_square)
     F = families
     paths = [CORPUS_DIR / ("%s.json" % name)
              for name in ("cp2", "cp2bar", "hp2", "s2xs4", "s4")]
