@@ -19,7 +19,10 @@ The commands are:
   `w4` and `w6` at `--bound 2`;
 - the command line of every seed-7 workload operation;
 - `corpus --run`, `table --pi N Q` for 1 <= Q < 2N <= 16, and
-  `table --denominator K` for K from 1 to 5.
+  `table --denominator K` for K from 1 to 5;
+- for each of the corpus files and the seed-7 inputs, `lifts --class w2`
+  and `w4` at `--bound 0`, where the free parities are fixed to 0.  They
+  come last, so the lines before them keep their places.
 
 The workload inputs are written into a temporary directory, which is
 removed at the end, and no bytecode is written, so the script leaves
@@ -46,6 +49,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 BOUNDS = (0, 2, 3, 10)
 CLASSES = ("w2", "w4", "w6")
+# the classes lifted at bound 0 from the corpus files and the seed-7 inputs
+FIXED_CLASSES = ("w2", "w4")
 
 
 def run(argv: list) -> tuple:
@@ -74,16 +79,17 @@ def main() -> int:
             labels[str(path)] = "%s/%s" % (group, path.name)
             return str(path)
 
-        files = [label(p, "corpus") for p in
-                 sorted((ROOT / "src" / "acso" / "corpus").glob("*.json"))]
-        files += [label(p, "data") for p in
-                  sorted((ROOT / "tests" / "data").glob("*.json"))]
-        ops = []
+        corpus = [label(p, "corpus") for p in
+                  sorted((ROOT / "src" / "acso" / "corpus").glob("*.json"))]
+        data = [label(p, "data") for p in
+                sorted((ROOT / "tests" / "data").glob("*.json"))]
+        ops, inputs = [], []
         for name, workload in WORKLOADS.items():
             outdir = tmp / name
             outdir.mkdir()
             ops += [op.argv for op in workload(7, ROOT, outdir).ops]
-            files += [label(p, name) for p in sorted(outdir.glob("*.json"))]
+            inputs += [label(p, name) for p in sorted(outdir.glob("*.json"))]
+        files = corpus + data + inputs
 
         commands = []
         for path in files:
@@ -97,6 +103,8 @@ def main() -> int:
         commands += [["table", "--pi", str(n), str(q)]
                      for n in range(1, 9) for q in range(1, 2 * n)]
         commands += [["table", "--denominator", str(k)] for k in range(1, 6)]
+        commands += [["lifts", path, "--class", klass, "--bound", "0"]
+                     for path in corpus + inputs for klass in FIXED_CLASSES]
 
         lines, failed = [], 0
         for argv in commands:

@@ -44,21 +44,25 @@ reductions are derived from the integral ring, which is built once: they
 share its basis, basis names and product memo, whose terms over Z each
 product reduces mod 2 or mod 4, so a pair of basis monomials is
 multiplied once for all three rings.  Every map is then a scale times
-the identity on the one shared basis (the zero map for beta):
-it stores the scale, and the laws are checked on the scales, once per
-degree and distinct target order.
+the identity on the one shared basis (the zero map for beta): it stores
+the scale, and its order test and the four laws are asked once per
+distinct order, not once per degree.  Each ring records the first
+positive degree of each of its additive orders, and a law or order test
+fails first in the first degree of an order that fails it.
 
 The obstruction evaluator reads the operations at the bottom of the
 module: quotients, every x with n*x = y on coefficients (divide_by makes
 their elements); any_integral_lift; lift_spreads, the lifts of a mod-2
 class within a bound as spreads of coordinate ranges; and lift_test, a
 count and a membership test of the same lifts, which lists none.  Their
-mod-2 equations are solved over F2 from the columns of rho2, built per
-degree when read.
+mod-2 equations are read off an odd scale of rho2, which sends each
+coordinate to its own row, and solved over F2 from the columns of any
+other rho2.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -151,8 +155,8 @@ class RewriteRule(Frozen):
 
     def __init__(self, lhs: tuple[int, ...],
                  rhs: tuple[tuple[int, tuple[int, ...]], ...] = ()):
-        lhs = tuple(int(e) for e in lhs)
-        rhs = tuple((int(c), tuple(int(e) for e in m)) for c, m in rhs)
+        lhs = tuple(map(int, lhs))
+        rhs = tuple([(int(c), tuple(map(int, m))) for c, m in rhs])
         if not any(lhs):
             raise ValueError("rewrite rule with trivial left-hand side")
         Frozen.__init__(self, lhs, rhs)
@@ -173,18 +177,16 @@ class RingPresentation(Frozen):
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         width = len(self.generators)
+        degrees = tuple(g.degree for g in self.generators)
         for rule in self.rules:
             if len(rule.lhs) != width:
                 raise ValueError("rule arity differs from generator count")
-            d = self._exp_degree(rule.lhs)
+            d = sum(map(operator.mul, rule.lhs, degrees))
             for coeff, mon in rule.rhs:
                 if len(mon) != width:
                     raise ValueError("rule arity differs from generator count")
-                if self._exp_degree(mon) != d:
+                if sum(map(operator.mul, mon, degrees)) != d:
                     raise ValueError("rewrite rule is not homogeneous")
-
-    def _exp_degree(self, exps) -> int:
-        return sum(e * g.degree for e, g in zip(exps, self.generators))
 
     def with_modulus(self, modulus: int) -> "RingPresentation":
         """This presentation over another modulus, 0, 2 or 4.
@@ -411,6 +413,18 @@ class GradedRing:
                          for d, v in orders.items()}
         self._index = {d: {m: i for i, m in enumerate(b)}
                        for d, b in self._basis.items()}
+        # {order: the first degree >= 1 with a basis monomial of that
+        # order}, in ascending degree; degree 0 holds the unit alone, of
+        # order the modulus; the checks of scale maps ask each order once
+        # through it.  Without generator orders every order is the
+        # modulus, so the first degree with a basis ends the scan
+        self._first_degrees = first = {}
+        one_order = not any(self._gen_orders)
+        for d in range(1, self.cutoff + 1):
+            for o in set(orders[d]).difference(first):
+                first[o] = d
+            if first and one_order:
+                break
 
     def _check_table_size(self, sizes):
         # the pairs with degree sum <= cutoff among basis monomials
@@ -668,6 +682,9 @@ class GradedRing:
                         for d, basis in self._basis.items()}
         ring._torsion = {d: tuple(enumerate(orders))
                          for d, orders in ring._orders.items()}
+        # one order, m, from the first degree >= 1 with a basis
+        first = next(iter(self._first_degrees.values()), None)
+        ring._first_degrees = {} if first is None else {modulus: first}
         ring._index = self._index
         ring._product_orders = self._orders
         ring._rewrites = self._rewrites
@@ -1076,6 +1093,21 @@ def _normalised(column: Mapping[int, int], orders: Sequence[int]) -> dict:
     return out
 
 
+def _first_degree(ring: GradedRing, fails, start: int = 0) -> int | None:
+    """The first degree from start (0 or 1) with a basis monomial whose
+    additive order o fails, fails(o) true, or None.
+
+    From 0, fails is first asked of the modulus, the order of the unit;
+    then of each order of a positive degree once, in the order of the
+    first degrees of the orders, so the first order that fails gives the
+    degree.
+    """
+    if start == 0 and fails(ring.modulus):
+        return 0
+    return next((d for o, d in ring._first_degrees.items() if fails(o)),
+                None)
+
+
 def _combine(columns: Columns, coeffs: Mapping[int, int]) -> dict:
     """The sum of c * columns[k] over the entries (k, c) of coeffs."""
     acc: dict = {}
@@ -1107,7 +1139,10 @@ class CoefficientMap:
     construction checks, once per degree, that the bases agree (at no
     cost when both rings hold one basis object, as the reductions of
     RingSystem.with_reduction_defaults do) and that the scale respects
-    additive orders, once per distinct pair of source and target orders.
+    additive orders.  Into a target of one order, as a reduction is,
+    that test is asked once per distinct source order, and only the
+    first degree of the first order that fails is scanned; into any
+    other target, once per distinct pair of source and target orders.
     Applying it multiplies by the scale and reduces the torsion rows.
     Its columns, scale * e_j reduced by the row orders, are built one
     degree at a time, the first time something reads them.  A nonzero
@@ -1177,12 +1212,20 @@ class CoefficientMap:
                         "rings do not share a monomial basis in degree %d" % d)
         # column j is s e_j, killed by its source order o when o s = 0
         # modulo its row's order t, which depends on (o, t) alone; a
-        # column of infinite order is killed by nothing, so its pairs and
-        # a degree without source torsion check nothing
+        # column of infinite order is killed by nothing, so a degree
+        # without source torsion checks nothing, and each degree checks
+        # only pairs not checked before.  Against a target of one order,
+        # as a reduction is, the test depends on o alone: it is asked once
+        # per distinct source order, and only the first degree of the
+        # first order that fails is scanned
+        if target._first_degrees.keys() <= {target.modulus}:
+            t = target.modulus
+            d = _first_degree(source, lambda o: o and _norm_coeff(o * s, t))
+            degrees = (d,) if d is not None and d in self._span else ()
+        else:
+            degrees = (d for d in self._span if source._torsion[d])
         checked: set = set()
-        for d in self._span:
-            if not source._torsion[d]:
-                continue
+        for d in degrees:
             pairs = set(zip(source._orders[d], target._orders[d])) - checked
             if any(o and _norm_coeff(o * s, t) for o, t in pairs):
                 raise RingError(
@@ -1289,12 +1332,15 @@ class RingSystem:
     reduced by the target orders and compared, so the check costs time
     linear in the nonzero coefficients.  When all five are scale maps, as
     with_reduction_defaults builds them, each law is checked on the
-    scales, once per degree and distinct target order: theta2 . rho2 =
-    rho4 . 2 holds when the scales give theta2 * rho2 = 2 * rho4 modulo
-    each mod-4 order of the degree.
-    That is exact, since every column of a scale map is scale * e_j: the
-    two sides of a law agree on every basis monomial of a degree exactly
-    when they agree modulo each distinct target order in that degree.
+    scales, once per distinct order of its target ring: theta2 . rho2 =
+    rho4 . 2 holds in a degree when the scales give theta2 * rho2 =
+    2 * rho4 modulo each mod-4 order of the degree.  That is exact, since
+    every column of a scale map is scale * e_j: the two sides of a law
+    agree on every basis monomial of a degree exactly when they agree
+    modulo each distinct target order in that degree.  So a law fails
+    first in the first degree of an order that fails it, from degree 0
+    for the first two laws and from 1 for the beta laws, and the least
+    such degree and law is the one the column path would reach first.
     Either way the first failing law and degree give the same message.
     """
 
@@ -1366,27 +1412,31 @@ class RingSystem:
         # composition, by the outer scale times a multiple of its source
         # order, which the outer map's order check kills.  beta has
         # shift 1, so its scale is 0 and its two laws compare 0 with 0.
-        # A degree without basis monomials has no orders and checks
-        # nothing, as it has no columns
+        # A law fails in a degree when some order there does not divide
+        # the difference of its two sides, so it is tested once per
+        # distinct order of its ring, and fails first in the first degree
+        # of a failing order.  The column path checks, for d from 0, the
+        # first two laws in degree d and then the beta laws in d + 1, so
+        # the failure it would reach first is the least (degree - start,
+        # law), start being 0 or 1
         r2, r4, t2, r24 = (self.rho2.scale, self.rho4.scale,
                            self.theta2.scale, self.rho24.scale)
         b = self.beta.scale
-        cutoff = self.integral.cutoff
-        for d in range(cutoff + 1):
-            self._expect_scale(d, "theta2 . rho2 = rho4 . 2",
-                               t2 * r2 - 2 * r4, self.mod4._orders[d])
-            self._expect_scale(d, "rho24 . rho4 = rho2",
-                               r24 * r4 - r2, self.mod2._orders[d])
-            if d == cutoff:
-                break
-            up = self.integral._orders[d + 1]
-            self._expect_scale(d + 1, "2 beta = 0", 2 * b, up)
-            self._expect_scale(d + 1, "beta . rho2 = 0", b * r2, up)
-
-    @staticmethod
-    def _expect_scale(degree: int, law: str, difference: int, orders) -> None:
-        if difference and any(_norm_coeff(difference, o) for o in set(orders)):
-            raise RingError("identity %s fails in degree %d" % (law, degree))
+        failures = []
+        for k, (start, law, difference, ring) in enumerate((
+                (0, "theta2 . rho2 = rho4 . 2", t2 * r2 - 2 * r4, self.mod4),
+                (0, "rho24 . rho4 = rho2", r24 * r4 - r2, self.mod2),
+                (1, "2 beta = 0", 2 * b, self.integral),
+                (1, "beta . rho2 = 0", b * r2, self.integral))):
+            if not difference:
+                continue  # the law holds modulo every order
+            d = _first_degree(ring, functools.partial(_norm_coeff, difference),
+                              start)
+            if d is not None:
+                failures.append((d - start, k, d, law))
+        if failures:
+            _, _, d, law = min(failures)
+            raise RingError("identity %s fails in degree %d" % (law, d))
 
     @classmethod
     def with_reduction_defaults(cls, presentation: RingPresentation) -> "RingSystem":
@@ -1521,21 +1571,37 @@ def _lift_parities(system: RingSystem, u: RingElement, free: bool = True):
     Every mod-2 order is 2, so rho2 sees the parity of each free and
     even-order coordinate of x and kills those of odd order.  free=False
     fixes the free parities to 0.  Returns the integral orders, the
-    coordinates solved for, and _solve_mod2's answer.
+    coordinates solved for, and the answer of _solve_mod2: None, or a
+    particular solution and a kernel basis, as bit masks.
+
+    A rho2 of odd scale sends each coordinate to its own row mod 2, so
+    the answer is read off u: each coordinate solved for takes u's
+    parity, the kernel is empty, and there is no solution when u is odd
+    at a coordinate not solved for.  Any other rho2 is eliminated from
+    its columns by _solve_mod2.
     """
     if u.ring != system.mod2:
         raise RingError("lift source must be the mod-2 ring")
     orders = system.integral.orders(u.degree)
     seen = [j for j, o in enumerate(orders) if o % 2 == 0 and (o or free)]
-    return orders, seen, _solve_mod2(system.rho2._columns(u.degree), u.coeffs,
-                                     seen)
+    rho2 = system.rho2
+    if rho2.scale is None or not rho2.scale & 1:
+        return orders, seen, _solve_mod2(rho2._columns(u.degree), u.coeffs,
+                                         seen)
+    parities = [c & 1 for c in u.coeffs]
+    particular = sum([parities[j] << k for k, j in enumerate(seen)])
+    if particular.bit_count() != sum(parities):
+        return orders, seen, None
+    return orders, seen, (particular, [])
 
 
 def any_integral_lift(system: RingSystem, u: RingElement) -> RingElement | None:
     """One integral x with rho2(x) = u, or None when provably none exists.
 
     x is the particular solution of the parity system of lift_spreads:
-    each coordinate rho2 sees is 0 or 1, and the others are 0.
+    each coordinate rho2 sees is 0 or 1, and the others are 0.  When rho2
+    has an odd scale, as in every shared-form system, x is u's own
+    parities, read off without elimination (_lift_parities).
     """
     orders, seen, solved = _lift_parities(system, u)
     if solved is None:

@@ -44,6 +44,7 @@ _GEN_KEYS = {"name", "degree", "order"}
 _REL_KEYS = {"lhs", "rhs"}
 _BUNDLE_KEYS = {"rank", "base_dimension", "w", "p", "euler", "pairing"}
 _PAIRING_KEYS = {"degree", "values"}
+_MAP_KEYS = {name for name, *_ in MAP_SIGNATURES}
 _EXPECTATION_KEYS = {"status", "existence", "exit_code", "first", "final",
                      "final_note_contains", "vanishing_candidates",
                      "wu_pairings", "euler_pairing"}
@@ -68,30 +69,36 @@ def _required(obj: dict, key: str, what: str):
 
 
 def _check_keys(obj: dict, allowed, what: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise SpaceFileError("%s has unknown keys: %s"
-                             % (what, cut(", ".join(unknown))))
+    # allowed is a set of keys, or the keys of a dict
+    if not obj.keys() <= allowed:
+        raise SpaceFileError("%s has unknown keys: %s" % (
+            what, cut(", ".join(sorted(obj.keys() - allowed)))))
 
 
-def _int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise SpaceFileError("%s must be an integer" % what)
-    if isinstance(value, int):
+def _int(value, what: str, key=None) -> int:
+    """value as an int, from an int other than a bool or a decimal string.
+
+    A refusal names the value `what`, or `what[key]` when a key is given;
+    that name is formatted only for the refusal.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError:
             pass
+    if key is not None:
+        what = "%s[%s]" % (what, quote(key))
+    if isinstance(value, bool):
+        raise SpaceFileError("%s must be an integer" % what)
     raise SpaceFileError("%s must be an integer or decimal string, got %s"
                          % (what, quote(value)))
 
 
 def _terms(obj, what: str) -> dict:
     obj = _require_dict(obj if obj is not None else {}, what)
-    return {str(mon): _int(c, "%s[%s]" % (what, quote(mon)))
-            for mon, c in obj.items()}
+    return {str(mon): _int(c, what, mon) for mon, c in obj.items()}
 
 
 def _presentation(section, modulus: int, what: str) -> RingPresentation:
@@ -99,23 +106,24 @@ def _presentation(section, modulus: int, what: str) -> RingPresentation:
     _check_keys(section, _RING_KEYS, what)
     cutoff = _int(_required(section, "cutoff", what), what + ".cutoff")
     gens = []
+    entry = what + ".generators[]"
     for g in _require_list(_required(section, "generators", what),
                            what + ".generators"):
-        g = _require_dict(g, what + ".generators[]")
-        _check_keys(g, _GEN_KEYS, what + ".generators[]")
-        gens.append(Generator(str(_required(g, "name", what + ".generators[]")),
-                              _int(_required(g, "degree",
-                                             what + ".generators[]"),
+        g = _require_dict(g, entry)
+        _check_keys(g, _GEN_KEYS, entry)
+        gens.append(Generator(str(_required(g, "name", entry)),
+                              _int(_required(g, "degree", entry),
                                    "generator degree"),
                               _int(g.get("order", 0), "generator order")))
     names = [g.name for g in gens]
     index = {n: i for i, n in enumerate(names)}
     rules = []
+    entry = what + ".relations[]"
     for rel in _require_list(section.get("relations", []),
                              what + ".relations"):
-        rel = _require_dict(rel, what + ".relations[]")
-        _check_keys(rel, _REL_KEYS, what + ".relations[]")
-        lhs_text = str(_required(rel, "lhs", what + ".relations[]"))
+        rel = _require_dict(rel, entry)
+        _check_keys(rel, _REL_KEYS, entry)
+        lhs_text = str(_required(rel, "lhs", entry))
         try:
             lhs = parse_exponents(names, lhs_text, index)
             rhs = tuple((c, parse_exponents(names, mon, index))
@@ -207,7 +215,7 @@ def _ring_system(doc: dict) -> RingSystem:
         except RingError as exc:
             raise SpaceFileError(str(exc)) from None
     moduli = {"integral": 0, "mod2": 2, "mod4": 4}
-    _check_keys(rings, moduli, "'rings'")
+    _check_keys(rings, moduli.keys(), "'rings'")
     sections = {label: _required(rings, label, "'rings' without 'shared'")
                 for label in moduli}
     try:
@@ -217,7 +225,7 @@ def _ring_system(doc: dict) -> RingSystem:
     except RingError as exc:
         raise SpaceFileError(str(exc)) from None
     maps_doc = _require_dict(doc.get("maps"), "'maps'")
-    _check_keys(maps_doc, [s[0] for s in MAP_SIGNATURES], "'maps'")
+    _check_keys(maps_doc, _MAP_KEYS, "'maps'")
     maps = {}
     for name, src_key, tgt_key, shift in MAP_SIGNATURES:
         if name not in maps_doc:

@@ -21,7 +21,13 @@ exponent tuples that signed every product and rewriting step before
 signs were read off the odd-exponent masks, so the parent ring signs with
 its own copy.  `solve_mod2` is `_solve_mod2` of `acso.gradedring` before
 each row was reduced by the pivots at its own set bits: it tests every
-pivot.  Tests compare the ring under test with these copies outcome by
+pivot.  `ParentScaleMap._check_scale` and `ParentScaleSystem._check_scales`
+are the checks of scale maps and of their laws before they were asked
+once per distinct order: the order test scans every degree with source
+torsion, and each law is tested in every degree, on the set of that
+degree's orders.  `lift_parities` is `_lift_parities` before it read the
+answer off an odd scale: it eliminates over the columns of rho2 whatever
+rho2 is.  Tests compare the code under test with these copies outcome by
 outcome and message by message.
 """
 
@@ -30,11 +36,15 @@ import math
 
 from acso import gradedring
 from acso.gradedring import (
+    CoefficientMap,
     ConfluenceError,
     DegreeError,
     GradedRing,
     RingError,
+    RingSystem,
+    _norm_coeff,
     _reduced,
+    _solve_mod2,
     _table_too_large,
     format_exponents,
     parse_exponents,
@@ -221,3 +231,72 @@ def solve_mod2(columns, u, variables):
             kernel.append(free | sum(bit for bit, (pm, _) in pivots.items()
                                      if pm & free))
     return particular, kernel
+
+
+class ParentScaleMap(CoefficientMap):
+    """A CoefficientMap whose scale is checked the way it was."""
+
+    def _check_scale(self):
+        s, source, target = self.scale, self.source, self.target
+        if self.shift:
+            if s:
+                raise RingError("map %s: scale %d with shift %d; only the "
+                                "zero map shifts degrees"
+                                % (self.name, s, self.shift))
+            return
+        if source._basis is not target._basis:
+            for d in self._span:
+                if source.basis(d) != target.basis(d):
+                    raise RingError(
+                        "rings do not share a monomial basis in degree %d" % d)
+        checked: set = set()
+        for d in self._span:
+            if not source._torsion[d]:
+                continue
+            pairs = set(zip(source._orders[d], target._orders[d])) - checked
+            if any(o and _norm_coeff(o * s, t) for o, t in pairs):
+                raise RingError(
+                    "map %s does not respect additive orders in degree %d"
+                    % (self.name, d))
+            checked |= pairs
+
+
+class ParentScaleSystem(RingSystem):
+    """A RingSystem whose scale laws are checked degree by degree."""
+
+    def _check_scales(self) -> None:
+        r2, r4, t2, r24 = (self.rho2.scale, self.rho4.scale,
+                           self.theta2.scale, self.rho24.scale)
+        b = self.beta.scale
+        cutoff = self.integral.cutoff
+        for d in range(cutoff + 1):
+            self._expect_scale(d, "theta2 . rho2 = rho4 . 2",
+                               t2 * r2 - 2 * r4, self.mod4._orders[d])
+            self._expect_scale(d, "rho24 . rho4 = rho2",
+                               r24 * r4 - r2, self.mod2._orders[d])
+            if d == cutoff:
+                break
+            up = self.integral._orders[d + 1]
+            self._expect_scale(d + 1, "2 beta = 0", 2 * b, up)
+            self._expect_scale(d + 1, "beta . rho2 = 0", b * r2, up)
+
+    @staticmethod
+    def _expect_scale(degree: int, law: str, difference: int, orders) -> None:
+        if difference and any(_norm_coeff(difference, o) for o in set(orders)):
+            raise RingError("identity %s fails in degree %d" % (law, degree))
+
+
+def lift_parities(system, u, free=True):
+    """Solve rho2(x) = u for the parities of x over F2.
+
+    Every mod-2 order is 2, so rho2 sees the parity of each free and
+    even-order coordinate of x and kills those of odd order.  free=False
+    fixes the free parities to 0.  Returns the integral orders, the
+    coordinates solved for, and _solve_mod2's answer.
+    """
+    if u.ring != system.mod2:
+        raise RingError("lift source must be the mod-2 ring")
+    orders = system.integral.orders(u.degree)
+    seen = [j for j, o in enumerate(orders) if o % 2 == 0 and (o or free)]
+    return orders, seen, _solve_mod2(system.rho2._columns(u.degree), u.coeffs,
+                                     seen)

@@ -982,15 +982,19 @@ def test_names_are_sorted_only_where_terms_are_listed(
     assert sorts["cp2_sum_3_3"] == 2 and sorts["hp2"] > 0, sorts
 
 
-def family_and_corpus_systems(corpus, F):
-    """The ring systems of six `families` bundles and of the corpus."""
+def family_docs(F):
+    """The shared-form space files of six `families` bundles."""
     bundles = [F.tangent_cp_product([6]), F.tangent_cp_product([2, 2]),
                F.tangent_cp_product([1, 3]),
                F.line_sum(F.cp_product([2, 2, 2]), [[1, 1, 1]]),
                F.line_sum(F.torus(4), [[0] * 4]),
                F.line_sum(F.sphere_product(3), [[2, 0, 2]])]
-    systems = [space_file_from_doc(F.space_doc("family%d" % i, b)).bundle.rings
-               for i, b in enumerate(bundles)]
+    return [F.space_doc("family%d" % i, b) for i, b in enumerate(bundles)]
+
+
+def family_and_corpus_systems(corpus, F):
+    """The ring systems of six `families` bundles and of the corpus."""
+    systems = [space_file_from_doc(doc).bundle.rings for doc in family_docs(F)]
     return systems + [sf.bundle.rings for sf in corpus.values()]
 
 
@@ -1703,6 +1707,129 @@ def test_scale_laws_match_dense_reference(corpus):
                 assert got == (RingError, str(exc.value))
 
 
+def torsion_scale_rings(order):
+    """Z t + Z a, t of degree 3 and additive order `order`, a free of
+    degree 4, t^2 = 0 and cutoff 8, built over 0, 2 and 4 with one basis.
+
+    t is the only torsion generator, so the integral ring has its first
+    torsion in degree 3 and its first free monomial of positive degree in
+    4.  Over 4, t keeps order 4 when order is 4, and has order 2 beside
+    the 4 of a when order is 2.
+    """
+    pres = RingPresentation(0, 8, (Generator("t", 3, order), Generator("a", 4)),
+                            (RewriteRule((2, 0), ()),))
+    return {label: GradedRing(replace(pres, modulus=m)) for label, m in
+            (("integral", 0), ("mod2", 2), ("mod4", 4))}
+
+
+def scale_law_rings(corpus, F):
+    """The rings of every shared-form presentation of the corpus, of
+    tests/data and of the families, derived from the integral ring, and
+    the hand-built rings of torsion_scale_rings and mixed_order_rings, by
+    name."""
+    presentations = shared_presentations(corpus)
+    docs = [json.loads(path.read_text())
+            for path in sorted(DATA_DIR.glob("*.json"))] + family_docs(F)
+    for i, doc in enumerate(docs):
+        if "shared" in doc["rings"]:
+            presentations["shared%d" % i] = spacefile._presentation(
+                doc["rings"]["shared"], 0, "rings.shared")
+    rings = {name: system_rings(RingSystem.with_reduction_defaults(pres))
+             for name, pres in presentations.items()}
+    assert len(rings) >= 20
+    rings["t3 of order 4"] = torsion_scale_rings(4)
+    rings["t3 of order 2"] = torsion_scale_rings(2)
+    rings["t3 and v7"] = mixed_order_rings()
+    return rings
+
+
+def mixed_order_rings():
+    """t of degree 3 and v of degree 7, both of additive order 2 over Z
+    and mod 2, but v free over 4, t^2 = 0 and cutoff 8.
+
+    The three rings share one basis, but the mod-4 orders are 2 in degree
+    3 and 4 in degree 7, so an order test into the mod-4 ring that asked
+    only the modulus would pass degree 3 and miss the failure of an odd
+    rho4 in degree 7.
+    """
+    def ring(modulus, v_order):
+        gens = (Generator("t", 3, 2), Generator("v", 7, v_order))
+        return GradedRing(RingPresentation(modulus, 8, gens,
+                                           (RewriteRule((2, 0), ()),)))
+
+    return {"integral": ring(0, 2), "mod2": ring(2, 2), "mod4": ring(4, 0)}
+
+
+def scale_system_outcome(rings, scales, parent=False, laws=None):
+    """The system of scale maps with these scales, by the checks under
+    test or by the parent's, or the error that refuses it.  When laws
+    gives scales, they replace the maps' scales after construction and
+    the system is validated again: that reaches scales the map checks
+    refuse, such as a nonzero beta."""
+    map_class = ring_reference.ParentScaleMap if parent else CoefficientMap
+    system_class = (ring_reference.ParentScaleSystem if parent
+                    else RingSystem)
+    try:
+        system = system_class(rings["integral"], rings["mod2"], rings["mod4"],
+                              **{name: map_class.scaled_identity(
+                                  name, rings[src], rings[tgt], scales[name],
+                                  shift)
+                                 for name, src, tgt, shift in MAP_SIGNATURES})
+        if laws:
+            for name, scale in laws.items():
+                getattr(system, name).scale = scale
+            system.validate()
+    except RingError as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+def test_scale_laws_match_the_per_degree_checks(corpus, families):
+    # the laws and order tests asked once per distinct order give the
+    # outcome of the parent's scan of every degree, message for message,
+    # on every mutation of SCALE_MUTATIONS, on random scales of the four
+    # maps of shift 0, and on random scales of all five set after
+    # construction
+    rng = random.Random(34)
+    messages = collections.Counter()
+    for name, rings in scale_law_rings(corpus, families).items():
+        draws = [({**SHIPPED_SCALES, **changes}, None)
+                 for changes, _ in SCALE_MUTATIONS]
+        for _ in range(30):
+            scales = {m: rng.randrange(-2, 5) for m in SHIPPED_SCALES}
+            beta = {"beta": rng.choice((1, 2, -1, 3))}
+            draws += [({**scales, "beta": 0}, None), (SHIPPED_SCALES, beta),
+                      (SHIPPED_SCALES, {**scales, **beta})]
+        for scales, laws in draws:
+            got = scale_system_outcome(rings, scales, laws=laws)
+            assert got == scale_system_outcome(rings, scales, True, laws), \
+                (name, scales, laws)
+            messages[got if got == "accepted" else got[1]] += 1
+    for changes, expected in SCALE_MUTATIONS:
+        assert messages[expected] > 0
+    # failures away from degree 0: the beta laws from the first positive
+    # degree of a failing order, and over t3 the first torsion degree
+    for message in ("identity 2 beta = 0 fails in degree 1",
+                    "identity 2 beta = 0 fails in degree 2",
+                    "identity 2 beta = 0 fails in degree 3",
+                    "identity beta . rho2 = 0 fails in degree 3"):
+        assert messages[message] > 0, message
+    rings = torsion_scale_rings(2)
+    assert scale_system_outcome(rings, SHIPPED_SCALES, laws={"beta": 1}) \
+        == (RingError, "identity beta . rho2 = 0 fails in degree 3")
+    assert scale_system_outcome(torsion_scale_rings(4), SHIPPED_SCALES,
+                                laws={"beta": 1}) \
+        == (RingError, "identity 2 beta = 0 fails in degree 3")
+    # over t3 of order 2 the mod-4 orders are 4 and 2, so the order test
+    # of a map into it scans the degrees
+    assert set(rings["mod4"].orders(3)) == {2}
+    assert rings["mod4"].orders(4) == (4,)
+    rings = mixed_order_rings()
+    for parent in (False, True):
+        assert scale_system_outcome(rings, SHIPPED_SCALES, parent) == (
+            RingError, "map rho4 does not respect additive orders in degree 7")
+
+
 def random_matrices(rng, rings, base):
     """Perturb the law-abiding matrices base: keep a map, move one entry,
     redraw it, zero a degree, or give a degree a wrong shape or none."""
@@ -2195,6 +2322,188 @@ def test_lift_test_caps_parity_solutions_not_lifts(monkeypatch):
         lift_test(system, system.mod2.zero(2), 1)
     assert time.perf_counter() - start < 1
     assert lift_test(system, system.mod2.zero(2), 0)[0] == 1
+
+
+def lift_answers(system, u):
+    """What lift_spreads and lift_test give for u at bounds 0 to 2: the
+    spreads, or the refusal; the count, and the membership test on 0, on
+    the first and last lift of each spread, and on its first lift moved
+    by 1 in the first coordinate."""
+    answers = []
+    for bound in range(3):
+        try:
+            spreads = lift_spreads(system, u, bound)
+        except TooManyLifts as exc:
+            spreads = str(exc)
+        try:
+            tested = lift_test(system, u, bound)
+        except TooManyLifts as exc:
+            tested = str(exc)
+        if isinstance(tested, tuple):
+            count, test = tested
+            probes = [tuple([0] * len(u.coeffs))]
+            for axes in spreads if isinstance(spreads, list) else ():
+                first = [axis[0] for axis in axes]
+                probes += [tuple(first), tuple([axis[-1] for axis in axes])]
+                if axes:
+                    probes.append(tuple([first[0] + 1] + first[1:]))
+            tested = count, [test(c) for c in probes]
+        answers.append((spreads, tested))
+    return answers
+
+
+def assert_lifts_read_off(system, u, monkeypatch):
+    """The parity system read off rho2's scale against the parent's
+    elimination, with free parities and without, and the lifts that
+    lift_spreads and lift_test give on each."""
+    for free in (True, False):
+        got = gradedring._lift_parities(system, u, free)
+        assert got == ring_reference.lift_parities(system, u, free), \
+            (u, free)
+    answers = lift_answers(system, u)
+    with monkeypatch.context() as patched:
+        patched.setattr(gradedring, "_lift_parities",
+                        ring_reference.lift_parities)
+        assert answers == lift_answers(system, u), u
+
+
+def shared_fixture_systems(corpus, families, cp2_sums):
+    """(system, classes to lift per degree) of every shared-form fixture:
+    the w classes of the corpus's shared files, the families and three
+    cp2 sums, and 0, the sum of the basis and each basis class over every
+    shared-form presentation of scale_law_rings."""
+    out = []
+    docs = family_docs(families) + [cp2_sums(k, l)
+                                    for k, l in ((1, 0), (2, 1), (3, 3))]
+    bundles = [space_file_from_doc(doc).bundle for doc in docs]
+    bundles += [sf.bundle for sf in corpus.values()
+                if sf.bundle.rings.rho2.scale is not None]
+    for data in bundles:
+        out.append((data.rings, lambda d, data=data: [data.w_class(d)]))
+    for rings in scale_law_rings(corpus, families).values():
+        if rings["mod2"]._basis is rings["integral"]._basis:
+            system = RingSystem.with_reduction_defaults(
+                rings["integral"].presentation)
+            out.append((system, lambda d, mod2=system.mod2: [
+                mod2.zero(d), sum(basis_elements(mod2, d), mod2.zero(d))]
+                + basis_elements(mod2, d)))
+    return out
+
+
+def test_lift_parities_read_off_an_odd_scale(corpus, families, cp2_sums,
+                                             monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    # every degree of every shared-form fixture
+    checked = 0
+    for system, classes in shared_fixture_systems(corpus, families, cp2_sums):
+        assert system.rho2.scale == 1
+        for d in range(system.integral.cutoff + 1):
+            for u in classes(d):
+                assert_lifts_read_off(system, u, monkeypatch)
+                checked += 1
+    assert checked > 500
+    # rho2 = rho4 = 2 pass the laws and are 0 mod 2: an even scale is
+    # eliminated, and only 0 lifts
+    rings = system_rings(RingSystem.with_reduction_defaults(
+        FAMILY_PRESENTATIONS["CP^1xCP^2"]))
+    even = {**SHIPPED_SCALES, "rho2": 2, "rho4": 2}
+    assert scale_system_outcome(rings, even) == "accepted"
+    system = RingSystem(rings["integral"], rings["mod2"], rings["mod4"], **{
+        name: CoefficientMap.scaled_identity(name, rings[src], rings[tgt],
+                                             even[name], shift)
+        for name, src, tgt, shift in MAP_SIGNATURES})
+    for d in range(system.integral.cutoff + 1):
+        for u in every_class(system.mod2, d):
+            assert_lifts_read_off(system, u, monkeypatch)
+            assert (any_integral_lift(system, u) is None) == (not u.is_zero)
+
+    # drawn families bundles, with their w classes and drawn classes
+    @st.composite
+    def bundles(draw):
+        kind = draw(st.sampled_from(("cp", "torus", "spheres")))
+        if kind == "cp":
+            ns = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+            if draw(st.booleans()):
+                return families.tangent_cp_product(ns)
+            ring = families.cp_product(ns)
+        elif kind == "torus":
+            ring = families.torus(draw(st.integers(1, 5)))
+        else:
+            ring = families.sphere_product(draw(st.integers(1, 4)))
+        width = len(ring.names)
+        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=width,
+                                         max_size=width),
+                                min_size=1, max_size=3))
+        return families.line_sum(ring, vectors)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(bundles(), st.data())
+    def drawn(bundle, data):
+        loaded = space_file_from_doc(
+            families.space_doc("drawn", bundle)).bundle
+        system = loaded.rings
+        d = data.draw(st.integers(0, system.integral.cutoff))
+        n = len(system.mod2.basis(d))
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        for u in (loaded.w_class(d), system.mod2.element(d, bits)):
+            assert_lifts_read_off(system, u, monkeypatch)
+
+    drawn()
+
+
+def test_check_eliminates_only_over_column_maps(corpus, monkeypatch, capsys):
+    # acso check on a shared-form file reads every mod-2 lift off the
+    # scale of rho2; s1xwu gives rho2 as columns and still eliminates
+    calls = []
+    solve = gradedring._solve_mod2
+
+    def spy(columns, u, variables):
+        calls.append(len(variables))
+        return solve(columns, u, variables)
+
+    monkeypatch.setattr(gradedring, "_solve_mod2", spy)
+    shared = 0
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        form = json.loads(path.read_text())["rings"]
+        del calls[:]
+        assert main(["check", str(path)]) in (0, 2, 3)
+        capsys.readouterr()
+        if "shared" in form:
+            assert calls == [], path.stem
+            shared += 1
+        else:
+            assert path.stem == "s1xwu" and calls, path.stem
+    assert shared == 8
+
+
+def test_shared_load_validates_once_through_five_maps(corpus, monkeypatch):
+    # bench/tracing.py times the gradedring.maps layer on
+    # CoefficientMap.__init__ and the gradedring.system_validate layer on
+    # RingSystem.validate: a shared-form file builds its five maps and
+    # validates its system once, through both
+    calls = collections.Counter()
+    for owner, attr in ((CoefficientMap, "__init__"),
+                        (RingSystem, "validate")):
+        original = getattr(owner, attr)
+
+        def spy(*args, _original=original, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    shared = 0
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        if "shared" not in json.loads(path.read_text())["rings"]:
+            continue
+        calls.clear()
+        system = load_space_file(path).bundle.rings
+        assert calls == {"__init__": 5, "validate": 1}, path.stem
+        assert all(getattr(system, name).scale is not None
+                   for name, *_ in MAP_SIGNATURES)
+        shared += 1
+    assert shared == 8
 
 
 def test_lift_spreads_refuse_before_the_first_lift(monkeypatch, s1xwu):
