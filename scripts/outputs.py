@@ -21,8 +21,16 @@ The commands are:
 - `corpus --run`, `table --pi N Q` for 1 <= Q < 2N <= 16, and
   `table --denominator K` for K from 1 to 5;
 - for each of the corpus files and the seed-7 inputs, `lifts --class w2`
-  and `w4` at `--bound 0`, where the free parities are fixed to 0.  They
-  come last, so the lines before them keep their places.
+  and `w4` at `--bound 0`, where the free parities are fixed to 0;
+- `check` at bounds 0 and 3 in text and in JSON on the shared-form
+  presentations that rewrite: the kCP^2 # l(reversed CP^2) files of
+  `cp2_sum_doc` for the eleven (k, l) of `CP2_SUM_EXITS`
+  (tests/test_survey.py), and the rewriting chains of `empty_chain_doc`
+  into a degree without a basis, of 10 and 500 generators, listed both
+  ways (tests/conftest.py).
+
+Each group of commands comes after the groups above it, which were
+there first, so their lines keep their places.
 
 The workload inputs are written into a temporary directory, which is
 removed at the end, and no bytecode is written, so the script leaves
@@ -35,6 +43,7 @@ equal.  A command that raises is hashed by its exception and marked
 
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -42,9 +51,11 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import acso.cli as cli  # noqa: E402
+from conftest import cp2_sum_doc, empty_chain_doc  # noqa: E402
+from test_survey import CP2_SUM_EXITS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 BOUNDS = (0, 2, 3, 10)
@@ -105,6 +116,15 @@ def main() -> int:
         commands += [["table", "--denominator", str(k)] for k in range(1, 6)]
         commands += [["lifts", path, "--class", klass, "--bound", "0"]
                      for path in corpus + inputs for klass in FIXED_CLASSES]
+        docs = [cp2_sum_doc(k, l) for k, l in CP2_SUM_EXITS]
+        docs += [empty_chain_doc(n, descending) for n in (10, 500)
+                 for descending in (False, True)]
+        for doc in docs:
+            path = tmp / ("%s.json" % doc["name"])
+            path.write_text(json.dumps(doc))
+            commands += [["check", label(path, "rewriting"), "--bound",
+                          str(bound), "--format", form]
+                         for bound in (0, 3) for form in ("text", "json")]
 
         lines, failed = [], 0
         for argv in commands:

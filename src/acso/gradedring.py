@@ -13,9 +13,13 @@ exponent, and every other rule is tested once per prefix, on its
 support; each prefix carries the mask of its odd exponents, which the
 sign checks read.  Confluence is checked only on the multiples
 of rules with a right-hand side, since every other reducible monomial
-rewrites to 0: each multiple is normalised, which shows that rewriting
-terminates, and its other applicable rules are compared only in degrees
-with basis monomials, since elsewhere every vector is 0.  No product
+rewrites to 0, and its other applicable rules are compared only in
+degrees with basis monomials, since elsewhere every vector is 0.  When
+every rule's right-hand side lies below its left-hand side in lex or in
+reverse lex, rewriting terminates, and only the multiples in degrees
+with basis monomials are normalised; otherwise every multiple is, which
+shows that rewriting terminates.  No normal form is computed after that
+in a degree without basis monomials: every element there is 0.  No product
 table is built: the product of two basis monomials is computed the
 first time the pair is asked and kept, as the sparse terms of the Koszul
 sign times the normal form of the exponent sum; the sign is read off
@@ -30,7 +34,10 @@ two classes, and square squares a class of even degree, visiting each
 unordered pair of basis monomials once (mod 2 only the diagonal).
 Elements reduce only their torsion coordinates.  The checks of graded
 commutativity and additive orders look up only the pairs on which they
-can fail, so building an exterior algebra computes no product at all.
+can fail, so building an exterior algebra computes no product at all;
+the order test runs only in a ring that rewrites, since elsewhere the
+product of two basis monomials is 0 or a basis monomial whose order
+divides the left factor's.
 Construction scales with the basis rather than with the truncated set
 of all exponent tuples or the pairs of basis monomials.
 
@@ -270,6 +277,25 @@ def _mask_sign(a: int, b: int) -> int:
     return -1 if s & 1 else 1
 
 
+def _rewriting_descends(rules: Sequence[RewriteRule]) -> bool:
+    """Whether an order on monomials proves that rewriting by rules
+    terminates (Baader and Nipkow, Term Rewriting and All That, on
+    reduction orders).
+
+    A rewriting step replaces s*lhs by the s*m of the monomials m of the
+    rule's right-hand side, all of one degree.  Take a strict total order
+    on exponent tuples with a < b => a + s < b + s, such as lex, or
+    reverse lex (a < b when the last nonzero entry of a - b is
+    positive).  If every m < lhs, every step descends, s*m < s*lhs; a
+    degree holds finitely many exponent tuples, so no descent is
+    infinite and every rewriting terminates.  Rules without a right-hand
+    side rewrite to 0 and take no step.  Lex and reverse lex are tried.
+    """
+    pairs = [(rule.lhs, m) for rule in rules for _, m in rule.rhs]
+    return (all(m < lhs for lhs, m in pairs)
+            or all(m[::-1] > lhs[::-1] for lhs, m in pairs))
+
+
 class GradedRing:
     """Graded-commutative ring truncated above a degree cutoff.
 
@@ -279,11 +305,25 @@ class GradedRing:
     check against TABLE_CAP before it verifies that the rewrite rules are
     confluent inside the truncation, and checks graded commutativity and
     the additive orders on the pairs of basis monomials where they can
-    fail.  A presentation that survives construction is safe to compute
-    in.  Products of basis monomials are computed on demand and memoised
+    fail.  Two arguments spare work that cannot change the outcome.
+    Termination by a monomial order: when every right-hand-side monomial
+    of every rule lies below the rule's left-hand side in lex or in
+    reverse lex, each rewriting step descends in that order, which is
+    compatible with multiplication, within a degree's finite set of
+    monomials, so rewriting terminates (_rewriting_descends); then the
+    confluence check normalises only the multiples in degrees with basis
+    monomials, and otherwise every multiple.  Orders without rewriting:
+    with no rule with a right-hand side, a product of basis monomials is
+    0 or a basis monomial whose additive order divides the left
+    factor's, so the order test cannot fail and runs only in a ring
+    that rewrites.  A presentation that survives construction is safe
+    to compute in, and every normal form in it terminates.  Products of
+    basis monomials are computed on demand and memoised
     (_product_terms): an exponent sum is looked up in the basis, and only
-    rewritten (_normal_form) when it is not there and some rule has a
-    right-hand side; otherwise it is 0.  The derived mod-m rings of a
+    rewritten (_normal_form) when it is not there, some rule has a
+    right-hand side and the degree has basis monomials; otherwise it is
+    0, as monomial and from_terms give 0 in a degree without basis
+    monomials without rewriting.  The derived mod-m rings of a
     torsion-free ring (_reduction) share the memo, which holds the
     integral terms.  The names of each degree's basis are kept in one
     table (_names), also shared: the names and their index are built
@@ -539,16 +579,25 @@ class GradedRing:
         # disagree or leave the basis; the multiples s*lhs of the others
         # are normalised in order of degree, then exponents, and compared
         # under every other applicable rule where their degree has basis
-        # monomials.  The work, one normal form per multiple and, where a
-        # basis is, one test per rule, on that rule's support, is counted
-        # before any multiple is normalised, and more than TABLE_CAP is
-        # refused
+        # monomials.  Normalising every multiple shows that rewriting
+        # terminates.  When a monomial order proves it instead
+        # (_rewriting_descends), the multiples in degrees without basis
+        # monomials, where every vector is () and no comparison can fail,
+        # are not normalised: they are listed only up to the last degree
+        # with a basis, and dropped below it.  The work, one normal form
+        # per multiple kept and, where a basis is, one test per rule, on
+        # that rule's support, is counted before any multiple is
+        # normalised, and more than TABLE_CAP is refused
         rules = self.presentation.rules
+        empty = {d for d, basis in self._basis.items() if not basis}
+        certified = _rewriting_descends(rules)
+        # degree 0 holds the unit, so some degree has a basis
+        top = max(self._basis.keys() - empty) if certified else self.cutoff
         multiples = set()
         by_budget: dict = {}  # budget -> _all_monomials(budget, TABLE_CAP)
         for rule in rules:
             if rule.rhs:
-                budget = self.cutoff - self._exp_degree(rule.lhs)
+                budget = top - self._exp_degree(rule.lhs)
                 if budget not in by_budget:
                     by_budget[budget] = self._all_monomials(budget, TABLE_CAP)
                 rests = by_budget[budget]
@@ -560,8 +609,9 @@ class GradedRing:
                     raise TableTooLarge(
                         "confluence check of more than %d multiples exceeds "
                         "the cap %d" % (TABLE_CAP, TABLE_CAP))
-        empty = {d for d, basis in self._basis.items() if not basis}
         multiples = [(self._exp_degree(m), m) for m in multiples]
+        if certified:
+            multiples = [(d, m) for d, m in multiples if d not in empty]
         compared = sum(d not in empty for d, _ in multiples)
         if len(multiples) + compared * len(rules) > TABLE_CAP:
             raise TableTooLarge(
@@ -570,8 +620,9 @@ class GradedRing:
                 % (len(multiples), compared, len(rules), TABLE_CAP))
         for d, exps in sorted(multiples):
             # the normal form, by the first applicable rule, is the
-            # termination check; in a degree without basis monomials every
-            # vector is (), so no comparison there can fail
+            # termination check where no order proves it; in a degree
+            # without basis monomials every vector is (), so no comparison
+            # there can fail
             normal = self._normal_form(exps)
             if d in empty:
                 continue
@@ -599,13 +650,18 @@ class GradedRing:
         # sum, whose normal form is then 0: _check_confluence compared
         # every rule on the multiples of the rules with a right-hand side
         # wherever a degree has basis monomials, and elsewhere every
-        # vector is 0
+        # vector is 0.  The order test runs only in a ring that rewrites:
+        # without a rule with a right-hand side, the product of basis
+        # monomials a and b is 0 or the sign times the basis monomial
+        # a + b, whose order, the gcd of the modulus and the orders of
+        # the generators in its support, divides a's order o_left, since
+        # that support holds a's; so o_left v12 is 0
         dead = 0
         for rule in self.presentation.rules:
             support = [k for k, l in enumerate(rule.lhs) if l]
             if not rule.rhs and len(support) == 1 and rule.lhs[support[0]] <= 2:
                 dead |= 1 << support[0]
-        masks = self._masks
+        masks, rewrites = self._masks, self._rewrites
         order_sets = {d: set(orders) for d, orders in self._orders.items()}
 
         def may_fail(factor, d):
@@ -613,9 +669,9 @@ class GradedRing:
             return any(o == 0 or factor % o for o in order_sets[d])
 
         for d1 in range(self.cutoff + 1):
-            rows = [(i, odd, o_left) for i, (odd, o_left)
+            rows = [(i, odd, o_left if rewrites else 0) for i, (odd, o_left)
                     in enumerate(zip(masks[d1], self._orders[d1]))
-                    if odd & ~dead or o_left]
+                    if odd & ~dead or o_left and rewrites]
             if not rows:
                 continue
             for d2 in range(self.cutoff + 1 - d1):
@@ -678,10 +734,16 @@ class GradedRing:
         ring._products = self._products
         ring._masks = self._masks
         ring._basis = self._basis
-        ring._orders = {d: (modulus,) * len(basis)
-                        for d, basis in self._basis.items()}
-        ring._torsion = {d: tuple(enumerate(orders))
-                         for d, orders in ring._orders.items()}
+        # the orders and torsion pairs of a degree depend on its basis
+        # size alone, so each distinct size builds them once
+        sized: dict = {}  # basis size -> (orders, torsion pairs)
+        ring._orders, ring._torsion = orders, torsion = {}, {}
+        for d, basis in self._basis.items():
+            shared = sized.get(len(basis))
+            if shared is None:
+                same = (modulus,) * len(basis)
+                shared = sized[len(basis)] = same, tuple(enumerate(same))
+            orders[d], torsion[d] = shared
         # one order, m, from the first degree >= 1 with a basis
         first = next(iter(self._first_degrees.values()), None)
         ring._first_degrees = {} if first is None else {modulus: first}
@@ -763,6 +825,8 @@ class GradedRing:
             raise RingError("bad exponent tuple %r" % (exps,))
         d = self._exp_degree(exps)
         self._check_degree(d)
+        if not self._basis[d]:  # 0, the one element there
+            return _element(self, d, ())
         return _element(self, d, self._vector(d, self._normal_form(exps)))
 
     def from_terms(self, degree: int, terms: Mapping[str, int]) -> "RingElement":
@@ -772,7 +836,8 @@ class GradedRing:
         into one coefficient list, which is reduced once at the end.  A
         monomial written as the name of a basis monomial of the degree is
         its own normal form, so it is looked up, not parsed; any other
-        spelling is parsed and rewritten.
+        spelling is parsed and rewritten, except in a degree without
+        basis monomials, where every element is 0.
         """
         self._check_degree(degree)
         coeffs = [0] * len(self._basis[degree])
@@ -791,8 +856,9 @@ class GradedRing:
                     "monomial %s has degree %d, expected %d"
                     % (quote(text), self._exp_degree(exps), degree))
             c = int(coeff)
-            for k, v in self._terms(degree, self._normal_form(exps)):
-                coeffs[k] += c * v
+            if coeffs:
+                for k, v in self._terms(degree, self._normal_form(exps)):
+                    coeffs[k] += c * v
         return _reduced(self, degree, coeffs)
 
     def _product_terms(self, d1: int, i: int, d2: int, j: int) -> tuple:
@@ -803,9 +869,10 @@ class GradedRing:
         # The basis holds every irreducible monomial of additive order
         # other than 1 up to the cutoff, so a sum found in it is its own
         # normal form, and one that is not is 0 unless some rule has a
-        # right-hand side: only then is it rewritten.  A derived ring
-        # shares the memo of its integral ring, so the terms are reduced
-        # by the integral orders, all 0: not at all
+        # right-hand side and the degree has basis monomials: only then is
+        # it rewritten.  A derived ring shares the memo of its integral
+        # ring, so the terms are reduced by the integral orders, all 0:
+        # not at all
         key = (d1, i, d2, j)
         terms = self._products.get(key)
         if terms is not None:
@@ -816,7 +883,7 @@ class GradedRing:
         if k is not None:
             sign = _mask_sign(self._masks[d1][i], self._masks[d2][j])
             terms = ((k, _norm_coeff(sign, self._product_orders[d][k])),)
-        elif not self._rewrites:
+        elif not (self._rewrites and self._basis[d]):
             terms = ()
         else:
             nf = self._normal_form(exps)

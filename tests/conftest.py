@@ -152,6 +152,30 @@ def cp2_sum_doc(k: int, l: int) -> dict:
             "bundle": bundle}
 
 
+def empty_chain_doc(n: int, descending: bool) -> dict:
+    """The shared-form space file of n degree-2 generators g_0..g_{n-1}
+    with the rules g_{i+1} -> g_i and g_0 -> 0, cutoff 2, and a rank-2
+    bundle with Euler class 0.
+
+    Every generator rewrites to 0, so degree 2 has no basis.  Listed from
+    g_0, no rule lowers the exponent tuple in lex or in reverse lex, and
+    the confluence check follows g_{n-1} through every rule.  Listed
+    from g_{n-1} (descending), each rule lowers it in lex, which proves
+    termination, and no normal form is computed.  n >= 1.
+    """
+    names = ["g%d" % i for i in range(n)]
+    relations = [{"lhs": names[i + 1], "rhs": {names[i]: "1"}}
+                 for i in range(n - 1)]
+    return {"schema_version": 1,
+            "name": "chain%d%s" % (n, "_descending" if descending else ""),
+            "rings": {"shared": {
+                "cutoff": 2,
+                "generators": [{"name": g, "degree": 2} for g in
+                               (names[::-1] if descending else names)],
+                "relations": relations + [{"lhs": "g0", "rhs": {}}]}},
+            "bundle": {"rank": 2, "euler": {}}}
+
+
 @pytest.fixture(scope="session")
 def cp2_sums():
     """`cp2_sum_doc`: k CP^2 # l reversed CP^2 space files by (k, l)."""

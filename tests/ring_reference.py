@@ -19,7 +19,12 @@ monomial or the ring had no rule with a right-hand side, and a rule
 without one was applied like any other.  Its `_koszul` is the loop over
 exponent tuples that signed every product and rewriting step before
 signs were read off the odd-exponent masks, so the parent ring signs with
-its own copy.  `solve_mod2` is `_solve_mod2` of `acso.gradedring` before
+its own copy.  Its `_check_confluence` and `_check_table` are
+`GradedRing`'s before a monomial order could prove termination and
+before the order test was left out of rings that do not rewrite: every
+multiple of every rule with a right-hand side is normalised, in every
+degree, and the order test runs wherever a left factor has finite order.
+`solve_mod2` is `_solve_mod2` of `acso.gradedring` before
 each row was reduced by the pivots at its own set bits: it tests every
 pivot.  `ParentScaleMap._check_scale` and `ParentScaleSystem._check_scales`
 are the checks of scale maps and of their laws before they were asked
@@ -42,6 +47,8 @@ from acso.gradedring import (
     GradedRing,
     RingError,
     RingSystem,
+    SignRuleError,
+    TableTooLarge,
     _norm_coeff,
     _reduced,
     _solve_mod2,
@@ -188,6 +195,126 @@ class ParentProductRing(GradedRing):
         terms = self._products[key] = self._terms(d1 + d2, nf,
                                                   self._product_orders)
         return terms
+
+    def _check_confluence(self):
+        TABLE_CAP = gradedring.TABLE_CAP  # read at call time, like the ring
+        # a monomial that no rule with a right-hand side divides rewrites
+        # to 0 by every applicable rule, so nothing there can recurse,
+        # disagree or leave the basis; the multiples s*lhs of the others
+        # are normalised in order of degree, then exponents, and compared
+        # under every other applicable rule where their degree has basis
+        # monomials.  The work, one normal form per multiple and, where a
+        # basis is, one test per rule, on that rule's support, is counted
+        # before any multiple is normalised, and more than TABLE_CAP is
+        # refused
+        rules = self.presentation.rules
+        multiples = set()
+        by_budget: dict = {}  # budget -> _all_monomials(budget, TABLE_CAP)
+        for rule in rules:
+            if rule.rhs:
+                budget = self.cutoff - self._exp_degree(rule.lhs)
+                if budget not in by_budget:
+                    by_budget[budget] = self._all_monomials(budget, TABLE_CAP)
+                rests = by_budget[budget]
+                if rests is not None:
+                    multiples.update(
+                        tuple(l + s for l, s in zip(rule.lhs, rest))
+                        for rest in rests)
+                if rests is None or len(multiples) > TABLE_CAP:
+                    raise TableTooLarge(
+                        "confluence check of more than %d multiples exceeds "
+                        "the cap %d" % (TABLE_CAP, TABLE_CAP))
+        empty = {d for d, basis in self._basis.items() if not basis}
+        multiples = [(self._exp_degree(m), m) for m in multiples]
+        compared = sum(d not in empty for d, _ in multiples)
+        if len(multiples) + compared * len(rules) > TABLE_CAP:
+            raise TableTooLarge(
+                "confluence check of %d multiples, %d of them tested by %d "
+                "rules, exceeds the cap %d"
+                % (len(multiples), compared, len(rules), TABLE_CAP))
+        for d, exps in sorted(multiples):
+            # the normal form, by the first applicable rule, is the
+            # termination check; in a degree without basis monomials every
+            # vector is (), so no comparison there can fail
+            normal = self._normal_form(exps)
+            if d in empty:
+                continue
+            _, *rest = [rule for rule, support in self._supports
+                        if all(exps[k] >= l for k, l in support)]
+            canonical = self._vector(d, normal)
+            for rule in rest:
+                if self._vector(d, self._rewrite(exps, rule)) != canonical:
+                    raise ConfluenceError(
+                        "rules disagree on %s"
+                        % format_exponents(self.names, exps))
+
+    def _check_table(self):
+        # by the Koszul identity k(a,b) k(b,a) = (-1)^(d1 d2 + D), D the sum
+        # of a_i b_i over odd generators, ab and ba share a normal form and
+        # their signs differ by (-1)^(d1 d2) unless D is odd.  So graded
+        # commutativity, v12 = (-1)^(d1 d2) v21, fails only where D is odd
+        # and 2 v12 != 0, and the order test only where o_left v12 != 0.
+        # Zero vectors pass both tests.  The pairs are visited in the order
+        # of a dense table, but a pair is looked up only where a test can
+        # fail: 2 v12 or o_left v12 can be nonzero only if an order of the
+        # product's degree does not divide 2 or o_left.  And an odd
+        # generator is dead when a rule without right-hand side divides its
+        # square: a shared dead generator puts that rule under the exponent
+        # sum, whose normal form is then 0: _check_confluence compared
+        # every rule on the multiples of the rules with a right-hand side
+        # wherever a degree has basis monomials, and elsewhere every
+        # vector is 0
+        dead = 0
+        for rule in self.presentation.rules:
+            support = [k for k, l in enumerate(rule.lhs) if l]
+            if not rule.rhs and len(support) == 1 and rule.lhs[support[0]] <= 2:
+                dead |= 1 << support[0]
+        masks = self._masks
+        order_sets = {d: set(orders) for d, orders in self._orders.items()}
+
+        def may_fail(factor, d):
+            # factor * v can be nonzero in degree d
+            return any(o == 0 or factor % o for o in order_sets[d])
+
+        for d1 in range(self.cutoff + 1):
+            rows = [(i, odd, o_left) for i, (odd, o_left)
+                    in enumerate(zip(masks[d1], self._orders[d1]))
+                    if odd & ~dead or o_left]
+            if not rows:
+                continue
+            for d2 in range(self.cutoff + 1 - d1):
+                d = d1 + d2
+                orders = self._orders[d]
+                if not (orders and masks[d2]):
+                    continue  # no pair, or every product is ()
+                for i, odd, o_left in rows:
+                    sign_test = odd & ~dead and may_fail(2, d)
+                    order_test = o_left and may_fail(o_left, d)
+                    if not (sign_test or order_test):
+                        continue
+                    for j, odd2 in enumerate(masks[d2]):
+                        shared = odd & odd2
+                        if shared & dead:
+                            continue
+                        odd_d = sign_test and shared.bit_count() & 1
+                        if not (odd_d or order_test):
+                            continue
+                        v12 = self._product_terms(d1, i, d2, j)
+                        if not v12:
+                            continue
+                        if odd_d and any(_norm_coeff(2 * c, orders[k])
+                                         for k, c in v12):
+                            raise SignRuleError(
+                                "product of %s and %s breaks graded "
+                                "commutativity"
+                                % (self.basis_strings(d1)[i],
+                                   self.basis_strings(d2)[j]))
+                        if order_test and any(_norm_coeff(o_left * c, orders[k])
+                                              for k, c in v12):
+                            raise RingError(
+                                "product of %s and %s violates additive orders"
+                                % (self.basis_strings(d1)[i],
+                                   self.basis_strings(d2)[j]))
 
     def _reduction(self, modulus: int) -> GradedRing:
         ring = GradedRing._reduction(self, modulus)

@@ -21,7 +21,8 @@ from acso.obstruct import DivisibilityViolation, integral_sw
 from acso.spacefile import load_space_file
 
 import cli_reference as reference
-from conftest import BENCH_DIR, CORPUS_DIR, DATA_DIR, kernel_space
+from conftest import (BENCH_DIR, CORPUS_DIR, DATA_DIR, empty_chain_doc,
+                      kernel_space)
 from test_hashseed import RUNS
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -942,6 +943,57 @@ def test_overlong_rewriting_chain_is_one_error_line(tmp_path, capsys):
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
     assert (result.returncode, result.stderr) == (0, "")
     assert "status: clear" in result.stdout
+
+
+def call_at_depth(depth, fn):
+    """fn(), called with about `depth` frames on the interpreter's stack."""
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+
+    def descend(k):
+        return fn() if k <= 0 else descend(k - 1)
+
+    return descend(depth - frames)
+
+
+EMPTY_CHAIN_REPORT = (
+    "almost complex structure report for %s\n"
+    "rank 2, base dimension unknown\n"
+    "status: clear (exit 0), existence: admits\n"
+    "obstructions:\n"
+    "  [degree 3, Ehresmann W3 = beta(w2)] Zero -- degree 3 beyond the ring "
+    "cutoff\n"
+    "notes:\n"
+    "  - oriented rank-2 bundles are complex line bundles\n")
+
+
+@pytest.mark.parametrize("n, descending", [(10, False), (500, False),
+                                           (10, True), (500, True)])
+def test_chain_into_an_empty_degree_is_one_result(n, descending, tmp_path,
+                                                  capsys):
+    # g_{i+1} -> g_i and g_0 -> 0 leave degree 2 without a basis.  Listed
+    # from g_0, no monomial order proves termination, so the confluence
+    # check normalises g_{n-1} first, through all n rules: 500 nest too
+    # deeply.  Listed from g_{n-1}, lex proves it and nothing is
+    # rewritten, so every length is clear (as it was when every multiple
+    # was normalised: in ascending order, each g_{i+1} takes one step to
+    # the kept normal form of g_i).  A process and a call of main about
+    # 900 frames deep give the same result
+    doc = empty_chain_doc(n, descending)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    if n == 500 and not descending:
+        want = (1, "", "error: rewriting nests too deeply to check "
+                       "confluence; the rules chain too many steps\n")
+    else:
+        want = (0, EMPTY_CHAIN_REPORT % doc["name"], "")
+    result = subprocess.run(
+        [sys.executable, "-m", "acso", "check", str(path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+    assert (result.returncode, result.stdout, result.stderr) == want
+    assert call_at_depth(900, lambda: run(capsys, "check", str(path))) == want
 
 
 def test_corpus_empty_directory(tmp_path, capsys):

@@ -878,24 +878,21 @@ def test_confluence_check_is_capped_before_any_comparison(monkeypatch):
         GradedRing(pres)
 
 
-def test_confluence_compares_rules_only_where_a_basis_is(corpus,
-                                                        monkeypatch):
-    # s1xwu's mod-4 ring has one rule with a right-hand side,
-    # zeta2*zeta3 -> 2 mu4, with 35 multiples in degrees 5-12.  33 of
-    # them, all in degrees 7-12 where the basis is empty, take a second
-    # rule; none is compared, and every multiple is still normalised
-    pres = corpus["s1xwu"].bundle.rings.mod4.presentation
-    ring = GradedRing(pres)
-    rule = next(r for r in pres.rules if r.rhs)
-    budget = pres.cutoff - ring._exp_degree(rule.lhs)
-    multiples = {tuple(l + e for l, e in zip(rule.lhs, rest))
-                 for rest in ring._all_monomials(budget, 10 ** 6)}
-    overlaps = {m for m in multiples
-                if sum(all(l <= e for l, e in zip(r.lhs, m))
-                       for r in pres.rules) > 1}
-    assert len(multiples) == 35 and len(overlaps) == 33
-    assert {ring._exp_degree(m) for m in overlaps} == set(range(7, 13))
-    assert all(not ring.basis(d) for d in range(7, 13))
+# a -> b and b -> a: degree 2 has no basis, and rewriting cycles there
+TWO_CYCLE = RingPresentation(
+    0, 2, (Generator("a", 2), Generator("b", 2)),
+    (RewriteRule((1, 0), ((1, (0, 1)),)), RewriteRule((0, 1), ((1, (1, 0)),))))
+# b^2 -> a^2 with a*b, a^3 -> 0: a^2 spans degree 4 and degree 6 has no
+# basis; the rule raises the exponent tuple in lex and in reverse lex
+NEITHER_ORDER = RingPresentation(
+    0, 6, (Generator("a", 2), Generator("b", 2)),
+    (RewriteRule((0, 2), ((1, (2, 0)),)), RewriteRule((1, 1)),
+     RewriteRule((3, 0))))
+
+
+def confluence_spies(monkeypatch):
+    """The monomials whose normal form is computed, and those rewritten
+    by a rule other than their first, while the spies are in place."""
     compared, normalised = set(), set()
     rewrite, normal_form = GradedRing._rewrite, GradedRing._normal_form
 
@@ -910,9 +907,164 @@ def test_confluence_compares_rules_only_where_a_basis_is(corpus,
 
     monkeypatch.setattr(GradedRing, "_rewrite", spy_rewrite)
     monkeypatch.setattr(GradedRing, "_normal_form", spy_normal_form)
+    return compared, normalised
+
+
+def rule_multiples(ring):
+    """Every multiple s*lhs within the cutoff of a rule with a right-hand
+    side, keyed by its degree."""
+    out = collections.defaultdict(set)
+    for rule in ring.presentation.rules:
+        if rule.rhs:
+            budget = ring.cutoff - ring._exp_degree(rule.lhs)
+            for rest in ring._all_monomials(budget, 10 ** 6):
+                m = tuple(l + e for l, e in zip(rule.lhs, rest))
+                out[ring._exp_degree(m)].add(m)
+    return out
+
+
+def test_confluence_compares_rules_only_where_a_basis_is(corpus,
+                                                        monkeypatch):
+    # s1xwu's mod-4 ring has one rule with a right-hand side,
+    # zeta2*zeta3 -> 2 mu4, with 35 multiples in degrees 5-12.  33 of
+    # them, all in degrees 7-12 where the basis is empty, take a second
+    # rule; none is compared.  The rule lowers the exponent tuple in lex,
+    # so rewriting terminates, and only the 2 multiples in degrees 5-6
+    # are normalised
+    pres = corpus["s1xwu"].bundle.rings.mod4.presentation
+    ring = GradedRing(pres)
+    assert gradedring._rewriting_descends(pres.rules)
+    rule = next(r for r in pres.rules if r.rhs)
+    budget = pres.cutoff - ring._exp_degree(rule.lhs)
+    multiples = {tuple(l + e for l, e in zip(rule.lhs, rest))
+                 for rest in ring._all_monomials(budget, 10 ** 6)}
+    overlaps = {m for m in multiples
+                if sum(all(l <= e for l, e in zip(r.lhs, m))
+                       for r in pres.rules) > 1}
+    assert len(multiples) == 35 and len(overlaps) == 33
+    assert {ring._exp_degree(m) for m in overlaps} == set(range(7, 13))
+    assert all(not ring.basis(d) for d in range(7, 13))
+    compared, normalised = confluence_spies(monkeypatch)
     assert GradedRing(pres) == ring
     assert compared == set()
-    assert multiples <= normalised
+    low = {m for m in multiples if ring._exp_degree(m) in (5, 6)}
+    assert len(low) == 2 and multiples & normalised == low
+    assert all(ring._exp_degree(m) < 7 for m in normalised)
+
+
+def test_confluence_without_a_descending_order_normalises_every_multiple(
+        monkeypatch):
+    # neither lex nor reverse lex proves termination for a 2-cycle, nor
+    # for b^2 -> a^2, so every multiple is normalised, in degrees
+    # without a basis too: the cycle is refused at its first multiple,
+    # b in degree 2, and b^2 -> a^2 builds after normalising a*b^2 and b^3
+    # in degree 6
+    assert not gradedring._rewriting_descends(TWO_CYCLE.rules)
+    assert not gradedring._rewriting_descends(NEITHER_ORDER.rules)
+    neither = GradedRing(NEITHER_ORDER)
+    compared, normalised = confluence_spies(monkeypatch)
+    with pytest.raises(ConfluenceError,
+                       match=r"^rewriting does not terminate at b$"):
+        GradedRing(TWO_CYCLE)
+    assert normalised == {(1, 0), (0, 1)} and compared == set()
+    normalised.clear()
+    assert GradedRing(NEITHER_ORDER) == neither
+    multiples = rule_multiples(neither)
+    assert multiples == {4: {(0, 2)}, 6: {(1, 2), (0, 3)}}
+    assert neither.basis(6) == ()
+    assert set().union(*multiples.values()) <= normalised
+
+
+# a*c -> b^2 lowers the exponent tuple in lex alone, b^3 -> a*b*c in
+# reverse lex alone, and together they cycle on b^3 in degree 6, which
+# the rules without a right-hand side leave without a basis
+MIXED_ORDER_CYCLE = RingPresentation(
+    0, 6, (Generator("a", 2), Generator("b", 2), Generator("c", 2)),
+    (RewriteRule((2, 0, 0)), RewriteRule((0, 0, 2)),
+     RewriteRule((1, 0, 1), ((1, (0, 2, 0)),)),
+     RewriteRule((0, 3, 0), ((1, (1, 1, 1)),)),
+     RewriteRule((1, 2, 0)), RewriteRule((0, 2, 1))))
+
+
+def assert_construction_matches_parent(pres, kinds):
+    """GradedRing and the parent's construction (ParentProductRing, whose
+    confluence check normalises every multiple and whose table check
+    tests orders in every ring) accept pres or refuse it with the same
+    first message, and agree on the element of every exponent tuple in
+    every degree that has basis monomials; kinds counts the outcomes."""
+    ring = built(GradedRing, pres)
+    parent = built(ring_reference.ParentProductRing, pres)
+    if isinstance(ring, tuple) or isinstance(parent, tuple):
+        assert ring == parent, pres
+        kinds[ring[0].__name__] += 1
+        return
+    for exps in ring._all_monomials(ring.cutoff, gradedring.TABLE_CAP):
+        if ring._basis[ring._exp_degree(exps)]:
+            assert ring.monomial(exps) == parent.monomial(exps), (pres, exps)
+    if not ring._rewrites:
+        kinds["no rewriting" if not any(map(any, ring._orders.values()))
+              else "no rewriting, finite orders"] += 1
+    elif gradedring._rewriting_descends(pres.rules):
+        kinds["rewriting, descending"] += 1
+    else:
+        kinds["rewriting, no order"] += 1
+
+
+def test_construction_matches_the_parent_on_files_and_fixtures(corpus):
+    kinds = collections.Counter()
+    paths = sorted(CORPUS_DIR.glob("*.json")) + sorted(DATA_DIR.glob("*.json"))
+    for path in paths:
+        rings = json.loads(path.read_text())["rings"]
+        moduli = {"shared": 0, "integral": 0, "mod2": 2, "mod4": 4}
+        for label, section in rings.items():
+            pres = spacefile._presentation(section, moduli[label], label)
+            assert_construction_matches_parent(pres, kinds)
+    # the mod-4 rings of s1xwu and of duplicate_index, a copy of it
+    assert kinds["rewriting, descending"] == 2, kinds
+    assert kinds["no rewriting, finite orders"] > 5, kinds
+    # hand_fixtures holds LIVE_ODD_SQUARE, ORDER_THREE_TIMES_FREE and two
+    # odd_rule_fixture rings; the others rule between any two degree-3
+    # monomials of u, x, z and w
+    degree_three = [(1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1)]
+    fixtures = list(hand_fixtures(corpus))
+    fixtures += [odd_rule_fixture(lhs, rhs)
+                 for lhs, rhs in itertools.permutations(degree_three, 2)]
+    fixtures += [TWO_CYCLE, NEITHER_ORDER, MIXED_ORDER_CYCLE]
+    for pres in fixtures:
+        assert_construction_matches_parent(pres, kinds)
+    assert set(kinds) == {
+        "no rewriting", "no rewriting, finite orders", "rewriting, descending",
+        "rewriting, no order", "ConfluenceError", "SignRuleError",
+        "RingError"}, kinds
+
+
+def test_construction_matches_the_parent_on_random_presentations():
+    # the draws of test_squares_and_signs_match_on_random_presentations
+    rng = random.Random(2024)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        assert_construction_matches_parent(random_presentation(rng), kinds)
+    for _ in range(300):
+        assert_construction_matches_parent(random_odd_presentation(rng),
+                                           kinds)
+    # three draws break the additive orders, the refusal "RingError"
+    assert len(kinds) == 7 and kinds.pop("RingError") == 3, kinds
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_construction_matches_the_parent_on_monomial_presentations():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    kinds = collections.Counter()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        assert_construction_matches_parent(
+            random_monomial_presentation(data.draw), kinds)
+
+    check()
+    assert kinds["no rewriting, finite orders"] > 50, kinds
 
 
 def test_basis_names_are_shared_with_derived_rings():
